@@ -8,9 +8,19 @@ times a short fixed loop of exact and mpf recurrences, which uses no
 polycf code, between operations on the same core, and reports each
 operation's time multiplied by NOMINAL_S over the mean of the two loop
 timings around it: seconds at the speed where the loop takes NOMINAL_S.
+
+Starting a process moves with the host differently again (file reads,
+unmarshalling, page faults), and the loop tracks it poorly.  Whole fresh
+processes are therefore scaled by a reference process instead: a fresh
+interpreter that imports mpmath and the standard modules polycf uses, and
+no polycf code.  Over 27 blocks of ten `polycf eval` processes the spread
+(standard deviation over mean) of the block medians was 0.128 in plain
+seconds, 0.083 scaled by the loop and 0.021 scaled by the reference process.
 """
 
 import statistics
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -19,6 +29,8 @@ import mpmath
 clock = time.perf_counter
 # never change: they set the unit of every reported time
 NOMINAL_S = {False: 0.015, True: 0.019}
+PROCESS_NOMINAL_S = 0.13
+PROCESS_IMPORTS = "import argparse, dataclasses, fractions, json, mpmath"
 
 
 def reference_s(wide=False):
@@ -48,13 +60,27 @@ def reference_s(wide=False):
     return clock() - t0
 
 
-class Meter:
-    """Operation latencies with reference samples at least every `every_s`."""
+def process_reference_s():
+    """Seconds taken by a fresh reference interpreter, started here and now."""
+    t0 = clock()
+    subprocess.run([sys.executable, "-c", PROCESS_IMPORTS], check=True,
+                   stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
+    return clock() - t0
 
-    def __init__(self, every_s=0.1, wide=False):
-        self.every_s, self.wide = every_s, wide
-        self.nominal = NOMINAL_S[wide]
-        self.refs = [reference_s(wide)]
+
+class Meter:
+    """Operation latencies with reference samples at least every `every_s`.
+
+    `process` scales by the reference process instead of the loop.
+    """
+
+    def __init__(self, every_s=0.1, wide=False, process=False):
+        self.every_s = every_s
+        if process:
+            self.nominal, self.reference = PROCESS_NOMINAL_S, process_reference_s
+        else:
+            self.nominal, self.reference = NOMINAL_S[wide], lambda: reference_s(wide)
+        self.refs = [self.reference()]
         self.raw, self.segment = [], []
         self._since = 0.0
 
@@ -63,13 +89,13 @@ class Meter:
         self.segment.append(len(self.refs) - 1)
         self._since += dt
         if self._since >= self.every_s:
-            self.refs.append(reference_s(self.wide))
+            self.refs.append(self.reference())
             self._since = 0.0
 
     def scaled(self):
         """Latencies in reference-speed seconds."""
         if not self.segment or self.segment[-1] + 1 >= len(self.refs):
-            self.refs.append(reference_s(self.wide))
+            self.refs.append(self.reference())
             self._since = 0.0
         return [dt * self.nominal * 2 / (self.refs[s] + self.refs[s + 1])
                 for dt, s in zip(self.raw, self.segment)]

@@ -38,12 +38,17 @@ sys.path.insert(0, str(HERE))
 import checks  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
-from refloop import NOMINAL_S, Meter, reference_s  # noqa: E402
+from refloop import NOMINAL_S, PROCESS_NOMINAL_S, Meter, process_reference_s  # noqa: E402
 
 clock = time.perf_counter
 WORKLOADS = ("paper-suite", "exact-core", "cold-cli", "high-precision")
 SETUP_REPS = 5
 MAX_MEASURE_S = 120          # hard stop so that a run ends well inside 180 s
+# Wall seconds of one pass (process start, reference loop and all) on the
+# host the benchmark was defined on.  A run makes a fixed number of passes,
+# about --seconds of them at that speed, so that how many operations it
+# attempts, and how many of them fail, never depends on the host's speed.
+PASS_S = {"paper-suite": 5.0, "exact-core": 2.5, "cold-cli": 25.0, "high-precision": 1.25}
 CHILD_TIMEOUT_S = 100
 PROBE_DEADLINE_S = 2.0
 
@@ -105,7 +110,7 @@ def measure_setup(name, seed, work, reps=SETUP_REPS):
     """Median time from spawning a fresh interpreter to "inputs built"."""
     cfg = json.dumps({"workload": name, "seed": seed, "mode": "setup"})
     times = []
-    ref = reference_s()
+    ref = process_reference_s()
     for i in range(reps):
         t0 = clock()
         proc = subprocess.Popen([sys.executable, str(HERE / "worker.py"), cfg],
@@ -116,8 +121,8 @@ def measure_setup(name, seed, work, reps=SETUP_REPS):
         proc.stdout.close()
         if proc.wait(timeout=CHILD_TIMEOUT_S) != 0 or line.strip() != b"ready":
             raise BenchError(f"setup of {name} failed")
-        ref, ref_before = reference_s(), ref
-        times[-1] *= NOMINAL_S[False] * 2 / (ref_before + ref)
+        ref, ref_before = process_reference_s(), ref
+        times[-1] *= PROCESS_NOMINAL_S * 2 / (ref_before + ref)
     return statistics.median(times)
 
 
@@ -174,7 +179,7 @@ def cli_pass(run, i, traced):
     w = run.work
     rss, outs = 0.0, []
     summary, import_s, misses = tracer.empty_summary(), 0.0, 0
-    meter = Meter(every_s=0)
+    meter = Meter(every_s=1.0, process=True)
     for j, argv in enumerate(run.inputs):
         tag = f"cc-{i}-{j}"
         cache = w / f"{tag}-cache.json"
@@ -408,21 +413,28 @@ class Run:
         if name == "cold-cli":
             self.inputs = workloads.cold_cli(seed)[: 6 if quick else None]
 
-    def measure(self):
-        """Untraced passes (and, with trace, traced ones alternating) for the window."""
-        fn = PASS_FNS[self.name]
-        plain, traced = [], []
+    def plan(self):
+        """(untraced, traced) pass counts, fixed by the workload and --seconds."""
+        n = max(1, round(self.seconds / PASS_S[self.name]))
         min_plain = 2 if self.name == "paper-suite" else 1
+        if not self.trace:
+            return max(n, min_plain), 0
+        return max((n + 1) // 2, min_plain), max(n // 2, 1)
+
+    def measure(self):
+        """The planned untraced passes (and, with trace, traced ones alternating)."""
+        fn = PASS_FNS[self.name]
+        n_plain, n_traced = self.plan()
+        plain, traced = [], []
         t_start = clock()
         i = 0
-        while True:
-            do_trace = self.trace and i % 2 == 1
+        while len(plain) < n_plain or len(traced) < n_traced:
+            do_trace = len(traced) < n_traced and (i % 2 == 1 or len(plain) >= n_plain)
             (traced if do_trace else plain).append(fn(self, i, do_trace))
             i += 1
-            elapsed = clock() - t_start
-            done = len(plain) >= min_plain and (traced or not self.trace)
-            if done and (elapsed + elapsed / i > self.seconds or elapsed > MAX_MEASURE_S):
-                return plain, traced
+            if plain and (traced or not n_traced) and clock() - t_start > MAX_MEASURE_S:
+                break
+        return plain, traced
 
     def check(self, passes):
         if self.name == "paper-suite":
@@ -513,9 +525,12 @@ class Result:
                   f"({self.failed} of {self.attempted})\n")
         out.write(f"{name} op latency samples = {self.samples}, op_p90_s is "
                   f"p{100 * self.p90_level:.1f}\n")
-        nominal = NOMINAL_S[name == "high-precision"]
+        if name == "cold-cli":
+            ref, nominal = "reference process", PROCESS_NOMINAL_S
+        else:
+            ref, nominal = "reference loop", NOMINAL_S[name == "high-precision"]
         out.write(f"{name} measured wall_s = {statistics.median(p.raw_wall for p in self.plain):.6g}"
-                  f" s; reference loop {nominal / statistics.median(p.factor for p in self.plain):.6g}"
+                  f" s; {ref} {nominal / statistics.median(p.factor for p in self.plain):.6g}"
                   f" s, times above are scaled to {nominal} s of it\n")
         if self.layers:
             for k, (v, u) in self.layers.items():
