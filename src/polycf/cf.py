@@ -8,6 +8,7 @@ evaluates the tail functions at argument start_index + k - 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,9 @@ from .poly import (
 # beyond this many terms the exact backend's integers get unwieldy
 _EXACT_TERM_LIMIT = 300
 _FLOAT_GUARD_BITS = 32
+# the float kernel shifts its integers once they pass its bit budget by this
+# much, so that a shift comes every few terms rather than every term
+_SHIFT_SLACK_BITS = 64
 
 
 def _as_fraction(v):
@@ -142,11 +146,8 @@ def term_at(cf, n):
     else:
         k = n - len(cf.prefix)
         arg = cf.tail.start_index + k - 1
-        try:
-            a = cf.tail.a(arg)
-            b = cf.tail.b(arg)
-        except PoleAtArgument:
-            raise
+        a = cf.tail.a(arg)
+        b = cf.tail.b(arg)
     if a == 0:
         raise ZeroPartialNumerator(n)
     return a, b
@@ -181,92 +182,147 @@ def _round_to(x, precision_bits):
         return +x
 
 
+def _mpf_of(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _scaled_terms(cf):
+    """Integer steps (a, b, m) for terms n = 1, 2, ... of cf.
+
+    Term a_n = p/q, b_n = r/s becomes a = p*s, b = r*q, m = q*s: the
+    recurrence A <- b*A + a*A_prev, A_prev <- m*A is the exact one with every
+    value multiplied by m.  Tail terms come from the numerator and
+    denominator polynomials stepped by forward differences; constant
+    denominators are folded into the numerator polynomials once.  Term errors
+    are raised lazily, when the term is reached, as term_at raises them.
+    """
+    for n, (a, b) in enumerate(cf.prefix, 1):
+        if a == 0:
+            raise ZeroPartialNumerator(n)
+        q, s = a.denominator, b.denominator
+        yield a.numerator * s, b.numerator * q, q * s
+    tail = cf.tail
+    if tail is None:
+        return
+    first = len(cf.prefix) + 1
+    x0 = tail.start_index
+    qa, qb = tail.a.den, tail.b.den
+    if qa.degree == 0 and qb.degree == 0:
+        q, s = qa.coeffs[0], qb.coeffs[0]
+        m = q * s
+        a_vals = (tail.a.num * s).values_from(x0)
+        b_vals = (tail.b.num * q).values_from(x0)
+        for n, a, b in zip(itertools.count(first), a_vals, b_vals):
+            if a == 0:
+                raise ZeroPartialNumerator(n)
+            yield a, b, m
+        return
+    columns = (tail.a.num, qa, tail.b.num, qb)
+    for n, x, p, q, r, s in zip(
+        itertools.count(first),
+        itertools.count(x0),
+        *(poly.values_from(x0) for poly in columns),
+    ):
+        if q == 0 or s == 0:
+            raise PoleAtArgument(x)
+        if p == 0:
+            raise ZeroPartialNumerator(n)
+        yield p * s, r * q, q * s
+
+
 def _evaluate_core(cf, tol, max_terms, precision_bits, exact):
-    work_prec = precision_bits + _FLOAT_GUARD_BITS
-    with mpmath.workprec(work_prec):
-        tol_frac = tol if isinstance(tol, Fraction) else Fraction(str(tol))
-        tol_mpf = mpmath.mpf(tol_frac.numerator) / tol_frac.denominator
-        if exact:
-            A_prev, B_prev = Fraction(1), Fraction(0)
-            A, B = cf.b0, Fraction(1)
-        else:
-            A_prev, B_prev = mpmath.mpf(1), mpmath.mpf(0)
-            A = mpmath.mpf(cf.b0.numerator) / cf.b0.denominator
-            B = mpmath.mpf(1)
-        last_value = A if B != 0 else None
-        last_diff = None
-        prev_diff = None
-        terms_used = 0
-        converged = False
-        finite = False
-        for n in range(1, max_terms + 1):
-            try:
-                a, b = term_at(cf, n)
-            except NoSuchTerm:
-                finite = True
-                break
-            if not exact:
-                a = mpmath.mpf(a.numerator) / a.denominator
-                b = mpmath.mpf(b.numerator) / b.denominator
+    """The recurrence kernel shared by both backends, in Python integers.
+
+    (A, A_prev, B, B_prev) hold A_n, A_{n-1}, B_n, B_{n-1} times one common
+    scale, so A/B is the approximant whatever the scale is.  The exact
+    backend never rounds.  The float backend keeps the integers near a bit
+    budget b = precision_bits + guard + bitlen(max_terms): once every nonzero
+    one of the four has more than b + slack bits, all four are shifted right
+    by the same amount, so that the smallest keeps b bits.
+
+    Truncation error.  A common shift changes no ratio of the four, so A/B
+    is unchanged by the scaling itself.  The floor of the shift moves each
+    integer by less than one unit, which is less than 2^-b of its own size:
+    a relative perturbation of the state no larger than one rounding to a
+    b-bit mantissa.  It runs through the linear recurrence as the values
+    do, so it reaches A/B amplified only by the recurrence's own
+    conditioning, as rounding in any b-bit arithmetic would be.  There is at
+    most one shift per term, so the shifts of a run add up to less than
+    max_terms * 2^-b <= 2^-(precision_bits + guard) relative before that
+    amplification; the result is then rounded to precision_bits.  The
+    budget is set by the smallest value, not the largest, because A_{n-1}
+    can be smaller than A_n by a factor near b_n (2^40 and more in the
+    zeta(k) families, whose recurrences cancel): a budget on the largest
+    value gives up those bits of A_{n-1}.
+
+    The stop rule compares each gap to tol in integers,
+    |A B_last - A_last B| tol_den < tol_num |B B_last|; the value and the
+    last gap are converted to mpf once, through Fraction.
+    """
+    tol_num, tol_den = tol.numerator, tol.denominator
+    budget = precision_bits + _FLOAT_GUARD_BITS + max_terms.bit_length()
+    limit = budget + _SHIFT_SLACK_BITS
+    A_prev, B_prev = cf.b0.denominator, 0
+    A, B = cf.b0.numerator, cf.b0.denominator
+    A_last, B_last = A, B
+    gap_num, gap_den = 0, 0  # the last gap; no gap yet while gap_den is 0
+    small_prev = False
+    converged = False
+    finite = False
+    n = 0
+    for n, (a, b, m) in zip(range(1, max_terms + 1), _scaled_terms(cf)):
+        if m == 1:
             A, A_prev = b * A + a * A_prev, A
             B, B_prev = b * B + a * B_prev, B
-            terms_used = n
-            if B == 0:
-                continue
-            value = A / B
-            if last_value is not None:
-                diff = abs(value - last_value)
-                prev_diff, last_diff = last_diff, diff
-            last_value = value
-            if (
-                prev_diff is not None
-                and last_diff is not None
-                and _lt_tol(last_diff, tol_frac, tol_mpf, exact)
-                and _lt_tol(prev_diff, tol_frac, tol_mpf, exact)
-            ):
-                converged = True
-                break
-        if last_value is None:
-            value_mpf = mpmath.mpf(0)
-            error_mpf = mpmath.inf
-        elif exact:
-            value_mpf = mpmath.mpf(last_value.numerator) / last_value.denominator
-            if finite:
-                error_mpf = mpmath.mpf(0)
-            elif last_diff is None:
-                error_mpf = mpmath.inf
-            else:
-                error_mpf = mpmath.mpf(last_diff.numerator) / last_diff.denominator
         else:
-            value_mpf = last_value
-            if finite:
-                error_mpf = mpmath.mpf(0)
-            else:
-                error_mpf = last_diff if last_diff is not None else mpmath.inf
+            A, A_prev = b * A + a * A_prev, m * A
+            B, B_prev = b * B + a * B_prev, m * B
+        if not exact and B_prev.bit_length() > limit:
+            shift = min(x.bit_length() for x in (A, A_prev, B, B_prev) if x) - budget
+            if shift > _SHIFT_SLACK_BITS:
+                A >>= shift
+                A_prev >>= shift
+                B >>= shift
+                B_prev >>= shift
+        if B == 0:
+            continue
+        gap_num = abs(A * B_last - A_last * B)
+        gap_den = abs(B * B_last)
+        A_last, B_last = A, B
+        small = gap_num * tol_den < tol_num * gap_den
+        if small and small_prev:
+            converged = True
+            break
+        small_prev = small
+    else:
+        finite = n < max_terms
+    with mpmath.workprec(precision_bits + _FLOAT_GUARD_BITS):
+        value = _mpf_of(Fraction(A_last, B_last))
         if finite:
             converged = True
-        return LimitEstimate(
-            value=_round_to(value_mpf, precision_bits),
-            error_bound=_round_to(error_mpf, precision_bits),
-            terms_used=terms_used,
-            converged=converged,
-        )
-
-
-def _lt_tol(diff, tol_frac, tol_mpf, exact):
-    if exact:
-        return diff < tol_frac
-    return diff < tol_mpf
+            error = mpmath.mpf(0)
+        elif gap_den == 0:
+            error = mpmath.inf
+        else:
+            error = _mpf_of(Fraction(gap_num, gap_den))
+    return LimitEstimate(
+        value=_round_to(value, precision_bits),
+        error_bound=_round_to(error, precision_bits),
+        terms_used=n,
+        converged=converged,
+    )
 
 
 def evaluate(cf, tol, max_terms, precision_bits=128, backend="auto"):
     """Estimate the limit by iterating approximants.
 
     Stops once two consecutive gaps between defined approximants fall below
-    tol; a finite CF yields its exact final value with error bound 0.  The
-    exact backend is authoritative for moderate term counts; the floating
-    backend runs at precision_bits plus guard bits for large ones.  A failure
-    to converge is reported through converged=False, not an exception.
+    tol; a finite CF yields its exact final value with error bound 0.  Both
+    backends run the integer kernel of _evaluate_core: "exact" never rounds
+    and is authoritative for moderate term counts, "float" keeps its
+    integers near precision_bits plus guard bits (the truncation argument is
+    in _evaluate_core) for large ones.  A failure to converge is reported
+    through converged=False, not an exception.
     """
     tol_frac = tol if isinstance(tol, Fraction) else Fraction(str(tol))
     if tol_frac <= 0:

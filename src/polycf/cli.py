@@ -315,7 +315,6 @@ def _build_parser():
         p.add_argument("--tol", type=str, default="1e-10")
         p.add_argument("--precision-bits", type=int, default=128, dest="precision_bits")
         p.add_argument("--format", choices=["json", "table"], default="json")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--preset", type=str, default=None, choices=None)
         p.add_argument("--input", type=str, default=None)
         if name == "transform":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -118,6 +119,24 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             result = result * n + c
         return result
+
+    def values_from(self, x):
+        """Iterator over p(x), p(x + 1), p(x + 2), ... by forward differences.
+
+        The difference table at x is built once; after that each value costs
+        deg(p) integer additions, all done inside itertools.
+        """
+        row = [self(x + i) for i in range(len(self.coeffs))]
+        if not row:
+            return itertools.repeat(0)
+        heads = []
+        while row:
+            heads.append(row[0])
+            row = [hi - lo for lo, hi in zip(row, row[1:])]
+        values = itertools.repeat(heads.pop())
+        for head in reversed(heads):
+            values = itertools.accumulate(values, initial=head)
+        return values
 
     def __add__(self, other):
         other = _as_polynomial(other)
@@ -456,16 +475,6 @@ class RationalFunction:
         if self.den.degree == 0 and self.den.coeffs[0] == 1:
             return str(self.num)
         return f"({self.num})/({self.den})"
-
-
-def poly_eval(p, n):
-    """Evaluate an integer polynomial at an integer argument, exactly."""
-    return p(n)
-
-
-def ratfn_eval(r, n):
-    """Evaluate a rational function at an integer argument as a Fraction."""
-    return r(n)
 
 
 def degree(r):

@@ -22,7 +22,13 @@ from polycf.cf import (
     term_at,
     to_integer_cf,
 )
-from polycf.errors import NoSuchTerm, ZeroPartialNumerator, ZeroScaleFactor
+from polycf.errors import (
+    NoSuchTerm,
+    PoleAtArgument,
+    ZeroPartialNumerator,
+    ZeroScaleFactor,
+)
+from polycf.families import build_preset
 from polycf.poly import ratfn_from_string
 
 F = Fraction
@@ -132,6 +138,129 @@ def test_evaluate_high_precision():
     with mpmath.workprec(256):
         want = mpmath.e
         assert abs(est.value - want) < mpmath.mpf(10) ** -50
+
+
+def _exact_last_convergent(cf, N):
+    """Unreduced integer A_N, B_N of an integer CF, without keeping history.
+
+    convergents() would hold every pair up to N, hundreds of MB at N = 10^4.
+    """
+    A_prev, B_prev = cf.b0.denominator, 0
+    A, B = cf.b0.numerator, cf.b0.denominator
+    for n in range(1, N + 1):
+        a, b = term_at(cf, n)
+        assert a.denominator == 1 and b.denominator == 1
+        A, A_prev = b.numerator * A + a.numerator * A_prev, A
+        B, B_prev = b.numerator * B + a.numerator * B_prev, B
+    return A, B
+
+
+def _float_matches_last_convergent(cf, N):
+    """A float evaluate over all N terms is within 2^-128 of exact A_N/B_N."""
+    est = evaluate(cf, F(1, 10**100), N, precision_bits=128, backend="float")
+    assert est.terms_used == N and not est.converged
+    A, B = _exact_last_convergent(cf, N)
+    man, exp = est.value.man_exp
+    # |value - A/B| < 2^-128 |A/B|, cleared of denominators
+    if exp >= 0:
+        err = abs(man * 2**exp * B - A)
+    else:
+        err = abs(man * B - A * 2**-exp) >> -exp
+    return err * 2**128 < abs(A)
+
+
+@pytest.mark.parametrize(
+    "preset, params",
+    [("brouncker", {}), ("ex3.3", {"A": "1"}), ("ex4.2", {"A": "-1"})],
+)
+def test_float_kernel_matches_exact_convergent(preset, params):
+    assert _float_matches_last_convergent(build_preset(preset, params).cf, 10**4)
+
+
+def test_float_kernel_keeps_precision_far_from_one():
+    # limit about 10^-40: every A_n is about 133 bits shorter than its B_n
+    cf = CFSpec(b0=F(0), prefix=((F(1), F(10**40)),), tail=CFTail("4n^2-4n+1", "2", 1))
+    assert _float_matches_last_convergent(cf, 2000)
+
+
+def _stop_rule(cf, tol, max_terms):
+    """The documented stop rule restated over approximants()."""
+    values = approximants(cf, max_terms).values()
+    last, gaps = values[0], []
+    for n, v in enumerate(values[1:], 1):
+        if v is UNDEFINED:
+            continue
+        gaps.append(abs(v - last))
+        last = v
+        if len(gaps) >= 2 and gaps[-1] < tol and gaps[-2] < tol:
+            return n, v, gaps[-1]
+    raise AssertionError("reference did not converge")
+
+
+def _close(x, q, bits=127):
+    """|x - q| <= 2^-bits |q| for an mpf x and a rational q, exactly."""
+    man, exp = x.man_exp
+    return abs(F(man) * F(2) ** exp - q) <= abs(q) / 2**bits
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [("n/(n+2)", "(3n+1)/(n+1)"), ("n^2/4", "(2n+1)/3"), ("(2n-1)/2", "7/2")],
+)
+def test_rational_tail_same_on_both_backends(a, b):
+    cf = CFSpec(b0=F(1, 3), prefix=((F(2, 5), F(7, 3)),), tail=CFTail(a, b, 2))
+    tol = F(1, 10**30)
+    n, value, gap = _stop_rule(cf, tol, 300)
+    exact = evaluate(cf, tol, 300, backend="exact")
+    flt = evaluate(cf, tol, 300, backend="float")
+    assert exact.converged and flt.converged
+    assert exact.terms_used == flt.terms_used == n
+    assert exact.value == flt.value
+    assert _close(exact.value, value)
+    assert _close(exact.error_bound, gap)
+    # the float gap is a difference of two approximants, good to 2^-128 of them
+    man, exp = flt.error_bound.man_exp
+    assert abs(F(man) * F(2) ** exp - gap) <= abs(value) / 2**128
+
+
+def test_undefined_approximant_mid_prefix_is_skipped():
+    # B_2 = b_2 B_1 + a_2 B_0 = (-1)(1) + 1 = 0
+    cf = CFSpec(b0=F(1), prefix=((F(1), F(1)), (F(1), F(-1))), tail=CFTail("n", "n+1", 3))
+    assert approximants(cf, 3).values()[2] is UNDEFINED
+    tol = F(1, 2)
+    n, value, gap = _stop_rule(cf, tol, 50)
+    for backend in ("exact", "float"):
+        est = evaluate(cf, tol, 50, backend=backend)
+        assert est.converged
+        assert est.terms_used == n
+        assert _close(est.value, value)
+        assert _close(est.error_bound, gap)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_prefix_of_exactly_max_terms_is_not_finite(backend):
+    cf = CFSpec(b0=F(0), prefix=((F(1), F(1)),) * 10)
+    est = evaluate(cf, F(1, 10**30), 10, backend=backend)
+    assert not est.converged
+    assert est.terms_used == 10
+    assert est.error_bound > 0
+    est = evaluate(cf, F(1, 10**30), 11, backend=backend)
+    assert est.converged
+    assert est.terms_used == 10
+    assert est.error_bound == 0
+    assert _close(est.value, convergents(cf, 10)[10].value)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_term_errors_raised_when_reached(backend):
+    zero_at_3 = CFSpec(b0=F(0), tail=("n-3", "1"))
+    assert evaluate(zero_at_3, F(1, 10), 2, backend=backend).terms_used == 2
+    with pytest.raises(ZeroPartialNumerator):
+        evaluate(zero_at_3, F(1, 10**9), 10, backend=backend)
+    pole_at_4 = CFSpec(b0=F(0), tail=("1/(n-4)", "n"))
+    assert evaluate(pole_at_4, F(1, 10**9), 3, backend=backend).terms_used == 3
+    with pytest.raises(PoleAtArgument):
+        evaluate(pole_at_4, F(1, 10**9), 10, backend=backend)
 
 
 def test_similarity_scale_sequence_preserves_values():

@@ -179,3 +179,13 @@ def test_json_round_trip():
     r = RationalFunction(x**2 - 3, 2 * x + 5)
     back = RationalFunction.from_json(r.to_json())
     assert back == r
+
+
+def test_values_from_matches_direct_evaluation():
+    rng = random.Random(5)
+    polys = [IntPolynomial(), IntPolynomial((7,)), poly_from_string("3n^2 - n + 1")]
+    polys += [IntPolynomial(rng.randint(-50, 50) for _ in range(d + 1)) for d in range(1, 9)]
+    for p in polys:
+        for x0 in (-7, 0, 3):
+            values = p.values_from(x0)
+            assert [next(values) for _ in range(40)] == [p(x0 + k) for k in range(40)]
