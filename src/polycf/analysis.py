@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .cf import CFSpec, term_at
+from .cf import _is_integer_tail, term_at
 from .errors import (
     EmptyRange,
     HypothesisViolation,
@@ -27,7 +27,7 @@ from .errors import (
     NoSuchTerm,
     UnsupportedConstant,
 )
-from .families import FamilyMember, LimitClaim, NamedConstant
+from .families import LimitClaim
 from .poly import _scan_bound, leading_coefficient
 
 _GUARD_BITS = 32
@@ -87,11 +87,6 @@ def _poly_eventually_nonneg(r):
     return leading_coefficient(r) > 0
 
 
-def _tail_is_polynomial(tail):
-    return tail is not None and tail.a.den.degree == 0 and tail.b.den.degree == 0 \
-        and tail.a.den.coeffs[0] == 1 and tail.b.den.coeffs[0] == 1
-
-
 def tietze_check(cf, scan_limit=200):
     """Certify convergence to an irrational limit by term-size conditions.
 
@@ -103,7 +98,7 @@ def tietze_check(cf, scan_limit=200):
     """
     if scan_limit < 1:
         raise ValueError("scan_limit must be positive")
-    certifiable = _tail_is_polynomial(cf.tail)
+    certifiable = cf.tail is not None and _is_integer_tail(cf.tail)
     if not certifiable:
         limit = scan_limit
         terms = []
@@ -179,6 +174,7 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
         and (cf.tail.b.num.degree - cf.tail.b.den.degree) >= 1
     )
     with mpmath.workprec(precision_bits + _GUARD_BITS):
+        phi = (1 + mpmath.sqrt(5)) / 2
         if factorial_kind:
             k = cf.tail.b.num.degree - cf.tail.b.den.degree
             D = leading_coefficient(cf.tail.b)
@@ -190,11 +186,9 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
                 ratio = B_n / (base ** n * Fraction(fact) ** k)
                 if c is None or ratio < c:
                     c = ratio
-            phi = (1 + mpmath.sqrt(5)) / 2
             C = mpmath.mpf(c.numerator) / c.denominator
             kind, kk, DD = "FactorialPower", k, D
         else:
-            phi = (1 + mpmath.sqrt(5)) / 2
             c = None
             p = mpmath.mpf(1)
             for B_n in bs:
@@ -432,11 +426,12 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
                  preset="", params=None):
     """Evaluate a family member and compare against its independent oracle.
 
-    Pass when the discrepancy is within max(tol, evaluation error bound plus
-    oracle error); otherwise Fail when the evaluation converged and
-    Inconclusive when it ran out of terms.  The evaluation itself runs at a
-    much smaller internal tolerance so early stopping never hides a
-    max-terms-limited estimate.
+    Pass when the discrepancy is within tol plus the oracle error.  Otherwise
+    Fail when the evaluation converged and the discrepancy also exceeds its
+    error bound plus the oracle error, and Inconclusive when it did not
+    converge or the bound leaves room for the discrepancy.  The evaluation
+    itself runs at a much smaller internal tolerance so early stopping never
+    hides a max-terms-limited estimate.
     """
     from .cf import evaluate
 
@@ -451,10 +446,9 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
         oracle_err = abs(oracle) * mpmath.mpf(2) ** (4 - precision_bits)
         tol_mpf = mpmath.mpf(tol_frac.numerator) / tol_frac.denominator
         bound = est.error_bound if mpmath.isfinite(est.error_bound) else mpmath.mpf(0)
-        threshold = max(tol_mpf, bound + oracle_err)
-        if diff <= threshold:
+        if diff <= tol_mpf + oracle_err:
             verdict = "Pass"
-        elif est.converged:
+        elif est.converged and diff > bound + oracle_err:
             verdict = "Fail"
         else:
             verdict = "Inconclusive"

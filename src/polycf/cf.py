@@ -25,6 +25,8 @@ from .errors import (
 from .poly import (
     IntPolynomial,
     RationalFunction,
+    _exact_div,
+    _poly_gcd,
     has_integer_root_at_or_after,
     ratfn_from_string,
 )
@@ -416,6 +418,61 @@ def to_integer_cf(cf, N):
     return CFSpec(cf.b0, tuple(prefix), None)
 
 
+def _least_square_root_multiple(d):
+    """Least k > 0 with k * k divisible by d > 0."""
+    k, p = 1, 2
+    while p * p <= d:
+        e = 0
+        while d % p == 0:
+            d //= p
+            e += 1
+        k *= p ** ((e + 1) // 2)
+        p += 1
+    return k * d
+
+
+def integer_tail_form(cf):
+    """Tail version of to_integer_cf: the same approximants from integer
+    prefix terms and a polynomial tail, for a CF with a rational tail.
+
+    The tail is scaled by r(x) = kappa den_b(x) E(x) / G(x).  With
+    P = den_b(x) den_b(x-1) a(x), E is the primitive part of P's denominator
+    (1 when P is a polynomial), G the factor of num_b with G(x) G(x-1)
+    dividing P's numerator, and kappa the least positive integer that makes
+    r(x) r(x-1) a(x) integral.  Prefix term n < m is scaled as in
+    to_integer_cf, by lcm(den(r_{n-1} a_n), den b_n), and the last one by
+    r at its argument, so that the tail's closed form holds from its first
+    term.  Where r is zero or infinite at that argument, or there is no
+    prefix, tail terms move into the prefix until it is not.  Past it, a
+    zero or pole of r marks a zero numerator or a pole of the input's tail.
+    """
+    a, b = cf.tail.a, cf.tail.b
+    P = RationalFunction(a.num * b.den * b.den.shift(-1), a.den)
+    G = _poly_gcd(b.num, P.num)
+    G = _poly_gcd(G, _poly_gcd(_exact_div(P.num, G), G.shift(-1)).shift(1))
+    # P's denominator is c E; r(x) r(x-1) a(x) = kappa^2 Q(x) / c
+    c, E = P.den.content, P.den.primitive_part()
+    Q = _exact_div(P.num * E.shift(-1), G * G.shift(-1))
+    kappa = _least_square_root_multiple(c // math.gcd(c, Q.content))
+    scale = kappa * b.den * E
+    terms, start = list(cf.prefix), cf.tail.start_index
+    while not terms or scale(start - 1) == 0 or G(start - 1) == 0:
+        terms.append((a(start), b(start)))
+        start += 1
+    prefix = []
+    r_prev = Fraction(1)
+    for n, (a_n, b_n) in enumerate(terms, 1):
+        scaled = r_prev * a_n
+        if n < len(terms):
+            r_prev = Fraction(math.lcm(scaled.denominator, b_n.denominator))
+        else:
+            r_prev = Fraction(scale(start - 1), G(start - 1))
+        prefix.append((r_prev * scaled, r_prev * b_n))
+    tail_a = IntPolynomial(q * kappa * kappa // c for q in Q.coeffs)
+    tail_b = kappa * _exact_div(b.num, G) * E
+    return CFSpec(cf.b0, tuple(prefix), CFTail(tail_a, tail_b, start))
+
+
 def tail_cf(cf, k):
     """Drop the first k terms and zero the leading term."""
     if k < 0:
@@ -446,17 +503,53 @@ def cf_to_json(cf):
     }
 
 
+def json_value(value, path, kind):
+    """One value of parsed JSON input, checked: kind "object" or "list" is a
+    JSON object or array, "int" an integer or decimal-integer string, and
+    "rational" an integer or a string such as "p/q" with q != 0.
+
+    Malformed input raises ValueError naming its JSON path.
+    """
+    if kind in ("object", "list"):
+        if isinstance(value, dict if kind == "object" else list):
+            return value
+    elif isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(str(value), 10) if kind == "int" else Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{path}: expected {kind}, got {value!r}")
+
+
+def json_list(value, path, kind):
+    """A JSON array whose items are each json_value(item, path[i], kind)."""
+    items = json_value(value, path, "list")
+    return [json_value(v, f"{path}[{i}]", kind) for i, v in enumerate(items)]
+
+
+def _ratfn_from_json(value, path):
+    obj = json_value(value, path, "object")
+    num, den = (json_list(obj.get(k), f"{path}.{k}", "int") for k in ("num", "den"))
+    if not any(den):
+        raise ValueError(f"{path}.den: the zero polynomial")
+    return RationalFunction(IntPolynomial(num), IntPolynomial(den))
+
+
 def cf_from_json(data):
-    tail = None
-    if data.get("tail") is not None:
-        t = data["tail"]
+    """Inverse of cf_to_json; malformed input raises ValueError with its path."""
+    data = json_value(data, "$", "object")
+    prefix = []
+    for i, pair in enumerate(json_list(data.get("prefix", []), "$.prefix", "list")):
+        if len(pair) != 2:
+            raise ValueError(f"$.prefix[{i}]: expected a pair [a, b]")
+        prefix.append(tuple(json_list(pair, f"$.prefix[{i}]", "rational")))
+    tail = data.get("tail")
+    if tail is not None:
+        t = json_value(tail, "$.tail", "object")
         tail = CFTail(
-            RationalFunction.from_json(t["a"]),
-            RationalFunction.from_json(t["b"]),
-            int(t["start_index"]),
+            _ratfn_from_json(t.get("a"), "$.tail.a"),
+            _ratfn_from_json(t.get("b"), "$.tail.b"),
+            json_value(t.get("start_index"), "$.tail.start_index", "int"),
         )
-    return CFSpec(
-        Fraction(data["b0"]),
-        tuple((Fraction(a), Fraction(b)) for a, b in data.get("prefix", [])),
-        tail,
-    )
+    b0 = json_value(data.get("b0"), "$.b0", "rational")
+    return CFSpec(b0, tuple(prefix), tail)

@@ -15,9 +15,9 @@ import sys
 from fractions import Fraction
 
 from . import analysis, transforms
-from .cf import cf_from_json, cf_to_json, convergents, evaluate
+from .cf import cf_from_json, cf_to_json, convergents, evaluate, json_list, json_value
 from .errors import HypothesisViolation, PolycfError
-from .families import build_preset, preset_ids
+from .families import build_preset
 from .poly import ratfn_from_string
 
 
@@ -159,21 +159,19 @@ def _cmd_transform(args, params):
     if op in ("euler", "gen-euler", "product", "gen-product"):
         if not args.input:
             _fail(2, "InvalidInput", f"transform {op} requires --input")
-        data = _load_json_arg(args.input)
+        data = json_value(_load_json_arg(args.input), "$", "object")
+
+        def rationals(key):
+            return json_list(data.get(key), f"$.{key}", "rational")
+
         if op == "euler":
-            out = transforms.euler_from_series([Fraction(t) for t in data["terms"]])
+            out = transforms.euler_from_series(rationals("terms"))
         elif op == "gen-euler":
-            out = transforms.generalized_euler(
-                [Fraction(t) for t in data["terms"]],
-                [Fraction(t) for t in data["weights"]],
-            )
+            out = transforms.generalized_euler(rationals("terms"), rationals("weights"))
         elif op == "product":
-            out = transforms.product_to_cf([Fraction(t) for t in data["factors"]])
+            out = transforms.product_to_cf(rationals("factors"))
         else:
-            out = transforms.generalized_product(
-                [Fraction(t) for t in data["factors"]],
-                [Fraction(t) for t in data["weights"]],
-            )
+            out = transforms.generalized_product(rationals("factors"), rationals("weights"))
         _emit(cf_to_json(out), args.format)
         return 0
     cf = _resolve_cf(args, params)

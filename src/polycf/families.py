@@ -5,6 +5,18 @@ tail), a claimed limit (exact rational or a named constant), and a list of
 machine-checked hypotheses.  A member whose hypotheses all hold is verified;
 a failed hypothesis flags the member unverified but never blocks
 construction, since convergence can hold outside the certified range.
+Construction raises only when the CF itself does not exist, for instance
+when a first term is zero (DegenerateTerm) or undefined (PoleAtArgument).
+
+The closed-form families compose the package's transforms, each followed by
+the integer form cf.integer_tail_form: family_zeta, family_pi and
+family_binomial are the symbolic Euler construction (transforms.euler_tail)
+of their perturbed partial sums, with term ratio rho = 1, -1 and
+(alpha-n+2) x/(n-1); family_sin_product is the weighted product (Euler with
+u = a w - w(n-1) and rho = a(n-1)); family_e_bauer_muir is Bauer-Muir
+(transforms.bauer_muir_tail) on the e preset.  Presets ex3.3, ex3.4, ex3.5,
+ex4.2 and ex5.6 are members of these five.  A g_nonzero hypothesis says
+that u(n) has no integer root n >= 1, so no tail numerator vanishes.
 """
 
 from __future__ import annotations
@@ -12,11 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cf import CFSpec, CFTail, _as_fraction, _as_ratfn
+from .cf import CFSpec, CFTail, _as_fraction, _as_ratfn, integer_tail_form
 from .errors import DegenerateTerm, HypothesisViolation, PoleAtArgument
 from .poly import (
-    MINUS_INFINITY,
-    IntPolynomial,
     RationalFunction,
     degree,
     eventually_nonnegative,
@@ -24,9 +34,11 @@ from .poly import (
     has_integer_root_at_or_after,
     leading_coefficient,
 )
-from .transforms import bernoulli_from_sequence
+from .transforms import bauer_muir_tail, bernoulli_from_sequence, euler_tail
 
-_X = IntPolynomial.variable()
+_N = RationalFunction.variable()
+# 2 + K((n+1)/(n+1)), the e preset
+_E_CF = CFSpec(Fraction(2), (), CFTail(_N, _N, 2))
 
 
 @dataclass(frozen=True)
@@ -104,11 +116,7 @@ def _hyp(name, check, detail):
 
 def _growth_ok(b):
     d = degree(b)
-    if d is MINUS_INFINITY:
-        return False
-    if d > 0:
-        return True
-    return d == 0 and leading_coefficient(b) > 1
+    return d > 0 or (d == 0 and leading_coefficient(b) > 1)
 
 
 def pincherle_family(H, b):
@@ -197,41 +205,41 @@ def pincherle_poly_family(f, g, c, d):
     return FamilyMember(cf, LimitClaim.exact(numer / denom), hyps)
 
 
+def _value_at_zero(f, name):
+    try:
+        return f(0)
+    except PoleAtArgument as e:
+        raise HypothesisViolation(
+            "leading_term_defined", f"{name} has a pole at n = {e.argument}"
+        )
+
+
+def _u_nonzero(u, detail):
+    return _hyp("g_nonzero", lambda: not has_integer_root_at_or_after(u, 1), detail)
+
+
 def family_pi(f):
     """Perturbed alternating-odd-reciprocal series as a CF converging to pi/4.
 
     The n-th approximant is sum_{k=1..n} (-1)^(k-1)/(2k-1) + (-1)^(n-1)/f(n);
-    the perturbation vanishes when f grows, leaving pi/4.
+    the perturbation vanishes when f grows, leaving pi/4.  Built by the
+    Euler construction with rho = -1 and u(n) = 1/(2n-1) + 1/f(n) + 1/f(n-1),
+    followed by the integer form.
     """
     f = _as_ratfn(f)
-    try:
-        f0 = f(0)
-    except PoleAtArgument as e:
-        raise HypothesisViolation("leading_term_defined", f"f has a pole at n = {e.argument}")
+    f0 = _value_at_zero(f, "f")
     if f0 == 0:
         raise HypothesisViolation("leading_term_defined", "f(0) must be nonzero")
-    g = f * f.shift(-1) + IntPolynomial((-1, 2)) * (f + f.shift(-1))
-    prefix = (
-        (g(1), f(1) * f0),
-        (f0 ** 2 * g(2), 2 * f(2) * f0 + 3 * (f(2) - f0)),
-    )
-    tail_a = IntPolynomial((-3, 2)) ** 2 * g.shift(-2) * g
-    tail_b = 2 * f * f.shift(-2) + IntPolynomial((-1, 2)) * IntPolynomial((-3, 2)) * (
-        f - f.shift(-2)
-    )
-    cf = CFSpec(-1 / f0, prefix, CFTail(tail_a, tail_b, 3))
+    u = 1 / (2 * _N - 1) + 1 / f + 1 / f.shift(-1)
+    cf = integer_tail_form(euler_tail(-1 / f0, u, -1))
     hyps = (
         _hyp("f_positive", lambda: eventually_positive(f, 1), "f(n) > 0 for n >= 1"),
         _hyp(
             "perturbation_vanishes",
-            lambda: degree(f) is not MINUS_INFINITY and degree(f) >= 1,
+            lambda: degree(f) >= 1,
             "degree(f) >= 1 so the perturbation 1/f(n) tends to 0",
         ),
-        _hyp(
-            "g_nonzero",
-            lambda: not has_integer_root_at_or_after(g, 1),
-            "g(n) = f(n) f(n-1) + (2n-1)(f(n) + f(n-1)) nonzero for n >= 1",
-        ),
+        _u_nonzero(u, "u(n) = 1/(2n-1) + 1/f(n) + 1/f(n-1) nonzero for n >= 1"),
     )
     return FamilyMember(cf, LimitClaim.named("PiOver4"), hyps)
 
@@ -239,42 +247,25 @@ def family_pi(f):
 def family_zeta(k, d):
     """Perturbed partial sums of sum 1/n^k as a CF converging to zeta(k).
 
-    The n-th approximant is sum_{j=1..n} 1/j^k + 1/d(n).
+    The n-th approximant is sum_{j=1..n} 1/j^k + 1/d(n).  Built by the Euler
+    construction with rho = 1 and u(n) = 1/n^k + 1/d(n) - 1/d(n-1), followed
+    by the integer form.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError("k must be an integer >= 2")
     d = _as_ratfn(d)
-    try:
-        d0 = d(0)
-    except PoleAtArgument as e:
-        raise HypothesisViolation("leading_term_defined", f"d has a pole at n = {e.argument}")
+    d0 = _value_at_zero(d, "d")
     if d0 == 0:
         raise HypothesisViolation("leading_term_defined", "d(0) must be nonzero")
-    g = d * d.shift(-1) + _X ** k * (d.shift(-1) - d)
-    t1 = (g(1), d0 * d(1))
-    t2 = (
-        -(d0 ** 2) * g(2),
-        d(2) * d0 * (1 + 2 ** k) + 2 ** k * (d0 - d(2)),
-    )
-    if t1[0] == 0:
-        raise DegenerateTerm(1)
-    if t2[0] == 0:
-        raise DegenerateTerm(2)
-    xm1_k = IntPolynomial((-1, 1)) ** k
-    tail_a = -(IntPolynomial((-1, 1)) ** (2 * k)) * g.shift(-2) * g
-    tail_b = d * d.shift(-2) * (xm1_k + _X ** k) + xm1_k * _X ** k * (d.shift(-2) - d)
-    cf = CFSpec(1 / d0, (t1, t2), CFTail(tail_a, tail_b, 3))
+    u = 1 / _N ** k + 1 / d - 1 / d.shift(-1)
+    cf = integer_tail_form(euler_tail(1 / d0, u))
     hyps = (
         _hyp(
             "d_growth",
-            lambda: degree(d) is not MINUS_INFINITY and degree(d) >= 1,
+            lambda: degree(d) >= 1,
             "degree(d) >= 1 so the perturbation 1/d(n) tends to 0",
         ),
-        _hyp(
-            "g_nonzero",
-            lambda: not has_integer_root_at_or_after(g, 1),
-            "g(n) = d(n) d(n-1) + n^k (d(n-1) - d(n)) nonzero for n >= 1",
-        ),
+        _u_nonzero(u, "u(n) = 1/n^k + 1/d(n) - 1/d(n-1) nonzero for n >= 1"),
     )
     return FamilyMember(cf, LimitClaim.named("Zeta", k=k), hyps)
 
@@ -304,45 +295,20 @@ def family_binomial(alpha, x, r):
     The n-th approximant is sum_{k=0..n} ff(alpha,k) x^k / k! + r(n) s_n,
     where ff is the falling factorial and s_n the n-th series term.  A
     non-negative integer alpha terminates the series and yields a finite CF
-    with exact final value.
+    with exact final value.  Otherwise the CF is built by the Euler
+    construction with rho(n) = (alpha-n+2) x/(n-1) (the ratio s_{n-1}/s_{n-2})
+    and u(n) = (alpha-n+1) x (1+r(n))/n - r(n-1), followed by the integer
+    form.
     """
     alpha = _as_fraction(alpha)
     x = _as_fraction(x)
     r = _as_ratfn(r)
-    try:
-        r0 = r(0)
-    except PoleAtArgument as e:
-        raise HypothesisViolation("leading_term_defined", f"r has a pole at n = {e.argument}")
-    hyps = [
-        _hyp("x_bounded", lambda: abs(x) < 1, "|x| < 1"),
-    ]
+    r0 = _value_at_zero(r, "r")
+    hyps = [_hyp("x_bounded", lambda: abs(x) < 1, "|x| < 1")]
     if alpha.denominator == 1 and alpha >= 0:
         cf = _binomial_finite(alpha, x, r)
         limit = LimitClaim.exact((1 + x) ** int(alpha))
         return FamilyMember(cf, limit, tuple(hyps))
-    var = RationalFunction.variable()
-    g = (alpha + 1 - var) * x * (1 + r) - var * r.shift(-1)
-    t1 = (g(1), Fraction(1))
-    t2 = (
-        -alpha * x * g(2),
-        alpha * x * ((alpha - 1) * x * (1 + r(2)) + 2) - 2 * r0,
-    )
-    if t1[0] == 0:
-        raise DegenerateTerm(1)
-    if t2[0] == 0:
-        raise DegenerateTerm(2)
-    tail_a = -x * (var - 1) * (alpha + 2 - var) * g.shift(-2) * g
-    tail_b = (alpha + 2 - var) * x * ((alpha + 1 - var) * x * (1 + r) + var) - var * (
-        var - 1
-    ) * r.shift(-2)
-    cf = CFSpec(1 + r0, (t1, t2), CFTail(tail_a, tail_b, 3))
-    hyps.append(
-        _hyp(
-            "g_nonzero",
-            lambda: not has_integer_root_at_or_after(g, 1),
-            "g(n) = (alpha-n+1) x (1+r(n)) - n r(n-1) nonzero for n >= 1",
-        )
-    )
     if alpha.denominator == 1:
         limit = LimitClaim.exact((1 + x) ** int(alpha))
     else:
@@ -356,30 +322,31 @@ def family_binomial(alpha, x, r):
             r=alpha.numerator,
             s=alpha.denominator,
         )
+    u = (alpha + 1 - _N) * x * (1 + r) / _N - r.shift(-1)
+    rho = (alpha + 2 - _N) * x / (_N - 1)
+    cf = integer_tail_form(euler_tail(1 + r0, u, rho))
+    hyps.append(
+        _u_nonzero(u, "u(n) = (alpha-n+1) x (1+r(n))/n - r(n-1) nonzero for n >= 1")
+    )
     return FamilyMember(cf, limit, tuple(hyps))
 
 
 def family_sin_product(m, A):
     """CF for the product (1 - 1/m^2)(1 - 1/(2m)^2)... = m sin(pi/m) / pi,
-    built from factors 1 - 1/(mn)^2 with weights 1 + A/(n+1)."""
+    built from factors a(n) = 1 - 1/(mn)^2 with weights w(n) = 1 + A/(n+1).
+
+    The n-th approximant is w(n) a(1)...a(n): the product construction, i.e.
+    Euler with u(n) = a(n) w(n) - w(n-1) and rho(n) = a(n-1), followed by
+    the integer form.
+    """
     if not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer")
     if not isinstance(A, int):
         raise ValueError("A must be an integer")
-    m2 = m * m
-    g = IntPolynomial((A + 1, m2 * A + 1))
-    p = IntPolynomial((-1, 0, m2))
-    h = p * p.shift(-1) * IntPolynomial((A + 1, 1)) - IntPolynomial(
-        (0, 0, -(m2 * m2), 0, m2 * m2)
-    ) * IntPolynomial((A - 1, 1))
-    t1 = (-g(1), Fraction(2 * m2))
-    t2 = (2 * m2 * (m2 - 1) * g(2), h(2))
-    if t1[0] == 0:
-        raise DegenerateTerm(1)
-    if t2[0] == 0:
-        raise DegenerateTerm(2)
-    tail_a = -m2 * _X * IntPolynomial((-1, 1)) * p.shift(-1) * g.shift(-2) * g
-    cf = CFSpec(Fraction(1 + A), (t1, t2), CFTail(tail_a, h, 3))
+    a = 1 - 1 / (m * _N) ** 2
+    w = 1 + A / (_N + 1)
+    u = a * w - w.shift(-1)
+    cf = integer_tail_form(euler_tail(w(0), u, a.shift(-1)))
     hyps = (
         _hyp(
             "factors_positive",
@@ -391,37 +358,24 @@ def family_sin_product(m, A):
             lambda: A >= -1,
             "A >= -1 so every weight 1 + A/(n+1) is positive",
         ),
-        _hyp(
-            "g_nonzero",
-            lambda: not has_integer_root_at_or_after(g, 1),
-            "g(n) = (m^2 n + 1) A + n + 1 nonzero for n >= 1",
-        ),
+        _u_nonzero(u, "u(n) = a(n) w(n) - w(n-1) nonzero for n >= 1"),
     )
     return FamilyMember(cf, LimitClaim.named("SineProduct", m=m), hyps)
 
 
 def family_e_bauer_muir(A):
-    """CF for e obtained by transforming 2 + K(n+1 / n+1) against the
-    modifying sequence w_n = A(n+1)."""
+    """CF for e: Bauer-Muir on the e preset 2 + K((n+1)/(n+1)) with w_0 = 0
+    and w(n) = A(n+1), followed by the integer form."""
     if not isinstance(A, int):
         raise ValueError("A must be an integer")
-    u = A * (A + 1)
-    prefix = (
-        (Fraction(1), Fraction(1 + A)),
-        (Fraction(1 - 2 * u), Fraction(2 * (1 + A))),
-        (Fraction(2 * (1 - 3 * u)), Fraction(3 - 5 * A - 6 * A * A)),
-    )
-    p = IntPolynomial((1, -u))
-    tail_a = IntPolynomial((-1, 1)) * p * p.shift(-2)
-    tail_b = IntPolynomial((A, 1 + u, -u))
-    cf = CFSpec(Fraction(2), prefix, CFTail(tail_a, tail_b, 4))
-    lam = IntPolynomial((1, 1)) * p
+    res = bauer_muir_tail(_E_CF, A * (_N + 1), 0)
+    cf = integer_tail_form(res.cf)
     hyps = (
         _hyp("A_nonneg", lambda: A >= 0, "A >= 0"),
         _hyp(
             "transform_exists",
-            lambda: not has_integer_root_at_or_after(lam, 1),
-            "(n+1)(1 - A(A+1) n) nonzero for n >= 1",
+            lambda: not has_integer_root_at_or_after(res.existence_margin, 2),
+            "lambda(n) = a(n) - w(n-1) (b(n) + w(n)) nonzero for n >= 2",
         ),
     )
     return FamilyMember(cf, LimitClaim.named("E"), hyps)
@@ -437,10 +391,8 @@ def family_rational_limit(f, m):
     f = _as_ratfn(f)
     if not isinstance(m, int):
         raise ValueError("m must be an integer")
-    tail_a = f * IntPolynomial((1, 2 * m, 3 * m, m)) + IntPolynomial(
-        (4 * m - 1, 6 * m, 2 * m)
-    )
-    tail_b = f * IntPolynomial((1, -m, 0, m)) + IntPolynomial((-2 * m - 2, 0, 2 * m))
+    tail_a = f * (m * _N * (_N + 1) * (_N + 2) + 1) + 2 * m * _N * (_N + 3) + 4 * m - 1
+    tail_b = f * (m * (_N - 1) * _N * (_N + 1) + 1) + 2 * m * (_N**2 - 1) - 2
     cf = CFSpec(Fraction(0), (), CFTail(tail_a, tail_b, 1))
     hyps = (
         _hyp(
@@ -465,11 +417,10 @@ def ramanujan_entry13(a, b, d):
     b = _as_fraction(b)
     d = _as_fraction(d)
     prefix = ((a * b, a + b + d),)
-    var = RationalFunction.variable()
-    p1 = d * var + (a - d)
-    p2 = d * var + (b - d)
+    p1 = d * _N + (a - d)
+    p2 = d * _N + (b - d)
     tail_a = -1 * p1 * p2
-    tail_b = 2 * d * var + (a + b - d)
+    tail_b = 2 * d * _N + (a + b - d)
     cf = CFSpec(Fraction(0), prefix, CFTail(tail_a, tail_b, 2))
     branch = None
     if d != 0:
@@ -491,25 +442,11 @@ def ramanujan_entry13(a, b, d):
     return FamilyMember(cf, LimitClaim.exact(a), hyps)
 
 
-def _preset_brouncker(params):
-    cf = CFSpec(
-        Fraction(1),
-        (),
-        CFTail(IntPolynomial((-1, 2)) ** 2, IntPolynomial((2,)), 1),
-    )
-    return FamilyMember(cf, LimitClaim.named("BrounckerPi"), ())
-
-
-def _preset_e(params):
-    cf = CFSpec(Fraction(2), (), CFTail(_X, _X, 2))
-    return FamilyMember(cf, LimitClaim.named("E"), ())
-
-
 def _preset_ex22(params):
     b = params["b"]
     t1 = (3 + 2 * b(1), b(1))
-    tail_a = IntPolynomial((-1, 1)) * (IntPolynomial((2, 1)) + IntPolynomial((1, 1)) * b)
-    tail_b = _X * b
+    tail_a = (_N - 1) * (_N + 2 + (_N + 1) * b)
+    tail_b = _N * b
     cf = CFSpec(Fraction(0), (t1,), CFTail(tail_a, tail_b, 2))
     hyps = (
         _hyp(
@@ -537,103 +474,19 @@ def _preset_ex25(params):
     return FamilyMember(cf, LimitClaim.exact(1), hyps)
 
 
-def _preset_ex33(params):
-    A = params["A"]
-    if A == 0:
-        raise HypothesisViolation("leading_term_defined", "A must be nonzero")
-    t1 = (Fraction(1), Fraction(1))
-    t2 = (Fraction(-(4 + A)), Fraction(4 - 2 * A))
-    tail_a = (
-        IntPolynomial((-3, 2))
-        * IntPolynomial((-5, 2))
-        * IntPolynomial((-7 * A - 12, 2 * A + 4))
-        * IntPolynomial((-3 * A - 4, 2 * A + 4))
-    )
-    tail_b = IntPolynomial((-10 * A - 12, 4 * A + 8))
-    cf = CFSpec(Fraction(1, A), (t1, t2), CFTail(tail_a, tail_b, 3))
-    hyps = (
-        _hyp("A_positive", lambda: A >= 1, "A is a positive integer"),
-        _hyp(
-            "tail_nonzero",
-            lambda: not has_integer_root_at_or_after(tail_a, 3),
-            "tail numerators nonzero from n = 3 on",
-        ),
-    )
-    return FamilyMember(cf, LimitClaim.named("PiOver4"), hyps)
-
-
-def _preset_ex34(params):
-    k, A = params["k"], params["A"]
-    if not isinstance(k, int) or k < 2:
-        raise ValueError("k must be an integer >= 2")
-    if A == 0:
-        raise HypothesisViolation("leading_term_defined", "A must be nonzero")
-    t1 = (Fraction(2 * A - 1), Fraction(2 * A))
-    t2 = (
-        Fraction(-2 * A * (3 * A - 2 ** (k - 1))),
-        Fraction(3 * A * (1 + 2 ** k) - 2 ** (k + 1)),
-    )
-    if t2[0] == 0:
-        raise DegenerateTerm(2)
-    xm1 = IntPolynomial((-1, 1))
-    tail_a = (
-        -_X
-        * xm1 ** (2 * k - 1)
-        * (A * xm1 - IntPolynomial((-2, 1)) ** (k - 1))
-        * (A * IntPolynomial((1, 1)) - _X ** (k - 1))
-    )
-    tail_b = A * IntPolynomial((1, 1)) * (xm1 ** k + _X ** k) - 2 * _X ** k * xm1 ** (
-        k - 1
-    )
-    cf = CFSpec(Fraction(1, A), (t1, t2), CFTail(tail_a, tail_b, 3))
-    hyps = (
-        _hyp("A_positive", lambda: A >= 1, "A is a positive integer"),
-        _hyp(
-            "tail_nonzero",
-            lambda: not has_integer_root_at_or_after(tail_a, 3),
-            "tail numerators nonzero from n = 3 on",
-        ),
-    )
-    return FamilyMember(cf, LimitClaim.named("Zeta", k=k), hyps)
-
-
-def _preset_ex35(params):
-    A = params["A"]
-    t1 = (Fraction(A + 7), Fraction(7))
-    if t1[0] == 0:
-        raise DegenerateTerm(1)
-    t2 = (Fraction(7 * (11 * A - 7)), Fraction(56 - 4 * A))
-    tail_a = (
-        7
-        * IntPolynomial((-11, 5))
-        * IntPolynomial((-2, 1))
-        * IntPolynomial((-37 * A - 7, 12 * A))
-        * IntPolynomial((-13 * A - 7, 12 * A))
-    )
-    tail_b = -2 * A * IntPolynomial((16, -31, 12)) + 14 * IntPolynomial((2, 1))
-    cf = CFSpec(Fraction(0), (t1, t2), CFTail(tail_a, tail_b, 3))
-    hyps = (
-        _hyp(
-            "tail_nonzero",
-            lambda: not has_integer_root_at_or_after(tail_a, 3),
-            "tail numerators nonzero from n = 3 on",
-        ),
-    )
-    return FamilyMember(cf, LimitClaim.named("Root", p=12, q=7, r=1, s=5), hyps)
-
-
 _PRESET_BUILDERS = {
-    "brouncker": _preset_brouncker,
-    "e": _preset_e,
+    "brouncker": lambda p: FamilyMember(
+        CFSpec(Fraction(1), (), CFTail((2 * _N - 1) ** 2, 2, 1)),
+        LimitClaim.named("BrounckerPi"),
+    ),
+    "e": lambda p: FamilyMember(_E_CF, LimitClaim.named("E")),
     "ex1.1": lambda p: family_rational_limit(p["f"], p["m"]),
     "ex2.2": _preset_ex22,
-    "ex2.4": lambda p: pincherle_poly_family(
-        IntPolynomial((1, 0, 1)), IntPolynomial((1,)), p["c"], IntPolynomial((1,))
-    ),
+    "ex2.4": lambda p: pincherle_poly_family(_N**2 + 1, 1, p["c"], 1),
     "ex2.5": _preset_ex25,
-    "ex3.3": _preset_ex33,
-    "ex3.4": _preset_ex34,
-    "ex3.5": _preset_ex35,
+    "ex3.3": lambda p: family_pi(p["A"] * (2 * _N - 1)),
+    "ex3.4": lambda p: family_zeta(p["k"], p["A"] * (_N + 1)),
+    "ex3.5": lambda p: family_binomial(Fraction(1, 5), Fraction(5, 7), p["A"] * _N - 1),
     "ex4.2": lambda p: family_sin_product(3, p["A"]),
     "ex5.6": lambda p: family_e_bauer_muir(p["A"]),
     "entry13": lambda p: ramanujan_entry13(p["a"], p["b"], p["d"]),
@@ -656,20 +509,11 @@ PRESET_PARAMS = {
 }
 
 
-def _coerce_param(kind, value):
-    from .poly import ratfn_from_string
-
-    if kind == "int":
-        if isinstance(value, int):
-            return value
-        return int(str(value), 10)
-    if kind == "rational":
-        return _as_fraction(value) if not isinstance(value, str) else Fraction(value)
-    if kind == "ratfn":
-        if isinstance(value, str):
-            return ratfn_from_string(value)
-        return _as_ratfn(value)
-    raise ValueError(f"unknown parameter kind {kind!r}")
+_COERCE = {
+    "int": lambda v: v if isinstance(v, int) else int(str(v), 10),
+    "rational": _as_fraction,
+    "ratfn": _as_ratfn,
+}
 
 
 def preset_ids():
@@ -685,7 +529,7 @@ def build_preset(preset, params=None):
     resolved = {}
     for name, (kind, default) in spec.items():
         raw = given.pop(name, default)
-        resolved[name] = _coerce_param(kind, raw)
+        resolved[name] = _COERCE[kind](raw)
     if given:
         extra = ", ".join(sorted(given))
         raise ValueError(f"unknown parameters for {preset}: {extra}")

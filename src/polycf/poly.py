@@ -83,7 +83,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cleaned = [_as_int(c) for c in coeffs]
+        cleaned = [c if type(c) is int else _as_int(c) for c in coeffs]
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         self.coeffs = tuple(cleaned)
@@ -191,11 +191,16 @@ class IntPolynomial:
 
     def shift(self, h):
         """Return the polynomial p(n + h)."""
-        base = IntPolynomial((_as_int(h), 1))
-        result = IntPolynomial()
+        h = _as_int(h)
+        out = []
         for c in reversed(self.coeffs):
-            result = result * base + IntPolynomial((c,))
-        return result
+            # Horner's rule: out <- (n + h) out + c
+            prev = out
+            out = [h * x for x in prev] + [0]
+            for i, x in enumerate(prev):
+                out[i + 1] += x
+            out[0] += c
+        return IntPolynomial(out)
 
     def root_bound(self):
         """Integer bound R with every complex root strictly inside |z| < R.
@@ -273,52 +278,50 @@ def _as_polynomial(v):
     return NotImplemented
 
 
-def _frac_divmod(num, den):
-    """Quotient and remainder of Fraction coefficient lists (ascending)."""
-    num = list(num)
-    dd = len(den) - 1
-    dlead = den[-1]
-    if len(num) <= dd:
-        return [], num
-    quot = [Fraction(0)] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / dlead
-        if c:
-            quot[i - dd] = c
-            for j, dc in enumerate(den):
-                num[i - dd + j] -= c * dc
-        num[i] = Fraction(0)
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
+def _pseudo_remainder(a, b):
+    """Remainder of lc(b)^k a on division by b, in integers (ascending lists)."""
+    a = list(a)
+    db, lead = len(b) - 1, b[-1]
+    while len(a) > db:
+        c, shift = a.pop(), len(a) - db
+        a = [x * lead for x in a]
+        for j, bc in enumerate(b[:-1]):
+            a[shift + j] -= c * bc
+        while a and a[-1] == 0:
+            a.pop()
+    return a
 
 
 def _poly_gcd(p, q):
-    """Primitive integer gcd with positive leading coefficient."""
-    a = [Fraction(c) for c in p.coeffs]
-    b = [Fraction(c) for c in q.coeffs]
+    """Primitive integer gcd with positive leading coefficient.
+
+    Euclid's algorithm on pseudo-remainders, each made primitive, so every
+    coefficient stays an integer (the primitive remainder sequence).
+    """
+    a, b = p.coeffs, q.coeffs
     while b:
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return IntPolynomial()
-    mult = math.lcm(*(c.denominator for c in a))
-    ints = [int(c * mult) for c in a]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return IntPolynomial(ints)
+        if len(b) == 1:
+            return IntPolynomial((1,))
+        a, b = b, IntPolynomial(_pseudo_remainder(a, b)).primitive_part().coeffs
+    a = IntPolynomial(a).primitive_part()
+    return a if a.is_zero or a.coeffs[-1] > 0 else -a
 
 
 def _exact_div(p, g):
     """Divide p by a known exact divisor g, staying in integer coefficients."""
-    quot, rem = _frac_divmod(
-        [Fraction(c) for c in p.coeffs], [Fraction(c) for c in g.coeffs]
-    )
-    if rem or any(c.denominator != 1 for c in quot):
+    num = list(p.coeffs)
+    dg, lead = len(g.coeffs) - 1, g.coeffs[-1]
+    quot = [0] * max(len(num) - dg, 0)
+    for i in range(len(num) - 1, dg - 1, -1):
+        c, rem = divmod(num[i], lead)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        quot[i - dg] = c
+        for j, gc in enumerate(g.coeffs):
+            num[i - dg + j] -= c * gc
+    if any(num):
         raise ArithmeticError("inexact polynomial division")
-    return IntPolynomial(int(c) for c in quot)
+    return IntPolynomial(quot)
 
 
 def _as_num_den(v):
@@ -396,8 +399,14 @@ class RationalFunction:
         return Fraction(self.num(n), bottom) if isinstance(bottom, int) else self.num(n) / bottom
 
     def shift(self, h):
-        """Return the rational function r(n + h)."""
-        return RationalFunction(self.num.shift(h), self.den.shift(h))
+        """Return the rational function r(n + h).
+
+        A shift keeps the normal form (no common factor, coprime contents,
+        positive leading denominator coefficient), so none is recomputed.
+        """
+        out = object.__new__(RationalFunction)
+        out.num, out.den = self.num.shift(h), self.den.shift(h)
+        return out
 
     def __add__(self, other):
         parts = _as_num_den(other)

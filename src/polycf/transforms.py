@@ -1,6 +1,10 @@
 """Constructions of continued fractions from sequences, series, and products,
 plus contractions and the Bauer-Muir transformation.
 
+Every series and product construction, finite or symbolic, goes through one
+Euler term rule (_euler_term); euler_tail and bauer_muir_tail return CFs
+with a symbolic tail, from which the families are built.
+
 All constructions here are exact: every output approximant is a prescribed
 rational function of the inputs (partial sums, partial products, or a fixed
 combination of the source approximants), and the test suite checks those
@@ -11,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .cf import CFSpec, CFTail, term_at, _as_fraction
+from .cf import CFSpec, CFTail, term_at, _as_fraction, _as_ratfn
 from .errors import (
     DegenerateTerm,
     NonzeroW0,
@@ -25,7 +28,6 @@ from .errors import (
     ZeroTerm,
     ZeroW,
 )
-from .poly import IntPolynomial, RationalFunction
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,8 @@ class ProductSpec:
 @dataclass(frozen=True)
 class BauerMuirResult:
     """Transformed fraction together with the modifying sequence w and the
-    existence margins lambda_n = a_n - w_{n-1} (b_n + w_n), all nonzero."""
+    existence margins lambda_n = a_n - w_{n-1} (b_n + w_n), all nonzero: tuples
+    from bauer_muir, rational functions of n from bauer_muir_tail."""
 
     cf: CFSpec
     w: tuple
@@ -82,22 +85,28 @@ def _as_sequence(x, attr):
     return [_as_fraction(t) for t in x]
 
 
-def _euler_body(c):
-    """Shared term pattern for sequence, series, and product constructions.
+def _euler_term(rho, u_2, u_1, u):
+    """Term n >= 2 of the Euler construction: (-rho_n u_{n-2} u_n, u_{n-1} + rho_n u_n).
 
-    Given the increments c_1..c_N, the n-th approximant of
-    (c_1, 1), (-c_2, c_1 + c_2), then (-c_{n-2} c_n, c_{n-1} + c_n)
-    is c_1 + c_2 + ... + c_n.
+    For increments c_n = h_n u_n with h_1 = 1 and term ratio
+    rho_n = h_n / h_{n-1}, the CF with first term (u_1, 1), then these terms
+    with u_0 = 1, has n-th approximant c_1 + ... + c_n.  It is Euler's CF
+    (c_1, 1), (-c_2, c_1 + c_2), (-c_{n-2} c_n, c_{n-1} + c_n) after the
+    similarity r_n = 1 / h_{n-1}.  The arguments are either values, for one
+    term, or rational functions of n (u_2 and u_1 being u shifted by -2 and
+    -1), for the whole tail.
     """
-    terms = []
-    for n in range(1, len(c) + 1):
-        cn = c[n - 1]
-        if n == 1:
-            terms.append((cn, Fraction(1)))
-        elif n == 2:
-            terms.append((-cn, c[0] + cn))
-        else:
-            terms.append((-c[n - 3] * cn, c[n - 2] + cn))
+    return -rho * u_2 * u, u_1 + rho * u
+
+
+def _euler_body(u, rho=None):
+    """Euler terms for u_1..u_N, with rho[n-1] = rho_n (rho_1 is unused) or
+    rho_n = 1 throughout when rho is None."""
+    u = [Fraction(1)] + list(u)
+    terms = [(u[1], Fraction(1))] if len(u) > 1 else []
+    for n in range(2, len(u)):
+        r = 1 if rho is None else rho[n - 1]
+        terms.append(_euler_term(r, u[n - 2], u[n - 1], u[n]))
     return tuple(terms)
 
 
@@ -146,7 +155,10 @@ def generalized_euler(a, b):
 
 
 def product_to_cf(a):
-    """CF whose n-th approximant is the partial product a_1 ... a_n (x_0 = 1)."""
+    """CF whose n-th approximant is the partial product a_1 ... a_n (x_0 = 1).
+
+    The Euler construction with u_n = a_n - 1 and rho_n = a_{n-1}.
+    """
     a = _as_sequence(a, "factors")
     for n in range(1, len(a) + 1):
         v = a[n - 1]
@@ -154,49 +166,48 @@ def product_to_cf(a):
             raise ZeroTerm(n)
         if v == 1:
             raise UnitTerm(n)
-    terms = []
-    for n in range(1, len(a) + 1):
-        an = a[n - 1]
-        if n == 1:
-            terms.append((an - 1, Fraction(1)))
-        elif n == 2:
-            terms.append((-a[0] * (an - 1), an * a[0] - 1))
-        else:
-            terms.append(
-                (-a[n - 2] * (a[n - 3] - 1) * (an - 1), an * a[n - 2] - 1)
-            )
-    return CFSpec(Fraction(1), tuple(terms), None)
+    return CFSpec(Fraction(1), _euler_body([v - 1 for v in a], [1] + a[:-1]), None)
 
 
 def generalized_product(a, b):
     """CF whose n-th approximant is b_n * (a_1 ... a_n), with x_0 = b_0.
 
-    Requires rho_n = a_n b_n - b_{n-1} != 0 for every n.
+    The Euler construction with u_n = a_n b_n - b_{n-1} and rho_n = a_{n-1};
+    requires every u_n != 0.
     """
     a = _as_sequence(a, "factors")
     b = [_as_fraction(t) for t in b]
     if len(b) != len(a) + 1:
         raise ValueError("need weights b_0..b_N matching factors a_1..a_N")
-    rho = []
+    u = []
     for n in range(1, len(a) + 1):
-        r = a[n - 1] * b[n] - b[n - 1]
-        if r == 0:
+        v = a[n - 1] * b[n] - b[n - 1]
+        if v == 0:
             raise DegenerateTerm(n)
-        rho.append(r)
-    terms = []
-    for n in range(1, len(a) + 1):
-        if n == 1:
-            terms.append((rho[0], Fraction(1)))
-        elif n == 2:
-            terms.append((-a[0] * rho[1], a[1] * a[0] * b[2] - b[0]))
-        else:
-            terms.append(
-                (
-                    -a[n - 2] * rho[n - 3] * rho[n - 1],
-                    a[n - 1] * a[n - 2] * b[n] - b[n - 2],
-                )
-            )
-    return CFSpec(b[0], tuple(terms), None)
+        u.append(v)
+    return CFSpec(b[0], _euler_body(u, [1] + a[:-1]), None)
+
+
+def euler_tail(b0, u, rho=1):
+    """Symbolic Euler CF whose n-th approximant is b0 + h_1 u(1) + ... + h_n u(n),
+    where h_1 = 1 and h_n / h_{n-1} = rho(n), for rational functions u and rho.
+
+    Terms 1 and 2 form the prefix; from term 3 on the tail is
+    a(n) = -rho(n) u(n-2) u(n), b(n) = u(n-1) + rho(n) u(n) in the term
+    index.  The weighted product w(n) a(1)...a(n) is the case
+    u = a w - w(n-1), rho = a(n-1), b0 = w(0).  Raises DegenerateTerm when a
+    prefix numerator vanishes; a tail numerator vanishes only where rho or u
+    has an integer root.
+    """
+    u = _as_ratfn(u)
+    rho = _as_ratfn(rho)
+    one = Fraction(1)
+    prefix = ((u(1), one), _euler_term(rho(2), one, u(1), u(2)))
+    for n, (a, _) in enumerate(prefix, 1):
+        if a == 0:
+            raise DegenerateTerm(n)
+    tail = CFTail(*_euler_term(rho, u.shift(-2), u.shift(-1), u), 3)
+    return CFSpec(_as_fraction(b0), prefix, tail)
 
 
 def even_part(cf, N):
@@ -257,8 +268,6 @@ def odd_part(cf, N):
 
 
 def _w_values(w, count):
-    if isinstance(w, (RationalFunction, IntPolynomial)):
-        return [_as_fraction(w(n)) for n in range(count)]
     if callable(w):
         return [_as_fraction(w(n)) for n in range(count)]
     vals = [_as_fraction(x) for x in w]
@@ -295,6 +304,29 @@ def bauer_muir(cf, w, N):
             terms.append((a_prev * ratio, b + wv[n] - wv[n - 2] * ratio))
     out = CFSpec(cf.b0 + wv[0], tuple(terms), None)
     return BauerMuirResult(out, tuple(wv), tuple(lam))
+
+
+def bauer_muir_tail(cf, w, w0):
+    """Bauer-Muir transform of a CF with a symbolic tail against w_0 and the
+    rational function w(n), n >= 1.
+
+    With m prefix terms, the terms before k = max(3, m + 2) come from
+    bauer_muir; from term k on the result has the symbolic tail
+    (a(n-1) lambda(n) / lambda(n-1), b(n) + w(n) - w(n-2) lambda(n) / lambda(n-1))
+    with lambda(n) = a(n) - w(n-1) (b(n) + w(n)), all in the term index.
+    The result's w and existence_margin are the rational functions w and
+    lambda.
+    """
+    w = _as_ratfn(w)
+    m = len(cf.prefix)
+    k = max(3, m + 2)
+    head = bauer_muir(cf, [w0] + [w(n) for n in range(1, k)], k - 1).cf
+    shift = cf.tail.start_index - m - 1
+    a, b = cf.tail.a.shift(shift), cf.tail.b.shift(shift)
+    lam = a - w.shift(-1) * (b + w)
+    ratio = lam / lam.shift(-1)
+    tail = CFTail(a.shift(-1) * ratio, b + w - w.shift(-2) * ratio, k)
+    return BauerMuirResult(CFSpec(head.b0, head.prefix, tail), w, lam)
 
 
 def extension_bmoe(cf, w, N):

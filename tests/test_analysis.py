@@ -214,3 +214,16 @@ def test_verify_limit_speed():
     )
     assert report.verdict == "Pass"
     assert time.time() - t0 < 10
+
+
+def test_verify_limit_short_run_is_not_pass():
+    # the last gap of a short run is large, but it bounds nothing: a Pass
+    # needs the measured error within tol
+    for preset, params, terms, err in (
+        ("brouncker", {}, 10, 0.036),
+        ("ex3.3", {"A": "1"}, 20, 0.038),
+    ):
+        member = build_preset(preset, params)
+        report = verify_limit(member, terms, 128, F(1, 10**10), preset=preset, params=params)
+        assert abs(float(report.abs_err) - err) < 1e-3, report.abs_err
+        assert report.verdict == "Inconclusive", (preset, report.verdict)

@@ -5,9 +5,14 @@ parsed, and the report files are compared byte for byte where determinism
 is claimed.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycf.cli import main
 
@@ -199,3 +204,69 @@ def test_reproduce_paper_writes_reports(tmp_path, capsys):
     assert data["example"] == "ex1.1"
     assert all(row["verdict"] == "Pass" for row in data["rows"])
     assert out.strip().endswith("rows passed")
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["eval", "--input", '{"b0": "1/0"}'], "$.b0"),
+        (["eval", "--input", "[1, 2]"], "$"),
+        (
+            [
+                "eval",
+                "--input",
+                json.dumps(
+                    {
+                        "b0": "1",
+                        "tail": {
+                            "a": {"num": ["1"], "den": ["0"]},
+                            "b": {"num": ["1"], "den": ["1"]},
+                            "start_index": 1,
+                        },
+                    }
+                ),
+            ],
+            "$.tail.a.den",
+        ),
+        (["transform", "--op", "euler", "--input", '{"terms": ["1", "1/0"]}'], "$.terms[1]"),
+    ],
+)
+def test_malformed_input_exits_two(capsys, argv, path):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    data = json.loads(err)
+    assert data["error"] == "InvalidInput"
+    assert data["detail"].startswith(path + ":")
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.sampled_from(["1", "-2/3", "1/0", "n", "0"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["b0", "prefix", "tail", "a", "b", "num", "den",
+                         "start_index", "terms"]),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(payload=_json, command=st.sampled_from(["eval", "euler"]))
+def test_cli_arbitrary_json_exit_contract(payload, command):
+    argv = ["eval", "--terms", "4"] if command == "eval" else ["transform", "--op", "euler"]
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.StringIO(json.dumps(payload))
+    with mock.patch("sys.stdin", stdin), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv + ["--input", "-"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code != 0:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert isinstance(json.loads(lines[0]), dict)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polycf.cf import CFSpec, approximants, convergents
+from polycf.cf import CFSpec, CFTail, approximants, convergents, integer_tail_form
 from polycf.errors import (
     DegenerateTerm,
     NonzeroW0,
@@ -21,8 +21,10 @@ from polycf.transforms import (
     ProductSpec,
     SeriesSpec,
     bauer_muir,
+    bauer_muir_tail,
     bernoulli_from_sequence,
     euler_from_series,
+    euler_tail,
     even_part,
     extension_bmoe,
     generalized_euler,
@@ -253,3 +255,29 @@ def test_extension_even_odd_parts_recover_source_and_transform():
     od = approximants(odd_part(ext, N), N).values()
     bm = approximants(bauer_muir(E_CF, ratfn_from_string("n+1"), N + 1).cf, N + 1)
     assert od == bm.values()[1 : N + 2]
+
+
+def test_euler_tail_and_integer_form_match_weighted_partial_sums():
+    u = ratfn_from_string("(n+2)/(n^2+1)")
+    for rho in ("1", "-1", "(n+1)/(2n)"):
+        rho = ratfn_from_string(rho)
+        want, total, h = [F(1, 3)], F(1, 3), F(1)
+        for n in range(1, 31):
+            h = h * rho(n) if n > 1 else h
+            total += h * u(n)
+            want.append(total)
+        cf = euler_tail(F(1, 3), u, rho)
+        assert approximants(cf, 30).values() == want
+        icf = integer_tail_form(cf)
+        assert icf.tail.a.den == 1 and icf.tail.b.den == 1
+        assert approximants(icf, 30).values() == want
+
+
+def test_bauer_muir_tail_matches_finite():
+    w = ratfn_from_string("2n+1")
+    with_prefix = CFSpec(F(1), ((F(2), F(3)), (F(1), F(5))), CFTail("n+1", "n^2", 4))
+    for cf in (E_CF, with_prefix):
+        for w0 in (F(0), F(1, 2)):
+            res = bauer_muir_tail(cf, w, w0)
+            finite = bauer_muir(cf, [w0] + [w(n) for n in range(1, 21)], 20)
+            assert approximants(res.cf, 20).values() == approximants(finite.cf, 20).values()
