@@ -28,6 +28,8 @@ from .poly import (
     _exact_div,
     _poly_gcd,
     has_integer_root_at_or_after,
+    json_list,
+    json_value,
     ratfn_from_string,
 )
 
@@ -431,6 +433,22 @@ def _least_square_root_multiple(d):
     return k * d
 
 
+def _integer_prefix(terms, r_last):
+    """The prefix of integer_tail_form with its last term scaled by r_last,
+    or None when that term stays fractional."""
+    rs = [Fraction(1)]
+    for a_n, b_n in terms[:-1]:
+        scaled = rs[-1] * a_n
+        rs.append(Fraction(math.lcm(scaled.denominator, b_n.denominator)))
+    if len(rs) > 1:
+        rs[-1] *= (r_last * rs[-1] * terms[-1][0]).denominator
+    rs.append(r_last)
+    prefix = [(r * r_prev * a_n, r * b_n) for r_prev, r, (a_n, b_n) in zip(rs, rs[1:], terms)]
+    if all(v.denominator == 1 for v in prefix[-1]):
+        return tuple(prefix)
+    return None
+
+
 def integer_tail_form(cf):
     """Tail version of to_integer_cf: the same approximants from integer
     prefix terms and a polynomial tail, for a CF with a rational tail.
@@ -442,9 +460,12 @@ def integer_tail_form(cf):
     r(x) r(x-1) a(x) integral.  Prefix term n < m is scaled as in
     to_integer_cf, by lcm(den(r_{n-1} a_n), den b_n), and the last one by
     r at its argument, so that the tail's closed form holds from its first
-    term.  Where r is zero or infinite at that argument, or there is no
-    prefix, tail terms move into the prefix until it is not.  Past it, a
-    zero or pole of r marks a zero numerator or a pole of the input's tail.
+    term; r_{m-1} is also multiplied by den(r(m) r_{m-1} a_m), which keeps
+    term m-1 integral and makes a'_m so.  Where r is zero or infinite at
+    that argument, b'_m or (with m = 1) a'_m is still fractional, or there
+    is no prefix, tail terms move into the prefix until none of these holds.
+    Past it, a zero or pole of r marks a zero numerator or a pole of the
+    input's tail.
     """
     a, b = cf.tail.a, cf.tail.b
     P = RationalFunction(a.num * b.den * b.den.shift(-1), a.den)
@@ -456,21 +477,16 @@ def integer_tail_form(cf):
     kappa = _least_square_root_multiple(c // math.gcd(c, Q.content))
     scale = kappa * b.den * E
     terms, start = list(cf.prefix), cf.tail.start_index
-    while not terms or scale(start - 1) == 0 or G(start - 1) == 0:
+    while True:
+        if terms and scale(start - 1) != 0 and G(start - 1) != 0:
+            prefix = _integer_prefix(terms, Fraction(scale(start - 1), G(start - 1)))
+            if prefix is not None:
+                break
         terms.append((a(start), b(start)))
         start += 1
-    prefix = []
-    r_prev = Fraction(1)
-    for n, (a_n, b_n) in enumerate(terms, 1):
-        scaled = r_prev * a_n
-        if n < len(terms):
-            r_prev = Fraction(math.lcm(scaled.denominator, b_n.denominator))
-        else:
-            r_prev = Fraction(scale(start - 1), G(start - 1))
-        prefix.append((r_prev * scaled, r_prev * b_n))
     tail_a = IntPolynomial(q * kappa * kappa // c for q in Q.coeffs)
     tail_b = kappa * _exact_div(b.num, G) * E
-    return CFSpec(cf.b0, tuple(prefix), CFTail(tail_a, tail_b, start))
+    return CFSpec(cf.b0, prefix, CFTail(tail_a, tail_b, start))
 
 
 def tail_cf(cf, k):
@@ -503,38 +519,6 @@ def cf_to_json(cf):
     }
 
 
-def json_value(value, path, kind):
-    """One value of parsed JSON input, checked: kind "object" or "list" is a
-    JSON object or array, "int" an integer or decimal-integer string, and
-    "rational" an integer or a string such as "p/q" with q != 0.
-
-    Malformed input raises ValueError naming its JSON path.
-    """
-    if kind in ("object", "list"):
-        if isinstance(value, dict if kind == "object" else list):
-            return value
-    elif isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(str(value), 10) if kind == "int" else Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"{path}: expected {kind}, got {value!r}")
-
-
-def json_list(value, path, kind):
-    """A JSON array whose items are each json_value(item, path[i], kind)."""
-    items = json_value(value, path, "list")
-    return [json_value(v, f"{path}[{i}]", kind) for i, v in enumerate(items)]
-
-
-def _ratfn_from_json(value, path):
-    obj = json_value(value, path, "object")
-    num, den = (json_list(obj.get(k), f"{path}.{k}", "int") for k in ("num", "den"))
-    if not any(den):
-        raise ValueError(f"{path}.den: the zero polynomial")
-    return RationalFunction(IntPolynomial(num), IntPolynomial(den))
-
-
 def cf_from_json(data):
     """Inverse of cf_to_json; malformed input raises ValueError with its path."""
     data = json_value(data, "$", "object")
@@ -547,8 +531,8 @@ def cf_from_json(data):
     if tail is not None:
         t = json_value(tail, "$.tail", "object")
         tail = CFTail(
-            _ratfn_from_json(t.get("a"), "$.tail.a"),
-            _ratfn_from_json(t.get("b"), "$.tail.b"),
+            RationalFunction.from_json(t.get("a"), "$.tail.a"),
+            RationalFunction.from_json(t.get("b"), "$.tail.b"),
             json_value(t.get("start_index"), "$.tail.start_index", "int"),
         )
     b0 = json_value(data.get("b0"), "$.b0", "rational")

@@ -15,10 +15,10 @@ import sys
 from fractions import Fraction
 
 from . import analysis, transforms
-from .cf import cf_from_json, cf_to_json, convergents, evaluate, json_list, json_value
+from .cf import cf_from_json, cf_to_json, convergents, evaluate
 from .errors import HypothesisViolation, PolycfError
 from .families import build_preset
-from .poly import ratfn_from_string
+from .poly import json_list, json_value, ratfn_from_string
 
 
 class _Parser(argparse.ArgumentParser):

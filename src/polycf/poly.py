@@ -233,8 +233,9 @@ class IntPolynomial:
         return [str(c) for c in self.coeffs]
 
     @classmethod
-    def from_json(cls, data):
-        return cls(int(c) for c in data)
+    def from_json(cls, data, path="$"):
+        """Inverse of to_json; malformed input raises ValueError with its path."""
+        return cls(json_list(data, path, "int"))
 
     def __eq__(self, other):
         other = _as_polynomial(other)
@@ -462,8 +463,13 @@ class RationalFunction:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
     @classmethod
-    def from_json(cls, data):
-        return cls(IntPolynomial.from_json(data["num"]), IntPolynomial.from_json(data["den"]))
+    def from_json(cls, data, path="$"):
+        """Inverse of to_json; malformed input raises ValueError with its path."""
+        obj = json_value(data, path, "object")
+        num, den = (IntPolynomial.from_json(obj.get(k), f"{path}.{k}") for k in ("num", "den"))
+        if den.is_zero:
+            raise ValueError(f"{path}.den: the zero polynomial")
+        return cls(num, den)
 
     def __eq__(self, other):
         parts = _as_num_den(other)
@@ -556,6 +562,30 @@ def has_integer_root_at_or_after(r, from_n):
         except PoleAtArgument:
             continue
     return False
+
+
+def json_value(value, path, kind):
+    """One value of parsed JSON input, checked: kind "object" or "list" is a
+    JSON object or array, "int" an integer or decimal-integer string, and
+    "rational" an integer or a string such as "p/q" with q != 0.
+
+    Malformed input raises ValueError naming its JSON path.
+    """
+    if kind in ("object", "list"):
+        if isinstance(value, dict if kind == "object" else list):
+            return value
+    elif isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(str(value), 10) if kind == "int" else Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{path}: expected {kind}, got {value!r}")
+
+
+def json_list(value, path, kind):
+    """A JSON array whose items are each json_value(item, path[i], kind)."""
+    items = json_value(value, path, "list")
+    return [json_value(v, f"{path}[{i}]", kind) for i, v in enumerate(items)]
 
 
 _TERM_RE = re.compile(r"([+-]?)(\d+)?(?:\*?n(?:[\^](\d+))?)?$")

@@ -1,6 +1,7 @@
 """Unit tests for integer polynomials and reduced rational functions."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,22 @@ def test_json_round_trip():
     r = RationalFunction(x**2 - 3, 2 * x + 5)
     back = RationalFunction.from_json(r.to_json())
     assert back == r
+
+
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        ({"num": ["1"], "den": []}, "$.den"),
+        ({"num": ["1"], "den": ["0"]}, "$.den"),
+        ({"num": [1.5], "den": ["1"]}, "$.num[0]"),
+        ({"num": ["1"], "den": [True]}, "$.den[0]"),
+        ({"num": ["1"]}, "$.den"),
+        (["1"], "$"),
+    ],
+)
+def test_json_rejects_malformed(data, where):
+    with pytest.raises(ValueError, match="^" + re.escape(where) + ":"):
+        RationalFunction.from_json(data)
 
 
 def test_values_from_matches_direct_evaluation():

@@ -257,10 +257,17 @@ def test_extension_even_odd_parts_recover_source_and_transform():
     assert od == bm.values()[1 : N + 2]
 
 
+def _is_integer_form(cf):
+    prefix_integral = all(v.denominator == 1 for term in cf.prefix for v in term)
+    return prefix_integral and cf.tail.a.den == 1 and cf.tail.b.den == 1
+
+
 def test_euler_tail_and_integer_form_match_weighted_partial_sums():
-    u = ratfn_from_string("(n+2)/(n^2+1)")
-    for rho in ("1", "-1", "(n+1)/(2n)"):
-        rho = ratfn_from_string(rho)
+    cases = [("(n+2)/(n^2+1)", rho) for rho in ("1", "-1", "(n+1)/(2n)")]
+    # u = 2(2n+5)(2n-1)(n+1): r(2) = 1/5, so r_1 must absorb a factor 5
+    cases.append(("8n^3+24n^2+6n-10", "1"))
+    for u, rho in cases:
+        u, rho = ratfn_from_string(u), ratfn_from_string(rho)
         want, total, h = [F(1, 3)], F(1, 3), F(1)
         for n in range(1, 31):
             h = h * rho(n) if n > 1 else h
@@ -269,8 +276,25 @@ def test_euler_tail_and_integer_form_match_weighted_partial_sums():
         cf = euler_tail(F(1, 3), u, rho)
         assert approximants(cf, 30).values() == want
         icf = integer_tail_form(cf)
-        assert icf.tail.a.den == 1 and icf.tail.b.den == 1
+        assert _is_integer_form(icf)
         assert approximants(icf, 30).values() == want
+
+
+def test_integer_tail_form_fractional_prefix():
+    # the last prefix term's b is fractional after scaling by r(m), so a
+    # tail term moves into the prefix; with one prefix term r_0 = 1 is fixed
+    cfs = (
+        CFSpec(
+            F(5, 3),
+            ((F(-2), F(-1, 6)), (F(1), F(1, 6)), (F(5, 3), F(7, 2))),
+            CFTail("3", "(n+1)/2", 4),
+        ),
+        CFSpec(F(1), ((F(1, 2), F(2, 3)),), CFTail("n^2/3", "(2n+1)/5", 2)),
+    )
+    for cf in cfs:
+        icf = integer_tail_form(cf)
+        assert _is_integer_form(icf)
+        assert approximants(icf, 30).values() == approximants(cf, 30).values()
 
 
 def test_bauer_muir_tail_matches_finite():
