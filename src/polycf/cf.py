@@ -410,14 +410,21 @@ def to_integer_cf(cf, N):
     integral = all(a.denominator == 1 and b.denominator == 1 for a, b in terms)
     if integral and (cf.tail is None or _is_integer_tail(cf.tail)):
         return cf
-    prefix = []
-    r_prev = Fraction(1)
-    for a, b in terms:
-        scaled_a = r_prev * a
-        r_n = Fraction(math.lcm(scaled_a.denominator, b.denominator))
-        prefix.append((r_n * scaled_a, r_n * b))
-        r_prev = r_n
-    return CFSpec(cf.b0, tuple(prefix), None)
+    return CFSpec(cf.b0, _scaled(terms, _lcm_scales(terms)), None)
+
+
+def _lcm_scales(terms):
+    """r_0 = 1 and r_n = lcm(den(r_{n-1} a_n), den b_n), the least scales
+    that make terms 1..n integral."""
+    rs = [Fraction(1)]
+    for a_n, b_n in terms:
+        rs.append(Fraction(math.lcm((rs[-1] * a_n).denominator, b_n.denominator)))
+    return rs
+
+
+def _scaled(terms, rs):
+    """Terms scaled by the similarity r_0, r_1, ...: (r_n r_{n-1} a_n, r_n b_n)."""
+    return tuple((r * r_prev * a_n, r * b_n) for r_prev, r, (a_n, b_n) in zip(rs, rs[1:], terms))
 
 
 def _least_square_root_multiple(d):
@@ -436,17 +443,11 @@ def _least_square_root_multiple(d):
 def _integer_prefix(terms, r_last):
     """The prefix of integer_tail_form with its last term scaled by r_last,
     or None when that term stays fractional."""
-    rs = [Fraction(1)]
-    for a_n, b_n in terms[:-1]:
-        scaled = rs[-1] * a_n
-        rs.append(Fraction(math.lcm(scaled.denominator, b_n.denominator)))
+    rs = _lcm_scales(terms[:-1])
     if len(rs) > 1:
         rs[-1] *= (r_last * rs[-1] * terms[-1][0]).denominator
-    rs.append(r_last)
-    prefix = [(r * r_prev * a_n, r * b_n) for r_prev, r, (a_n, b_n) in zip(rs, rs[1:], terms)]
-    if all(v.denominator == 1 for v in prefix[-1]):
-        return tuple(prefix)
-    return None
+    prefix = _scaled(terms, rs + [r_last])
+    return prefix if all(v.denominator == 1 for v in prefix[-1]) else None
 
 
 def integer_tail_form(cf):
