@@ -9,6 +9,7 @@ cross-check.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -19,12 +20,11 @@ from fractions import Fraction
 
 import mpmath
 
-from .cf import _is_integer_tail, term_at
+from .cf import _is_integer_tail, _iter_terms, convergents
 from .errors import (
     EmptyRange,
     HypothesisViolation,
     NonIntegerTerms,
-    NoSuchTerm,
     UnsupportedConstant,
 )
 from .families import LimitClaim
@@ -100,15 +100,10 @@ def tietze_check(cf, scan_limit=200):
         raise ValueError("scan_limit must be positive")
     certifiable = cf.tail is not None and _is_integer_tail(cf.tail)
     if not certifiable:
-        limit = scan_limit
-        terms = []
-        for n in range(1, limit + 1):
-            try:
-                a, b = term_at(cf, n)
-            except NoSuchTerm:
-                limit = n - 1
-                break
-            terms.append((_int_term(a, n), _int_term(b, n)))
+        limit = 0
+        for limit, (a, b) in enumerate(itertools.islice(_iter_terms(cf), scan_limit), 1):
+            _int_term(a, limit)
+            _int_term(b, limit)
         return TietzeReport(False, None, "ScanOnly", limit)
     tail = cf.tail
     m = len(cf.prefix)
@@ -127,16 +122,15 @@ def tietze_check(cf, scan_limit=200):
         # declining to certify is sound; scanning this far is not useful
         return TietzeReport(False, None, "ScanOnly", scan_limit)
     eff = max(scan_limit, n_cert)
-    terms = {}
-    for n in range(1, eff + 2):
-        a, b = term_at(cf, n)
-        terms[n] = (_int_term(a, n), _int_term(b, n))
+    terms = [
+        (_int_term(a, n), _int_term(b, n))
+        for n, (a, b) in enumerate(_iter_terms(cf, eff + 1), 1)
+    ]
     if not cert_ok:
         return TietzeReport(False, None, "AsymptoticPlusScan", eff)
     last_failure = 0
-    for n in range(1, eff + 1):
-        a, b = terms[n]
-        need = abs(a) + (1 if terms[n + 1][0] < 0 else 0)
+    for n, ((a, b), (a_next, _)) in enumerate(zip(terms, terms[1:]), 1):
+        need = abs(a) + (1 if a_next < 0 else 0)
         if b < 1 or b < need:
             last_failure = n
     return TietzeReport(True, last_failure + 1, "AsymptoticPlusScan", eff)
@@ -155,19 +149,12 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
     epsilon = Fraction(epsilon) if not isinstance(epsilon, Fraction) else epsilon
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    terms = []
-    for n in range(1, N + 1):
-        a, b = term_at(cf, n)
+    for n, (a, b) in enumerate(_iter_terms(cf, N), 1):
         if a < 1 or b < 1:
             raise HypothesisViolation(
                 "terms_at_least_one", f"term {n} has a = {a}, b = {b}"
             )
-        terms.append((a, b))
-    B_prev, B = Fraction(0), Fraction(1)
-    bs = []
-    for a, b in terms:
-        B, B_prev = b * B + a * B_prev, B
-        bs.append(B)
+    bs = [conv.B for conv in convergents(cf, N)[1:]]
     factorial_kind = (
         cf.tail is not None
         and not cf.tail.b.is_zero

@@ -157,21 +157,16 @@ def term_at(cf, n):
     return a, b
 
 
-def _iter_terms(cf, N):
-    for n in range(1, N + 1):
-        yield n, term_at(cf, n)
-
-
 def convergents(cf, N):
-    """Exact canonical pairs (A_n, B_n) for n = 0..N."""
+    """Exact canonical pairs (A_n, B_n) for n = 0..N: the kernel's pairs
+    divided by its scale M_n."""
+    M = cf.b0.denominator
     out = [Convergent(0, cf.b0, Fraction(1))]
-    A_prev, B_prev = Fraction(1), Fraction(0)
-    A, B = cf.b0, Fraction(1)
-    for n, (a, b) in _iter_terms(cf, N):
-        A, A_prev = b * A + a * A_prev, A
-        B, B_prev = b * B + a * B_prev, B
-        out.append(Convergent(n, A, B))
+    for n, (A, B, m) in enumerate(_first(_recurrence(cf), N), 1):
+        M *= m
+        out.append(Convergent(n, Fraction(A, M), Fraction(B, M)))
     return out
+
 
 def approximants(cf, N):
     """Approximant values A_n/B_n for n = 0..N; UNDEFINED where B_n = 0."""
@@ -234,15 +229,34 @@ def _scaled_terms(cf):
         yield p * s, r * q, q * s
 
 
-def _evaluate_core(cf, tol, max_terms, precision_bits, exact):
-    """The recurrence kernel shared by both backends, in Python integers.
+def _first(stream, N):
+    """Items 1..N of a stream over terms n = 1, 2, ...; past the end of a
+    finite CF, NoSuchTerm(n) is raised when term n is reached."""
+    if N < 0:
+        raise ValueError(f"cannot read a negative number of terms ({N})")
+    n = 0
+    for n, item in zip(range(1, N + 1), stream):
+        yield item
+    if n < N:
+        raise NoSuchTerm(n + 1)
+
+
+def _iter_terms(cf, N=None):
+    """Exact (a_n, b_n) for n = 1..N, or n = 1, 2, ... without N: the view
+    (a/m, b/m) of _scaled_terms."""
+    terms = ((Fraction(a, m), Fraction(b, m)) for a, b, m in _scaled_terms(cf))
+    return terms if N is None else _first(terms, N)
+
+
+def _recurrence(cf, budget=None):
+    """The recurrence kernel, in Python integers: (A, B, m) after each term.
 
     (A, A_prev, B, B_prev) hold A_n, A_{n-1}, B_n, B_{n-1} times one common
-    scale, so A/B is the approximant whatever the scale is.  The exact
-    backend never rounds.  The float backend keeps the integers near a bit
-    budget b = precision_bits + guard + bitlen(max_terms): once every nonzero
-    one of the four has more than b + slack bits, all four are shifted right
-    by the same amount, so that the smallest keeps b bits.
+    scale, so A/B is the approximant whatever the scale is.  Without a
+    budget the integers are never rounded, and the scale after term n is
+    den(b0) times the step scales m of terms 1..n.  With a budget b, once
+    every nonzero one of the four has more than b + slack bits, all four are
+    shifted right by the same amount, so that the smallest keeps b bits.
 
     Truncation error.  A common shift changes no ratio of the four, so A/B
     is unchanged by the scaling itself.  The floor of the shift moves each
@@ -251,43 +265,68 @@ def _evaluate_core(cf, tol, max_terms, precision_bits, exact):
     b-bit mantissa.  It runs through the linear recurrence as the values
     do, so it reaches A/B amplified only by the recurrence's own
     conditioning, as rounding in any b-bit arithmetic would be.  There is at
-    most one shift per term, so the shifts of a run add up to less than
-    max_terms * 2^-b <= 2^-(precision_bits + guard) relative before that
-    amplification; the result is then rounded to precision_bits.  The
-    budget is set by the smallest value, not the largest, because A_{n-1}
-    can be smaller than A_n by a factor near b_n (2^40 and more in the
-    zeta(k) families, whose recurrences cancel): a budget on the largest
-    value gives up those bits of A_{n-1}.
-
-    The stop rule compares each gap to tol in integers,
-    |A B_last - A_last B| tol_den < tol_num |B B_last|; the value and the
-    last gap are converted to mpf once, through Fraction.
+    most one shift per term, so the shifts of N terms add up to less than
+    N * 2^-b relative before that amplification.  The budget is set by the
+    smallest value, not the largest, because A_{n-1} can be smaller than A_n
+    by a factor near b_n (2^40 and more in the zeta(k) families, whose
+    recurrences cancel): a budget on the largest value gives up those bits
+    of A_{n-1}.
     """
-    tol_num, tol_den = tol.numerator, tol.denominator
-    budget = precision_bits + _FLOAT_GUARD_BITS + max_terms.bit_length()
-    limit = budget + _SHIFT_SLACK_BITS
     A_prev, B_prev = cf.b0.denominator, 0
     A, B = cf.b0.numerator, cf.b0.denominator
-    A_last, B_last = A, B
-    gap_num, gap_den = 0, 0  # the last gap; no gap yet while gap_den is 0
-    small_prev = False
-    converged = False
-    finite = False
-    n = 0
-    for n, (a, b, m) in zip(range(1, max_terms + 1), _scaled_terms(cf)):
+    limit = None if budget is None else budget + _SHIFT_SLACK_BITS
+    for a, b, m in _scaled_terms(cf):
         if m == 1:
             A, A_prev = b * A + a * A_prev, A
             B, B_prev = b * B + a * B_prev, B
         else:
             A, A_prev = b * A + a * A_prev, m * A
             B, B_prev = b * B + a * B_prev, m * B
-        if not exact and B_prev.bit_length() > limit:
+        if limit is not None and B_prev.bit_length() > limit:
             shift = min(x.bit_length() for x in (A, A_prev, B, B_prev) if x) - budget
             if shift > _SHIFT_SLACK_BITS:
                 A >>= shift
                 A_prev >>= shift
                 B >>= shift
                 B_prev >>= shift
+        yield A, B, m
+
+
+def evaluate(cf, tol, max_terms, precision_bits=128, backend="auto"):
+    """Estimate the limit by iterating approximants.
+
+    Stops once two consecutive gaps between defined approximants fall below
+    tol, compared in integers as |A B_last - A_last B| tol_den <
+    tol_num |B B_last|; a finite CF yields its exact final value with error
+    bound 0.  Both backends run the kernel of _recurrence: "exact" never
+    rounds and is authoritative for moderate term counts, "float" gives it
+    the budget b = precision_bits + guard + bitlen(max_terms), so that its
+    shifts add up to less than max_terms * 2^-b <= 2^-(precision_bits +
+    guard) relative.  The value and the last gap become mpf once, through
+    Fraction.  A failure to converge is reported through converged=False,
+    not an exception.
+    """
+    tol = tol if isinstance(tol, Fraction) else Fraction(str(tol))
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_terms < 2:
+        raise ValueError("max_terms must be at least 2")
+    if precision_bits < 1:
+        raise ValueError("precision_bits must be at least 1")
+    if backend == "auto":
+        backend = "exact" if max_terms <= _EXACT_TERM_LIMIT else "float"
+    if backend not in ("exact", "float"):
+        raise ValueError(f"unknown backend {backend!r}")
+    tol_num, tol_den = tol.numerator, tol.denominator
+    bits = precision_bits + _FLOAT_GUARD_BITS + max_terms.bit_length()
+    budget = bits if backend == "float" else None
+    A_last, B_last = cf.b0.numerator, cf.b0.denominator
+    gap_num, gap_den = 0, 0  # the last gap; no gap yet while gap_den is 0
+    small_prev = False
+    converged = False
+    finite = False
+    n = 0
+    for n, (A, B, _) in enumerate(itertools.islice(_recurrence(cf, budget), max_terms), 1):
         if B == 0:
             continue
         gap_num = abs(A * B_last - A_last * B)
@@ -317,29 +356,6 @@ def _evaluate_core(cf, tol, max_terms, precision_bits, exact):
     )
 
 
-def evaluate(cf, tol, max_terms, precision_bits=128, backend="auto"):
-    """Estimate the limit by iterating approximants.
-
-    Stops once two consecutive gaps between defined approximants fall below
-    tol; a finite CF yields its exact final value with error bound 0.  Both
-    backends run the integer kernel of _evaluate_core: "exact" never rounds
-    and is authoritative for moderate term counts, "float" keeps its
-    integers near precision_bits plus guard bits (the truncation argument is
-    in _evaluate_core) for large ones.  A failure to converge is reported
-    through converged=False, not an exception.
-    """
-    tol_frac = tol if isinstance(tol, Fraction) else Fraction(str(tol))
-    if tol_frac <= 0:
-        raise ValueError("tol must be positive")
-    if max_terms < 2:
-        raise ValueError("max_terms must be at least 2")
-    if backend == "auto":
-        backend = "exact" if max_terms <= _EXACT_TERM_LIMIT else "float"
-    if backend not in ("exact", "float"):
-        raise ValueError(f"unknown backend {backend!r}")
-    return _evaluate_core(cf, tol_frac, max_terms, precision_bits, backend == "exact")
-
-
 def similarity_scale(cf, r):
     """Rescale terms by a_n' = r_n r_{n-1} a_n, b_n' = r_n b_n with r_0 = 1.
 
@@ -358,10 +374,7 @@ def _similarity_sequence(cf, r):
     for i, x in enumerate(r):
         if x == 0:
             raise ZeroScaleFactor(i)
-    prefix = []
-    for n, (a, b) in _iter_terms(cf, len(r) - 1):
-        prefix.append((r[n] * r[n - 1] * a, r[n] * b))
-    return CFSpec(cf.b0, tuple(prefix), None)
+    return CFSpec(cf.b0, _scaled(list(_iter_terms(cf, len(r) - 1)), r), None)
 
 
 def _similarity_symbolic(cf, r):
@@ -406,7 +419,7 @@ def to_integer_cf(cf, N):
     returned unchanged; otherwise the result is a prefix-only CF whose first
     N terms are integers and whose approximants match the input's exactly.
     """
-    terms = [term for _, term in _iter_terms(cf, N)]
+    terms = list(_iter_terms(cf, N))
     integral = all(a.denominator == 1 and b.denominator == 1 for a, b in terms)
     if integral and (cf.tail is None or _is_integer_tail(cf.tail)):
         return cf
@@ -477,13 +490,14 @@ def integer_tail_form(cf):
     Q = _exact_div(P.num * E.shift(-1), G * G.shift(-1))
     kappa = _least_square_root_multiple(c // math.gcd(c, Q.content))
     scale = kappa * b.den * E
-    terms, start = list(cf.prefix), cf.tail.start_index
+    stream, start = _iter_terms(cf), cf.tail.start_index
+    terms = list(itertools.islice(stream, len(cf.prefix)))
     while True:
         if terms and scale(start - 1) != 0 and G(start - 1) != 0:
             prefix = _integer_prefix(terms, Fraction(scale(start - 1), G(start - 1)))
             if prefix is not None:
                 break
-        terms.append((a(start), b(start)))
+        terms.append(next(stream))
         start += 1
     tail_a = IntPolynomial(q * kappa * kappa // c for q in Q.coeffs)
     tail_b = kappa * _exact_div(b.num, G) * E

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import CFSpec, CFTail, term_at, _as_fraction, _as_ratfn
+from .cf import CFSpec, CFTail, _as_fraction, _as_ratfn, _iter_terms
 from .errors import (
     DegenerateTerm,
     NonzeroW0,
@@ -210,15 +210,25 @@ def euler_tail(b0, u, rho=1):
     return CFSpec(_as_fraction(b0), prefix, tail)
 
 
+def _checked_terms(cf, wv, N):
+    """Terms 1..N of cf and their margins lambda_n = a_n - w_{n-1} (b_n + w_n),
+    each checked as its term is read, before any error from a later term."""
+    terms, lam = [], []
+    for n, (a, b) in enumerate(_iter_terms(cf, N), 1):
+        lam.append(a - wv[n - 1] * (b + wv[n]))
+        if lam[-1] == 0:
+            raise TransformDoesNotExist(n)
+        terms.append((a, b))
+    return terms, lam
+
+
 def even_part(cf, N):
     """Contraction whose k-th convergent pair equals (A_{2k}, B_{2k}).
 
     Consumes terms 1..2N of the input; requires b_{2k} != 0 for the
     denominators that get divided through.
     """
-    t = {n: term_at(cf, n) for n in range(1, 2 * N + 1)}
-    a = {n: t[n][0] for n in t}
-    b = {n: t[n][1] for n in t}
+    a, b = zip((None, None), *_iter_terms(cf, 2 * N))  # a_n = a[n], b_n = b[n]
     terms = []
     for k in range(1, N + 1):
         if k == 1:
@@ -241,9 +251,7 @@ def odd_part(cf, N):
     only.  Consumes terms 1..2N+1; requires b_1 and the divided-through odd
     denominators to be nonzero.
     """
-    t = {n: term_at(cf, n) for n in range(1, 2 * N + 2)}
-    a = {n: t[n][0] for n in t}
-    b = {n: t[n][1] for n in t}
+    a, b = zip((None, None), *_iter_terms(cf, 2 * N + 1))
     if b[1] == 0:
         raise ZeroOddDenominator(1)
     b0 = (cf.b0 * b[1] + a[1]) / b[1]
@@ -286,22 +294,12 @@ def bauer_muir(cf, w, N):
     if N < 1:
         raise ValueError("N must be at least 1")
     wv = _w_values(w, N + 1)
-    lam = []
-    for n in range(1, N + 1):
-        a, b = term_at(cf, n)
-        l = a - wv[n - 1] * (b + wv[n])
-        if l == 0:
-            raise TransformDoesNotExist(n)
-        lam.append(l)
-    terms = []
-    for n in range(1, N + 1):
-        a, b = term_at(cf, n)
-        if n == 1:
-            terms.append((lam[0], b + wv[1]))
-        else:
-            a_prev, _ = term_at(cf, n - 1)
-            ratio = lam[n - 1] / lam[n - 2]
-            terms.append((a_prev * ratio, b + wv[n] - wv[n - 2] * ratio))
+    source, lam = _checked_terms(cf, wv, N)
+    terms = [(lam[0], source[0][1] + wv[1])]
+    for n in range(2, N + 1):
+        (a_prev, _), (_, b) = source[n - 2], source[n - 1]
+        ratio = lam[n - 1] / lam[n - 2]
+        terms.append((a_prev * ratio, b + wv[n] - wv[n - 2] * ratio))
     out = CFSpec(cf.b0 + wv[0], tuple(terms), None)
     return BauerMuirResult(out, tuple(wv), tuple(lam))
 
@@ -344,15 +342,11 @@ def extension_bmoe(cf, w, N):
     for j in range(1, N + 1):
         if wv[j] == 0:
             raise ZeroW(j)
-    for n in range(1, N + 2):
-        a, b = term_at(cf, n)
-        if a - wv[n - 1] * (b + wv[n]) == 0:
-            raise TransformDoesNotExist(n)
-    a1, b1 = term_at(cf, 1)
+    source, _ = _checked_terms(cf, wv, N + 1)
+    a1, b1 = source[0]
     terms = [(a1, b1 + wv[1])]
-    for j in range(1, N + 1):
+    for j, (a_next, b_next) in enumerate(source[1:], 1):
         terms.append((-wv[j], Fraction(1)))
-        a_next, b_next = term_at(cf, j + 1)
         q = a_next / wv[j]
         terms.append((q, b_next + wv[j + 1] - q))
     return CFSpec(cf.b0, tuple(terms), None)

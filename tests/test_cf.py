@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycf.cf import (
     UNDEFINED,
@@ -24,12 +26,13 @@ from polycf.cf import (
 )
 from polycf.errors import (
     NoSuchTerm,
+    PolycfError,
     PoleAtArgument,
     ZeroPartialNumerator,
     ZeroScaleFactor,
 )
 from polycf.families import build_preset
-from polycf.poly import ratfn_from_string
+from polycf.poly import IntPolynomial, RationalFunction, ratfn_from_string
 
 F = Fraction
 
@@ -71,19 +74,56 @@ def test_convergents_e_cf():
     ]
 
 
-def test_determinant_identity():
-    rng = random.Random(7)
-    for _ in range(10):
-        prefix = tuple(
-            (F(rng.randint(1, 9)), F(rng.randint(1, 9))) for _ in range(12)
-        )
-        cf = CFSpec(b0=F(rng.randint(0, 5)), prefix=prefix)
-        convs = convergents(cf, 12)
-        prod = F(1)
-        for N in range(1, 13):
-            prod *= prefix[N - 1][0]
-            lhs = convs[N].A * convs[N - 1].B - convs[N - 1].A * convs[N].B
-            assert lhs == (-1) ** (N - 1) * prod
+_rational = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_poly = st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any).map(IntPolynomial)
+_ratfn = st.builds(RationalFunction, _poly, _poly)
+_rational_cf = st.builds(
+    CFSpec,
+    _rational,
+    st.lists(st.tuples(_rational.filter(bool), _rational), max_size=4).map(tuple),
+    st.builds(CFTail, _ratfn, _ratfn, st.integers(-2, 3)) | st.none(),
+)
+
+
+def _reference_pairs(cf, N):
+    """(A_n, B_n) for n = 0..N by the Fraction recurrence over term_at."""
+    pairs = [(cf.b0, F(1))]
+    A_prev, B_prev, A, B = F(1), F(0), cf.b0, F(1)
+    for n in range(1, N + 1):
+        a, b = term_at(cf, n)
+        A, A_prev = b * A + a * A_prev, A
+        B, B_prev = b * B + a * B_prev, B
+        pairs.append((A, B))
+    return pairs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cf=_rational_cf, N=st.integers(0, 12))
+def test_determinant_identity(cf, N):
+    try:
+        want = _reference_pairs(cf, N)
+    except PolycfError as exc:
+        with pytest.raises(type(exc)) as got:
+            convergents(cf, N)
+        assert got.value.args == exc.args
+        return
+    convs = convergents(cf, N)
+    assert [(c.index, c.A, c.B) for c in convs] == [(n, A, B) for n, (A, B) in enumerate(want)]
+    prod = F(1)
+    for n in range(1, N + 1):
+        prod *= term_at(cf, n)[0]
+        lhs = convs[n].A * convs[n - 1].B - convs[n - 1].A * convs[n].B
+        assert lhs == (-1) ** (n - 1) * prod
+
+
+def test_convergents_reject_negative_counts():
+    with pytest.raises(ValueError):
+        convergents(E_CF, -1)
+    with pytest.raises(ValueError):
+        approximants(E_CF, -2)
+    with pytest.raises(ValueError):
+        to_integer_cf(CFSpec(b0=F(1), prefix=((F(1, 2), F(1)),)), -1)
+    assert [(c.A, c.B) for c in convergents(E_CF, 0)] == [(2, 1)]
 
 
 def test_approximants_undefined_entry():
@@ -124,6 +164,9 @@ def test_evaluate_validation():
         evaluate(E_CF, F(1, 10), 1)
     with pytest.raises(ValueError):
         evaluate(E_CF, F(1, 10), 10, backend="fancy")
+    for bits in (0, -3):
+        with pytest.raises(ValueError):
+            evaluate(E_CF, F(1, 10), 10, precision_bits=bits)
 
 
 def test_evaluate_backends_agree():

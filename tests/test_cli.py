@@ -240,6 +240,25 @@ def test_malformed_input_exits_two(capsys, argv, path):
     assert data["detail"].startswith(path + ":")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--preset", "e", "--precision-bits", "0"],
+        ["eval", "--preset", "e", "--precision-bits", "-3"],
+        ["convergents", "--preset", "e", "--terms", "-2"],
+        ["transform", "--op", "even", "--preset", "e", "--terms", "-1"],
+        ["transform", "--op", "odd", "--preset", "e", "--terms", "-1"],
+    ],
+)
+def test_malformed_count_exits_two(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidInput"
+
+
 _json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=8)
     | st.sampled_from(["1", "-2/3", "1/0", "n", "0"]),

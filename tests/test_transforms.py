@@ -13,6 +13,7 @@ from polycf.errors import (
     TransformDoesNotExist,
     UnitTerm,
     ZeroOddDenominator,
+    ZeroPartialNumerator,
     ZeroTerm,
     ZeroW,
 )
@@ -226,6 +227,25 @@ def test_bauer_muir_nonexistence():
         bauer_muir(E_CF, [F(1), F(0), F(1)], 2)
 
 
+def test_margin_error_precedes_missing_term():
+    # lambda_2 = 2 - w_1 (b_2 + w_2) = 0, and the CF has no term 3
+    cf = CFSpec(b0=F(0), prefix=((F(1), F(1)), (F(2), F(1))))
+    with pytest.raises(TransformDoesNotExist) as exc:
+        bauer_muir(cf, [F(0), F(1), F(1), F(1)], 3)
+    assert exc.value.index == 2
+    with pytest.raises(TransformDoesNotExist) as exc:
+        extension_bmoe(cf, [F(0), F(1), F(1), F(1), F(1)], 2)
+    assert exc.value.index == 2
+
+
+def test_contractions_reject_negative_counts():
+    for part in (even_part, odd_part):
+        with pytest.raises(ValueError):
+            part(E_CF, -1)
+    assert even_part(E_CF, 0) == CFSpec(b0=F(2))
+    assert odd_part(E_CF, 0) == CFSpec(b0=F(3))
+
+
 def test_extension_requires_zero_w0():
     with pytest.raises(NonzeroW0):
         extension_bmoe(E_CF, [F(1), F(2), F(3)], 1)
@@ -278,6 +298,14 @@ def test_euler_tail_and_integer_form_match_weighted_partial_sums():
         icf = integer_tail_form(cf)
         assert _is_integer_form(icf)
         assert approximants(icf, 30).values() == want
+
+
+def test_integer_tail_form_rejects_zero_numerator():
+    # term 2 = (0, 1) is moved into the prefix, where a CF may not have it
+    cf = CFSpec(b0=F(0), prefix=((F(1, 2), F(1)),), tail=CFTail("n-2", "1", 2))
+    with pytest.raises(ZeroPartialNumerator) as exc:
+        integer_tail_form(cf)
+    assert exc.value.index == 2
 
 
 def test_integer_tail_form_fractional_prefix():
