@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .cf import _is_integer_tail, _iter_terms, convergents
+from .cf import _canonical_pairs, _first, _is_integer_tail, _iter_terms, _scaled_terms
 from .errors import (
     EmptyRange,
     HypothesisViolation,
@@ -136,6 +136,19 @@ def tietze_check(cf, scan_limit=200):
     return TietzeReport(True, last_failure + 1, "AsymptoticPlusScan", eff)
 
 
+def _terms_at_least_one(cf):
+    """The integer steps of cf, checking as each term is read that
+    a_n = a/m and b_n = b/m are at least 1."""
+    for n, (a, b, m) in enumerate(_scaled_terms(cf), 1):
+        if m < 0:  # from a tail denominator; the step means the same negated
+            a, b, m = -a, -b, -m
+        if a < m or b < m:
+            raise HypothesisViolation(
+                "terms_at_least_one", f"term {n} has a = {Fraction(a, m)}, b = {Fraction(b, m)}"
+            )
+        yield a, b, m
+
+
 def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
     """Exhibit an empirical lower-bound constant for denominator growth.
 
@@ -149,12 +162,10 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
     epsilon = Fraction(epsilon) if not isinstance(epsilon, Fraction) else epsilon
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    for n, (a, b) in enumerate(_iter_terms(cf, N), 1):
-        if a < 1 or b < 1:
-            raise HypothesisViolation(
-                "terms_at_least_one", f"term {n} has a = {a}, b = {b}"
-            )
-    bs = [conv.B for conv in convergents(cf, N)[1:]]
+    if precision_bits < 1:
+        raise ValueError("precision_bits must be at least 1")
+    steps = _first(_terms_at_least_one(cf), N)
+    bs = [B for _, B in _canonical_pairs(cf.b0, steps)]
     factorial_kind = (
         cf.tail is not None
         and not cf.tail.b.is_zero

@@ -158,14 +158,20 @@ def term_at(cf, n):
 
 
 def convergents(cf, N):
-    """Exact canonical pairs (A_n, B_n) for n = 0..N: the kernel's pairs
-    divided by its scale M_n."""
-    M = cf.b0.denominator
-    out = [Convergent(0, cf.b0, Fraction(1))]
-    for n, (A, B, m) in enumerate(_first(_recurrence(cf), N), 1):
+    """Exact canonical pairs (A_n, B_n) for n = 0..N."""
+    pairs = _canonical_pairs(cf.b0, _first(_scaled_terms(cf), N))
+    return [Convergent(0, cf.b0, Fraction(1))] + [
+        Convergent(n, A, B) for n, (A, B) in enumerate(pairs, 1)
+    ]
+
+
+def _canonical_pairs(b0, steps):
+    """Exact (A_n, B_n) for the steps' terms: the kernel's pairs divided by
+    its scale M_n = den(b0) m_1 ... m_n."""
+    M = b0.denominator
+    for A, B, m, _ in _recurrence(b0, steps):
         M *= m
-        out.append(Convergent(n, Fraction(A, M), Fraction(B, M)))
-    return out
+        yield Fraction(A, M), Fraction(B, M)
 
 
 def approximants(cf, N):
@@ -248,8 +254,9 @@ def _iter_terms(cf, N=None):
     return terms if N is None else _first(terms, N)
 
 
-def _recurrence(cf, budget=None):
-    """The recurrence kernel, in Python integers: (A, B, m) after each term.
+def _recurrence(b0, steps, budget=None, gaps=False):
+    """The recurrence kernel, in Python integers: (A, B, m, D) after each of
+    the integer steps (a, b, m) of _scaled_terms, starting from b0.
 
     (A, A_prev, B, B_prev) hold A_n, A_{n-1}, B_n, B_{n-1} times one common
     scale, so A/B is the approximant whatever the scale is.  Without a
@@ -257,6 +264,20 @@ def _recurrence(cf, budget=None):
     den(b0) times the step scales m of terms 1..n.  With a budget b, once
     every nonzero one of the four has more than b + slack bits, all four are
     shifted right by the same amount, so that the smallest keeps b bits.
+
+    Gaps.  With gaps, D is the gap numerator A B_l - A_l B against the
+    previous pair (A_l, B_l), the one yielded before (for term 1, b0 as
+    num/den), exactly; otherwise D is None and the kernel does no work for
+    it.  The kernel keeps the determinant E = A B_prev - A_prev B of its
+    state.  A step gives D = -a E (the b-terms cancel) and E = m D, since
+    then A_prev = m A_l and B_prev = m B_l: one product with a small term
+    each, where forming D directly takes two full-width products.  A shift
+    by k writes X = 2^k X' + r_X with 0 <= r_X < 2^k for each of the four,
+    so against the unshifted previous pair
+        m D' = A' B_prev - A_prev B' = (E - r_A B_prev + A_prev r_B) / 2^k,
+        E' = A' B_prev' - A_prev' B' = (m D' - A' r_{B_prev} + r_{A_prev} B') / 2^k.
+    Both left sides are integers, so both right shifts are exact divisions
+    and D and E stay exact at every step.
 
     Truncation error.  A common shift changes no ratio of the four, so A/B
     is unchanged by the scaling itself.  The floor of the shift moves each
@@ -272,39 +293,62 @@ def _recurrence(cf, budget=None):
     recurrences cancel): a budget on the largest value gives up those bits
     of A_{n-1}.
     """
-    A_prev, B_prev = cf.b0.denominator, 0
-    A, B = cf.b0.numerator, cf.b0.denominator
+    A_prev, B_prev = b0.denominator, 0
+    A, B = b0.numerator, b0.denominator
+    E = -B * B
+    D = None
     limit = None if budget is None else budget + _SHIFT_SLACK_BITS
-    for a, b, m in _scaled_terms(cf):
+    for a, b, m in steps:
+        if gaps:
+            D = -a * E
+            E = D if m == 1 else m * D
         if m == 1:
             A, A_prev = b * A + a * A_prev, A
             B, B_prev = b * B + a * B_prev, B
         else:
             A, A_prev = b * A + a * A_prev, m * A
             B, B_prev = b * B + a * B_prev, m * B
-        if limit is not None and B_prev.bit_length() > limit:
-            shift = min(x.bit_length() for x in (A, A_prev, B, B_prev) if x) - budget
+        if limit is not None and (top := B_prev.bit_length()) > limit:
+            # B_prev is nonzero here: `or top` skips the zeros
+            shift = min(
+                A.bit_length() or top, A_prev.bit_length() or top, B.bit_length() or top, top
+            ) - budget
             if shift > _SHIFT_SLACK_BITS:
+                if gaps:
+                    mask = (1 << shift) - 1
+                    r_A_prev, r_B_prev = A_prev & mask, B_prev & mask
+                    mD = (E - (A & mask) * B_prev + A_prev * (B & mask)) >> shift
                 A >>= shift
                 A_prev >>= shift
                 B >>= shift
                 B_prev >>= shift
-        yield A, B, m
+                if gaps:
+                    D = mD if m == 1 else mD // m
+                    E = (mD - A * r_B_prev + r_A_prev * B) >> shift
+        yield A, B, m, D
 
 
 def evaluate(cf, tol, max_terms, precision_bits=128, backend="auto"):
     """Estimate the limit by iterating approximants.
 
     Stops once two consecutive gaps between defined approximants fall below
-    tol, compared in integers as |A B_last - A_last B| tol_den <
-    tol_num |B B_last|; a finite CF yields its exact final value with error
-    bound 0.  Both backends run the kernel of _recurrence: "exact" never
-    rounds and is authoritative for moderate term counts, "float" gives it
-    the budget b = precision_bits + guard + bitlen(max_terms), so that its
-    shifts add up to less than max_terms * 2^-b <= 2^-(precision_bits +
-    guard) relative.  The value and the last gap become mpf once, through
-    Fraction.  A failure to converge is reported through converged=False,
-    not an exception.
+    tol, compared in integers as |D| tol_den < tol_num |B B_last| with
+    D = A B_last - A_last B; a finite CF yields its exact final value with
+    error bound 0.  D comes from the kernel's determinant recurrence, or is
+    formed directly for the one step after an undefined approximant (the
+    kernel's previous pair is then not the last defined one).  The
+    comparison is screened by bit lengths first: with
+    L = bitlen(D) + bitlen(tol_den) and R = bitlen(tol_num) + bitlen(B) +
+    bitlen(B_last), the left side lies in [2^(L-2), 2^L) and the right in
+    [2^(R-3), 2^R) (D = 0 is small), so L <= R - 3 decides small and
+    L >= R + 2 decides not small without a product; only the four values
+    between compare exactly.  Both backends run the kernel of _recurrence:
+    "exact" never rounds and is authoritative for moderate term counts,
+    "float" gives it the budget b = precision_bits + guard +
+    bitlen(max_terms), so that its shifts add up to less than
+    max_terms * 2^-b <= 2^-(precision_bits + guard) relative.  The value and
+    the last gap become mpf once, through Fraction.  A failure to converge
+    is reported through converged=False, not an exception.
     """
     tol = tol if isinstance(tol, Fraction) else Fraction(str(tol))
     if tol <= 0:
@@ -318,27 +362,43 @@ def evaluate(cf, tol, max_terms, precision_bits=128, backend="auto"):
     if backend not in ("exact", "float"):
         raise ValueError(f"unknown backend {backend!r}")
     tol_num, tol_den = tol.numerator, tol.denominator
+    offset = tol_den.bit_length() - tol_num.bit_length()
     bits = precision_bits + _FLOAT_GUARD_BITS + max_terms.bit_length()
     budget = bits if backend == "float" else None
+    steps = itertools.islice(_scaled_terms(cf), max_terms)
+    kernel = _recurrence(cf.b0, steps, budget, gaps=True)
     A_last, B_last = cf.b0.numerator, cf.b0.denominator
-    gap_num, gap_den = 0, 0  # the last gap; no gap yet while gap_den is 0
+    last_bits = B_last.bit_length()
+    gap, B_gap = 0, 0  # the last gap is gap / (B_last B_gap); none yet while B_gap is 0
+    adjacent = True  # the kernel's previous pair is (A_last, B_last)
     small_prev = False
     converged = False
     finite = False
     n = 0
-    for n, (A, B, _) in enumerate(itertools.islice(_recurrence(cf, budget), max_terms), 1):
-        if B == 0:
+    for n, (A, B, _, D) in enumerate(kernel, 1):
+        if not B:
+            adjacent = False
             continue
-        gap_num = abs(A * B_last - A_last * B)
-        gap_den = abs(B * B_last)
-        A_last, B_last = A, B
-        small = gap_num * tol_den < tol_num * gap_den
+        if not adjacent:
+            D = A * B_last - A_last * B
+            adjacent = True
+        B_bits = B.bit_length()
+        excess = D.bit_length() - B_bits - last_bits + offset  # L - R
+        if excess >= 2 and D:
+            small = False
+        elif excess <= -3:
+            small = True
+        else:
+            small = abs(D) * tol_den < tol_num * abs(B * B_last)
+        gap, B_gap = D, B_last
+        A_last, B_last, last_bits = A, B, B_bits
         if small and small_prev:
             converged = True
             break
         small_prev = small
     else:
         finite = n < max_terms
+    gap_num, gap_den = abs(gap), abs(B_last * B_gap)
     with mpmath.workprec(precision_bits + _FLOAT_GUARD_BITS):
         value = _mpf_of(Fraction(A_last, B_last))
         if finite:

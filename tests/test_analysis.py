@@ -174,6 +174,14 @@ def test_growth_validation():
     bad = CFSpec(b0=F(0), tail=("1", "n-100"))
     with pytest.raises(HypothesisViolation):
         growth_diagnostics(bad, 10)
+    for bits in (0, -5):
+        with pytest.raises(ValueError):
+            growth_diagnostics(CFSpec(2, tail=("n+1", "n+1")), 10, precision_bits=bits)
+    # a_1 = -1/-2 = 1/2 (a negative denominator) fails before the pole at n = 3
+    with pytest.raises(HypothesisViolation, match="term 1 has a = 1/2"):
+        growth_diagnostics(CFSpec(b0=F(1), tail=("n/(3-n)", "2")), 10)
+    # a_n = (2n-40)/(n-30) >= 1 for n <= 10, over a negative denominator
+    assert growth_diagnostics(CFSpec(b0=F(1), tail=("(2n-40)/(n-30)", "2")), 10).kind == "GoldenRatio"
 
 
 def test_verify_limit_pass():

@@ -1,5 +1,6 @@
 """Unit tests for the continued fraction model and evaluator."""
 
+import itertools
 import json
 import math
 import random
@@ -7,13 +8,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycf.cf import (
+    _FLOAT_GUARD_BITS,
     UNDEFINED,
     CFSpec,
     CFTail,
+    _recurrence,
+    _scaled_terms,
     approximants,
     cf_from_json,
     cf_to_json,
@@ -224,6 +228,135 @@ def test_float_kernel_keeps_precision_far_from_one():
     # limit about 10^-40: every A_n is about 133 bits shorter than its B_n
     cf = CFSpec(b0=F(0), prefix=((F(1), F(10**40)),), tail=CFTail("4n^2-4n+1", "2", 1))
     assert _float_matches_last_convergent(cf, 2000)
+
+
+_small = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(3, 2)])
+_coeff = st.integers(-3, 3) | st.integers(-(2**80), 2**80)
+_wide_poly = st.lists(_coeff, min_size=1, max_size=3).filter(any).map(IntPolynomial)
+_wide_ratfn = st.builds(RationalFunction, _wide_poly, _wide_poly)
+# small prefix terms with b_n = 0 and b_1 b_2 = -a_2 often enough that
+# B_n = 0 steps occur; tails with 80-bit coefficients put shifts in every term
+_gap_cf = st.builds(
+    CFSpec,
+    _rational,
+    st.lists(st.tuples(_small, _small | st.just(F(0))), max_size=6).map(tuple),
+    st.builds(CFTail, _ratfn | _wide_ratfn, _ratfn | _wide_ratfn, st.integers(-2, 3)) | st.none(),
+)
+_bits = st.sampled_from([1, 2, 5, 16, 64, 128])
+
+
+def _kernel(cf, budget, gaps=True):
+    return _recurrence(cf.b0, _scaled_terms(cf), budget, gaps)
+
+
+def _reference_evaluate(cf, tol, max_terms, precision_bits, backend):
+    """evaluate's stop rule with the gaps formed directly from the kernel's
+    pairs, as products; returns the LimitEstimate fields and every gap."""
+    budget = precision_bits + _FLOAT_GUARD_BITS + max_terms.bit_length()
+    budget = budget if backend == "float" else None
+    A_last, B_last = cf.b0.numerator, cf.b0.denominator
+    gap_num, gap_den, gaps = 0, 0, []
+    small_prev = converged = finite = False
+    n = 0
+    for n, (A, B, _, _) in enumerate(itertools.islice(_kernel(cf, budget, False), max_terms), 1):
+        if B == 0:
+            continue
+        gap_num = abs(A * B_last - A_last * B)
+        gap_den = abs(B * B_last)
+        gaps.append(F(gap_num, gap_den))
+        A_last, B_last = A, B
+        small = gap_num * tol.denominator < tol.numerator * gap_den
+        if small and small_prev:
+            converged = True
+            break
+        small_prev = small
+    else:
+        finite = n < max_terms
+    with mpmath.workprec(precision_bits + _FLOAT_GUARD_BITS):
+        q = F(A_last, B_last)
+        value = mpmath.mpf(q.numerator) / q.denominator
+        if finite:
+            converged, error = True, mpmath.mpf(0)
+        elif gap_den == 0:
+            error = mpmath.inf
+        else:
+            q = F(gap_num, gap_den)
+            error = mpmath.mpf(q.numerator) / q.denominator
+    with mpmath.workprec(precision_bits):
+        fields = ((+value)._mpf_, (+error)._mpf_, n, converged)
+    return fields, gaps
+
+
+def _fields(est):
+    return est.value._mpf_, est.error_bound._mpf_, est.terms_used, est.converged
+
+
+# steps the bit-length screen leaves to the exact comparison, found by a
+# random search: deciding small at L = R - 2, or not small at L = R + 1,
+# changes terms_used
+_SCREEN_EDGES = [
+    dict(
+        cf=CFSpec(F(-2), ((F(-2), F(2)), (F(1), F(1, 2))), CFTail("(n^2-1)/3", "2", 2)),
+        tol=F(1, 1000),
+        max_terms=27,
+    ),
+    dict(
+        cf=CFSpec(
+            F(4),
+            ((F(1, 2), F(0)), (F(-2), F(1, 2))),
+            CFTail(
+                RationalFunction(IntPolynomial([-2, -3]), 2),
+                RationalFunction(-3, IntPolynomial([1, 3])),
+                3,
+            ),
+        ),
+        tol=F(31, 10),
+        max_terms=16,
+    ),
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example(**_SCREEN_EDGES[0], bits=5, backend="exact", pick=None)
+@example(**_SCREEN_EDGES[0], bits=5, backend="float", pick=None)
+@example(**_SCREEN_EDGES[1], bits=5, backend="exact", pick=None)
+@given(
+    cf=_gap_cf,
+    tol=st.fractions(min_value=F(1, 10**30), max_value=1),
+    max_terms=st.integers(2, 40),
+    bits=_bits,
+    backend=st.sampled_from(["exact", "float"]),
+    pick=st.none() | st.tuples(st.integers(0, 40), st.sampled_from([-1, 0, 1])),
+)
+def test_evaluate_stop_rule_matches_direct_products(cf, tol, max_terms, bits, backend, pick):
+    try:
+        want, gaps = _reference_evaluate(cf, tol, max_terms, bits, backend)
+    except PolycfError as exc:
+        with pytest.raises(type(exc)) as got:
+            evaluate(cf, tol, max_terms, bits, backend)
+        assert got.value.args == exc.args
+        return
+    assert _fields(evaluate(cf, tol, max_terms, bits, backend)) == want
+    if pick is not None and any(gaps):
+        # a tol at a gap or just beside it: the bit-length screen cannot
+        # decide that step, and at equality the strict comparison does
+        nonzero = [g for g in gaps if g]
+        i, side = pick
+        tol = nonzero[i % len(nonzero)] * (1 + F(side, 2**40))
+        want, _ = _reference_evaluate(cf, tol, max_terms, bits, backend)
+        assert _fields(evaluate(cf, tol, max_terms, bits, backend)) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cf=_gap_cf, N=st.integers(1, 40), budget=st.none() | st.integers(1, 100))
+def test_kernel_gap_is_the_determinant_of_consecutive_pairs(cf, N, budget):
+    A_l, B_l = cf.b0.numerator, cf.b0.denominator
+    try:
+        for A, B, _, D in itertools.islice(_kernel(cf, budget), N):
+            assert D == A * B_l - A_l * B
+            A_l, B_l = A, B
+    except PolycfError:
+        pass
 
 
 def _stop_rule(cf, tol, max_terms):
