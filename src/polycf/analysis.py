@@ -1,20 +1,27 @@
 """Irrationality certification, denominator growth diagnostics, independent
 reference constants, and limit verification reports.
 
-The reference constants are computed from scratch in integer fixed point
-(series with explicit truncation bounds, integer Newton roots); none of them
-go through a continued fraction, so verifying a CF against them is a genuine
-cross-check.
+The reference constants are computed from scratch in integer fixed point;
+none of them go through a continued fraction, so verifying a CF against them
+is a genuine cross-check.  Each series stops where its remainder falls below
+the fixed-point unit or the bound stated beside it:
+
+- pi: the Chudnovsky series (1988) summed by binary splitting, each term at
+  most 2^-45 times the one before, with sqrt(10005) from ``math.isqrt``;
+- zeta(k): P. Borwein's alternating series (1991) with Chebyshev weights,
+  whose error after n terms is below 3 (3+sqrt 8)^-n / (1 - 2^(1-k));
+- e: sum 1/j! until the term is below the unit;
+- sin(pi/m)/(pi/m): its alternating Taylor series until the term is below
+  the unit;
+- algebraic roots: integer Newton iteration.
+
+Values are memoised in process, keyed by the constant and the working shift.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import os
-import tempfile
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -203,79 +210,30 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
 # ---------------------------------------------------------------------------
 # fixed-point reference constants
 
-_B2I = [
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-]
-_B16_ABS = Fraction(3617, 510)
-
-_cache_lock = threading.Lock()
-_memory_cache = {}
-_file_cache = None
+_memo = {}
 
 
-def _cache_path():
-    override = os.environ.get("POLYCF_CONSTANT_CACHE")
-    if override:
-        return override
-    return os.path.join(os.path.expanduser("~"), ".cache", "polycf", "constants.json")
-
-
-def _load_file_cache():
-    global _file_cache
-    if _file_cache is None:
-        data = {}
-        try:
-            with open(_cache_path(), "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            if isinstance(raw, dict):
-                data = {k: v for k, v in raw.items() if isinstance(v, str)}
-        except (OSError, ValueError):
-            data = {}
-        _file_cache = data
-    return _file_cache
-
-
-def _store_file_cache():
-    path = _cache_path()
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(_file_cache, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError:
-        pass
-
-
-def _frac_fp(fr, shift):
-    return (fr.numerator << shift) // fr.denominator
-
-
-def _fp_atan_inv(x, shift):
-    # arctan(1/x) by the alternating power series, truncated at zero terms
-    one = 1 << shift
-    total = 0
-    power = x
-    x2 = x * x
-    j = 0
-    while True:
-        t = one // (power * (2 * j + 1))
-        if t == 0:
-            break
-        total += -t if j % 2 else t
-        power *= x2
-        j += 1
-    return total
+def _chudnovsky(a, b):
+    # binary splitting of the Chudnovsky terms a..b-1: (P, Q, T)
+    if b == a + 1:
+        if a == 0:
+            return 1, 1, 13591409
+        p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+        q = a * a * a * 10939058860032000  # a^3 640320^3 / 24
+        t = p * (13591409 + 545140134 * a)
+        return p, q, -t if a % 2 else t
+    m = (a + b) // 2
+    p1, q1, t1 = _chudnovsky(a, m)
+    p2, q2, t2 = _chudnovsky(m, b)
+    return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
 
 
 def _fp_pi(shift):
-    return 16 * _fp_atan_inv(5, shift) - 4 * _fp_atan_inv(239, shift)
+    # pi = 426880 sqrt(10005) Q / T; the series alternates and each term is
+    # below 2^-45 times the one before (the ratio tends to 2^-47.1), so n
+    # terms leave a relative error below 2^-45n
+    _, q, t = _chudnovsky(0, shift // 45 + 2)
+    return 426880 * math.isqrt(10005 << (2 * shift)) * q // t
 
 
 def _fp_e(shift):
@@ -291,25 +249,21 @@ def _fp_e(shift):
 
 
 def _fp_zeta(k, shift):
-    # partial sum to M-1 plus tail corrections; remainder below 2^-(shift+4)
-    target = Fraction(1, 1 << (shift + 4))
-    prod = 1
-    for t in range(15):
-        prod *= k + t
-    M = 16
-    while _B16_ABS * prod / (math.factorial(16) * Fraction(M) ** (k + 15)) >= target:
-        M *= 2
-    one = 1 << shift
-    total = sum(one // j ** k for j in range(1, M))
-    total += _frac_fp(Fraction(1, (k - 1) * M ** (k - 1)), shift)
-    total += _frac_fp(Fraction(1, 2 * M ** k), shift)
-    for i, b2i in enumerate(_B2I, 1):
-        prod_i = 1
-        for t in range(2 * i - 1):
-            prod_i *= k + t
-        term = b2i * prod_i / (math.factorial(2 * i) * Fraction(M) ** (k + 2 * i - 1))
-        total += _frac_fp(term, shift)
-    return total
+    # Borwein: zeta(k) = 1/(d_n (1 - 2^(1-k))) sum_{j<n} (-1)^j (d_n - d_j)/(j+1)^k
+    # with d_j = sum_{i<=j} t_i, t_i = n (n+i-1)! 4^i / ((n-i)! (2i)!), up to an
+    # error below 3 (3+sqrt 8)^-n / (1 - 2^(1-k)); n makes that <= 2^-(shift+4)
+    n = math.ceil((shift + 4 + math.log2(3 / (1 - 2.0 ** (1 - k)))) / math.log2(3 + math.sqrt(8)))
+    d = [1]
+    t = 1
+    for i in range(1, n + 1):
+        t = t * 4 * (n + i - 1) * (n - i + 1) // ((2 * i) * (2 * i - 1))
+        d.append(d[-1] + t)
+    d_n = d[n]
+    total = 0
+    for j in range(n):
+        term = ((d_n - d[j]) << shift) // (j + 1) ** k
+        total += -term if j % 2 else term
+    return (total << (k - 1)) // (d_n * ((1 << (k - 1)) - 1))
 
 
 def _int_nth_root(x, s):
@@ -374,15 +328,11 @@ def _mantissa(constant, shift):
     raise UnsupportedConstant(name)
 
 
-def _constant_key(constant, shift):
-    return f"{constant.describe()}@{shift}"
-
-
 def reference_constant(constant, precision_bits):
     """High-precision value of a named constant, relative error < 2^(4-bits).
 
-    Values are cached in memory and, best effort, in a small JSON file
-    (location overridable via POLYCF_CONSTANT_CACHE).
+    Values are kept in an in-process memo keyed by the constant and the
+    working shift.
     """
     if isinstance(constant, LimitClaim):
         if constant.kind == "exact":
@@ -392,25 +342,10 @@ def reference_constant(constant, precision_bits):
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
     shift = precision_bits + _GUARD_BITS
-    key = _constant_key(constant, shift)
-    with _cache_lock:
-        mant = _memory_cache.get(key)
-        if mant is None:
-            file_cache = _load_file_cache()
-            raw = file_cache.get(key)
-            if raw is not None:
-                try:
-                    mant = int(raw, 10)
-                except ValueError:
-                    mant = None
-            if mant is not None:
-                _memory_cache[key] = mant
+    key = (constant.describe(), shift)
+    mant = _memo.get(key)
     if mant is None:
-        mant = _mantissa(constant, shift)
-        with _cache_lock:
-            _memory_cache[key] = mant
-            _load_file_cache()[key] = str(mant)
-            _store_file_cache()
+        mant = _memo[key] = _mantissa(constant, shift)
     with mpmath.workprec(precision_bits):
         return mpmath.mpf(mant) / (1 << shift)
 

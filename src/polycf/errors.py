@@ -6,11 +6,11 @@ class PolycfError(Exception):
 
 
 class _IndexedError(PolycfError):
-    """Error tied to a specific term index."""
+    """Error tied to a specific term index; subclasses set ``message``."""
 
-    def __init__(self, index, message):
+    def __init__(self, index):
         self.index = index
-        super().__init__(f"{message} (index {index})")
+        super().__init__(f"{self.message} (index {index})")
 
 
 class PoleAtArgument(PolycfError):
@@ -28,71 +28,61 @@ class ZeroFunction(PolycfError):
 class NoSuchTerm(_IndexedError):
     """Requested a term past the prefix of a CF that has no tail."""
 
-    def __init__(self, index):
-        super().__init__(index, "no such term: past prefix and no tail")
+    message = "no such term: past prefix and no tail"
 
 
 class ZeroPartialNumerator(_IndexedError):
     """A realized partial numerator a_n is zero."""
 
-    def __init__(self, index):
-        super().__init__(index, "partial numerator is zero")
+    message = "partial numerator is zero"
 
 
 class ZeroScaleFactor(_IndexedError):
     """A similarity scale factor r_n is zero."""
 
-    def __init__(self, index):
-        super().__init__(index, "scale factor is zero")
+    message = "scale factor is zero"
 
 
 class RepeatedValue(_IndexedError):
     """Two consecutive sequence values coincide, so no CF term exists."""
 
-    def __init__(self, index):
-        super().__init__(index, "consecutive sequence values are equal")
+    message = "consecutive sequence values are equal"
 
 
 class ZeroTerm(_IndexedError):
     """A series term or product factor that must be nonzero is zero."""
 
-    def __init__(self, index):
-        super().__init__(index, "term is zero")
+    message = "term is zero"
 
 
 class UnitTerm(_IndexedError):
     """A product factor equals 1, which the transform cannot represent."""
 
-    def __init__(self, index):
-        super().__init__(index, "product factor equals 1")
+    message = "product factor equals 1"
 
 
 class DegenerateTerm(_IndexedError):
     """A perturbed term combination vanishes, so no CF term exists."""
 
-    def __init__(self, index):
-        super().__init__(index, "perturbed term combination vanishes")
+    message = "perturbed term combination vanishes"
 
 
 class ZeroEvenDenominator(_IndexedError):
     """b_{2k} = 0, so the even contraction does not exist."""
 
-    def __init__(self, index):
-        super().__init__(index, "even-indexed partial denominator is zero")
+    message = "even-indexed partial denominator is zero"
 
 
 class ZeroOddDenominator(_IndexedError):
     """b_{2k+1} = 0, so the odd contraction does not exist."""
 
-    def __init__(self, index):
-        super().__init__(index, "odd-indexed partial denominator is zero")
+    message = "odd-indexed partial denominator is zero"
 
 
 class TransformDoesNotExist(_IndexedError):
     """The Bauer-Muir existence quantity a_n - w_{n-1}(b_n + w_n) vanishes."""
 
-    def __init__(self, index):
-        super().__init__(index, "Bauer-Muir existence condition fails")
+    message = "Bauer-Muir existence condition fails"
 
 
 class NonzeroW0(PolycfError):
@@ -106,8 +96,7 @@ class NonzeroW0(PolycfError):
 class ZeroW(_IndexedError):
     """The extension requires w_n != 0 for n >= 1."""
 
-    def __init__(self, index):
-        super().__init__(index, "w_n must be nonzero for n >= 1")
+    message = "w_n must be nonzero for n >= 1"
 
 
 class HypothesisViolation(PolycfError):
@@ -125,8 +114,7 @@ class HypothesisViolation(PolycfError):
 class NonIntegerTerms(_IndexedError):
     """Irrationality certification needs integer terms."""
 
-    def __init__(self, index):
-        super().__init__(index, "term is not an integer")
+    message = "term is not an integer"
 
 
 class EmptyRange(PolycfError):

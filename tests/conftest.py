@@ -1,21 +1,7 @@
 """Shared acceptance reporting: every acceptance criterion records exactly
-one PASS/FAIL line, echoed in the terminal summary of the run.
-
-Every test also runs with POLYCF_CONSTANT_CACHE pointing at a file of its
-session's own, so the oracle cache in the user's home is never read or
-written."""
-
-import pytest
+one PASS/FAIL line, echoed in the terminal summary of the run."""
 
 ACCEPTANCE_RESULTS = []
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _hermetic_constant_cache(tmp_path_factory):
-    path = tmp_path_factory.mktemp("oracle") / "constants.json"
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("POLYCF_CONSTANT_CACHE", str(path))
-        yield path
 
 
 def record_criterion(name, ok, detail=""):

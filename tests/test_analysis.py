@@ -2,7 +2,6 @@
 limit verification against the independent constant oracles."""
 
 import json
-import os
 import time
 from fractions import Fraction
 
@@ -26,33 +25,47 @@ E_CF = CFSpec(b0=F(2), tail=("n+1", "n+1"))
 ONES_CF = CFSpec(b0=F(1), tail=("1", "1"))
 
 
-def test_oracles_against_mpmath():
-    # cross-check the fixed-point oracles against an unrelated implementation
-    with mpmath.workprec(200):
-        targets = [
-            (NamedConstant("PiOver4"), mpmath.pi / 4),
-            (NamedConstant("E"), mpmath.e),
-            (NamedConstant("BrounckerPi"), 4 / mpmath.pi),
-            (NamedConstant("Zeta", {"k": 2}), mpmath.zeta(2)),
-            (NamedConstant("Zeta", {"k": 3}), mpmath.zeta(3)),
-            (NamedConstant("Zeta", {"k": 11}), mpmath.zeta(11)),
-            (
-                NamedConstant("Root", {"p": 12, "q": 7, "r": 1, "s": 5}),
-                (mpmath.mpf(12) / 7) ** (mpmath.mpf(1) / 5),
-            ),
-            (
-                NamedConstant("SineProduct", {"m": 3}),
-                mpmath.sin(mpmath.pi / 3) / (mpmath.pi / 3),
-            ),
-        ]
-        for constant, want in targets:
-            got = reference_constant(constant, 160)
-            assert abs(mpmath.mpf(got) - want) / abs(want) < mpmath.mpf(2) ** -150
+ORACLE_TARGETS = {
+    "PiOver4": (NamedConstant("PiOver4"), lambda: mpmath.pi / 4),
+    "E": (NamedConstant("E"), lambda: mpmath.e),
+    "BrounckerPi": (NamedConstant("BrounckerPi"), lambda: 4 / mpmath.pi),
+    "Zeta2": (NamedConstant("Zeta", {"k": 2}), lambda: mpmath.zeta(2)),
+    "Zeta3": (NamedConstant("Zeta", {"k": 3}), lambda: mpmath.zeta(3)),
+    "Zeta11": (NamedConstant("Zeta", {"k": 11}), lambda: mpmath.zeta(11)),
+    "Root": (
+        NamedConstant("Root", {"p": 12, "q": 7, "r": 1, "s": 5}),
+        lambda: (mpmath.mpf(12) / 7) ** (mpmath.mpf(1) / 5),
+    ),
+    "SineProduct": (
+        NamedConstant("SineProduct", {"m": 3}),
+        lambda: mpmath.sin(mpmath.pi / 3) / (mpmath.pi / 3),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "bits, names",
+    [
+        (160, sorted(ORACLE_TARGETS)),
+        (1024, ["Zeta3", "Zeta11"]),
+        (4096, ["PiOver4", "BrounckerPi", "SineProduct"]),
+    ],
+    ids=["160", "1024", "4096"],
+)
+def test_oracles_against_mpmath(bits, names):
+    # cross-check the fixed-point oracles against an unrelated implementation,
+    # within the documented relative error 2^(4 - bits)
+    for name in names:
+        constant, target = ORACLE_TARGETS[name]
+        got = reference_constant(constant, bits)
+        with mpmath.workprec(bits + 40):
+            want = target()
+            assert abs(mpmath.mpf(got) - want) / abs(want) < mpmath.mpf(2) ** (4 - bits), name
 
 
 def test_reference_constant_precision_consistency():
     # the higher-precision value must round to the lower-precision one
-    for constant in (NamedConstant("E"), NamedConstant("Zeta", {"k": 2})):
+    for constant in (NamedConstant("E"), NamedConstant("Zeta", {"k": 2}), NamedConstant("PiOver4")):
         hi = reference_constant(constant, 128)
         lo = reference_constant(constant, 64)
         with mpmath.workprec(64):
@@ -75,29 +88,6 @@ def test_reference_constant_validation():
         reference_constant(NamedConstant("Mystery"), 128)
     with pytest.raises(UnsupportedConstant):
         reference_constant(NamedConstant("Root", {"p": -1, "q": 2, "r": 1, "s": 2}), 128)
-
-
-def test_constant_cache_round_trip(tmp_path, monkeypatch):
-    path = tmp_path / "constants.json"
-    monkeypatch.setenv("POLYCF_CONSTANT_CACHE", str(path))
-    import polycf.analysis as analysis
-
-    with analysis._cache_lock:
-        analysis._memory_cache.clear()
-        analysis._file_cache = None
-    first = reference_constant(NamedConstant("E"), 64)
-    assert path.exists()
-    data = json.loads(path.read_text())
-    assert any(key.startswith("E@") for key in data)
-    with analysis._cache_lock:
-        analysis._memory_cache.clear()
-        analysis._file_cache = None
-    second = reference_constant(NamedConstant("E"), 64)
-    assert first == second
-    monkeypatch.delenv("POLYCF_CONSTANT_CACHE")
-    with analysis._cache_lock:
-        analysis._memory_cache.clear()
-        analysis._file_cache = None
 
 
 def test_tietze_e_cf_certified():
