@@ -65,7 +65,11 @@ def test_oracles_against_mpmath(bits, names):
 
 def test_reference_constant_precision_consistency():
     # the higher-precision value must round to the lower-precision one
-    for constant in (NamedConstant("E"), NamedConstant("Zeta", {"k": 2}), NamedConstant("PiOver4")):
+    for constant in (
+        NamedConstant("E"),
+        NamedConstant("Zeta", {"k": 2}),
+        NamedConstant("PiOver4"),
+    ):
         hi = reference_constant(constant, 128)
         lo = reference_constant(constant, 64)
         with mpmath.workprec(64):
