@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedConstant,
 )
 from .families import LimitClaim
-from .poly import _scan_bound, leading_coefficient
+from .poly import _floor_nth_root, _scan_bound, leading_coefficient
 
 _GUARD_BITS = 32
 
@@ -266,26 +266,13 @@ def _fp_zeta(k, shift):
     return (total << (k - 1)) // (d_n * ((1 << (k - 1)) - 1))
 
 
-def _int_nth_root(x, s):
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0:
-        return 0
-    guess = 1 << (x.bit_length() // s + 1)
-    while True:
-        nxt = ((s - 1) * guess + x // guess ** (s - 1)) // s
-        if nxt >= guess:
-            return guess
-        guess = nxt
-
-
 def _fp_root(p, q, r, s, shift):
     if p <= 0 or q <= 0 or s < 1:
         raise UnsupportedConstant(f"Root({p},{q},{r},{s})")
     if r < 0:
         p, q, r = q, p, -r
     radicand = p ** r * (1 << (s * shift)) // q ** r
-    return _int_nth_root(radicand, s)
+    return _floor_nth_root(radicand, s)
 
 
 def _fp_sine_product(m, shift):

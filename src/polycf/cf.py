@@ -527,27 +527,31 @@ def integer_tail_form(cf):
     """Tail version of to_integer_cf: the same approximants from integer
     prefix terms and a polynomial tail, for a CF with a rational tail.
 
-    The tail is scaled by r(x) = kappa den_b(x) E(x) / G(x).  With
+    The tail is scaled by r(x) = kappa den_b(x) E(x) / (F(x-1) G(x)).  With
     P = den_b(x) den_b(x-1) a(x), E is the primitive part of P's denominator
-    (1 when P is a polynomial), G the factor of num_b with G(x) G(x-1)
-    dividing P's numerator, and kappa the least positive integer that makes
-    r(x) r(x-1) a(x) integral.  Prefix term n < m is scaled as in
-    to_integer_cf, by lcm(den(r_{n-1} a_n), den b_n), and the last one by
-    r at its argument, so that the tail's closed form holds from its first
-    term; r_{m-1} is also multiplied by den(r(m) r_{m-1} a_m), which keeps
-    term m-1 integral and makes a'_m so.  Where r is zero or infinite at
-    that argument, b'_m or (with m = 1) a'_m is still fractional, or there
-    is no prefix, tail terms move into the prefix until none of these holds.
-    Past it, a zero or pole of r marks a zero numerator or a pole of the
-    input's tail.
+    (1 when P is a polynomial), F the factor of E with F(x) F(x-1) dividing
+    E, G the factor of num_b with G(x) G(x-1) dividing P's numerator, and
+    kappa the least positive integer that makes r(x) r(x-1) a(x) integral.
+    Prefix term n < m is scaled as in to_integer_cf, by
+    lcm(den(r_{n-1} a_n), den b_n), and the last one by r at its argument,
+    so that the tail's closed form holds from its first term; r_{m-1} is
+    also multiplied by den(r(m) r_{m-1} a_m), which keeps term m-1 integral
+    and makes a'_m so.  Where r is zero or infinite at that argument, b'_m
+    or (with m = 1) a'_m is still fractional, or there is no prefix, tail
+    terms move into the prefix until none of these holds.  Past it, a zero
+    or pole of r marks a zero numerator or a pole of the input's tail.
     """
     a, b = cf.tail.a, cf.tail.b
     P = RationalFunction(a.num * b.den * b.den.shift(-1), a.den)
     G = _poly_gcd(b.num, P.num)
     G = _poly_gcd(G, _poly_gcd(_exact_div(P.num, G), G.shift(-1)).shift(1))
-    # P's denominator is c E; r(x) r(x-1) a(x) = kappa^2 Q(x) / c
+    # P's denominator is c E with F(x) F(x-1) dividing E; after E <- E/F(x-1),
+    # r(x) r(x-1) a(x) = kappa^2 Q(x) / c
     c, E = P.den.content, P.den.primitive_part()
-    Q = _exact_div(P.num * E.shift(-1), G * G.shift(-1))
+    F = _poly_gcd(E, E.shift(1))
+    F = _poly_gcd(F, _poly_gcd(_exact_div(E, F), F.shift(-1)).shift(1))
+    E = _exact_div(E, F.shift(-1))
+    Q = _exact_div(P.num * _exact_div(E, F).shift(-1), G * G.shift(-1))
     kappa = _least_square_root_multiple(c // math.gcd(c, Q.content))
     scale = kappa * b.den * E
     stream, start = _iter_terms(cf), cf.tail.start_index

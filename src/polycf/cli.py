@@ -107,7 +107,7 @@ def _parse_w(raw):
         _fail(2, "InvalidInput", "this transform requires --w")
     if "n" in raw:
         return ratfn_from_string(raw)
-    return [Fraction(part) for part in raw.split(",")]
+    return [json_value(part, "--w", "rational") for part in raw.split(",")]
 
 
 def _member_json(member):
@@ -124,7 +124,8 @@ def _member_json(member):
 
 def _cmd_eval(args, params):
     cf = _resolve_cf(args, params)
-    est = evaluate(cf, Fraction(args.tol), args.terms, args.precision_bits)
+    tol = json_value(args.tol, "--tol", "rational")
+    est = evaluate(cf, tol, args.terms, args.precision_bits)
     _emit(
         {
             "value": analysis._fmt(est.value, args.precision_bits),
@@ -228,7 +229,7 @@ def _cmd_verify(args, params):
         member,
         args.terms,
         args.precision_bits,
-        Fraction(args.tol),
+        json_value(args.tol, "--tol", "rational"),
         preset=args.preset,
         params=params,
     )

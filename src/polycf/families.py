@@ -17,6 +17,13 @@ u = a w - w(n-1) and rho = a(n-1)); family_e_bauer_muir is Bauer-Muir
 (transforms.bauer_muir_tail) on the e preset.  Presets ex3.3, ex3.4, ex3.5,
 ex4.2 and ex5.6 are members of these five.  A g_nonzero hypothesis says
 that u(n) has no integer root n >= 1, so no tail numerator vanishes.
+
+Every Pincherle member is pincherle_family(H, b), followed by the integer
+form where the tail is not already integral: family_rational_limit (ex1.1),
+pincherle_poly_family (ex2.4, H = f/g and b = c/d) and ex2.2 (H = n + 2).
+Only ex2.5 keeps a hand-typed form: its H(n) = c(0) c(1) ... c(n-1) is a
+product of n factors, not a rational function of n, so pincherle_family
+cannot express it.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .poly import (
     eventually_nonnegative,
     eventually_positive,
     has_integer_root_at_or_after,
+    json_value,
     leading_coefficient,
 )
 from .transforms import bauer_muir_tail, bernoulli_from_sequence, euler_tail
@@ -149,41 +157,13 @@ def pincherle_family(H, b):
 
 
 def pincherle_poly_family(f, g, c, d):
-    """Polynomial form of the same construction, with H = f/g and b = c/d.
+    """Polynomial form of the same construction, with H = f/g and b = c/d:
+    pincherle_family followed by the integer form.
 
     The limit f(0) g(-1) / (g(0) f(-1)) is independent of c and d.
     """
-    f = _as_ratfn(f)
-    g = _as_ratfn(g)
-    c = _as_ratfn(c)
-    d = _as_ratfn(d)
-    try:
-        denom = g(0) * f(-1)
-        numer = f(0) * g(-1)
-    except PoleAtArgument as e:
-        raise HypothesisViolation(
-            "limit_defined", f"f or g has a pole at n = {e.argument}"
-        )
-    if denom == 0:
-        raise HypothesisViolation("limit_defined", "g(0) f(-1) must be nonzero")
-    prefix = (
-        (
-            g(-1) * (d(1) * f(1) * g(0) + c(1) * f(0) * g(1)),
-            c(1) * f(-1) * g(0) * g(1),
-        ),
-        (
-            d(1) * f(-1) * g(0) ** 2 * (d(2) * f(2) * g(1) + c(2) * f(1) * g(2)),
-            c(2) * f(0) * g(2),
-        ),
-    )
-    tail_a = (
-        d.shift(-1)
-        * f.shift(-3)
-        * g.shift(-2)
-        * (d * f * g.shift(-1) + c * f.shift(-1) * g)
-    )
-    tail_b = c * f.shift(-2) * g
-    cf = CFSpec(Fraction(0), prefix, CFTail(tail_a, tail_b, 3))
+    f, g, c, d = (_as_ratfn(v) for v in (f, g, c, d))
+    member = pincherle_family(f / g, c / d)
     hyps = (
         _hyp(
             "fg_positive",
@@ -202,7 +182,7 @@ def pincherle_poly_family(f, g, c, d):
             "coefficient in c",
         ),
     )
-    return FamilyMember(cf, LimitClaim.exact(numer / denom), hyps)
+    return FamilyMember(integer_tail_form(member.cf), member.limit, hyps)
 
 
 def _value_at_zero(f, name):
@@ -384,16 +364,17 @@ def family_e_bauer_muir(A):
 def family_rational_limit(f, m):
     """Two-parameter family of degree-3 CFs converging to 6m + 1.
 
-    Any f with f(n) >= 1 and any integer m >= 1 give the same shape:
-    a_n = f(n)(n(n+1)(n+2)m + 1) + 2m n^2 + 6m n + 4m - 1 and
-    b_n = f(n)(n(n-1)(n+1)m + 1) + 2(n^2-1)m - 2.
+    pincherle_family with H = m(n+1)(n+2)(n+3) + 1, whose H(0)/H(-1) is
+    6m + 1, and b_n = f(n)(n(n-1)(n+1)m + 1) + 2(n^2-1)m - 2, for any f with
+    f(n) >= 1 and any integer m >= 1.  Then
+    a_n = f(n)(n(n+1)(n+2)m + 1) + 2m n^2 + 6m n + 4m - 1.
     """
     f = _as_ratfn(f)
     if not isinstance(m, int):
         raise ValueError("m must be an integer")
-    tail_a = f * (m * _N * (_N + 1) * (_N + 2) + 1) + 2 * m * _N * (_N + 3) + 4 * m - 1
-    tail_b = f * (m * (_N - 1) * _N * (_N + 1) + 1) + 2 * m * (_N**2 - 1) - 2
-    cf = CFSpec(Fraction(0), (), CFTail(tail_a, tail_b, 1))
+    H = m * (_N + 1) * (_N + 2) * (_N + 3) + 1
+    b = f * (m * (_N - 1) * _N * (_N + 1) + 1) + 2 * m * (_N**2 - 1) - 2
+    member = pincherle_family(H, b)
     hyps = (
         _hyp(
             "f_at_least_one",
@@ -402,7 +383,7 @@ def family_rational_limit(f, m):
         ),
         _hyp("m_positive", lambda: m >= 1, "m >= 1"),
     )
-    return FamilyMember(cf, LimitClaim.exact(6 * m + 1), hyps)
+    return FamilyMember(member.cf, member.limit, hyps)
 
 
 def ramanujan_entry13(a, b, d):
@@ -444,10 +425,7 @@ def ramanujan_entry13(a, b, d):
 
 def _preset_ex22(params):
     b = params["b"]
-    t1 = (3 + 2 * b(1), b(1))
-    tail_a = (_N - 1) * (_N + 2 + (_N + 1) * b)
-    tail_b = _N * b
-    cf = CFSpec(Fraction(0), (t1,), CFTail(tail_a, tail_b, 2))
+    member = pincherle_family(_N + 2, b)
     hyps = (
         _hyp(
             "b_at_least_2",
@@ -455,7 +433,7 @@ def _preset_ex22(params):
             "b(n) >= 2 for n >= 1",
         ),
     )
-    return FamilyMember(cf, LimitClaim.exact(2), hyps)
+    return FamilyMember(integer_tail_form(member.cf), member.limit, hyps)
 
 
 def _preset_ex25(params):
@@ -509,11 +487,13 @@ PRESET_PARAMS = {
 }
 
 
-_COERCE = {
-    "int": lambda v: v if isinstance(v, int) else int(str(v), 10),
-    "rational": _as_fraction,
-    "ratfn": _as_ratfn,
-}
+def _coerce(kind, value, name):
+    """One preset parameter; malformed input raises ValueError naming it."""
+    if kind == "ratfn":
+        return _as_ratfn(value)
+    if kind == "rational" and isinstance(value, Fraction):
+        return value
+    return json_value(value, name, kind)
 
 
 def preset_ids():
@@ -529,7 +509,7 @@ def build_preset(preset, params=None):
     resolved = {}
     for name, (kind, default) in spec.items():
         raw = given.pop(name, default)
-        resolved[name] = _COERCE[kind](raw)
+        resolved[name] = _coerce(kind, raw, name)
     if given:
         extra = ", ".join(sorted(given))
         raise ValueError(f"unknown parameters for {preset}: {extra}")

@@ -620,7 +620,8 @@ def poly_from_string(text):
 
 
 def ratfn_from_string(text):
-    """Parse "p" or "p/q" (either side optionally parenthesized)."""
+    """Parse "p" or "p/q" (either side optionally parenthesized); a zero q
+    raises ValueError."""
     s = text.replace(" ", "")
     depth = 0
     split_at = None
@@ -648,4 +649,6 @@ def ratfn_from_string(text):
         return RationalFunction(poly_from_string(strip_parens(s)))
     top = poly_from_string(strip_parens(s[:split_at]))
     bottom = poly_from_string(strip_parens(s[split_at + 1 :]))
+    if bottom.is_zero:
+        raise ValueError(f"zero denominator in {text!r}")
     return RationalFunction(top, bottom)

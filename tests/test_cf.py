@@ -3,7 +3,7 @@
 import itertools
 import json
 import math
-import random
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -489,24 +489,42 @@ def test_to_integer_cf_clears_denominators():
     assert approximants(out, 2).values() == approximants(cf, 2).values()
 
 
-def test_to_integer_cf_random_value_preservation():
-    rng = random.Random(11)
-    for _ in range(15):
-        prefix = tuple(
-            (
-                F(rng.randint(1, 8), rng.randint(1, 8)),
-                F(rng.randint(1, 8), rng.randint(1, 8)),
-            )
-            for _ in range(8)
-        )
-        cf = CFSpec(b0=F(rng.randint(0, 3)), prefix=prefix)
-        out = to_integer_cf(cf, 8)
-        assert approximants(out, 8).values() == approximants(cf, 8).values()
-        assert all(
-            term_at(out, n)[0].denominator == 1
-            and term_at(out, n)[1].denominator == 1
-            for n in range(1, 9)
-        )
+_fraction_1_to_8 = st.builds(F, st.integers(1, 8), st.integers(1, 8))
+# positive at every n >= 0
+_positive_poly = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
+    lambda cs: RationalFunction(IntPolynomial([cs[0] + 1] + cs[1:]))
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    b0=st.integers(0, 3),
+    prefix=st.lists(st.tuples(_fraction_1_to_8, _fraction_1_to_8),
+                    min_size=8, max_size=8),
+    seq=st.lists(st.builds(F, st.integers(-8, 8).filter(bool), st.integers(1, 8)),
+                 min_size=8, max_size=8),
+    k=st.integers(0, 8),
+    tail=st.builds(CFTail, st.builds(operator.truediv, _positive_poly, _positive_poly),
+                   _positive_poly, st.integers(0, 3)),
+    p=_positive_poly,
+    q=_positive_poly,
+)
+def test_integer_and_similarity_forms_preserve_values(b0, prefix, seq, k, tail, p, q):
+    cf = CFSpec(b0=F(b0), prefix=tuple(prefix))
+    want = approximants(cf, 8).values()
+    out = to_integer_cf(cf, 8)
+    assert approximants(out, 8).values() == want
+    assert all(
+        term_at(out, n)[0].denominator == 1 and term_at(out, n)[1].denominator == 1
+        for n in range(1, 9)
+    )
+    assert approximants(similarity_scale(cf, [F(1)] + seq), 8).values() == want
+    # r(0) = 1 and r(n) > 0 for n >= 1, so every scaled term exists
+    n = RationalFunction.variable()
+    r = (1 + n * (p - 1)) / (1 + n * (q - 1))
+    cf = CFSpec(F(b0), tuple(prefix[:k]), tail)
+    want = approximants(cf, 12).values()
+    assert approximants(similarity_scale(cf, r), 12).values() == want
 
 
 def test_tail_cf_drops_prefix():

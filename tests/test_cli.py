@@ -248,6 +248,13 @@ def test_malformed_input_exits_two(capsys, argv, path):
         ["convergents", "--preset", "e", "--terms", "-2"],
         ["transform", "--op", "even", "--preset", "e", "--terms", "-1"],
         ["transform", "--op", "odd", "--preset", "e", "--terms", "-1"],
+        ["eval", "--preset", "e", "--tol", "1/0"],
+        ["verify", "--preset", "e", "--tol", "1/0"],
+        ["transform", "--op", "bauer-muir", "--preset", "e", "--w", "1/0,1"],
+        ["transform", "--op", "extend", "--preset", "e", "--w", "0,1/0"],
+        ["eval", "--preset", "entry13", "--a", "1/0"],
+        ["eval", "--preset", "ex2.4", "--c", "1/0"],
+        ["eval", "--preset", "ex1.1", "--f", "n/0"],
     ],
 )
 def test_malformed_count_exits_two(capsys, argv):

@@ -5,10 +5,25 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polycf.analysis import tietze_check
-from polycf.cf import approximants, evaluate, term_at, to_integer_cf
-from polycf.errors import DegenerateTerm, HypothesisViolation, ZeroEvenDenominator
+from polycf.cf import (
+    CFSpec,
+    CFTail,
+    approximants,
+    evaluate,
+    integer_tail_form,
+    term_at,
+    to_integer_cf,
+)
+from polycf.errors import (
+    DegenerateTerm,
+    HypothesisViolation,
+    PolycfError,
+    ZeroEvenDenominator,
+)
 from polycf.families import (
     LimitClaim,
     NamedConstant,
@@ -25,7 +40,7 @@ from polycf.families import (
     preset_ids,
     ramanujan_entry13,
 )
-from polycf.poly import IntPolynomial, ratfn_from_string
+from polycf.poly import IntPolynomial, RationalFunction, degree, ratfn_from_string
 from polycf.transforms import bauer_muir, even_part, extension_bmoe, odd_part
 
 F = Fraction
@@ -80,6 +95,72 @@ def test_pincherle_poly_family_converges():
     assert m.verified
     assert m.limit.value == F(1, 2)
     assert abs(_value(m, 100) - 0.5) < 1e-9
+
+
+def _hand_pincherle_poly(f, g, c, d):
+    """Reference for pincherle_poly_family(f, g, c, d): its CF expanded by
+    hand into two prefix terms and a tail from n = 3, and its limit."""
+    denom = g(0) * f(-1)
+    if denom == 0:
+        raise HypothesisViolation("limit_defined", "g(0) f(-1) must be nonzero")
+    prefix = (
+        (
+            g(-1) * (d(1) * f(1) * g(0) + c(1) * f(0) * g(1)),
+            c(1) * f(-1) * g(0) * g(1),
+        ),
+        (
+            d(1) * f(-1) * g(0) ** 2 * (d(2) * f(2) * g(1) + c(2) * f(1) * g(2)),
+            c(2) * f(0) * g(2),
+        ),
+    )
+    tail_a = (
+        d.shift(-1)
+        * f.shift(-3)
+        * g.shift(-2)
+        * (d * f * g.shift(-1) + c * f.shift(-1) * g)
+    )
+    tail_b = c * f.shift(-2) * g
+    cf = CFSpec(F(0), prefix, CFTail(tail_a, tail_b, 3))
+    return cf, f(0) * g(-1) / denom
+
+
+def _term_bits(cf, n):
+    a, b = term_at(cf, n)
+    return max(x.bit_length() for v in (a, b) for x in (v.numerator, v.denominator))
+
+
+_small_poly = (
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+    .filter(any)
+    .map(lambda cs: RationalFunction(IntPolynomial(cs)))
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(f=_small_poly, g=_small_poly, c=_small_poly, d=_small_poly)
+def test_pincherle_poly_family_matches_hand_form(f, g, c, d):
+    try:
+        want_cf, want_limit = _hand_pincherle_poly(f, g, c, d)
+        want = approximants(want_cf, 25).values()
+    except PolycfError:
+        assume(False)
+    member = pincherle_poly_family(f, g, c, d)
+    assert member.limit.value == want_limit
+    assert approximants(member.cf, 25).values() == want
+    for n in range(1, 26):
+        assert _term_bits(member.cf, n) <= _term_bits(want_cf, n), n
+
+
+def test_integer_tail_form_drops_shifted_denominator_pair():
+    # H = f/g with non-constant g puts g(n) g(n-1) in the denominator of
+    # a(n) d(n) d(n-1); the integer form must keep only g(n), as the
+    # hand-expanded tail d(n-1) f(n-3) g(n-2) (...) and c f(n-2) g does
+    f, g, c = (ratfn_from_string(s) for s in ("n^2+1", "n+2", "n+2"))
+    cf = integer_tail_form(pincherle_family(f / g, c).cf)
+    hand, _ = _hand_pincherle_poly(f, g, c, RationalFunction(IntPolynomial((1,))))
+    assert degree(cf.tail.b) == degree(hand.tail.b) == 4
+    assert degree(cf.tail.a) == degree(hand.tail.a) == 7
+    assert approximants(cf, 25).values() == approximants(hand, 25).values()
 
 
 def test_family_pi_structure():
@@ -442,9 +523,12 @@ def test_family_approximants_pinned():
 
 
 # every parameter value the benchmark draws for the presets built by Euler,
-# product or Bauer-Muir constructions
+# product or Bauer-Muir constructions, and the Pincherle presets at their
+# reproduce-paper rows
 _CONSTRUCTED_PRESETS = (
-    [("ex3.3", {"A": str(a)}) for a in range(1, 6)]
+    [("ex1.1", {"f": f, "m": str(m)}) for f in ("1", "n", "n^2") for m in (1, 2, 3)]
+    + [("ex2.2", {}), ("ex2.4", {})]
+    + [("ex3.3", {"A": str(a)}) for a in range(1, 6)]
     + [("ex3.4", {"k": str(k), "A": str(a)}) for k in (2, 3) for a in (1, 2, 3)]
     + [("ex3.5", {"A": str(a)}) for a in (1, 2, 3)]
     + [("ex4.2", {"A": str(a)}) for a in (-1, 0, 1)]
