@@ -68,6 +68,7 @@ class VerificationReport:
     abs_err: str
     rel_err: str
     verdict: str
+    method: str
 
     def to_json(self):
         return {
@@ -78,6 +79,7 @@ class VerificationReport:
             "oracle": self.oracle,
             "abs_err": self.abs_err,
             "verdict": self.verdict,
+            "method": self.method,
         }
 
 
@@ -346,20 +348,27 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
                  preset="", params=None):
     """Evaluate a family member and compare against its independent oracle.
 
-    Pass when the discrepancy is within tol plus the oracle error.  Otherwise
-    Fail when the evaluation converged and the discrepancy also exceeds its
-    error bound plus the oracle error, and Inconclusive when it did not
-    converge or the bound leaves room for the discrepancy.  The evaluation
-    itself runs at a much smaller internal tolerance so early stopping never
-    hides a max-terms-limited estimate.
+    The value is cf.extrapolate's Richardson estimate (method "richardson")
+    where that applies, and otherwise cf.evaluate's last approximant
+    (method "plain").  Pass when the discrepancy is within tol plus the
+    oracle error.  Otherwise Fail when the evaluation converged and the
+    discrepancy also exceeds its error bound plus the oracle error, and
+    Inconclusive when it did not converge or the bound leaves room for the
+    discrepancy; an extrapolated estimate never counts as converged.  The
+    evaluation itself runs at a much smaller internal tolerance so early
+    stopping never hides a max-terms-limited estimate.
     """
-    from .cf import evaluate
+    from .cf import evaluate, extrapolate
 
     tol_frac = tol if isinstance(tol, Fraction) else Fraction(str(tol))
     if tol_frac <= 0:
         raise ValueError("tol must be positive")
     inner = tol_frac / 10 ** 6
-    est = evaluate(member.cf, inner, terms, precision_bits)
+    est = extrapolate(member.cf, inner, terms, precision_bits)
+    method = "richardson"
+    if est is None:
+        est = evaluate(member.cf, inner, terms, precision_bits)
+        method = "plain"
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         oracle = reference_constant(member.limit, precision_bits)
         diff = abs(est.value - oracle)
@@ -382,4 +391,5 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
         abs_err=_fmt(diff, precision_bits),
         rel_err=_fmt(rel, precision_bits),
         verdict=verdict,
+        method=method,
     )

@@ -8,8 +8,10 @@ evaluates the tail functions at argument start_index + k - 1.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -27,9 +29,11 @@ from .poly import (
     RationalFunction,
     _exact_div,
     _poly_gcd,
+    degree,
     has_integer_root_at_or_after,
     json_list,
     json_value,
+    leading_coefficient,
     ratfn_from_string,
 )
 
@@ -39,6 +43,11 @@ _FLOAT_GUARD_BITS = 32
 # the float kernel shifts its integers once they pass its bit budget by this
 # much, so that a shift comes every few terms rather than every term
 _SHIFT_SLACK_BITS = 64
+# extrapolate: the first checkpoint, the largest Richardson order m, and how
+# far (in bits) a gap-doubling ratio may sit from 2^-(c+1)
+_FIRST_CHECKPOINT = 50
+_RICHARDSON_ORDER = 30
+_RATIO_SLACK_BITS = 0.125
 
 
 def _as_fraction(v):
@@ -413,6 +422,136 @@ def evaluate(cf, tol, max_terms, precision_bits=128, backend="auto"):
         error_bound=_round_to(error, precision_bits),
         terms_used=n,
         converged=converged,
+    )
+
+
+def tail_class(cf):
+    """The class of cf's tail read from leading coefficients: "parabolic",
+    "positive", or None for a tail that converges faster than any power of
+    1/n (or no tail).
+
+    With a(n) ~ alpha n^p and b(n) ~ beta n^q the tail is
+    - parabolic when p = 2q and beta^2 + 4 alpha = 0: the tail's
+      characteristic equation x^2 = beta x + alpha (after scaling by n^q)
+      has a double root, so neither solution dominates geometrically
+      (Lorentzen & Waadeland, Continued Fractions vol. 1);
+    - positive when p = 2q + 2 and alpha, beta > 0: the terms are eventually
+      positive and the Seidel-Stern series, whose terms d_n have
+      d_n d_{n+1} = b_n b_{n+1} / a_{n+1} ~ n^-2, diverges like the harmonic
+      series, so the CF converges, but only like a power of 1/n (for
+      p > 2q + 2 it diverges, for p < 2q + 2 it converges faster).
+    Either class can converge algebraically; it is a necessary condition,
+    which extrapolate's gap-ratio test completes.
+    """
+    tail = cf.tail
+    if tail is None or tail.a.is_zero or tail.b.is_zero:
+        return None
+    p, q = degree(tail.a), degree(tail.b)
+    alpha, beta = leading_coefficient(tail.a), leading_coefficient(tail.b)
+    if p == 2 * q and beta * beta + 4 * alpha == 0:
+        return "parabolic"
+    if p == 2 * q + 2 and alpha > 0 and beta > 0:
+        return "positive"
+    return None
+
+
+def _checkpoints(max_terms):
+    """The doubling schedule 50, 100, 200, ... up to max_terms."""
+    points = []
+    n = _FIRST_CHECKPOINT
+    while n <= max_terms:
+        points.append(n)
+        n *= 2
+    return points
+
+
+def _richardson_weights(n):
+    """Integer weights u_0..u_m and their common denominator d that
+    extrapolate to x = 0 through the nodes x_i = 1/n_i, n_i = n - 2i, with
+    m = min(order, n // 4), so that every node is at least n/2.
+
+    The Lagrange weight of node i at 0 is n_i^m / prod_{j != i} (n_i - n_j);
+    with n_i - n_j = 2 (j - i) that is u_i / d for u_i = (-1)^i C(m, i) n_i^m
+    and d = 2^m m!.
+    """
+    m = min(_RICHARDSON_ORDER, n // 4)
+    u = [(-1) ** i * math.comb(m, i) * (n - 2 * i) ** m for i in range(m + 1)]
+    return u, math.factorial(m) << m
+
+
+def _ratio_settled(g0, g1, g2):
+    """Whether the gap ratios g1/g0 and g2/g1 both lie within
+    _RATIO_SLACK_BITS of 2^-(c+1) for one integer c >= 1."""
+    if not (g0 and g1 and g2):
+        return False
+    e1 = math.log2(g0) - math.log2(g1)
+    e2 = math.log2(g1) - math.log2(g2)
+    c1 = round(e1)
+    return c1 >= 2 and abs(e1 - c1) <= _RATIO_SLACK_BITS and abs(e2 - c1) <= _RATIO_SLACK_BITS
+
+
+def extrapolate(cf, tol, max_terms, precision_bits=128):
+    """Richardson estimate of the limit of an algebraically converging CF,
+    or None where the method does not apply.
+
+    It applies when tail_class(cf) names a class and the approximants f_n
+    behave like f + c_1/n^c + c_2/n^(c+1) + ... for an integer c >= 1 on each
+    parity of n.  The kernel of _recurrence runs once, budgeted.  At each
+    checkpoint n of the doubling schedule 50, 100, 200, ... (up to
+    max_terms) the last pairs give the estimate sum u_i f_{n_i} / d of
+    _richardson_weights, the value at x = 0 of the polynomial in x = 1/n
+    through the nodes of one parity, so alternating CFs need no special
+    case.  The gap g(n) = |f_n - f_{n-2}| behaves like n^-(c+1), so the
+    doubling ratio g(2n)/g(n) tends to 2^-(c+1).  From the third checkpoint
+    on, the last two ratios must both lie near 2^-(c+1) for one integer
+    c >= 1 (_ratio_settled), or the method does not apply: a logarithmically
+    converging CF such as entry13 (ratios 0.38, 0.39 drifting towards 1/2)
+    fails this test.  The run stops once two successive estimates differ by
+    at most tol, or at the last checkpoint.
+
+    Precision.  An error e in the f_{n_i} moves the estimate by up to
+    sum |u_i| / d times e, so the fixed-point values carry
+    ceil(log2 sum |u_i| / d) guard bits more than evaluate's float backend,
+    computed from the last (largest) window before the run.
+
+    The estimate is not a bound: converged is always False and error_bound
+    is infinite.  terms_used is the number of terms read.
+    """
+    tol = tol if isinstance(tol, Fraction) else Fraction(str(tol))
+    points = _checkpoints(max_terms)
+    if len(points) < 3 or tail_class(cf) is None:
+        return None
+    last, d = _richardson_weights(points[-1])
+    guard = math.ceil(Fraction(sum(map(abs, last)), d)).bit_length()
+    bits = precision_bits + _FLOAT_GUARD_BITS + guard
+    pairs = collections.deque(maxlen=2 * len(last) - 1)
+    steps = itertools.islice(_scaled_terms(cf), points[-1])
+    kernel = _recurrence(cf.b0, steps, bits + points[-1].bit_length())
+    estimates, gaps = [], []
+    for n, (A, B, _, _) in enumerate(kernel, 1):
+        pairs.append((A, B))
+        if n != points[len(estimates)]:
+            continue
+        u, d = _richardson_weights(n)
+        window = [pairs[-1 - 2 * i] for i in range(len(u))]
+        if not all(B for _, B in window):
+            return None
+        # f_{n_i} in units of 2^-bits
+        values = [(A << bits) // B for A, B in window]
+        estimates.append(Fraction(sum(map(operator.mul, u, values)), d << bits))
+        gaps.append(abs(values[0] - values[1]))
+        if len(gaps) >= 3:
+            if not _ratio_settled(*gaps[-3:]):
+                return None
+            if abs(estimates[-1] - estimates[-2]) <= tol:
+                break
+    with mpmath.workprec(precision_bits + _FLOAT_GUARD_BITS):
+        value = _mpf_of(estimates[-1])
+    return LimitEstimate(
+        value=_round_to(value, precision_bits),
+        error_bound=mpmath.inf,
+        terms_used=n,
+        converged=False,
     )
 
 

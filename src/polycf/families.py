@@ -18,9 +18,11 @@ u = a w - w(n-1) and rho = a(n-1)); family_e_bauer_muir is Bauer-Muir
 ex4.2 and ex5.6 are members of these five.  A g_nonzero hypothesis says
 that u(n) has no integer root n >= 1, so no tail numerator vanishes.
 
-Every Pincherle member is pincherle_family(H, b), followed by the integer
-form where the tail is not already integral: family_rational_limit (ex1.1),
-pincherle_poly_family (ex2.4, H = f/g and b = c/d) and ex2.2 (H = n + 2).
+Every Pincherle member's CF and limit are pincherle_family's construction
+of (H, b), followed by the integer form where the tail is not already
+integral: family_rational_limit (ex1.1), pincherle_poly_family (ex2.4,
+H = f/g and b = c/d) and ex2.2 (H = n + 2).  These state hypotheses of their
+own, so they build the CF alone and skip pincherle_family's three.
 Only ex2.5 keeps a hand-typed form: its H(n) = c(0) c(1) ... c(n-1) is a
 product of n factors, not a rational function of n, so pincherle_family
 cannot express it.
@@ -45,6 +47,8 @@ from .poly import (
 from .transforms import bauer_muir_tail, bernoulli_from_sequence, euler_tail
 
 _N = RationalFunction.variable()
+# largest zeta exponent family_zeta builds; see its docstring
+_ZETA_MAX_K = 40
 # 2 + K((n+1)/(n+1)), the e preset
 _E_CF = CFSpec(Fraction(2), (), CFTail(_N, _N, 2))
 
@@ -127,14 +131,9 @@ def _growth_ok(b):
     return d > 0 or (d == 0 and leading_coefficient(b) > 1)
 
 
-def pincherle_family(H, b):
-    """CF with a_n = (H(n) + b(n) H(n-1)) / H(n-2) and denominators b(n).
-
-    Under the hypotheses the limit is H(0)/H(-1) regardless of b, so one
-    choice of H yields an infinite class of fractions with a common limit.
-    """
-    H = _as_ratfn(H)
-    b = _as_ratfn(b)
+def _pincherle(H, b):
+    """The CF and limit of pincherle_family(H, b), without its hypotheses,
+    for rational functions H and b."""
     try:
         h_m1 = H(-1)
         h_0 = H(0)
@@ -143,7 +142,18 @@ def pincherle_family(H, b):
     if h_m1 == 0:
         raise HypothesisViolation("limit_defined", "H(-1) must be nonzero")
     a = (H + b * H.shift(-1)) / H.shift(-2)
-    cf = CFSpec(Fraction(0), (), CFTail(a, b, 1))
+    return CFSpec(Fraction(0), (), CFTail(a, b, 1)), LimitClaim.exact(h_0 / h_m1)
+
+
+def pincherle_family(H, b):
+    """CF with a_n = (H(n) + b(n) H(n-1)) / H(n-2) and denominators b(n).
+
+    Under the hypotheses the limit is H(0)/H(-1) regardless of b, so one
+    choice of H yields an infinite class of fractions with a common limit.
+    """
+    H = _as_ratfn(H)
+    b = _as_ratfn(b)
+    cf, limit = _pincherle(H, b)
     hyps = (
         _hyp("H_positive", lambda: eventually_positive(H, -1), "H(n) > 0 for n >= -1"),
         _hyp("b_positive", lambda: eventually_positive(b, 1), "b(n) > 0 for n >= 1"),
@@ -153,7 +163,7 @@ def pincherle_family(H, b):
             "degree(b) > 0, or b constant with value > 1",
         ),
     )
-    return FamilyMember(cf, LimitClaim.exact(h_0 / h_m1), hyps)
+    return FamilyMember(cf, limit, hyps)
 
 
 def pincherle_poly_family(f, g, c, d):
@@ -163,7 +173,7 @@ def pincherle_poly_family(f, g, c, d):
     The limit f(0) g(-1) / (g(0) f(-1)) is independent of c and d.
     """
     f, g, c, d = (_as_ratfn(v) for v in (f, g, c, d))
-    member = pincherle_family(f / g, c / d)
+    cf, limit = _pincherle(f / g, c / d)
     hyps = (
         _hyp(
             "fg_positive",
@@ -182,7 +192,7 @@ def pincherle_poly_family(f, g, c, d):
             "coefficient in c",
         ),
     )
-    return FamilyMember(integer_tail_form(member.cf), member.limit, hyps)
+    return FamilyMember(integer_tail_form(cf), limit, hyps)
 
 
 def _value_at_zero(f, name):
@@ -229,10 +239,13 @@ def family_zeta(k, d):
 
     The n-th approximant is sum_{j=1..n} 1/j^k + 1/d(n).  Built by the Euler
     construction with rho = 1 and u(n) = 1/n^k + 1/d(n) - 1/d(n-1), followed
-    by the integer form.
+    by the integer form.  The term 1/n^k is a dense polynomial of degree k,
+    and the build's cost grows faster than k^5 (k = 100 takes about 150
+    times as long as k = 40), so k is bounded by _ZETA_MAX_K before anything
+    is built.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError("k must be an integer >= 2")
+    if not isinstance(k, int) or not 2 <= k <= _ZETA_MAX_K:
+        raise ValueError(f"k must be an integer with 2 <= k <= {_ZETA_MAX_K}")
     d = _as_ratfn(d)
     d0 = _value_at_zero(d, "d")
     if d0 == 0:
@@ -374,7 +387,7 @@ def family_rational_limit(f, m):
         raise ValueError("m must be an integer")
     H = m * (_N + 1) * (_N + 2) * (_N + 3) + 1
     b = f * (m * (_N - 1) * _N * (_N + 1) + 1) + 2 * m * (_N**2 - 1) - 2
-    member = pincherle_family(H, b)
+    cf, limit = _pincherle(H, b)
     hyps = (
         _hyp(
             "f_at_least_one",
@@ -383,7 +396,7 @@ def family_rational_limit(f, m):
         ),
         _hyp("m_positive", lambda: m >= 1, "m >= 1"),
     )
-    return FamilyMember(member.cf, member.limit, hyps)
+    return FamilyMember(cf, limit, hyps)
 
 
 def ramanujan_entry13(a, b, d):
@@ -425,7 +438,7 @@ def ramanujan_entry13(a, b, d):
 
 def _preset_ex22(params):
     b = params["b"]
-    member = pincherle_family(_N + 2, b)
+    cf, limit = _pincherle(_N + 2, b)
     hyps = (
         _hyp(
             "b_at_least_2",
@@ -433,7 +446,7 @@ def _preset_ex22(params):
             "b(n) >= 2 for n >= 1",
         ),
     )
-    return FamilyMember(integer_tail_form(member.cf), member.limit, hyps)
+    return FamilyMember(integer_tail_form(cf), limit, hyps)
 
 
 def _preset_ex25(params):

@@ -8,11 +8,13 @@ so each criterion reads as its own statement.
 """
 
 import json
-import random
 import time
+import traceback
 from fractions import Fraction
 
 import mpmath
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from polycf.analysis import (
     growth_diagnostics,
@@ -47,162 +49,197 @@ def _criterion(name, ok, detail=""):
     assert ok, f"{name} [{detail}]"
 
 
-def _rand_fraction(rng, lo=-9, hi=9, den=6):
-    return F(rng.randint(lo, hi), rng.randint(1, den))
+# Criteria 1a, 1b, 1c and 1e are derandomized hypothesis properties, run
+# inside the criterion so that each still records one line.  Hypothesis
+# tries the simplest example first, so each property runs one example more
+# than the number of random draws it stands for.  Shrinking is off: these
+# examples are long, and shrinking one that fails can take minutes.
+def _property(max_examples):
+    return settings(
+        max_examples=max_examples,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        phases=[Phase.generate],
+    )
 
 
-def _rand_nonzero(rng, **kw):
-    while True:
-        v = _rand_fraction(rng, **kw)
-        if v != 0:
-            return v
+def _fractions(lo, hi, den, nonzero=False):
+    """F(p, q) for uniform integers lo <= p <= hi (p != 0 if nonzero) and
+    1 <= q <= den: one choice per value, which hypothesis draws faster than
+    the two of a builds()."""
+    values = [F(p, q) for p in range(lo, hi + 1) if p or not nonzero for q in range(1, den + 1)]
+    return st.sampled_from(values)
+
+
+_FRACTION = _fractions(-9, 9, 6)
+_NONZERO = _fractions(-9, 9, 6, nonzero=True)
+
+
+def _draw_other(data, strategy, avoid):
+    """A draw from strategy other than avoid."""
+    v = data.draw(strategy)
+    # filtering only after a collision keeps the common draw cheap
+    return v if v != avoid else data.draw(strategy.filter(lambda x: x != avoid))
+
+
+def _holds(prop):
+    """Run a property: True, or False (with the falsifying example and its
+    traceback on stderr) when it fails."""
+    try:
+        prop()
+    except Exception:
+        traceback.print_exc()
+        return False
+    return True
 
 
 def test_criterion_1a_series_product_exactness():
-    rng = random.Random(20250811)
-    inputs = 0
-    failures = []
-    for rep in range(40):
-        n = 60
+    n = 60
+    inputs = []
 
-        seq = [_rand_fraction(rng)]
+    @_property(41)
+    @given(data=st.data())
+    def bernoulli(data):
+        seq = [data.draw(_FRACTION)]
         while len(seq) < n + 1:
-            v = _rand_fraction(rng)
-            if v != seq[-1]:
-                seq.append(v)
-        cf = bernoulli_from_sequence(seq)
-        if approximants(cf, n).values() != seq:
-            failures.append(("bernoulli", rep))
-        inputs += 1
+            seq.append(_draw_other(data, _FRACTION, seq[-1]))
+        inputs.append("bernoulli")
+        assert approximants(bernoulli_from_sequence(seq), n).values() == seq
 
-        terms = [_rand_fraction(rng)] + [_rand_nonzero(rng) for _ in range(n)]
-        cf = euler_from_series(terms)
+    @_property(41)
+    @given(first=_FRACTION, rest=st.lists(_NONZERO, min_size=n, max_size=n))
+    def euler(first, rest):
+        terms = [first] + rest
         sums = []
         total = F(0)
         for t in terms:
             total += t
             sums.append(total)
-        if approximants(cf, n).values() != sums:
-            failures.append(("euler", rep))
-        inputs += 1
+        inputs.append("euler")
+        assert approximants(euler_from_series(terms), n).values() == sums
 
-        while True:
-            a = [_rand_fraction(rng) for _ in range(n + 1)]
-            b = [_rand_fraction(rng) for _ in range(n + 1)]
-            if all(a[k] + b[k] - b[k - 1] != 0 for k in range(1, n + 1)):
-                break
-        cf = generalized_euler(a, b)
+    @_property(41)
+    @given(data=st.data())
+    def gen_euler(data):
+        a = data.draw(st.lists(_FRACTION, min_size=n + 1, max_size=n + 1))
+        b = [data.draw(_FRACTION)]
+        for k in range(1, n + 1):
+            # a[k] + b[k] - b[k - 1] != 0
+            b.append(_draw_other(data, _FRACTION, b[-1] - a[k]))
         want = []
         total = F(0)
         for k in range(n + 1):
             total += a[k]
             want.append(b[k] + total)
-        if approximants(cf, n).values() != want:
-            failures.append(("generalized-euler", rep))
-        inputs += 1
+        inputs.append("generalized-euler")
+        assert approximants(generalized_euler(a, b), n).values() == want
 
-        facs = []
-        while len(facs) < n:
-            v = _rand_nonzero(rng)
-            if v != 1:
-                facs.append(v)
-        cf = product_to_cf(facs)
+    @_property(41)
+    @given(facs=st.lists(_NONZERO.filter(lambda v: v != 1), min_size=n, max_size=n))
+    def product(facs):
         prods = [F(1)]
         total = F(1)
         for fct in facs:
             total *= fct
             prods.append(total)
-        if approximants(cf, n).values() != prods:
-            failures.append(("product", rep))
-        inputs += 1
+        inputs.append("product")
+        assert approximants(product_to_cf(facs), n).values() == prods
 
-        while True:
-            a = [_rand_nonzero(rng) for _ in range(n)]
-            b = [_rand_nonzero(rng) for _ in range(n + 1)]
-            if all(a[k - 1] * b[k] - b[k - 1] != 0 for k in range(1, n + 1)):
-                break
-        cf = generalized_product(a, b)
+    @_property(41)
+    @given(data=st.data())
+    def gen_product(data):
+        a = data.draw(st.lists(_NONZERO, min_size=n, max_size=n))
+        b = [data.draw(_NONZERO)]
+        for k in range(1, n + 1):
+            # a[k - 1] b[k] - b[k - 1] != 0
+            b.append(_draw_other(data, _NONZERO, b[-1] / a[k - 1]))
         want = []
         total = F(1)
         for k in range(n + 1):
             if k:
                 total *= a[k - 1]
             want.append(b[k] * total)
-        if approximants(cf, n).values() != want:
-            failures.append(("generalized-product", rep))
-        inputs += 1
+        inputs.append("generalized-product")
+        assert approximants(generalized_product(a, b), n).values() == want
 
+    failures = [
+        prop.__name__
+        for prop in (bernoulli, euler, gen_euler, product, gen_product)
+        if not _holds(prop)
+    ]
     _criterion(
         "1a series/product transforms match partial sums/products (n<=60)",
-        inputs >= 200 and not failures,
-        f"{inputs} randomized inputs",
+        len(inputs) >= 200 and not failures,
+        f"{len(inputs)} randomized inputs",
     )
 
 
 def test_criterion_1b_contraction_pairs():
-    rng = random.Random(20250812)
-    bad = []
-    for rep in range(5):
-        prefix = tuple(
-            (
-                F(rng.randint(1, 9), rng.randint(1, 4)),
-                F(rng.randint(1, 9), rng.randint(1, 4)),
-            )
-            for _ in range(101)
-        )
-        cf = CFSpec(b0=F(rng.randint(0, 5)), prefix=prefix)
+    cases = []
+
+    @_property(6)
+    @given(
+        b0=st.integers(0, 5).map(F),
+        prefix=st.lists(
+            st.tuples(_fractions(1, 9, 4), _fractions(1, 9, 4)), min_size=101, max_size=101
+        ),
+    )
+    def contraction(b0, prefix):
+        cf = CFSpec(b0=b0, prefix=tuple(prefix))
+        cases.append(cf)
         conv = convergents(cf, 101)
         for k, c in enumerate(convergents(even_part(cf, 50), 50)):
-            if (c.A, c.B) != (conv[2 * k].A, conv[2 * k].B):
-                bad.append(("even", rep, k))
+            assert (c.A, c.B) == (conv[2 * k].A, conv[2 * k].B), ("even", k)
         for k, c in enumerate(convergents(odd_part(cf, 50), 50)):
-            if k >= 1 and (c.A, c.B) != (conv[2 * k + 1].A, conv[2 * k + 1].B):
-                bad.append(("odd", rep, k))
+            assert k == 0 or (c.A, c.B) == (conv[2 * k + 1].A, conv[2 * k + 1].B), ("odd", k)
+
+    ok = _holds(contraction)
     _criterion(
         "1b even/odd contractions give pairs (A_2k,B_2k)/(A_2k+1,B_2k+1) (k<=50)",
-        not bad,
-        "5 randomized positive CFs",
+        ok,
+        f"{len(cases)} randomized positive CFs",
     )
 
 
-def test_criterion_1c_bauer_muir_pairs():
-    rng = random.Random(20250813)
+def _bauer_muir_mismatches(cf, w_arg, w_vals):
+    res = bauer_muir(cf, w_arg, 50)
+    orig = convergents(cf, 50)
+    new = convergents(res.cf, 50)
     bad = []
-    cases = []
-    cases.append((E_CF, ratfn_from_string("n+1"), [F(n + 1) for n in range(51)]))
-    for _ in range(4):
-        prefix = tuple(
-            (
-                F(rng.randint(1, 9), rng.randint(1, 3)),
-                F(rng.randint(1, 9), rng.randint(1, 3)),
-            )
-            for _ in range(50)
-        )
-        cf = CFSpec(b0=F(rng.randint(0, 3)), prefix=prefix)
-        while True:
-            w = [F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(51)]
-            lam_ok = all(
-                prefix[n - 1][0] - w[n - 1] * (prefix[n - 1][1] + w[n]) != 0
-                for n in range(1, 51)
-            )
-            if lam_ok:
-                break
-        cases.append((cf, w, w))
-    for idx, (cf, w_arg, w_vals) in enumerate(cases):
-        res = bauer_muir(cf, w_arg, 50)
-        orig = convergents(cf, 50)
-        new = convergents(res.cf, 50)
-        for n in range(51):
-            prev_a = orig[n - 1].A if n else F(1)
-            prev_b = orig[n - 1].B if n else F(0)
-            if new[n].A != orig[n].A + w_vals[n] * prev_a:
-                bad.append((idx, n, "C"))
-            if new[n].B != orig[n].B + w_vals[n] * prev_b:
-                bad.append((idx, n, "D"))
+    for n in range(51):
+        prev_a = orig[n - 1].A if n else F(1)
+        prev_b = orig[n - 1].B if n else F(0)
+        if new[n].A != orig[n].A + w_vals[n] * prev_a:
+            bad.append((n, "C"))
+        if new[n].B != orig[n].B + w_vals[n] * prev_b:
+            bad.append((n, "D"))
+    return bad
+
+
+def test_criterion_1c_bauer_muir_pairs():
+    cases = [E_CF]
+    e_bad = _bauer_muir_mismatches(E_CF, ratfn_from_string("n+1"), [F(n + 1) for n in range(51)])
+    pos = _fractions(1, 9, 3)
+
+    @_property(5)
+    @given(data=st.data())
+    def random_case(data):
+        prefix = tuple(data.draw(st.lists(st.tuples(pos, pos), min_size=50, max_size=50)))
+        cf = CFSpec(b0=data.draw(st.integers(0, 3).map(F)), prefix=prefix)
+        w = [data.draw(pos)]
+        for n in range(1, 51):
+            # lambda_n = a_n - w_(n-1) (b_n + w_n) != 0
+            a_n, b_n = prefix[n - 1]
+            w.append(_draw_other(data, pos, a_n / w[-1] - b_n))
+        cases.append(cf)
+        assert not _bauer_muir_mismatches(cf, w, w)
+
+    ok = _holds(random_case)
     _criterion(
         "1c Bauer-Muir pairs equal (A_n + w_n A_n-1, B_n + w_n B_n-1) (n<=50)",
-        not bad,
-        "5 cases",
+        ok and not e_bad,
+        f"{len(cases)} cases",
     )
 
 
@@ -225,23 +262,39 @@ def test_criterion_1d_extension_interleaving():
     )
 
 
-def test_criterion_1e_determinant_identity():
-    rng = random.Random(20250814)
+def _determinant_mismatches(cf):
+    conv = convergents(cf, 200)
+    prod = F(1)
     bad = []
+    for N in range(1, 201):
+        prod *= term_at(cf, N)[0]
+        lhs = conv[N].A * conv[N - 1].B - conv[N - 1].A * conv[N].B
+        if lhs != (-1) ** (N - 1) * prod:
+            bad.append(N)
+    return bad
+
+
+def test_criterion_1e_determinant_identity():
     cfs = [E_CF]
-    prefix = tuple(
-        (F(rng.randint(1, 9)), F(rng.randint(-9, 9))) for _ in range(200)
+    e_bad = _determinant_mismatches(E_CF)
+
+    @_property(2)
+    @given(
+        prefix=st.lists(
+            st.tuples(st.integers(1, 9).map(F), st.integers(-9, 9).map(F)),
+            min_size=200,
+            max_size=200,
+        )
     )
-    cfs.append(CFSpec(b0=F(3), prefix=prefix))
-    for idx, cf in enumerate(cfs):
-        conv = convergents(cf, 200)
-        prod = F(1)
-        for N in range(1, 201):
-            prod *= term_at(cf, N)[0]
-            lhs = conv[N].A * conv[N - 1].B - conv[N - 1].A * conv[N].B
-            if lhs != (-1) ** (N - 1) * prod:
-                bad.append((idx, N))
-    _criterion("1e determinant identity holds exactly (N<=200)", not bad, "2 CFs")
+    def random_cf(prefix):
+        cf = CFSpec(b0=F(3), prefix=tuple(prefix))
+        cfs.append(cf)
+        assert not _determinant_mismatches(cf)
+
+    ok = _holds(random_cf)
+    _criterion(
+        "1e determinant identity holds exactly (N<=200)", ok and not e_bad, f"{len(cfs)} CFs"
+    )
 
 
 def test_criterion_2a_brouncker():

@@ -15,7 +15,15 @@ from polycf.analysis import (
     tietze_check,
     verify_limit,
 )
-from polycf.cf import CFSpec, CFTail
+from polycf.cf import (
+    _RICHARDSON_ORDER,
+    CFSpec,
+    CFTail,
+    approximants,
+    extrapolate,
+    tail_class,
+)
+from polycf.cli import _REPRODUCE_ROWS
 from polycf.errors import EmptyRange, HypothesisViolation, NonIntegerTerms, UnsupportedConstant
 from polycf.families import LimitClaim, NamedConstant, build_preset
 
@@ -203,8 +211,10 @@ def test_verify_report_json_shape():
         "oracle",
         "abs_err",
         "verdict",
+        "method",
     }
     assert data["verdict"] == "Pass"
+    assert data["method"] == "plain"
     json.dumps(data)  # serializable
 
 
@@ -229,3 +239,74 @@ def test_verify_limit_short_run_is_not_pass():
         report = verify_limit(member, terms, 128, F(1, 10**10), preset=preset, params=params)
         assert abs(float(report.abs_err) - err) < 1e-3, report.abs_err
         assert report.verdict == "Inconclusive", (preset, report.verdict)
+
+
+def test_entry13_takes_the_plain_path():
+    # the tail is parabolic, but the gap-doubling ratios (0.38, 0.39) drift
+    # towards 1/2 instead of settling at 2^-(c+1): logarithmic convergence
+    member = build_preset("entry13")
+    assert tail_class(member.cf) == "parabolic"
+    assert extrapolate(member.cf, F(1, 10**12), 200) is None
+    report = verify_limit(member, 200, 128, F(1, 10**6), preset="entry13",
+                          params={"a": "1", "b": "1", "d": "1"})
+    # the reproduce-paper row as it was before extrapolation, plus its method
+    assert report.to_json() == {
+        "abs_err": "0.16998112660032033711387776595499186527",
+        "claimed": "1",
+        "oracle": "1.0",
+        "params": {"a": "1", "b": "1", "d": "1"},
+        "preset": "entry13",
+        "terms": 200,
+        "verdict": "Inconclusive",
+        "method": "plain",
+    }
+
+
+def test_extrapolated_paper_rows_read_at_most_1000_terms():
+    extrapolated = set()
+    for preset, params, terms, tol, bits in _REPRODUCE_ROWS:
+        report = verify_limit(build_preset(preset, dict(params)), terms, bits, F(tol))
+        if report.method == "richardson":
+            extrapolated.add(preset)
+            assert report.terms <= 1000, (preset, params, report.terms)
+            assert report.verdict == "Pass", (preset, params)
+    assert extrapolated == {"brouncker", "ex3.3", "ex3.4", "ex4.2"}
+
+
+@pytest.mark.parametrize(
+    "preset, params, terms, bits",
+    [
+        ("ex3.4", {"k": "3", "A": "1"}, 400, 128),  # parabolic tail
+        ("brouncker", {}, 10000, 128),  # approximants alternate about 4/pi
+        ("ex3.4", {"k": "11", "A": "2"}, 200, 192),
+    ],
+)
+def test_extrapolate_agrees_with_exact_convergents(preset, params, terms, bits):
+    cf = build_preset(preset, params).cf
+    est = extrapolate(cf, F(1, 10**20), terms, bits)
+    n = est.terms_used
+    assert not est.converged
+    # Lagrange extrapolation to x = 0 through (1/n_i, A_n_i/B_n_i), one parity
+    m = min(_RICHARDSON_ORDER, n // 4)
+    nodes = [n - 2 * i for i in range(m + 1)]
+    values = approximants(cf, n).values()
+    want = F(0)
+    for x in nodes:
+        w = F(1)
+        for y in nodes:
+            if y != x:
+                w *= F(1, y) / (F(1, y) - F(1, x))
+        want += w * values[x]
+    with mpmath.workprec(bits + 32):
+        exact = mpmath.mpf(want.numerator) / want.denominator
+        assert abs(est.value - exact) <= abs(exact) * mpmath.mpf(2) ** -bits
+
+
+@pytest.mark.parametrize("preset", ["e", "ex5.6", "ex3.5", "ex1.1", "ex2.2", "ex2.4", "ex2.5"])
+def test_high_precision_presets_take_the_plain_path(preset):
+    member = build_preset(preset)
+    assert tail_class(member.cf) is None
+    assert extrapolate(member.cf, F(1, 10**60), 2000, 256) is None
+    report = verify_limit(member, 2000, 256, F(1, 2**216), preset=preset)
+    assert report.method == "plain"
+    assert report.verdict == "Pass"

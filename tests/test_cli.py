@@ -255,6 +255,7 @@ def test_malformed_input_exits_two(capsys, argv, path):
         ["eval", "--preset", "entry13", "--a", "1/0"],
         ["eval", "--preset", "ex2.4", "--c", "1/0"],
         ["eval", "--preset", "ex1.1", "--f", "n/0"],
+        ["verify", "--preset", "ex3.4", "--k", "99999999999"],
     ],
 )
 def test_malformed_count_exits_two(capsys, argv):

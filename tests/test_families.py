@@ -87,6 +87,21 @@ def test_pincherle_family_rejects_undefined_limit():
         pincherle_family(ratfn_from_string("n+1"), ratfn_from_string("n"))
 
 
+def test_pincherle_callers_skip_pincherle_family_hypotheses(monkeypatch):
+    # ex1.1, ex2.2 and ex2.4 state hypotheses of their own, so they build
+    # the CF without pincherle_family's eventual-positivity scans
+    import polycf.families as families
+
+    want = {p: build_preset(p) for p in ("ex1.1", "ex2.2", "ex2.4")}
+
+    def refuse(H, b):
+        raise AssertionError("pincherle_family called")
+
+    monkeypatch.setattr(families, "pincherle_family", refuse)
+    for preset, member in want.items():
+        assert build_preset(preset) == member
+
+
 def test_pincherle_poly_family_converges():
     one = IntPolynomial((1,))
     m = pincherle_poly_family(
@@ -191,6 +206,10 @@ def test_family_zeta_validation():
         family_zeta(1, IntPolynomial((1,)))
     with pytest.raises(HypothesisViolation):
         family_zeta(2, IntPolynomial((0, 1)))
+    # a huge exponent is refused before 1/n^k is built
+    for k in (41, 99999999999):
+        with pytest.raises(ValueError, match="2 <= k <= 40"):
+            family_zeta(k, IntPolynomial((1, 1)))
 
 
 def test_family_zeta_constant_d_flagged():
