@@ -29,11 +29,9 @@ from .poly import (
     RationalFunction,
     _exact_div,
     _poly_gcd,
-    degree,
     has_integer_root_at_or_after,
     json_list,
     json_value,
-    leading_coefficient,
     ratfn_from_string,
 )
 
@@ -446,11 +444,15 @@ def tail_class(cf):
     tail = cf.tail
     if tail is None or tail.a.is_zero or tail.b.is_zero:
         return None
-    p, q = degree(tail.a), degree(tail.b)
-    alpha, beta = leading_coefficient(tail.a), leading_coefficient(tail.b)
-    if p == 2 * q and beta * beta + 4 * alpha == 0:
+    a, b = tail.a, tail.b
+    p = a.num.degree - a.den.degree
+    q = b.num.degree - b.den.degree
+    # alpha = na/da and beta = nb/db, compared in integers
+    na, da = a.num.leading_coefficient, a.den.leading_coefficient
+    nb, db = b.num.leading_coefficient, b.den.leading_coefficient
+    if p == 2 * q and nb * nb * da + 4 * na * db * db == 0:
         return "parabolic"
-    if p == 2 * q + 2 and alpha > 0 and beta > 0:
+    if p == 2 * q + 2 and na * da > 0 and nb * db > 0:
         return "positive"
     return None
 
@@ -534,10 +536,10 @@ def extrapolate(cf, tol, max_terms, precision_bits=128):
             continue
         u, d = _richardson_weights(n)
         window = [pairs[-1 - 2 * i] for i in range(len(u))]
-        if not all(B for _, B in window):
+        if not all(B_i for _, B_i in window):
             return None
         # f_{n_i} in units of 2^-bits
-        values = [(A << bits) // B for A, B in window]
+        values = [(A_i << bits) // B_i for A_i, B_i in window]
         estimates.append(Fraction(sum(map(operator.mul, u, values)), d << bits))
         gaps.append(abs(values[0] - values[1]))
         if len(gaps) >= 3:
