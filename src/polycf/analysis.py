@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .cf import _canonical_pairs, _first, _is_integer_tail, _iter_terms, _scaled_terms
 from .errors import (
     EmptyRange,
@@ -50,12 +48,14 @@ class TietzeReport:
 
 @dataclass(frozen=True)
 class GrowthBound:
+    """A denominator growth bound; `C` and `phi` are mpmath mpf numbers."""
+
     kind: str
     k: int
     D: Fraction
     epsilon: Fraction
-    C: mpmath.mpf
-    phi: mpmath.mpf
+    C: object
+    phi: object
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,8 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
     coefficient; otherwise B_n >= C phi^n with phi the golden ratio.
     Requires every realized term >= 1.
     """
+    import mpmath
+
     if N < 1:
         raise EmptyRange()
     epsilon = Fraction(epsilon) if not isinstance(epsilon, Fraction) else epsilon
@@ -323,6 +325,8 @@ def reference_constant(constant, precision_bits):
     Values are kept in an in-process memo keyed by the constant and the
     working shift.
     """
+    import mpmath
+
     if isinstance(constant, LimitClaim):
         if constant.kind == "exact":
             with mpmath.workprec(precision_bits):
@@ -340,6 +344,8 @@ def reference_constant(constant, precision_bits):
 
 
 def _fmt(x, precision_bits):
+    import mpmath
+
     dps = mpmath.libmp.prec_to_dps(precision_bits)
     return mpmath.nstr(x, dps)
 
@@ -358,6 +364,8 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
     evaluation itself runs at a much smaller internal tolerance so early
     stopping never hides a max-terms-limited estimate.
     """
+    import mpmath
+
     from .cf import evaluate, extrapolate
 
     tol_frac = tol if isinstance(tol, Fraction) else Fraction(str(tol))

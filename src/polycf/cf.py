@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from .errors import (
     NoSuchTerm,
     PoleAtArgument,
@@ -140,8 +138,10 @@ class ApproximantSequence:
 
 @dataclass(frozen=True)
 class LimitEstimate:
-    value: mpmath.mpf
-    error_bound: mpmath.mpf
+    """A limit estimate; `value` and `error_bound` are mpmath mpf numbers."""
+
+    value: object
+    error_bound: object
     terms_used: int
     converged: bool
 
@@ -190,11 +190,15 @@ def approximants(cf, N):
 
 
 def _round_to(x, precision_bits):
+    import mpmath
+
     with mpmath.workprec(precision_bits):
         return +x
 
 
 def _mpf_of(q):
+    import mpmath
+
     return mpmath.mpf(q.numerator) / q.denominator
 
 
@@ -242,11 +246,15 @@ def _scaled_terms(cf):
         yield p * s, r * q, q * s
 
 
+def _check_count(N):
+    if N < 0:
+        raise ValueError(f"cannot read a negative number of terms ({N})")
+
+
 def _first(stream, N):
     """Items 1..N of a stream over terms n = 1, 2, ...; past the end of a
     finite CF, NoSuchTerm(n) is raised when term n is reached."""
-    if N < 0:
-        raise ValueError(f"cannot read a negative number of terms ({N})")
+    _check_count(N)
     n = 0
     for n, item in zip(range(1, N + 1), stream):
         yield item
@@ -357,6 +365,8 @@ def evaluate(cf, tol, max_terms, precision_bits=128, backend="auto"):
     the last gap become mpf once, through Fraction.  A failure to converge
     is reported through converged=False, not an exception.
     """
+    import mpmath
+
     tol = tol if isinstance(tol, Fraction) else Fraction(str(tol))
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -519,6 +529,8 @@ def extrapolate(cf, tol, max_terms, precision_bits=128):
     The estimate is not a bound: converged is always False and error_bound
     is infinite.  terms_used is the number of terms read.
     """
+    import mpmath
+
     tol = tol if isinstance(tol, Fraction) else Fraction(str(tol))
     points = _checkpoints(max_terms)
     if len(points) < 3 or tail_class(cf) is None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import CFSpec, CFTail, _as_fraction, _as_ratfn, _iter_terms
+from .cf import CFSpec, CFTail, _as_fraction, _as_ratfn, _check_count, _iter_terms
 from .errors import (
     DegenerateTerm,
     NonzeroW0,
@@ -228,6 +228,7 @@ def even_part(cf, N):
     Consumes terms 1..2N of the input; requires b_{2k} != 0 for the
     denominators that get divided through.
     """
+    _check_count(N)
     a, b = zip((None, None), *_iter_terms(cf, 2 * N))  # a_n = a[n], b_n = b[n]
     terms = []
     for k in range(1, N + 1):
@@ -251,6 +252,7 @@ def odd_part(cf, N):
     only.  Consumes terms 1..2N+1; requires b_1 and the divided-through odd
     denominators to be nonzero.
     """
+    _check_count(N)
     a, b = zip((None, None), *_iter_terms(cf, 2 * N + 1))
     if b[1] == 0:
         raise ZeroOddDenominator(1)

@@ -7,6 +7,10 @@ is claimed.
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -265,6 +269,61 @@ def test_malformed_count_exits_two(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("command", [["convergents"], ["transform", "--op", "even"],
+                                     ["transform", "--op", "odd"]])
+def test_negative_count_names_the_given_count(capsys, command):
+    code, out, err = run(capsys, command + ["--preset", "e", "--terms", "-3"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "InvalidInput",
+                               "detail": "cannot read a negative number of terms (-3)"}
+
+
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# Runs each argv list of sys.argv[1] through main in this one process and
+# prints, per command, its exit code and whether mpmath is loaded afterwards.
+_FRESH = """
+import contextlib, io, json, sys
+import polycf.cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = polycf.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, "mpmath" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def _fresh_python(*args):
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    return subprocess.run([sys.executable, "-c", *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_exact_commands_leave_mpmath_unloaded(capsys):
+    exact = [
+        ["convergents", "--preset", "e", "--terms", "10"],
+        ["family", "--preset", "ex3.3"],
+        ["tietze", "--preset", "e", "--terms", "50"],
+        ["transform", "--op", "even", "--preset", "e", "--terms", "4"],
+        ["transform", "--op", "euler", "--input", '{"terms": ["1", "-1/3", "1/5"]}'],
+    ]
+    proc = _fresh_python(_FRESH, json.dumps(exact))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, False]] * len(exact)
+
+    for argv in (["eval", "--preset", "e"],
+                 ["verify", "--preset", "e", "--terms", "60", "--tol", "1e-10"]):
+        fresh = _fresh_python("import sys, polycf.cli; sys.exit(polycf.cli.main(sys.argv[1:]))",
+                              *argv)
+        code, out, _ = run(capsys, argv)
+        assert (fresh.returncode, fresh.stdout) == (code, out)
 
 
 _json = st.recursive(
