@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import _canonical_pairs, _first, _is_integer_tail, _iter_terms, _scaled_terms
+from .cf import _canonical_pairs, _first, _is_integer_tail, _iter_terms, _mpf_of, _scaled_terms
 from .errors import (
     EmptyRange,
     HypothesisViolation,
@@ -188,24 +189,19 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
             k = cf.tail.b.num.degree - cf.tail.b.den.degree
             D = leading_coefficient(cf.tail.b)
             base = abs(D) / (1 + epsilon)
-            c = None
-            fact = 1
+            # up / down = 1 / (base^n (n!)^k); least ratio by cross-multiplication
+            up, down, least = 1, 1, None
             for n, B_n in enumerate(bs, 1):
-                fact *= n
-                ratio = B_n / (base ** n * Fraction(fact) ** k)
-                if c is None or ratio < c:
-                    c = ratio
-            C = mpmath.mpf(c.numerator) / c.denominator
+                up *= base.denominator
+                down *= base.numerator * n**k
+                num, den = B_n.numerator * up, B_n.denominator * down
+                if least is None or num * least[1] < least[0] * den:
+                    least = num, den
+            C = _mpf_of(Fraction(*least))
             kind, kk, DD = "FactorialPower", k, D
         else:
-            c = None
-            p = mpmath.mpf(1)
-            for B_n in bs:
-                p *= phi
-                ratio = (mpmath.mpf(B_n.numerator) / B_n.denominator) / p
-                if c is None or ratio < c:
-                    c = ratio
-            C = c
+            powers = itertools.accumulate(itertools.repeat(phi, len(bs)), operator.mul)
+            C = min(_mpf_of(B_n) / p for B_n, p in zip(bs, powers))
             kind, kk, DD = "GoldenRatio", 0, Fraction(1)
         with mpmath.workprec(precision_bits):
             return GrowthBound(kind, kk, DD, epsilon, +C, +phi)
@@ -366,11 +362,9 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
     """
     import mpmath
 
-    from .cf import evaluate, extrapolate
+    from .cf import _limit_tol, evaluate, extrapolate
 
-    tol_frac = tol if isinstance(tol, Fraction) else Fraction(str(tol))
-    if tol_frac <= 0:
-        raise ValueError("tol must be positive")
+    tol_frac = _limit_tol(tol, terms, precision_bits)
     inner = tol_frac / 10 ** 6
     est = extrapolate(member.cf, inner, terms, precision_bits)
     method = "richardson"

@@ -174,19 +174,16 @@ def convergents(cf, N):
 
 def _canonical_pairs(b0, steps):
     """Exact (A_n, B_n) for the steps' terms: the kernel's pairs divided by
-    its scale M_n = den(b0) m_1 ... m_n."""
+    its scale M_n = den(b0) m_1 ... m_n, normalised only where M_n != 1."""
     M = b0.denominator
     for A, B, m, _ in _recurrence(b0, steps):
         M *= m
-        yield Fraction(A, M), Fraction(B, M)
+        yield (Fraction(A), Fraction(B)) if M == 1 else (Fraction(A, M), Fraction(B, M))
 
 
 def approximants(cf, N):
     """Approximant values A_n/B_n for n = 0..N; UNDEFINED where B_n = 0."""
-    entries = []
-    for conv in convergents(cf, N):
-        entries.append((conv.index, conv.value))
-    return ApproximantSequence(tuple(entries))
+    return ApproximantSequence(tuple((conv.index, conv.value) for conv in convergents(cf, N)))
 
 
 def _round_to(x, precision_bits):
@@ -264,8 +261,11 @@ def _first(stream, N):
 
 def _iter_terms(cf, N=None):
     """Exact (a_n, b_n) for n = 1..N, or n = 1, 2, ... without N: the view
-    (a/m, b/m) of _scaled_terms."""
-    terms = ((Fraction(a, m), Fraction(b, m)) for a, b, m in _scaled_terms(cf))
+    (a/m, b/m) of _scaled_terms, normalised only where m != 1."""
+    terms = (
+        (Fraction(a), Fraction(b)) if m == 1 else (Fraction(a, m), Fraction(b, m))
+        for a, b, m in _scaled_terms(cf)
+    )
     return terms if N is None else _first(terms, N)
 
 
@@ -343,6 +343,18 @@ def _recurrence(b0, steps, budget=None, gaps=False):
         yield A, B, m, D
 
 
+def _limit_tol(tol, max_terms, precision_bits):
+    """tol as a Fraction, after the checks evaluate and extrapolate share."""
+    tol = tol if isinstance(tol, Fraction) else Fraction(str(tol))
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_terms < 2:
+        raise ValueError("max_terms must be at least 2")
+    if precision_bits < 1:
+        raise ValueError("precision_bits must be at least 1")
+    return tol
+
+
 def evaluate(cf, tol, max_terms, precision_bits=128, backend="auto"):
     """Estimate the limit by iterating approximants.
 
@@ -367,13 +379,7 @@ def evaluate(cf, tol, max_terms, precision_bits=128, backend="auto"):
     """
     import mpmath
 
-    tol = tol if isinstance(tol, Fraction) else Fraction(str(tol))
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_terms < 2:
-        raise ValueError("max_terms must be at least 2")
-    if precision_bits < 1:
-        raise ValueError("precision_bits must be at least 1")
+    tol = _limit_tol(tol, max_terms, precision_bits)
     if backend == "auto":
         backend = "exact" if max_terms <= _EXACT_TERM_LIMIT else "float"
     if backend not in ("exact", "float"):
@@ -527,11 +533,12 @@ def extrapolate(cf, tol, max_terms, precision_bits=128):
     computed from the last (largest) window before the run.
 
     The estimate is not a bound: converged is always False and error_bound
-    is infinite.  terms_used is the number of terms read.
+    is infinite.  terms_used is the number of terms read.  tol, max_terms
+    and precision_bits are checked as evaluate checks them.
     """
     import mpmath
 
-    tol = tol if isinstance(tol, Fraction) else Fraction(str(tol))
+    tol = _limit_tol(tol, max_terms, precision_bits)
     points = _checkpoints(max_terms)
     if len(points) < 3 or tail_class(cf) is None:
         return None
@@ -617,12 +624,7 @@ def _similarity_symbolic(cf, r):
 
 
 def _is_integer_tail(tail):
-    return (
-        tail.a.den.degree == 0
-        and tail.a.den.coeffs[0] == 1
-        and tail.b.den.degree == 0
-        and tail.b.den.coeffs[0] == 1
-    )
+    return tail.a.den == 1 and tail.b.den == 1
 
 
 def to_integer_cf(cf, N):

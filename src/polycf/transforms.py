@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import CFSpec, CFTail, _as_fraction, _as_ratfn, _check_count, _iter_terms
+from .cf import CFSpec, CFTail, _as_fraction, _as_ratfn, _check_count, _first, _scaled_terms
 from .errors import (
     DegenerateTerm,
     NonzeroW0,
@@ -210,39 +210,45 @@ def euler_tail(b0, u, rho=1):
     return CFSpec(_as_fraction(b0), prefix, tail)
 
 
-def _checked_terms(cf, wv, N):
-    """Terms 1..N of cf and their margins lambda_n = a_n - w_{n-1} (b_n + w_n),
-    each checked as its term is read, before any error from a later term."""
-    terms, lam = [], []
-    for n, (a, b) in enumerate(_iter_terms(cf, N), 1):
-        lam.append(a - wv[n - 1] * (b + wv[n]))
-        if lam[-1] == 0:
+def _checked_steps(cf, wv, N):
+    """Columns a, m, S, L, P, Q over n = 1..N of the integer steps (a, b, m) of cf and
+    w_n = P[n]/Q[n]: b_n + w_n = S[n]/(m[n] Q[n]) and lambda_n = L[n]/(m[n] Q[n-1] Q[n]),
+    each margin checked as its term is read, before any error from a later term."""
+    P, Q = [x.numerator for x in wv], [x.denominator for x in wv]
+    columns = [(None, None, None, None)]
+    for n, (a, b, m) in enumerate(_first(_scaled_terms(cf), N), 1):
+        S = b * Q[n] + P[n] * m
+        L = a * Q[n - 1] * Q[n] - P[n - 1] * S
+        if L == 0:
             raise TransformDoesNotExist(n)
-        terms.append((a, b))
-    return terms, lam
+        columns.append((a, m, S, L))
+    return (*zip(*columns), P, Q)
+
+
+def _contracted(a, b, m, j, error):
+    """Integer c, d, den of the contraction term joining terms j+1 and j+2,
+    (-a_j a_{j+1} b_{j+2}, a_{j+2} b_j + b_{j+1} b_{j+2} b_j + a_{j+1} b_{j+2}) / b_j
+    as (c/den, d/den), from step columns; raises error(j) when b_j = 0."""
+    if b[j] == 0:
+        raise error(j)
+    den = m[j + 1] * m[j + 2] * b[j]
+    c = -a[j] * a[j + 1] * b[j + 2]
+    d = a[j + 2] * m[j + 1] * b[j] + (b[j + 1] * b[j] + a[j + 1] * m[j]) * b[j + 2]
+    return c, d, den
 
 
 def even_part(cf, N):
     """Contraction whose k-th convergent pair equals (A_{2k}, B_{2k}).
 
     Consumes terms 1..2N of the input; requires b_{2k} != 0 for the
-    denominators that get divided through.
+    denominators that get divided through.  Term k is the _contracted
+    term at j = 2k - 2, each value normalised once.
     """
     _check_count(N)
-    a, b = zip((None, None), *_iter_terms(cf, 2 * N))  # a_n = a[n], b_n = b[n]
-    terms = []
-    for k in range(1, N + 1):
-        if k == 1:
-            c = b[2] * a[1]
-            d = b[2] * b[1] + a[2]
-        else:
-            if b[2 * k - 2] == 0:
-                raise ZeroEvenDenominator(2 * k - 2)
-            ratio = b[2 * k] / b[2 * k - 2]
-            c = -a[2 * k - 2] * a[2 * k - 1] * ratio
-            d = a[2 * k] + b[2 * k - 1] * b[2 * k] + a[2 * k - 1] * ratio
-        terms.append((c, d))
-    return CFSpec(cf.b0, tuple(terms), None)
+    # step 0 = (-1, 1, 0), b_0 infinite with a_0 = -b_0, gives (a_1 b_2, a_2 + b_1 b_2)
+    a, b, m = zip((-1, 1, 0), *_first(_scaled_terms(cf), 2 * N))
+    rows = (_contracted(a, b, m, j, ZeroEvenDenominator) for j in range(0, 2 * N, 2))
+    return CFSpec(cf.b0, tuple((Fraction(c, den), Fraction(d, den)) for c, d, den in rows), None)
 
 
 def odd_part(cf, N):
@@ -250,30 +256,23 @@ def odd_part(cf, N):
 
     The leading term becomes A_1/B_1, so equality at k = 0 holds in value
     only.  Consumes terms 1..2N+1; requires b_1 and the divided-through odd
-    denominators to be nonzero.
+    denominators to be nonzero.  Term k is the _contracted term at
+    j = 2k - 1, with d_1 and c_2 times b_1, each value normalised once.
     """
     _check_count(N)
-    a, b = zip((None, None), *_iter_terms(cf, 2 * N + 1))
+    a, b, m = zip((None, None, None), *_first(_scaled_terms(cf), 2 * N + 1))
     if b[1] == 0:
         raise ZeroOddDenominator(1)
-    b0 = (cf.b0 * b[1] + a[1]) / b[1]
+    b0 = Fraction(cf.b0.numerator * b[1] + a[1] * cf.b0.denominator, cf.b0.denominator * b[1])
     terms = []
-    for k in range(1, N + 1):
-        if k == 1:
-            c = -a[1] * a[2] * b[3] / b[1]
-            d = b[1] * (a[3] + b[2] * b[3]) + a[2] * b[3]
-        elif k == 2:
-            if b[3] == 0:
-                raise ZeroOddDenominator(3)
-            c = -a[3] * a[4] * b[5] * b[1] / b[3]
-            d = a[5] + b[4] * b[5] + a[4] * b[5] / b[3]
-        else:
-            if b[2 * k - 1] == 0:
-                raise ZeroOddDenominator(2 * k - 1)
-            ratio = b[2 * k + 1] / b[2 * k - 1]
-            c = -a[2 * k - 1] * a[2 * k] * ratio
-            d = a[2 * k + 1] + b[2 * k] * b[2 * k + 1] + a[2 * k] * ratio
-        terms.append((c, d))
+    for j in range(1, 2 * N, 2):
+        c, d, den = _contracted(a, b, m, j, ZeroOddDenominator)
+        c_den = d_den = den
+        if j == 1:
+            d, d_den = d * b[1], den * m[1]
+        elif j == 3:
+            c, c_den = c * b[1], den * m[1]
+        terms.append((Fraction(c, c_den), Fraction(d, d_den)))
     return CFSpec(b0, tuple(terms), None)
 
 
@@ -291,19 +290,22 @@ def bauer_muir(cf, w, N):
 
     The result's convergent pairs satisfy C_n = A_n + w_n A_{n-1} and
     D_n = B_n + w_n B_{n-1} for all n.  Exists iff every margin
-    lambda_n = a_n - w_{n-1} (b_n + w_n) is nonzero.
+    lambda_n = a_n - w_{n-1} (b_n + w_n) is nonzero.  Each term value and
+    margin is normalised once, from the columns of _checked_steps.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
     wv = _w_values(w, N + 1)
-    source, lam = _checked_terms(cf, wv, N)
-    terms = [(lam[0], source[0][1] + wv[1])]
+    a, m, S, L, P, Q = _checked_steps(cf, wv, N)
+    lam = tuple(Fraction(L[n], m[n] * Q[n - 1] * Q[n]) for n in range(1, N + 1))
+    terms = [(lam[0], Fraction(S[1], m[1] * Q[1]))]
     for n in range(2, N + 1):
-        (a_prev, _), (_, b) = source[n - 2], source[n - 1]
-        ratio = lam[n - 1] / lam[n - 2]
-        terms.append((a_prev * ratio, b + wv[n] - wv[n - 2] * ratio))
+        # (a_{n-1} lambda_n / lambda_{n-1}, b_n + w_n - w_{n-2} lambda_n / lambda_{n-1})
+        den = m[n] * Q[n] * L[n - 1]
+        c, d = a[n - 1] * L[n] * Q[n - 2], S[n] * L[n - 1] - P[n - 2] * L[n] * m[n - 1]
+        terms.append((Fraction(c, den), Fraction(d, den)))
     out = CFSpec(cf.b0 + wv[0], tuple(terms), None)
-    return BauerMuirResult(out, tuple(wv), tuple(lam))
+    return BauerMuirResult(out, tuple(wv), lam)
 
 
 def bauer_muir_tail(cf, w, w0):
@@ -335,6 +337,7 @@ def extension_bmoe(cf, w, N):
     Produces 2N+1 terms whose odd-indexed approximants are the Bauer-Muir
     approximants and whose even-indexed ones are the original approximants.
     Requires w_1..w_N nonzero and every margin lambda_1..lambda_{N+1} nonzero.
+    Each value is normalised once, from the columns of _checked_steps.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -344,11 +347,10 @@ def extension_bmoe(cf, w, N):
     for j in range(1, N + 1):
         if wv[j] == 0:
             raise ZeroW(j)
-    source, _ = _checked_terms(cf, wv, N + 1)
-    a1, b1 = source[0]
-    terms = [(a1, b1 + wv[1])]
-    for j, (a_next, b_next) in enumerate(source[1:], 1):
-        terms.append((-wv[j], Fraction(1)))
-        q = a_next / wv[j]
-        terms.append((q, b_next + wv[j + 1] - q))
+    a, m, S, _, P, Q = _checked_steps(cf, wv, N + 1)
+    terms = [(Fraction(a[1], m[1]), Fraction(S[1], m[1] * Q[1]))]
+    for n in range(2, N + 2):
+        # (-w_{n-1}, 1), then q = a_n / w_{n-1} and b_n + w_n - q over one denominator
+        den, q = m[n] * Q[n] * P[n - 1], a[n] * Q[n - 1] * Q[n]
+        terms += [(-wv[n - 1], Fraction(1)), (Fraction(q, den), Fraction(S[n] * P[n - 1] - q, den))]
     return CFSpec(cf.b0, tuple(terms), None)

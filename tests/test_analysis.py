@@ -2,6 +2,7 @@
 limit verification against the independent constant oracles."""
 
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -20,12 +21,15 @@ from polycf.cf import (
     CFSpec,
     CFTail,
     approximants,
+    evaluate,
     extrapolate,
     tail_class,
+    term_at,
 )
 from polycf.cli import _REPRODUCE_ROWS
 from polycf.errors import EmptyRange, HypothesisViolation, NonIntegerTerms, UnsupportedConstant
 from polycf.families import LimitClaim, NamedConstant, build_preset
+from polycf.poly import leading_coefficient
 
 F = Fraction
 
@@ -168,6 +172,48 @@ def test_growth_all_ones_golden_ratio():
         assert abs(g.phi - (1 + mpmath.sqrt(5)) / 2) < 1e-30
 
 
+def _reference_growth_constant(cf, N, epsilon, bits=128):
+    """C by the direct formulas: the least B_n / ((|D|/(1+eps))^n (n!)^k) as a
+    Fraction, or the least B_n / phi^n in mpf with phi^n by repeated products."""
+    A_prev, B_prev, A, B = F(1), F(0), cf.b0, F(1)
+    bs = []
+    for n in range(1, N + 1):
+        a, b = term_at(cf, n)
+        A, A_prev = b * A + a * A_prev, A
+        B, B_prev = b * B + a * B_prev, B
+        bs.append(B)
+    with mpmath.workprec(bits + 32):
+        phi = (1 + mpmath.sqrt(5)) / 2
+        if cf.tail.b.num.degree > cf.tail.b.den.degree:
+            k = cf.tail.b.num.degree - cf.tail.b.den.degree
+            base = abs(leading_coefficient(cf.tail.b)) / (1 + epsilon)
+            c = min(B_n / (base**n * F(math.factorial(n)) ** k) for n, B_n in enumerate(bs, 1))
+            C = mpmath.mpf(c.numerator) / c.denominator
+        else:
+            C, p = None, mpmath.mpf(1)
+            for B_n in bs:
+                p *= phi
+                ratio = (mpmath.mpf(B_n.numerator) / B_n.denominator) / p
+                C = ratio if C is None or ratio < C else C
+        with mpmath.workprec(bits):
+            return (+C)._mpf_
+
+
+@pytest.mark.parametrize(
+    "cf, epsilon",
+    [
+        (E_CF, F(1)),
+        (E_CF, F(1, 7)),
+        (CFSpec(F(3, 2), ((F(5, 2), F(7, 3)),), CFTail("(n^2+1)/2", "(3n^2+n)/2", 1)), F(2, 5)),
+        (CFSpec(F(1), ((F(4, 3), F(3, 2)),), CFTail("n+1", "(n+4)/(n+1)", 1)), F(1)),
+        (ONES_CF, F(1)),
+    ],
+)
+def test_growth_constant_matches_direct_formula(cf, epsilon):
+    g = growth_diagnostics(cf, 120, epsilon=epsilon)
+    assert g.C._mpf_ == _reference_growth_constant(cf, 120, epsilon)
+
+
 def test_growth_validation():
     with pytest.raises(EmptyRange):
         growth_diagnostics(E_CF, 0)
@@ -300,6 +346,20 @@ def test_extrapolate_agrees_with_exact_convergents(preset, params, terms, bits):
     with mpmath.workprec(bits + 32):
         exact = mpmath.mpf(want.numerator) / want.denominator
         assert abs(est.value - exact) <= abs(exact) * mpmath.mpf(2) ** -bits
+
+
+@pytest.mark.parametrize(
+    "tol, max_terms, bits",
+    [(F(0), 400, 128), (F(-1, 10), 400, 128), (F(1, 10**6), 1, 128), (F(1, 10**6), 400, 0),
+     (F(1, 10**6), 400, -3)],
+    ids=["tol-zero", "tol-negative", "max-terms-1", "bits-zero", "bits-negative"],
+)
+def test_extrapolate_rejects_what_evaluate_rejects(tol, max_terms, bits):
+    # Brouncker's tail is "positive", so without the check the run goes ahead
+    cf = build_preset("brouncker").cf
+    for limit in (evaluate, extrapolate):
+        with pytest.raises(ValueError):
+            limit(cf, tol, max_terms, bits)
 
 
 @pytest.mark.parametrize("preset", ["e", "ex5.6", "ex3.5", "ex1.1", "ex2.2", "ex2.4", "ex2.5"])

@@ -120,6 +120,23 @@ def test_determinant_identity(cf, N):
         assert lhs == (-1) ** (n - 1) * prod
 
 
+def test_convergents_normalise_where_the_scale_is_not_one():
+    # the kernel's scale M_n = den(b0) m_1 ... m_n.  A fractional b0, rational
+    # prefix terms and a tail written with the negative constant denominator
+    # -3 (held as (-n-1)/3): M_n = 3 * 20 * 12 * 3^(n-2).  A tail
+    # denominator 2x - 1 read from x = 0: M_n = -1, -1, -3, -15, ...
+    cases = (
+        (CFSpec(F(-7, 3), ((F(2, 5), F(-3, 4)), (F(-1, 6), F(5, 2))),
+                CFTail(RationalFunction(IntPolynomial([1, 1]), -3), "n^2-5", 1)), 30),
+        (CFSpec(F(2), (), CFTail("n+3", "(n-2)/(2n-1)", 0)), 12),
+    )
+    for cf, N in cases:
+        assert next(_scaled_terms(cf))[2] != 1
+        convs = convergents(cf, N)
+        assert [(c.A, c.B) for c in convs] == _reference_pairs(cf, N)
+        assert all(type(v) is F for c in convs for v in (c.A, c.B))
+
+
 def test_convergents_reject_negative_counts():
     with pytest.raises(ValueError):
         convergents(E_CF, -1)

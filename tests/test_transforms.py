@@ -1,24 +1,38 @@
 """Unit tests for series/product constructions, contractions, and Bauer-Muir."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polycf.cf import CFSpec, CFTail, approximants, convergents, integer_tail_form
+from polycf.cf import (
+    CFSpec,
+    CFTail,
+    _scaled_terms,
+    approximants,
+    convergents,
+    integer_tail_form,
+    term_at,
+)
 from polycf.errors import (
     DegenerateTerm,
     NonzeroW0,
+    PolycfError,
     RepeatedValue,
     TransformDoesNotExist,
     UnitTerm,
+    ZeroEvenDenominator,
     ZeroOddDenominator,
     ZeroPartialNumerator,
     ZeroTerm,
     ZeroW,
 )
-from polycf.poly import ratfn_from_string
+from polycf.poly import IntPolynomial, RationalFunction, ratfn_from_string
 from polycf.transforms import (
+    BauerMuirResult,
     ProductSpec,
     SeriesSpec,
     bauer_muir,
@@ -333,3 +347,172 @@ def test_bauer_muir_tail_matches_finite():
             res = bauer_muir_tail(cf, w, w0)
             finite = bauer_muir(cf, [w0] + [w(n) for n in range(1, 21)], 20)
             assert approximants(res.cf, 20).values() == approximants(finite.cf, 20).values()
+
+
+# Reference transforms: the Fraction formulas, term by term over term_at, with
+# the same checks in the same order as the integer-step implementations.
+
+
+def _ref_terms(cf, count):
+    return zip((None, None), *(term_at(cf, n) for n in range(1, count + 1)))
+
+
+def _ref_even_part(cf, N):
+    if N < 0:
+        raise ValueError(N)
+    a, b = _ref_terms(cf, 2 * N)
+    terms = []
+    for k in range(1, N + 1):
+        if k == 1:
+            c, d = b[2] * a[1], b[2] * b[1] + a[2]
+        else:
+            if b[2 * k - 2] == 0:
+                raise ZeroEvenDenominator(2 * k - 2)
+            ratio = b[2 * k] / b[2 * k - 2]
+            c = -a[2 * k - 2] * a[2 * k - 1] * ratio
+            d = a[2 * k] + b[2 * k - 1] * b[2 * k] + a[2 * k - 1] * ratio
+        terms.append((c, d))
+    return CFSpec(cf.b0, tuple(terms), None)
+
+
+def _ref_odd_part(cf, N):
+    if N < 0:
+        raise ValueError(N)
+    a, b = _ref_terms(cf, 2 * N + 1)
+    if b[1] == 0:
+        raise ZeroOddDenominator(1)
+    terms = []
+    for k in range(1, N + 1):
+        if k == 1:
+            c = -a[1] * a[2] * b[3] / b[1]
+            d = b[1] * (a[3] + b[2] * b[3]) + a[2] * b[3]
+        elif k == 2:
+            if b[3] == 0:
+                raise ZeroOddDenominator(3)
+            c = -a[3] * a[4] * b[5] * b[1] / b[3]
+            d = a[5] + b[4] * b[5] + a[4] * b[5] / b[3]
+        else:
+            if b[2 * k - 1] == 0:
+                raise ZeroOddDenominator(2 * k - 1)
+            ratio = b[2 * k + 1] / b[2 * k - 1]
+            c = -a[2 * k - 1] * a[2 * k] * ratio
+            d = a[2 * k + 1] + b[2 * k] * b[2 * k + 1] + a[2 * k] * ratio
+        terms.append((c, d))
+    return CFSpec((cf.b0 * b[1] + a[1]) / b[1], tuple(terms), None)
+
+
+def _ref_checked_terms(cf, w, N):
+    terms, lam = [], []
+    for n in range(1, N + 1):
+        a, b = term_at(cf, n)
+        lam.append(a - w[n - 1] * (b + w[n]))
+        if lam[-1] == 0:
+            raise TransformDoesNotExist(n)
+        terms.append((a, b))
+    return terms, lam
+
+
+def _ref_bauer_muir(cf, w, N):
+    if N < 1:
+        raise ValueError(N)
+    w = w[: N + 1]
+    source, lam = _ref_checked_terms(cf, w, N)
+    terms = [(lam[0], source[0][1] + w[1])]
+    for n in range(2, N + 1):
+        (a_prev, _), (_, b) = source[n - 2], source[n - 1]
+        ratio = lam[n - 1] / lam[n - 2]
+        terms.append((a_prev * ratio, b + w[n] - w[n - 2] * ratio))
+    return BauerMuirResult(CFSpec(cf.b0 + w[0], tuple(terms), None), tuple(w), tuple(lam))
+
+
+def _ref_extension_bmoe(cf, w, N):
+    if N < 1:
+        raise ValueError(N)
+    if w[0] != 0:
+        raise NonzeroW0(w[0])
+    for j in range(1, N + 1):
+        if w[j] == 0:
+            raise ZeroW(j)
+    source, _ = _ref_checked_terms(cf, w, N + 1)
+    terms = [(source[0][0], source[0][1] + w[1])]
+    for j, (a_next, b_next) in enumerate(source[1:], 1):
+        q = a_next / w[j]
+        terms += [(-w[j], F(1)), (q, b_next + w[j + 1] - q)]
+    return CFSpec(cf.b0, tuple(terms), None)
+
+
+def _same_outcome(run, reference):
+    """run() returns what reference() returns, or raises the same error type
+    with the same arguments (the index of the failing term or margin)."""
+    try:
+        want = reference()
+    except (PolycfError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            run()
+        if isinstance(exc, PolycfError):
+            assert got.value.args == exc.args
+        return
+    assert run() == want
+
+
+_q = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4]))
+_poly = st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any).map(IntPolynomial)
+_ratfn = st.builds(RationalFunction, _poly, _poly)
+_transform_cf = st.builds(
+    CFSpec,
+    _q,
+    st.lists(st.tuples(_q.filter(bool), _q | st.just(F(0))), max_size=5).map(tuple),
+    st.builds(CFTail, _ratfn, _ratfn, st.integers(-4, 3)) | st.none(),
+)
+# inputs the property covers whatever hypothesis draws: step scales m > 1 in
+# the prefix and m < 0 from the tail's non-constant denominators (at n = 2
+# and 3, -3 * 2 and -1 * 7), b_2 = 0, and a zero margin
+_FRACTIONAL = CFSpec(
+    F(1, 3),
+    ((F(2, 5), F(-3, 4)), (F(-1, 6), F(5, 2))),
+    CFTail("(n+1)/(2n-7)", "(2n-3)/(n^2-2)", 1),
+)
+_ZERO_B2 = CFSpec(
+    F(1), ((F(1, 2), F(3)), (F(2), F(0)), (F(1), F(1, 3))), CFTail("n", "(n+1)/(n-4)", 1)
+)
+_W = [F(1, 2), F(-1), F(2, 3), F(3), F(-1, 4), F(1), F(2), F(-3), F(1, 5)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(cf=_FRACTIONAL, N=4, w=_W, zero_at=None)
+@example(cf=_FRACTIONAL, N=4, w=_W, zero_at=3)
+@example(cf=_ZERO_B2, N=3, w=_W, zero_at=2)
+@given(
+    cf=_transform_cf,
+    N=st.integers(0, 6),
+    w=st.lists(_q, min_size=9, max_size=9),
+    zero_at=st.none() | st.integers(1, 7),
+)
+def test_transforms_match_fraction_formulas(cf, N, w, zero_at):
+    if zero_at is not None and w[zero_at - 1] != 0:
+        # w_n = a_n / w_{n-1} - b_n makes lambda_n = a_n - w_{n-1} (b_n + w_n) zero
+        try:
+            a, b = term_at(cf, zero_at)
+        except PolycfError:
+            pass
+        else:
+            w[zero_at] = a / w[zero_at - 1] - b
+    ext_w = [F(0)] + w[1:]
+    _same_outcome(lambda: even_part(cf, N), lambda: _ref_even_part(cf, N))
+    _same_outcome(lambda: odd_part(cf, N), lambda: _ref_odd_part(cf, N))
+    _same_outcome(lambda: bauer_muir(cf, w, N), lambda: _ref_bauer_muir(cf, w, N))
+    _same_outcome(lambda: extension_bmoe(cf, ext_w, N), lambda: _ref_extension_bmoe(cf, ext_w, N))
+
+
+def test_transform_property_examples_cover_the_integer_step_cases():
+    steps = list(itertools.islice(_scaled_terms(_FRACTIONAL), 5))
+    assert any(m < 0 for _, _, m in steps[2:]) and all(m > 1 for _, _, m in steps[:2])
+    with pytest.raises(ZeroEvenDenominator) as exc:
+        even_part(_ZERO_B2, 3)
+    assert exc.value.index == 2
+    w = list(_W)
+    a, b = term_at(_FRACTIONAL, 3)
+    w[3] = a / w[2] - b
+    with pytest.raises(TransformDoesNotExist) as exc:
+        bauer_muir(_FRACTIONAL, w, 4)
+    assert exc.value.index == 3
