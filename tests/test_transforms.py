@@ -358,8 +358,6 @@ def _ref_terms(cf, count):
 
 
 def _ref_even_part(cf, N):
-    if N < 0:
-        raise ValueError(N)
     a, b = _ref_terms(cf, 2 * N)
     terms = []
     for k in range(1, N + 1):
@@ -376,8 +374,6 @@ def _ref_even_part(cf, N):
 
 
 def _ref_odd_part(cf, N):
-    if N < 0:
-        raise ValueError(N)
     a, b = _ref_terms(cf, 2 * N + 1)
     if b[1] == 0:
         raise ZeroOddDenominator(1)
