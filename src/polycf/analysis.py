@@ -365,6 +365,8 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
     from .cf import _limit_tol, evaluate, extrapolate
 
     tol_frac = _limit_tol(tol, terms, precision_bits)
+    if member.limit.kind == "named" and precision_bits < 64:
+        raise ValueError("precision_bits must be at least 64")  # the oracle's minimum
     inner = tol_frac / 10 ** 6
     est = extrapolate(member.cf, inner, terms, precision_bits)
     method = "richardson"

@@ -71,7 +71,7 @@ def _ceil_nth_root(m, d):
 
 def _as_int(c):
     if isinstance(c, int):
-        return c
+        return int(c)
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     raise TypeError(f"integer coefficient required, got {c!r}")
@@ -87,6 +87,13 @@ class IntPolynomial:
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         self.coeffs = tuple(cleaned)
+
+    @classmethod
+    def _make(cls, coeffs):
+        """Trusted constructor: coeffs is a tuple of ints, already trimmed."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
 
     @classmethod
     def constant(cls, c):
@@ -148,12 +155,14 @@ class IntPolynomial:
         merged = list(a)
         for i, c in enumerate(b):
             merged[i] += c
-        return IntPolynomial(merged)
+        while merged and merged[-1] == 0:
+            merged.pop()
+        return IntPolynomial._make(tuple(merged))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPolynomial(-c for c in self.coeffs)
+        return IntPolynomial._make(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         other = _as_polynomial(other)
@@ -171,20 +180,24 @@ class IntPolynomial:
         other = _as_polynomial(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
+        p, q = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
+        if len(p.coeffs) <= 1:
+            # a constant factor: 0 and 1 give an operand back, others scale
+            if not p.coeffs or p.coeffs[0] == 1:
+                return q if p.coeffs else p
+            return q._scaled(p.coeffs[0])
+        out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
+        for i, a in enumerate(p.coeffs):
+            for j, b in enumerate(q.coeffs, i):
+                out[j] += a * b
+        return IntPolynomial._make(tuple(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
-        result = IntPolynomial((1,))
+        result = _ONE
         for _ in range(exponent):
             result = result * self
         return result
@@ -200,7 +213,7 @@ class IntPolynomial:
             for i, x in enumerate(prev):
                 out[i + 1] += x
             out[0] += c
-        return IntPolynomial(out)
+        return IntPolynomial._make(tuple(out))
 
     def root_bound(self):
         """Integer bound R with every complex root strictly inside |z| < R.
@@ -225,9 +238,11 @@ class IntPolynomial:
 
     def primitive_part(self):
         c = self.content
-        if c in (0, 1):
-            return self
-        return IntPolynomial(k // c for k in self.coeffs)
+        return self if c in (0, 1) else self._scaled(1, c)
+
+    def _scaled(self, c, d=1):
+        """c p / d, for a nonzero int c and an int d that divides c p."""
+        return IntPolynomial._make(tuple(c * k // d for k in self.coeffs))
 
     def to_json(self):
         return [str(c) for c in self.coeffs]
@@ -302,14 +317,16 @@ def _poly_gcd(p, q):
     a, b = p.coeffs, q.coeffs
     while b:
         if len(b) == 1:
-            return IntPolynomial((1,))
-        a, b = b, IntPolynomial(_pseudo_remainder(a, b)).primitive_part().coeffs
-    a = IntPolynomial(a).primitive_part()
+            return _ONE
+        a, b = b, IntPolynomial._make(tuple(_pseudo_remainder(a, b))).primitive_part().coeffs
+    a = IntPolynomial._make(a).primitive_part()
     return a if a.is_zero or a.coeffs[-1] > 0 else -a
 
 
 def _exact_div(p, g):
     """Divide p by a known exact divisor g, staying in integer coefficients."""
+    if g.coeffs == (1,):
+        return p
     num = list(p.coeffs)
     dg, lead = len(g.coeffs) - 1, g.coeffs[-1]
     quot = [0] * max(len(num) - dg, 0)
@@ -322,19 +339,53 @@ def _exact_div(p, g):
             num[i - dg + j] -= c * gc
     if any(num):
         raise ArithmeticError("inexact polynomial division")
-    return IntPolynomial(quot)
+    return IntPolynomial._make(tuple(quot))
+
+
+_ONE = IntPolynomial._make((1,))
 
 
 def _as_num_den(v):
     if isinstance(v, RationalFunction):
         return v.num, v.den
     if isinstance(v, IntPolynomial):
-        return v, IntPolynomial((1,))
+        return v, _ONE
     if isinstance(v, int):
-        return IntPolynomial((v,)), IntPolynomial((1,))
+        return IntPolynomial((v,)), _ONE
     if isinstance(v, Fraction):
         return IntPolynomial((v.numerator,)), IntPolynomial((v.denominator,))
     return None
+
+
+def _reduced(num, den):
+    """The RationalFunction num/den in normal form, for polynomials num, den.
+
+    A constant side shares no non-constant factor with the other, so there
+    only the contents are reduced.
+    """
+    if den.is_zero:
+        raise ZeroFunction("division by the zero function")
+    if num.is_zero:
+        den = _ONE
+    else:
+        if len(num.coeffs) > 1 and len(den.coeffs) > 1:
+            g = _poly_gcd(num, den)
+            num, den = _exact_div(num, g), _exact_div(den, g)
+        c = math.gcd(num.content, den.content)
+        sign = 1 if den.coeffs[-1] > 0 else -1
+        if c != 1 or sign < 0:
+            num, den = num._scaled(sign, c), den._scaled(sign, c)
+    return RationalFunction._make(num, den)
+
+
+def _binary(op):
+    """A RationalFunction operator: op on the (num, den) pairs of self and other."""
+
+    def method(self, other):
+        parts = _as_num_den(other)
+        return NotImplemented if parts is None else op(self.num, self.den, *parts)
+
+    return method
 
 
 class RationalFunction:
@@ -352,27 +403,15 @@ class RationalFunction:
         bottom = _as_num_den(den)
         if top is None or bottom is None:
             raise TypeError(f"cannot build a rational function from {num!r}/{den!r}")
-        raw_num = top[0] * bottom[1]
-        raw_den = top[1] * bottom[0]
-        if raw_den.is_zero:
-            raise ZeroFunction("division by the zero function")
-        if raw_num.is_zero:
-            self.num = IntPolynomial()
-            self.den = IntPolynomial((1,))
-            return
-        g = _poly_gcd(raw_num, raw_den)
-        if g.degree > 0 or g.leading_coefficient != 1:
-            raw_num = _exact_div(raw_num, g)
-            raw_den = _exact_div(raw_den, g)
-        c = math.gcd(raw_num.content, raw_den.content)
-        if c > 1:
-            raw_num = IntPolynomial(k // c for k in raw_num.coeffs)
-            raw_den = IntPolynomial(k // c for k in raw_den.coeffs)
-        if raw_den.leading_coefficient < 0:
-            raw_num = -raw_num
-            raw_den = -raw_den
-        self.num = raw_num
-        self.den = raw_den
+        r = _reduced(top[0] * bottom[1], top[1] * bottom[0])
+        self.num, self.den = r.num, r.den
+
+    @classmethod
+    def _make(cls, num, den):
+        """Trusted constructor: num/den is already in normal form."""
+        out = object.__new__(cls)
+        out.num, out.den = num, den
+        return out
 
     @classmethod
     def variable(cls):
@@ -405,59 +444,23 @@ class RationalFunction:
         A shift keeps the normal form (no common factor, coprime contents,
         positive leading denominator coefficient), so none is recomputed.
         """
-        out = object.__new__(RationalFunction)
-        out.num, out.den = self.num.shift(h), self.den.shift(h)
-        return out
+        return RationalFunction._make(self.num.shift(h), self.den.shift(h))
 
-    def __add__(self, other):
-        parts = _as_num_den(other)
-        if parts is None:
-            return NotImplemented
-        on, od = parts
-        return RationalFunction(self.num * od + on * self.den, self.den * od)
-
-    __radd__ = __add__
+    # a/b (self) with c/d (other)
+    __add__ = __radd__ = _binary(lambda a, b, c, d: _reduced(a * d + c * b, b * d))
+    __sub__ = _binary(lambda a, b, c, d: _reduced(a * d - c * b, b * d))
+    __rsub__ = _binary(lambda a, b, c, d: _reduced(c * b - a * d, b * d))
+    __mul__ = __rmul__ = _binary(lambda a, b, c, d: _reduced(a * c, b * d))
+    __truediv__ = _binary(lambda a, b, c, d: _reduced(a * d, b * c))
+    __rtruediv__ = _binary(lambda a, b, c, d: _reduced(c * b, d * a))
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        parts = _as_num_den(other)
-        if parts is None:
-            return NotImplemented
-        on, od = parts
-        return RationalFunction(self.num * od - on * self.den, self.den * od)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        parts = _as_num_den(other)
-        if parts is None:
-            return NotImplemented
-        on, od = parts
-        return RationalFunction(self.num * on, self.den * od)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        parts = _as_num_den(other)
-        if parts is None:
-            return NotImplemented
-        on, od = parts
-        return RationalFunction(self.num * od, self.den * on)
-
-    def __rtruediv__(self, other):
-        parts = _as_num_den(other)
-        if parts is None:
-            return NotImplemented
-        on, od = parts
-        return RationalFunction(on * self.den, od * self.num)
+        return RationalFunction._make(-self.num, self.den)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("rational-function exponent must be a non-negative integer")
-        return RationalFunction(self.num**exponent, self.den**exponent)
+        return RationalFunction._make(self.num**exponent, self.den**exponent)
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -475,9 +478,7 @@ class RationalFunction:
         parts = _as_num_den(other)
         if parts is None:
             return NotImplemented
-        on, od = parts
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction(on, od)
+        other = other if isinstance(other, RationalFunction) else _reduced(*parts)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -523,17 +524,9 @@ def eventually_positive(r, from_n):
     is a pole.
     """
     r = r if isinstance(r, RationalFunction) else RationalFunction(r)
-    # a pole past the root bound is impossible, so the scan finds them all
-    bound = _scan_bound(r, from_n)
-    ok = True
-    for n in range(from_n, bound + 1):
-        if r(n) <= 0:
-            ok = False
-    if not ok:
-        return False
-    if r.is_zero:
-        return False
-    return r.num.leading_coefficient > 0
+    # a pole past the root bound is impossible, so the full scan finds them all
+    values = [r(n) for n in range(from_n, _scan_bound(r, from_n) + 1)]
+    return all(v > 0 for v in values) and not r.is_zero and r.num.leading_coefficient > 0
 
 
 def eventually_nonnegative(r, from_n):
@@ -541,12 +534,8 @@ def eventually_nonnegative(r, from_n):
     r = r if isinstance(r, RationalFunction) else RationalFunction(r)
     if r.is_zero:
         return True
-    bound = _scan_bound(r, from_n)
-    ok = True
-    for n in range(from_n, bound + 1):
-        if r(n) < 0:
-            ok = False
-    return ok and r.num.leading_coefficient > 0
+    values = [r(n) for n in range(from_n, _scan_bound(r, from_n) + 1)]
+    return all(v >= 0 for v in values) and r.num.leading_coefficient > 0
 
 
 def has_integer_root_at_or_after(r, from_n):

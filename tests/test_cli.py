@@ -280,6 +280,27 @@ def test_negative_count_names_the_given_count(capsys, command):
                                "detail": "cannot read a negative number of terms (-3)"}
 
 
+def test_verify_rejects_oracle_precision_before_evaluating(capsys, monkeypatch):
+    import polycf.cf
+
+    def never(*args, **kwargs):
+        raise AssertionError("evaluated before the precision check")
+
+    monkeypatch.setattr(polycf.cf, "extrapolate", never)
+    monkeypatch.setattr(polycf.cf, "evaluate", never)
+    for bits in ("10", "63"):
+        code, out, err = run(capsys, ["verify", "--preset", "brouncker", "--terms", "200",
+                                      "--precision-bits", bits])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "InvalidInput",
+                                   "detail": "precision_bits must be at least 64"}
+    monkeypatch.undo()
+    # an exact limit needs no oracle, so low precision stays valid
+    code, out, _ = run(capsys, ["verify", "--preset", "ex1.1", "--terms", "100",
+                                "--precision-bits", "10"])
+    assert code == 0 and json.loads(out)["verdict"] == "Pass"
+
+
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # Runs each argv list of sys.argv[1] through main in this one process and

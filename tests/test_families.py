@@ -1,6 +1,7 @@
 """Unit tests for the identity families and their presets."""
 
 import hashlib
+import json
 from fractions import Fraction
 
 import mpmath
@@ -13,6 +14,7 @@ from polycf.cf import (
     CFSpec,
     CFTail,
     approximants,
+    cf_to_json,
     evaluate,
     integer_tail_form,
     term_at,
@@ -470,6 +472,104 @@ _PRESET_DIGESTS = {
         "1877880309af45bba840382ab7fd710957eaf94165bc504a79d36a9db6523aad",
 }
 
+# sha256 of json.dumps(cf_to_json(cf), sort_keys=True) for the same members:
+# the symbolic forms `polycf family` prints.  An equivalent form written
+# differently keeps the approximant pins but fails these.
+_PRESET_FORM_DIGESTS = {
+    ("brouncker", ""):
+        "e3552e8d07a39ec9361754d1464eeb29cc99b60c22c36d9a031984b57a236f70",
+    ("e", ""):
+        "4cc5a1e011ca7cd0ea7b60c43aab548a728eb70ecfe92f420132a9affb7ed5af",
+    ("entry13", ""):
+        "f590973739837cebb4942a4121044defe7429d22ca14a20c25422542419f9727",
+    ("entry13", "a=1,b=1,d=1"):
+        "f590973739837cebb4942a4121044defe7429d22ca14a20c25422542419f9727",
+    ("ex1.1", ""):
+        "03ad72166facb66f23ffa6cff2d79bff794817340d456ed75a2ecadba3957c91",
+    ("ex1.1", "f=1,m=1"):
+        "03ad72166facb66f23ffa6cff2d79bff794817340d456ed75a2ecadba3957c91",
+    ("ex1.1", "f=1,m=2"):
+        "7760afd5dfe3da07f871f51adcbaefaaa684e904f4d35fe115ed9c12f320198a",
+    ("ex1.1", "f=1,m=3"):
+        "f8c9e8ecdc2801d688b0741acffb71187b28a4b2b17e6c7ebef19d4a09c6c9bf",
+    ("ex1.1", "f=n,m=1"):
+        "31d6be97ab4b18ba170011c4601812b2d00c33067c2e279875df6b65a06d43e8",
+    ("ex1.1", "f=n,m=2"):
+        "9b2a17010c29378e0b3270b767ef534c4d065708e3ba9fb208a957f5ab0805cc",
+    ("ex1.1", "f=n,m=3"):
+        "14633fe7fc9137cb1264f65d6b3c228d9229f1e0713e19bfc58194e4a217c154",
+    ("ex1.1", "f=n^2,m=1"):
+        "9b1713c94d6199d996b5b9b85fa000c92a38b7bf2e1b2d7a2eb4a25baa2e2c51",
+    ("ex1.1", "f=n^2,m=2"):
+        "af6fa5c2f79f960dace11631af5d03c5e7a7bc939fe3d691417e0bc7daaa6c9f",
+    ("ex1.1", "f=n^2,m=3"):
+        "e3128808105f29d3d52f3ed435db5cec37237c2a08d39d914d34accdc28bc3b9",
+    ("ex2.2", ""):
+        "06ceff089466b9feed093412c4f76a1b86acc6564db37122b5fddef92e950641",
+    ("ex2.4", ""):
+        "d2bf4bf0a0978f049868d30c22993f357a1f47582cf4c1d8a921a1986402d1e8",
+    ("ex2.5", ""):
+        "d5ed1bf74b14ae4cf9cf1bc34c59887cddbac3ef95a37d87f888dcd407d21860",
+    ("ex3.3", ""):
+        "474564901e026c5048e7c8c6acfeb1bb95cd49a81d8c384c931c63fd1e671571",
+    ("ex3.3", "A=1"):
+        "474564901e026c5048e7c8c6acfeb1bb95cd49a81d8c384c931c63fd1e671571",
+    ("ex3.3", "A=2"):
+        "032130605323d534476018d5f44a23883df54227941be292889da2250b330224",
+    ("ex3.3", "A=3"):
+        "bd925f2006061bf12809d454cfce3b95e266105d586dbb79cf3c4471a792a3c3",
+    ("ex3.3", "A=4"):
+        "b3b6866e10dbe0a10f36f2fbe66ab93acf86a83e2daab08d88eed027142ee7d2",
+    ("ex3.3", "A=5"):
+        "fc47d96fd469159f1e922481d18888dae5539a65f40ab8aac893c9f46311e90d",
+    ("ex3.4", ""):
+        "1f664f659e7782512a4b9fcadab427ef82467fc6e3496dce24b96cec5f4e6a0a",
+    ("ex3.4", "A=1,k=11"):
+        "5560befb5a561a7a2f22c3f92a1959c148ac1dfed948bf572758049e879133ba",
+    ("ex3.4", "A=1,k=2"):
+        "1f664f659e7782512a4b9fcadab427ef82467fc6e3496dce24b96cec5f4e6a0a",
+    ("ex3.4", "A=1,k=3"):
+        "b6e12a6522c17ca47c598fb8102e32fedeebeec1eb2d6d56ee254de207f0d797",
+    ("ex3.4", "A=2,k=11"):
+        "85834956464064dbe04789831547a9e49995a08e8ff131a25ceef75ca5bc098d",
+    ("ex3.4", "A=2,k=2"):
+        "9472f7c5a9b99619d4f903e12c8db0aaaf98a6ed0a6be794f5e75c026b16a71a",
+    ("ex3.4", "A=2,k=3"):
+        "5bb20860d72a5283ec4916e9d67592682db46de9a52b298ab261c26db15ebe5d",
+    ("ex3.4", "A=3,k=11"):
+        "2dd855566bedeead9461a29ee0dd6ccab37abd494d2f168e014eff47917f048b",
+    ("ex3.4", "A=3,k=2"):
+        "16e57ba5b707d95ad91a2b3d6be2bba5b89be3d845150755df4f244754648480",
+    ("ex3.4", "A=3,k=3"):
+        "66bcb309ec4cd2d5d63bceffd027b1fa688c1ce18988cf4a5994073f41dade4d",
+    ("ex3.5", ""):
+        "2c5d7b07f3cd8e9b11c29c735972b567bee5852e01e9256a606f54974304e867",
+    ("ex3.5", "A=1"):
+        "2c5d7b07f3cd8e9b11c29c735972b567bee5852e01e9256a606f54974304e867",
+    ("ex3.5", "A=2"):
+        "cb0615094a18e6cec8441a1ec2563d9acb8715563d8a52f635446d3892a8338f",
+    ("ex3.5", "A=3"):
+        "f83e131b0890c1b959d312b07b9e100f62a9ddd998e2f46bc6f2e0ee0da7afaf",
+    ("ex4.2", ""):
+        "68166203c45ce71606f67fe59530044c1ba10b4b87053756e0a10c95ebf2fc97",
+    ("ex4.2", "A=-1"):
+        "53d9655afb741c8f0e21addc5605433e3af60fe998fa9dec66d9866da31ede3b",
+    ("ex4.2", "A=0"):
+        "68166203c45ce71606f67fe59530044c1ba10b4b87053756e0a10c95ebf2fc97",
+    ("ex4.2", "A=1"):
+        "daab6b1dee42e3323e48a58920eb604889768a20ed17cab6c4ee1624ad3e4a36",
+    ("ex5.6", ""):
+        "e3700cc50b99206f734bcfac12ad06fc4be6bb5ef6b986e079ffd2dd70ad83d5",
+    ("ex5.6", "A=0"):
+        "5b3ad4d7cb92262e053fbeee53a018137a7d8cb7255868104acc971d9ade9d1b",
+    ("ex5.6", "A=1"):
+        "e3700cc50b99206f734bcfac12ad06fc4be6bb5ef6b986e079ffd2dd70ad83d5",
+    ("ex5.6", "A=2"):
+        "4e0684ae8440d8066436197d0a89e023603d6d2a7697214b0088ae54d433dffe",
+    ("ex5.6", "A=3"):
+        "a12623bd500572093f607ead2e62b65f458ee09fb2210abebf5c29612f26bf55",
+}
+
 # family arguments: strings with an n are rational functions, other strings
 # rationals
 _FAMILY_DIGESTS = [
@@ -528,6 +628,14 @@ def test_preset_approximants_pinned():
         params = dict(kv.split("=") for kv in label.split(",")) if label else {}
         got = _approximant_digest(build_preset(preset, params).cf)
         assert got == want, (preset, label)
+
+
+def test_preset_forms_pinned():
+    assert set(_PRESET_FORM_DIGESTS) == set(_PRESET_DIGESTS)
+    for (preset, label), want in _PRESET_FORM_DIGESTS.items():
+        params = dict(kv.split("=") for kv in label.split(",")) if label else {}
+        text = json.dumps(cf_to_json(build_preset(preset, params).cf), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == want, (preset, label)
 
 
 def test_family_approximants_pinned():

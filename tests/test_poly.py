@@ -1,16 +1,21 @@
 """Unit tests for integer polynomials and reduced rational functions."""
 
+import math
+import operator
 import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polycf.errors import PoleAtArgument, ZeroFunction
 from polycf.poly import (
     MINUS_INFINITY,
     IntPolynomial,
     RationalFunction,
+    _poly_gcd,
     degree,
     eventually_nonnegative,
     eventually_positive,
@@ -206,3 +211,143 @@ def test_values_from_matches_direct_evaluation():
         for x0 in (-7, 0, 3):
             values = p.values_from(x0)
             assert [next(values) for _ in range(40)] == [p(x0 + k) for k in range(40)]
+
+
+def test_bool_coefficients_become_ints():
+    p = IntPolynomial([True, 2, False])
+    assert p.coeffs == (1, 2) and all(type(c) is int for c in p.coeffs)
+    assert p.to_json() == ["1", "2"]
+    assert IntPolynomial.from_json(p.to_json()) == p
+    r = RationalFunction(True, IntPolynomial([False, True]))
+    assert RationalFunction.from_json(r.to_json()) == r
+    assert type(p.shift(True).coeffs[0]) is int
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: IntPolynomial([1.0]), TypeError),
+        (lambda: IntPolynomial([Fraction(1, 2)]), TypeError),
+        (lambda: IntPolynomial(["1"]), TypeError),
+        (lambda: RationalFunction(1.5), TypeError),
+        (lambda: RationalFunction("n"), TypeError),
+        (lambda: RationalFunction(1, 0), ZeroFunction),
+        (lambda: RationalFunction(IntPolynomial([1, 1]), Fraction(0)), ZeroFunction),
+    ],
+)
+def test_public_constructors_reject_malformed(build, error):
+    with pytest.raises(error):
+        build()
+
+
+# Property tests: the arithmetic against Fraction arithmetic at integer
+# points, and the normal form of every result.
+
+_small = st.integers(-6, 6)
+_dense = st.lists(_small, max_size=4).map(IntPolynomial)
+# products of linear factors, so that operands often share a factor
+_factored = st.builds(
+    lambda c, factors: math.prod((IntPolynomial((b, a)) for a, b in factors), start=c),
+    st.sampled_from([1, -1, 2, -3, 6]).map(IntPolynomial.constant),
+    st.lists(st.tuples(st.integers(-2, 2).filter(bool), st.integers(-3, 3)), max_size=3),
+)
+_polys = st.one_of(_dense, _factored)
+_ratfns = st.builds(RationalFunction, _polys, _polys.filter(lambda q: not q.is_zero))
+_operands = st.one_of(
+    _small, st.fractions(-5, 5, max_denominator=7), _polys, _ratfns
+)
+_points = st.lists(st.integers(-12, 12), min_size=1, max_size=4)
+
+
+def _assert_polynomial_normal(p):
+    assert all(type(c) is int for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+
+
+def _assert_normal(r):
+    _assert_polynomial_normal(r.num)
+    _assert_polynomial_normal(r.den)
+    assert _poly_gcd(r.num, r.den) == IntPolynomial((1,))
+    assert math.gcd(r.num.content, r.den.content) == 1
+    assert r.den.coeffs[-1] > 0
+
+
+def _value(v, x):
+    """v at x as a Fraction, or None at a pole."""
+    try:
+        return Fraction(v(x) if callable(v) else v)
+    except PoleAtArgument:
+        return None
+
+
+def _check_at(got, want, r, other, points):
+    for x in points:
+        u, v = _value(r, x), _value(other, x)
+        if u is None or v is None:
+            continue
+        try:
+            expected = want(u, v)
+        except ZeroDivisionError:
+            continue
+        assert got(x) == expected, (got, x)
+
+
+_R = RationalFunction(IntPolynomial((1, 1)), IntPolynomial((-2, 1)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(r=_R, other=0, e=2, h=-2, points=[0, 2, 5])
+@example(r=_R, other=1, e=0, h=1, points=[0, 2, 5])
+@example(r=_R, other=-1, e=3, h=0, points=[0, 2, 5])
+@example(r=RationalFunction(0), other=-1, e=0, h=3, points=[1])
+@example(r=RationalFunction(1), other=IntPolynomial((1,)), e=1, h=-1, points=[1])
+@given(r=_ratfns, other=_operands, e=st.integers(0, 3), h=st.integers(-3, 3), points=_points)
+def test_rational_arithmetic_matches_fractions(r, other, e, h, points):
+    cases = [
+        (r + other, operator.add),
+        (other + r, lambda u, v: v + u),
+        (r - other, operator.sub),
+        (other - r, lambda u, v: v - u),
+        (r * other, operator.mul),
+        (other * r, lambda u, v: v * u),
+        (-r, lambda u, v: -u),
+        (r**e, lambda u, v: u**e),
+    ]
+    for divide, by_zero in ((operator.truediv, other == 0), (lambda u, v: v / u, r.is_zero)):
+        if by_zero:
+            with pytest.raises(ZeroFunction):
+                divide(r, other)
+        else:
+            cases.append((divide(r, other), divide))
+    for got, want in cases:
+        assert isinstance(got, RationalFunction)
+        _assert_normal(got)
+        _check_at(got, want, r, other, points)
+    shifted = r.shift(h)
+    _assert_normal(shifted)
+    _check_at(shifted, lambda u, v: v, 0, r.shift(h), points)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(p=IntPolynomial((3, -1, 2)), q=0, h=2, points=[0, 4])
+@example(p=IntPolynomial((3, -1, 2)), q=1, h=0, points=[0, 4])
+@example(p=IntPolynomial((3, -1, 2)), q=-1, h=-3, points=[0, 4])
+@example(p=IntPolynomial(), q=IntPolynomial((1,)), h=1, points=[2])
+@given(p=_polys, q=st.one_of(_small, _polys), h=st.integers(-3, 3), points=_points)
+def test_polynomial_arithmetic_matches_integers(p, q, h, points):
+    cases = [
+        (p * q, operator.mul),
+        (q * p, lambda u, v: v * u),
+        (p + q, operator.add),
+        (p - q, operator.sub),
+        (q - p, lambda u, v: v - u),
+        (-p, lambda u, v: -u),
+        (p**2, lambda u, v: u * u),
+    ]
+    for got, want in cases:
+        assert isinstance(got, IntPolynomial)
+        _assert_polynomial_normal(got)
+        _check_at(got, want, p, q, points)
+    shifted = p.shift(h)
+    _assert_polynomial_normal(shifted)
+    _check_at(shifted, lambda u, v: v, 0, lambda x: p(x + h), points)
