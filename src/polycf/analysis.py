@@ -165,13 +165,14 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
     For a polynomial tail with non-constant b the bound is
     B_n >= C (|D|/(1+eps))^n (n!)^k with k = deg b and D its leading
     coefficient; otherwise B_n >= C phi^n with phi the golden ratio.
-    Requires every realized term >= 1.
+    Requires every realized term >= 1.  A float epsilon is read through its
+    shortest repr, as cf's limit tolerances are: 0.1 is 1/10.
     """
     import mpmath
 
     if N < 1:
         raise EmptyRange()
-    epsilon = Fraction(epsilon) if not isinstance(epsilon, Fraction) else epsilon
+    epsilon = epsilon if isinstance(epsilon, Fraction) else Fraction(str(epsilon))
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if precision_bits < 1:
@@ -350,29 +351,26 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
                  preset="", params=None):
     """Evaluate a family member and compare against its independent oracle.
 
-    The value is cf.extrapolate's Richardson estimate (method "richardson")
-    where that applies, and otherwise cf.evaluate's last approximant
-    (method "plain").  Pass when the discrepancy is within tol plus the
-    oracle error.  Otherwise Fail when the evaluation converged and the
-    discrepancy also exceeds its error bound plus the oracle error, and
-    Inconclusive when it did not converge or the bound leaves room for the
-    discrepancy; an extrapolated estimate never counts as converged.  The
-    evaluation itself runs at a much smaller internal tolerance so early
-    stopping never hides a max-terms-limited estimate.
+    The value comes from one cf.extrapolate call, which reads the member's
+    terms once: its Richardson estimate where that applies (method
+    "richardson"), and otherwise its plain last approximant (method
+    "plain").  Pass when the discrepancy is within tol plus the oracle
+    error.  Otherwise Fail when the evaluation converged and the
+    discrepancy also exceeds its error_bound (the last gap, an estimate)
+    plus the oracle error, and Inconclusive when it did not converge or that
+    gap leaves room for the discrepancy; an extrapolated estimate never
+    counts as converged.  The evaluation itself runs at a much smaller
+    internal tolerance so early stopping never hides a max-terms-limited
+    estimate.
     """
     import mpmath
 
-    from .cf import _limit_tol, evaluate, extrapolate
+    from .cf import _limit_tol, extrapolate
 
     tol_frac = _limit_tol(tol, terms, precision_bits)
     if member.limit.kind == "named" and precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")  # the oracle's minimum
-    inner = tol_frac / 10 ** 6
-    est = extrapolate(member.cf, inner, terms, precision_bits)
-    method = "richardson"
-    if est is None:
-        est = evaluate(member.cf, inner, terms, precision_bits)
-        method = "plain"
+    est = extrapolate(member.cf, tol_frac / 10 ** 6, terms, precision_bits)
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         oracle = reference_constant(member.limit, precision_bits)
         diff = abs(est.value - oracle)
@@ -395,5 +393,5 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
         abs_err=_fmt(diff, precision_bits),
         rel_err=_fmt(rel, precision_bits),
         verdict=verdict,
-        method=method,
+        method=est.method,
     )

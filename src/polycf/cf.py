@@ -138,12 +138,23 @@ class ApproximantSequence:
 
 @dataclass(frozen=True)
 class LimitEstimate:
-    """A limit estimate; `value` and `error_bound` are mpmath mpf numbers."""
+    """A limit estimate; `value` and `error_bound` are mpmath mpf numbers.
+
+    `method` is "plain" for an approximant A_n/B_n and "richardson" for an
+    extrapolated value.  Despite its name, `error_bound` is an estimate,
+    not a bound: on the plain path it is the last gap |A_n/B_n - A_l/B_l|
+    between defined approximants (0 for a finite CF, infinite before the
+    first gap), and on the Richardson path it is infinite.  `converged` says
+    only that two gaps fell below tol, and the true error can be far larger:
+    evaluate(ex4.2 with A = 0, 1e-9, 10^4) stops converged at 9,587 terms
+    with error_bound 1.0e-9, while its distance to the limit is 9.6e-6.
+    """
 
     value: object
     error_bound: object
     terms_used: int
     converged: bool
+    method: str
 
 
 def term_at(cf, n):
@@ -344,7 +355,9 @@ def _recurrence(b0, steps, budget=None, gaps=False):
 
 
 def _limit_tol(tol, max_terms, precision_bits):
-    """tol as a Fraction, after the checks evaluate and extrapolate share."""
+    """tol as a Fraction, after checking tol, max_terms and precision_bits as
+    the limit loop and verify_limit both need them.  A float goes through its
+    shortest repr, so 1e-10 becomes 1/10^10 rather than the nearest double."""
     tol = tol if isinstance(tol, Fraction) else Fraction(str(tol))
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -356,7 +369,7 @@ def _limit_tol(tol, max_terms, precision_bits):
 
 
 def evaluate(cf, tol, max_terms, precision_bits=128, backend="auto"):
-    """Estimate the limit by iterating approximants.
+    """Estimate the limit by iterating approximants (method "plain").
 
     Stops once two consecutive gaps between defined approximants fall below
     tol, compared in integers as |D| tol_den < tol_num |B B_last| with
@@ -375,68 +388,10 @@ def evaluate(cf, tol, max_terms, precision_bits=128, backend="auto"):
     bitlen(max_terms), so that its shifts add up to less than
     max_terms * 2^-b <= 2^-(precision_bits + guard) relative.  The value and
     the last gap become mpf once, through Fraction.  A failure to converge
-    is reported through converged=False, not an exception.
+    is reported through converged=False, not an exception.  error_bound is
+    the last gap, an estimate and not a bound (see LimitEstimate).
     """
-    import mpmath
-
-    tol = _limit_tol(tol, max_terms, precision_bits)
-    if backend == "auto":
-        backend = "exact" if max_terms <= _EXACT_TERM_LIMIT else "float"
-    if backend not in ("exact", "float"):
-        raise ValueError(f"unknown backend {backend!r}")
-    tol_num, tol_den = tol.numerator, tol.denominator
-    offset = tol_den.bit_length() - tol_num.bit_length()
-    bits = precision_bits + _FLOAT_GUARD_BITS + max_terms.bit_length()
-    budget = bits if backend == "float" else None
-    steps = itertools.islice(_scaled_terms(cf), max_terms)
-    kernel = _recurrence(cf.b0, steps, budget, gaps=True)
-    A_last, B_last = cf.b0.numerator, cf.b0.denominator
-    last_bits = B_last.bit_length()
-    gap, B_gap = 0, 0  # the last gap is gap / (B_last B_gap); none yet while B_gap is 0
-    adjacent = True  # the kernel's previous pair is (A_last, B_last)
-    small_prev = False
-    converged = False
-    finite = False
-    n = 0
-    for n, (A, B, _, D) in enumerate(kernel, 1):
-        if not B:
-            adjacent = False
-            continue
-        if not adjacent:
-            D = A * B_last - A_last * B
-            adjacent = True
-        B_bits = B.bit_length()
-        excess = D.bit_length() - B_bits - last_bits + offset  # L - R
-        if excess >= 2 and D:
-            small = False
-        elif excess <= -3:
-            small = True
-        else:
-            small = abs(D) * tol_den < tol_num * abs(B * B_last)
-        gap, B_gap = D, B_last
-        A_last, B_last, last_bits = A, B, B_bits
-        if small and small_prev:
-            converged = True
-            break
-        small_prev = small
-    else:
-        finite = n < max_terms
-    gap_num, gap_den = abs(gap), abs(B_last * B_gap)
-    with mpmath.workprec(precision_bits + _FLOAT_GUARD_BITS):
-        value = _mpf_of(Fraction(A_last, B_last))
-        if finite:
-            converged = True
-            error = mpmath.mpf(0)
-        elif gap_den == 0:
-            error = mpmath.inf
-        else:
-            error = _mpf_of(Fraction(gap_num, gap_den))
-    return LimitEstimate(
-        value=_round_to(value, precision_bits),
-        error_bound=_round_to(error, precision_bits),
-        terms_used=n,
-        converged=converged,
-    )
+    return _limit(cf, tol, max_terms, precision_bits, backend, extrapolating=False)
 
 
 def tail_class(cf):
@@ -454,8 +409,9 @@ def tail_class(cf):
       d_n d_{n+1} = b_n b_{n+1} / a_{n+1} ~ n^-2, diverges like the harmonic
       series, so the CF converges, but only like a power of 1/n (for
       p > 2q + 2 it diverges, for p < 2q + 2 it converges faster).
-    Either class can converge algebraically; it is a necessary condition,
-    which extrapolate's gap-ratio test completes.
+    Either class can converge algebraically.  It is a necessary condition
+    for extrapolate's Richardson path, which the gap-ratio test completes;
+    without a class extrapolate returns evaluate's plain estimate.
     """
     tail = cf.tail
     if tail is None or tail.a.is_zero or tail.b.is_zero:
@@ -509,70 +465,129 @@ def _ratio_settled(g0, g1, g2):
 
 
 def extrapolate(cf, tol, max_terms, precision_bits=128):
-    """Richardson estimate of the limit of an algebraically converging CF,
-    or None where the method does not apply.
+    """Richardson estimate of the limit of an algebraically converging CF
+    (method "richardson"), or evaluate's plain estimate where the method
+    does not apply (method "plain").
 
     It applies when tail_class(cf) names a class and the approximants f_n
     behave like f + c_1/n^c + c_2/n^(c+1) + ... for an integer c >= 1 on each
-    parity of n.  The kernel of _recurrence runs once, budgeted.  At each
-    checkpoint n of the doubling schedule 50, 100, 200, ... (up to
-    max_terms) the last pairs give the estimate sum u_i f_{n_i} / d of
-    _richardson_weights, the value at x = 0 of the polynomial in x = 1/n
-    through the nodes of one parity, so alternating CFs need no special
-    case.  The gap g(n) = |f_n - f_{n-2}| behaves like n^-(c+1), so the
-    doubling ratio g(2n)/g(n) tends to 2^-(c+1).  From the third checkpoint
-    on, the last two ratios must both lie near 2^-(c+1) for one integer
-    c >= 1 (_ratio_settled), or the method does not apply: a logarithmically
-    converging CF such as entry13 (ratios 0.38, 0.39 drifting towards 1/2)
-    fails this test.  The run stops once two successive estimates differ by
-    at most tol, or at the last checkpoint.
+    parity of n.  At each checkpoint n of the doubling schedule 50, 100,
+    200, ... (up to max_terms) the last pairs give the estimate
+    sum u_i f_{n_i} / d of _richardson_weights, the value at x = 0 of the
+    polynomial in x = 1/n through the nodes of one parity, so alternating
+    CFs need no special case.  The gap g(n) = |f_n - f_{n-2}| behaves like
+    n^-(c+1), so the doubling ratio g(2n)/g(n) tends to 2^-(c+1).  From the
+    third checkpoint on, the last two ratios must both lie near 2^-(c+1) for
+    one integer c >= 1 (_ratio_settled): a logarithmically converging CF
+    such as entry13 (ratios 0.38, 0.39 drifting towards 1/2) fails this
+    test.  The run stops once two successive estimates differ by at most
+    tol, or at the last checkpoint.
+
+    The kernel runs once.  Without a class or three checkpoints the run is
+    evaluate's, with its automatic backend.  A failed ratio test or a zero
+    B_i in a checkpoint's window turns the method down, and evaluate's stop
+    rule reads on from that pair to max_terms, forming each gap directly, so
+    such a CF stops no earlier than the pair after that checkpoint.
 
     Precision.  An error e in the f_{n_i} moves the estimate by up to
     sum |u_i| / d times e, so the fixed-point values carry
     ceil(log2 sum |u_i| / d) guard bits more than evaluate's float backend,
     computed from the last (largest) window before the run.
 
-    The estimate is not a bound: converged is always False and error_bound
-    is infinite.  terms_used is the number of terms read.  tol, max_terms
-    and precision_bits are checked as evaluate checks them.
+    A Richardson estimate never counts as converged, and its error_bound is
+    infinite.  terms_used is the number of terms read.
     """
+    return _limit(cf, tol, max_terms, precision_bits, "auto", extrapolating=True)
+
+
+def _limit(cf, tol, max_terms, precision_bits, backend, extrapolating):
+    """The loop behind evaluate and extrapolate: one kernel run, read by the
+    Richardson checkpoints while that method applies, else by the plain
+    stop rule."""
     import mpmath
 
     tol = _limit_tol(tol, max_terms, precision_bits)
-    points = _checkpoints(max_terms)
-    if len(points) < 3 or tail_class(cf) is None:
-        return None
-    last, d = _richardson_weights(points[-1])
-    guard = math.ceil(Fraction(sum(map(abs, last)), d)).bit_length()
-    bits = precision_bits + _FLOAT_GUARD_BITS + guard
-    pairs = collections.deque(maxlen=2 * len(last) - 1)
-    steps = itertools.islice(_scaled_terms(cf), points[-1])
-    kernel = _recurrence(cf.b0, steps, bits + points[-1].bit_length())
-    estimates, gaps = [], []
-    for n, (A, B, _, _) in enumerate(kernel, 1):
-        pairs.append((A, B))
-        if n != points[len(estimates)]:
+    if backend == "auto":
+        backend = "exact" if max_terms <= _EXACT_TERM_LIMIT else "float"
+    if backend not in ("exact", "float"):
+        raise ValueError(f"unknown backend {backend!r}")
+    points = _checkpoints(max_terms) if extrapolating and tail_class(cf) else []
+    pairs = budget = None  # pairs: the Richardson window while that method applies
+    if len(points) >= 3:
+        last, d = _richardson_weights(points[-1])
+        guard = math.ceil(Fraction(sum(map(abs, last)), d)).bit_length()
+        bits = precision_bits + _FLOAT_GUARD_BITS + guard
+        budget = bits + points[-1].bit_length()
+        pairs = collections.deque(maxlen=2 * len(last) - 1)
+    elif backend == "float":
+        budget = precision_bits + _FLOAT_GUARD_BITS + max_terms.bit_length()
+    steps = itertools.islice(_scaled_terms(cf), max_terms)
+    kernel = _recurrence(cf.b0, steps, budget, gaps=pairs is None)
+    tol_num, tol_den = tol.numerator, tol.denominator
+    offset = tol_den.bit_length() - tol_num.bit_length()
+    A_last, B_last = cf.b0.numerator, cf.b0.denominator
+    last_bits = B_last.bit_length()
+    gap, B_gap = 0, 0  # the last gap is gap / (B_last B_gap); none yet while B_gap is 0
+    adjacent = True  # the kernel's previous pair is (A_last, B_last)
+    small_prev = converged = False
+    estimates, parity_gaps = [], []
+    n = 0
+    for n, (A, B, _, D) in enumerate(kernel, 1):
+        if pairs is not None:
+            pairs.append((A, B))
+            if n != points[len(estimates)]:
+                continue
+            u, d = _richardson_weights(n)
+            window = [pairs[-1 - 2 * i] for i in range(len(u))]
+            if all(B_i for _, B_i in window):
+                # f_{n_i} in units of 2^-bits
+                values = [(A_i << bits) // B_i for A_i, B_i in window]
+                estimates.append(Fraction(sum(map(operator.mul, u, values)), d << bits))
+                parity_gaps.append(abs(values[0] - values[1]))
+                if len(parity_gaps) < 3:
+                    continue
+                if _ratio_settled(*parity_gaps[-3:]):
+                    if abs(estimates[-1] - estimates[-2]) <= tol or n == points[-1]:
+                        break
+                    continue
+            # turned down: the plain rule reads on from this pair
+            A_last, B_last = next(p for p in itertools.islice(reversed(pairs), 1, None) if p[1])
+            last_bits = B_last.bit_length()
+            pairs = None
+        if not B:
+            adjacent = False
             continue
-        u, d = _richardson_weights(n)
-        window = [pairs[-1 - 2 * i] for i in range(len(u))]
-        if not all(B_i for _, B_i in window):
-            return None
-        # f_{n_i} in units of 2^-bits
-        values = [(A_i << bits) // B_i for A_i, B_i in window]
-        estimates.append(Fraction(sum(map(operator.mul, u, values)), d << bits))
-        gaps.append(abs(values[0] - values[1]))
-        if len(gaps) >= 3:
-            if not _ratio_settled(*gaps[-3:]):
-                return None
-            if abs(estimates[-1] - estimates[-2]) <= tol:
-                break
+        if D is None or not adjacent:
+            D = A * B_last - A_last * B
+            adjacent = True
+        B_bits = B.bit_length()
+        excess = D.bit_length() - B_bits - last_bits + offset  # L - R
+        if excess >= 2 and D:
+            small = False
+        elif excess <= -3:
+            small = True
+        else:
+            small = abs(D) * tol_den < tol_num * abs(B * B_last)
+        gap, B_gap = D, B_last
+        A_last, B_last, last_bits = A, B, B_bits
+        if small and small_prev:
+            converged = True
+            break
+        small_prev = small
+    else:
+        if n < max_terms:  # a finite CF: its exact final value
+            converged, gap, B_gap = True, 0, 1
+    richardson = pairs is not None
+    gap_den = abs(B_last * B_gap)
     with mpmath.workprec(precision_bits + _FLOAT_GUARD_BITS):
-        value = _mpf_of(estimates[-1])
+        value = _mpf_of(estimates[-1] if richardson else Fraction(A_last, B_last))
+        error = _mpf_of(Fraction(abs(gap), gap_den)) if gap_den else mpmath.inf
     return LimitEstimate(
         value=_round_to(value, precision_bits),
-        error_bound=mpmath.inf,
+        error_bound=_round_to(error, precision_bits),
         terms_used=n,
-        converged=False,
+        converged=converged,
+        method="richardson" if richardson else "plain",
     )
 
 

@@ -10,44 +10,8 @@ from fractions import Fraction
 from .errors import PoleAtArgument, ZeroFunction
 
 
-class _MinusInfinity:
-    """Degree of the zero function; compares below every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return not isinstance(other, _MinusInfinity)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _MinusInfinity)
-
-    def __eq__(self, other):
-        return isinstance(other, _MinusInfinity)
-
-    def __hash__(self):
-        return hash("MinusInfinity")
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "MinusInfinity"
-
-
-MINUS_INFINITY = _MinusInfinity()
+# the degree of the zero function: compares below every integer and absorbs +
+MINUS_INFINITY = -math.inf
 
 
 def _floor_nth_root(m, d):

@@ -21,6 +21,7 @@ from polycf.cf import (
     CFSpec,
     CFTail,
     approximants,
+    convergents,
     evaluate,
     extrapolate,
     tail_class,
@@ -214,6 +215,13 @@ def test_growth_constant_matches_direct_formula(cf, epsilon):
     assert g.C._mpf_ == _reference_growth_constant(cf, 120, epsilon)
 
 
+def test_growth_float_epsilon_is_read_as_written():
+    # 0.1 is 1/10 as written, not the nearest double 3602879701896397/2^55
+    g = growth_diagnostics(E_CF, 200, epsilon=0.1)
+    assert g.epsilon == F(1, 10)
+    assert g == growth_diagnostics(E_CF, 200, epsilon=F(1, 10))
+
+
 def test_growth_validation():
     with pytest.raises(EmptyRange):
         growth_diagnostics(E_CF, 0)
@@ -292,7 +300,7 @@ def test_entry13_takes_the_plain_path():
     # towards 1/2 instead of settling at 2^-(c+1): logarithmic convergence
     member = build_preset("entry13")
     assert tail_class(member.cf) == "parabolic"
-    assert extrapolate(member.cf, F(1, 10**12), 200) is None
+    assert extrapolate(member.cf, F(1, 10**12), 200).method == "plain"
     report = verify_limit(member, 200, 128, F(1, 10**6), preset="entry13",
                           params={"a": "1", "b": "1", "d": "1"})
     # the reproduce-paper row as it was before extrapolation, plus its method
@@ -306,6 +314,39 @@ def test_entry13_takes_the_plain_path():
         "verdict": "Inconclusive",
         "method": "plain",
     }
+
+
+def test_turned_down_entry13_reads_on_to_the_last_approximant():
+    # turned down at the checkpoint 200, the plain rule reads on from there
+    # on the same kernel run to the budget's last term
+    member = build_preset("entry13")
+    est = extrapolate(member.cf, F(1, 10**12), 400, 128)
+    assert (est.method, est.terms_used, est.converged) == ("plain", 400, False)
+    last = convergents(member.cf, 400)[-1].value
+    want = mpmath.libmp.from_rational(last.numerator, last.denominator, 128, "n")
+    assert est.value._mpf_ == want
+
+
+@pytest.mark.parametrize(
+    "preset, params, method",
+    [("entry13", {}, "plain"), ("ex3.4", {"k": "2"}, "richardson"), ("ex2.2", {}, "plain")],
+)
+def test_verify_limit_reads_the_terms_once(monkeypatch, preset, params, method):
+    # entry13 is turned down at its last checkpoint, and is not read again
+    import polycf.cf
+
+    member = build_preset(preset, params)
+    scaled_terms = polycf.cf._scaled_terms
+    calls = []
+
+    def counted(cf):
+        calls.append(cf)
+        return scaled_terms(cf)
+
+    monkeypatch.setattr(polycf.cf, "_scaled_terms", counted)
+    report = verify_limit(member, 200, 128, F(1, 10**6))
+    assert report.method == method
+    assert calls == [member.cf]
 
 
 def test_extrapolated_paper_rows_read_at_most_1000_terms():
@@ -331,6 +372,7 @@ def test_extrapolate_agrees_with_exact_convergents(preset, params, terms, bits):
     cf = build_preset(preset, params).cf
     est = extrapolate(cf, F(1, 10**20), terms, bits)
     n = est.terms_used
+    assert est.method == "richardson"
     assert not est.converged
     # Lagrange extrapolation to x = 0 through (1/n_i, A_n_i/B_n_i), one parity
     m = min(_RICHARDSON_ORDER, n // 4)
@@ -366,7 +408,7 @@ def test_extrapolate_rejects_what_evaluate_rejects(tol, max_terms, bits):
 def test_high_precision_presets_take_the_plain_path(preset):
     member = build_preset(preset)
     assert tail_class(member.cf) is None
-    assert extrapolate(member.cf, F(1, 10**60), 2000, 256) is None
+    assert extrapolate(member.cf, F(1, 10**60), 2000, 256).method == "plain"
     report = verify_limit(member, 2000, 256, F(1, 2**216), preset=preset)
     assert report.method == "plain"
     assert report.verdict == "Pass"
