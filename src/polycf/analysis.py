@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import _canonical_pairs, _first, _is_integer_tail, _iter_terms, _mpf_of, _scaled_terms
+from .cf import _canonical_pairs, _first, _is_integer_tail, _mpf_of, _scaled_terms
 from .errors import (
     EmptyRange,
     HypothesisViolation,
@@ -84,10 +84,14 @@ class VerificationReport:
         }
 
 
-def _int_term(v, n):
-    if v.denominator != 1:
-        raise NonIntegerTerms(n)
-    return v.numerator
+def _integer_terms(steps):
+    """(a_n, b_n) = (a/m, b/m) for the integer steps (a, b, m), raising
+    NonIntegerTerms(n) at the first term n that is not integral; m | a is
+    a % m == 0, for a negative m from a tail denominator too."""
+    for n, (a, b, m) in enumerate(steps, 1):
+        if a % m or b % m:
+            raise NonIntegerTerms(n)
+        yield a // m, b // m
 
 
 def _poly_eventually_nonneg(r):
@@ -110,10 +114,7 @@ def tietze_check(cf, scan_limit=200):
         raise ValueError("scan_limit must be positive")
     certifiable = cf.tail is not None and _is_integer_tail(cf.tail)
     if not certifiable:
-        limit = 0
-        for limit, (a, b) in enumerate(itertools.islice(_iter_terms(cf), scan_limit), 1):
-            _int_term(a, limit)
-            _int_term(b, limit)
+        limit = sum(1 for _ in _integer_terms(itertools.islice(_scaled_terms(cf), scan_limit)))
         return TietzeReport(False, None, "ScanOnly", limit)
     tail = cf.tail
     m = len(cf.prefix)
@@ -132,10 +133,7 @@ def tietze_check(cf, scan_limit=200):
         # declining to certify is sound; scanning this far is not useful
         return TietzeReport(False, None, "ScanOnly", scan_limit)
     eff = max(scan_limit, n_cert)
-    terms = [
-        (_int_term(a, n), _int_term(b, n))
-        for n, (a, b) in enumerate(_iter_terms(cf, eff + 1), 1)
-    ]
+    terms = list(_integer_terms(_first(_scaled_terms(cf), eff + 1)))
     if not cert_ok:
         return TietzeReport(False, None, "AsymptoticPlusScan", eff)
     last_failure = 0

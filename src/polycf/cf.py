@@ -110,6 +110,14 @@ class CFSpec:
         if self.tail is not None and not isinstance(self.tail, CFTail):
             object.__setattr__(self, "tail", CFTail(*self.tail))
 
+    @classmethod
+    def _make(cls, b0, prefix, tail=None):
+        """Trusted constructor: b0 and every prefix value are already
+        Fractions, prefix is a tuple of pairs, tail is None or a CFTail."""
+        out = object.__new__(cls)
+        out.__dict__.update(b0=b0, prefix=prefix, tail=tail)
+        return out
+
 
 @dataclass(frozen=True)
 class Convergent:
@@ -649,10 +657,11 @@ def to_integer_cf(cf, N):
     returned unchanged; otherwise the result is a prefix-only CF whose first
     N terms are integers and whose approximants match the input's exactly.
     """
-    terms = list(_iter_terms(cf, N))
-    integral = all(a.denominator == 1 and b.denominator == 1 for a, b in terms)
+    steps = list(_first(_scaled_terms(cf), N))
+    integral = all(a % m == 0 and b % m == 0 for a, b, m in steps)  # m | a, also for m < 0
     if integral and (cf.tail is None or _is_integer_tail(cf.tail)):
         return cf
+    terms = [(Fraction(a, m), Fraction(b, m)) for a, b, m in steps]
     return CFSpec(cf.b0, _scaled(terms, _lcm_scales(terms)), None)
 
 

@@ -86,12 +86,15 @@ def _collect_params(extras):
 
 
 def _load_json_arg(raw):
-    if raw == "-":
-        return json.loads(sys.stdin.read())
-    if raw.lstrip().startswith(("{", "[")):
-        return json.loads(raw)
-    with open(raw, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if raw == "-":
+            return json.loads(sys.stdin.read())
+        if raw.lstrip().startswith(("{", "[")):
+            return json.loads(raw)
+        with open(raw, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        _fail(2, "InvalidInput", "--input is nested too deeply")
 
 
 def _resolve_cf(args, params):

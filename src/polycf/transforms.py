@@ -1,9 +1,11 @@
 """Constructions of continued fractions from sequences, series, and products,
 plus contractions and the Bauer-Muir transformation.
 
-Every series and product construction, finite or symbolic, goes through one
-Euler term rule (_euler_term); euler_tail and bauer_muir_tail return CFs
-with a symbolic tail, from which the families are built.
+Every series and product construction goes through one Euler term rule:
+_euler_term on rational functions for euler_tail, and the same rule on the
+integer numerators and denominators of the values in _euler_body for the
+finite ones.  euler_tail and bauer_muir_tail return CFs with a symbolic
+tail, from which the families are built.
 
 All constructions here are exact: every output approximant is a prescribed
 rational function of the inputs (partial sums, partial products, or a fixed
@@ -100,13 +102,18 @@ def _euler_term(rho, u_2, u_1, u):
 
 
 def _euler_body(u, rho=None):
-    """Euler terms for u_1..u_N, with rho[n-1] = rho_n (rho_1 is unused) or
-    rho_n = 1 throughout when rho is None."""
-    u = [Fraction(1)] + list(u)
-    terms = [(u[1], Fraction(1))] if len(u) > 1 else []
-    for n in range(2, len(u)):
-        r = 1 if rho is None else rho[n - 1]
-        terms.append(_euler_term(r, u[n - 2], u[n - 1], u[n]))
+    """Euler terms for the Fractions u_1..u_N, with rho[n-1] = rho_n (rho_1 is
+    unused) or rho_n = 1 throughout when rho is None: _euler_term on values,
+    formed from the numerators P and denominators Q of u (u_0 = 1) and of
+    rho_n = rp/rq, each value normalised once."""
+    P, Q = [1] + [x.numerator for x in u], [1] + [x.denominator for x in u]
+    terms = [(u[0], Fraction(1))] if u else []
+    for n in range(2, len(P)):
+        rp, rq = (1, 1) if rho is None else (rho[n - 1].numerator, rho[n - 1].denominator)
+        terms.append((
+            Fraction(-rp * P[n - 2] * P[n], rq * Q[n - 2] * Q[n]),
+            Fraction(P[n - 1] * rq * Q[n] + rp * P[n] * Q[n - 1], Q[n - 1] * rq * Q[n]),
+        ))
     return tuple(terms)
 
 
@@ -121,7 +128,7 @@ def bernoulli_from_sequence(K):
         if d == 0:
             raise RepeatedValue(n)
         deltas.append(d)
-    return CFSpec(K[0], _euler_body(deltas), None)
+    return CFSpec._make(K[0], _euler_body(deltas))
 
 
 def euler_from_series(a):
@@ -132,7 +139,7 @@ def euler_from_series(a):
     for n in range(1, len(a)):
         if a[n] == 0:
             raise ZeroTerm(n)
-    return CFSpec(a[0], _euler_body(a[1:]), None)
+    return CFSpec._make(a[0], _euler_body(a[1:]))
 
 
 def generalized_euler(a, b):
@@ -151,7 +158,7 @@ def generalized_euler(a, b):
         if cn == 0:
             raise DegenerateTerm(n)
         c.append(cn)
-    return CFSpec(a[0] + b[0], _euler_body(c), None)
+    return CFSpec._make(a[0] + b[0], _euler_body(c))
 
 
 def product_to_cf(a):
@@ -166,7 +173,7 @@ def product_to_cf(a):
             raise ZeroTerm(n)
         if v == 1:
             raise UnitTerm(n)
-    return CFSpec(Fraction(1), _euler_body([v - 1 for v in a], [1] + a[:-1]), None)
+    return CFSpec._make(Fraction(1), _euler_body([v - 1 for v in a], [1] + a[:-1]))
 
 
 def generalized_product(a, b):
@@ -185,7 +192,7 @@ def generalized_product(a, b):
         if v == 0:
             raise DegenerateTerm(n)
         u.append(v)
-    return CFSpec(b[0], _euler_body(u, [1] + a[:-1]), None)
+    return CFSpec._make(b[0], _euler_body(u, [1] + a[:-1]))
 
 
 def euler_tail(b0, u, rho=1):
@@ -248,7 +255,7 @@ def even_part(cf, N):
     # step 0 = (-1, 1, 0), b_0 infinite with a_0 = -b_0, gives (a_1 b_2, a_2 + b_1 b_2)
     a, b, m = zip((-1, 1, 0), *_first(_scaled_terms(cf), 2 * N))
     rows = (_contracted(a, b, m, j, ZeroEvenDenominator) for j in range(0, 2 * N, 2))
-    return CFSpec(cf.b0, tuple((Fraction(c, den), Fraction(d, den)) for c, d, den in rows), None)
+    return CFSpec._make(cf.b0, tuple((Fraction(c, den), Fraction(d, den)) for c, d, den in rows))
 
 
 def odd_part(cf, N):
@@ -273,7 +280,7 @@ def odd_part(cf, N):
         elif j == 3:
             c, c_den = c * b[1], den * m[1]
         terms.append((Fraction(c, c_den), Fraction(d, d_den)))
-    return CFSpec(b0, tuple(terms), None)
+    return CFSpec._make(b0, tuple(terms))
 
 
 def _w_values(w, count):
@@ -304,7 +311,7 @@ def bauer_muir(cf, w, N):
         den = m[n] * Q[n] * L[n - 1]
         c, d = a[n - 1] * L[n] * Q[n - 2], S[n] * L[n - 1] - P[n - 2] * L[n] * m[n - 1]
         terms.append((Fraction(c, den), Fraction(d, den)))
-    out = CFSpec(cf.b0 + wv[0], tuple(terms), None)
+    out = CFSpec._make(cf.b0 + wv[0], tuple(terms))
     return BauerMuirResult(out, tuple(wv), lam)
 
 
@@ -353,4 +360,4 @@ def extension_bmoe(cf, w, N):
         # (-w_{n-1}, 1), then q = a_n / w_{n-1} and b_n + w_n - q over one denominator
         den, q = m[n] * Q[n] * P[n - 1], a[n] * Q[n - 1] * Q[n]
         terms += [(-wv[n - 1], Fraction(1)), (Fraction(q, den), Fraction(S[n] * P[n - 1] - q, den))]
-    return CFSpec(cf.b0, tuple(terms), None)
+    return CFSpec._make(cf.b0, tuple(terms))

@@ -145,6 +145,37 @@ def test_tietze_rejects_non_integer_terms():
         tietze_check(cf)
 
 
+# a_2 = 2 gives the step a = 6 with m = 3, integral, while b_2 = 1/3 is not
+_TIETZE_M3_PREFIX = ((F(1), F(2)), (F(2), F(1, 3)))
+
+
+@pytest.mark.parametrize("tail", [None, CFTail("1", "n")], ids=["ScanOnly", "AsymptoticPlusScan"])
+def test_tietze_non_integer_prefix_term_with_integral_numerator(tail):
+    cf = CFSpec(F(0), _TIETZE_M3_PREFIX, tail)
+    with pytest.raises(NonIntegerTerms) as exc:
+        tietze_check(cf, 5)
+    assert exc.value.index == 2
+    if tail is None:
+        assert tietze_check(cf, 1).scan_limit == 1
+
+
+@pytest.mark.parametrize(
+    "cf, index",
+    [
+        # steps (3, 0, -3) and (2, 3, -2): b_2 = -3/2 with a_2 = -1 integral
+        (CFSpec(F(0), (), CFTail("-1", "(n^2-1)/(n-4)")), 2),
+        (CFSpec(F(0), ((F(4), F(2)),), CFTail("-1", "(n^2-1)/(n-4)")), 3),
+        # steps (3, -3, -3) and (3, -4, -2): a_2 = -3/2 with b_2 = 2 integral
+        (CFSpec(F(0), (), CFTail("3/(n-4)", "n")), 2),
+    ],
+)
+def test_tietze_rational_tail_with_negative_step_scale(cf, index):
+    assert tietze_check(cf, index - 1).method == "ScanOnly"
+    with pytest.raises(NonIntegerTerms) as exc:
+        tietze_check(cf, 200)
+    assert exc.value.index == index
+
+
 def test_tietze_validation():
     with pytest.raises(ValueError):
         tietze_check(E_CF, 0)

@@ -497,6 +497,28 @@ def test_to_integer_cf_already_integral():
     assert out == E_CF
 
 
+def test_to_integer_cf_returns_an_integer_cf_itself():
+    for cf in (E_CF, CFSpec(F(1, 2), ((F(3), F(-2)), (F(-1), F(5)))), build_preset("ex3.3", {"A": "2"}).cf):
+        assert to_integer_cf(cf, 20 if cf.tail else 2) is cf
+
+
+@pytest.mark.parametrize(
+    "cf, N, want",
+    [
+        (CFSpec(F(0), ((F(1, 2), F(1, 3)), (F(2), F(1, 5)))), 2, ((3, 2), (60, 1))),
+        # the step (6, 1, 3): a_1 = 2 is integral and b_1 = 1/3 is not
+        (CFSpec(F(0), ((F(2), F(1, 3)),), CFTail("1", "n")), 1, ((6, 1),)),
+        # a rational tail, with step scales m = -3, -2, -1 at n = 1, 2, 3
+        (CFSpec(F(0), (), CFTail("-1", "(n^2-1)/(n-4)")), 3, ((-1, 0), (-2, -3), (-2, -8))),
+        (CFSpec(F(1), ((F(4), F(2)),), CFTail("3/(n-4)", "n")), 3, ((4, 2), (-1, 1), (-3, 4))),
+    ],
+)
+def test_to_integer_cf_rescales_fractional_terms(cf, N, want):
+    out = to_integer_cf(cf, N)
+    assert out == CFSpec(cf.b0, tuple((F(a), F(b)) for a, b in want))
+    assert approximants(out, N).values() == approximants(cf, N).values()
+
+
 def test_to_integer_cf_clears_denominators():
     cf = CFSpec(b0=F(1), prefix=((F(1, 2), F(3, 4)), (F(2, 5), F(1))))
     out = to_integer_cf(cf, 2)

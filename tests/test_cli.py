@@ -320,10 +320,10 @@ print(json.dumps(results))
 """
 
 
-def _fresh_python(*args):
+def _fresh_python(*args, stdin=None):
     env = dict(os.environ, PYTHONPATH=str(_SRC))
     return subprocess.run([sys.executable, "-c", *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, timeout=120, input=stdin)
 
 
 def test_exact_commands_leave_mpmath_unloaded(capsys):
@@ -344,6 +344,20 @@ def test_exact_commands_leave_mpmath_unloaded(capsys):
                               *argv)
         code, out, _ = run(capsys, argv)
         assert (fresh.returncode, fresh.stdout) == (code, out)
+
+
+@pytest.mark.parametrize("source", ["literal", "file", "stdin"])
+def test_deeply_nested_input_exits_two(tmp_path, source):
+    deep = "[" * 5000 + "]" * 5000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    arg = {"literal": deep, "file": str(path), "stdin": "-"}[source]
+    proc = _fresh_python("import sys, polycf.cli; sys.exit(polycf.cli.main(sys.argv[1:]))",
+                         "eval", "--input", arg, stdin=deep if source == "stdin" else "")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInput"
 
 
 _json = st.recursive(

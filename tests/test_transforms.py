@@ -1,6 +1,7 @@
 """Unit tests for series/product constructions, contractions, and Bauer-Muir."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -31,10 +32,12 @@ from polycf.errors import (
     ZeroW,
 )
 from polycf.poly import IntPolynomial, RationalFunction, ratfn_from_string
+from polycf.families import build_preset
 from polycf.transforms import (
     BauerMuirResult,
     ProductSpec,
     SeriesSpec,
+    _euler_term,
     bauer_muir,
     bauer_muir_tail,
     bernoulli_from_sequence,
@@ -475,9 +478,9 @@ _W = [F(1, 2), F(-1), F(2, 3), F(3), F(-1, 4), F(1), F(2), F(-3), F(1, 5)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@example(cf=_FRACTIONAL, N=4, w=_W, zero_at=None)
-@example(cf=_FRACTIONAL, N=4, w=_W, zero_at=3)
-@example(cf=_ZERO_B2, N=3, w=_W, zero_at=2)
+@example(cf=_FRACTIONAL, N=4, w=list(_W), zero_at=None)
+@example(cf=_FRACTIONAL, N=4, w=list(_W), zero_at=3)
+@example(cf=_ZERO_B2, N=3, w=list(_W), zero_at=2)
 @given(
     cf=_transform_cf,
     N=st.integers(0, 6),
@@ -512,3 +515,133 @@ def test_transform_property_examples_cover_the_integer_step_cases():
     with pytest.raises(TransformDoesNotExist) as exc:
         bauer_muir(_FRACTIONAL, w, 4)
     assert exc.value.index == 3
+
+
+def _ref_euler_cf(b0, u, rho=None):
+    """The Euler CF built term by term from _euler_term on values (u_0 = 1)."""
+    u = [F(1)] + list(u)
+    terms = [(u[1], F(1))] if len(u) > 1 else []
+    for n in range(2, len(u)):
+        r = 1 if rho is None else rho[n - 1]
+        terms.append(_euler_term(r, u[n - 2], u[n - 1], u[n]))
+    return CFSpec(b0, tuple(terms), None)
+
+
+def _ref_bernoulli(K):
+    if not K:
+        raise ValueError("empty")
+    for n in range(1, len(K)):
+        if K[n] == K[n - 1]:
+            raise RepeatedValue(n)
+    return _ref_euler_cf(K[0], [K[n] - K[n - 1] for n in range(1, len(K))])
+
+
+def _ref_euler_from_series(a):
+    if not a:
+        raise ValueError("empty")
+    for n in range(1, len(a)):
+        if a[n] == 0:
+            raise ZeroTerm(n)
+    return _ref_euler_cf(a[0], a[1:])
+
+
+def _ref_generalized_euler(a, b):
+    if not a or len(b) != len(a):
+        raise ValueError("lengths")
+    c = [a[n] + b[n] - b[n - 1] for n in range(1, len(a))]
+    for n, cn in enumerate(c, 1):
+        if cn == 0:
+            raise DegenerateTerm(n)
+    return _ref_euler_cf(a[0] + b[0], c)
+
+
+def _ref_product_to_cf(a):
+    for n, v in enumerate(a, 1):
+        if v == 0:
+            raise ZeroTerm(n)
+        if v == 1:
+            raise UnitTerm(n)
+    return _ref_euler_cf(F(1), [v - 1 for v in a], [1] + a[:-1])
+
+
+def _ref_generalized_product(a, b):
+    if len(b) != len(a) + 1:
+        raise ValueError("lengths")
+    u = [a[n - 1] * b[n] - b[n - 1] for n in range(1, len(a) + 1)]
+    for n, v in enumerate(u, 1):
+        if v == 0:
+            raise DegenerateTerm(n)
+    return _ref_euler_cf(b[0], u, [1] + a[:-1])
+
+
+def _assert_normal_form(out):
+    """out is what the public constructor makes of its own fields, and every
+    value is a reduced Fraction."""
+    assert out == CFSpec(out.b0, out.prefix, out.tail)
+    values = [out.b0, *itertools.chain.from_iterable(out.prefix)]
+    assert all(type(v) is F and v.denominator > 0 for v in values)
+    assert all(math.gcd(v.numerator, v.denominator) == 1 for v in values)
+
+
+_EULER_CASES = (
+    (bernoulli_from_sequence, _ref_bernoulli, lambda a, b: (a,)),
+    (euler_from_series, _ref_euler_from_series, lambda a, b: (a,)),
+    (generalized_euler, _ref_generalized_euler, lambda a, b: (a, b[: len(a)])),
+    (product_to_cf, _ref_product_to_cf, lambda a, b: (a,)),
+    (generalized_product, _ref_generalized_product, lambda a, b: (a, b[: len(a) + 1])),
+)
+# mixed signs, with 0, 1 and repeats common enough to reach every error
+_euler_value = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-2, 3)]) | st.builds(
+    F, st.integers(-12, 12), st.integers(1, 12)
+)
+# RepeatedValue(2); ZeroTerm(1) and ZeroTerm(2); DegenerateTerm(2) and UnitTerm(3)
+_EULER_EXAMPLES = [
+    {"a": [F(2), F(1, 2), F(1, 2), F(-3, 4)], "b": [F(1, 3)] * 10},
+    {"a": [F(1, 2), F(0), F(3)], "b": [F(1), F(-1, 2)] * 5},
+    {"a": [F(2), F(-1, 3), F(1)], "b": [F(0), F(2), F(1), F(1, 3)] + [F(1)] * 6},
+]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@example(**_EULER_EXAMPLES[0])
+@example(**_EULER_EXAMPLES[1])
+@example(**_EULER_EXAMPLES[2])
+@given(a=st.lists(_euler_value, max_size=9), b=st.lists(_euler_value, min_size=10, max_size=10))
+def test_euler_constructions_match_the_value_formula(a, b):
+    for run, reference, args in _EULER_CASES:
+        _same_outcome(lambda: run(*args(a, b)), lambda: reference(*args(a, b)))
+        try:
+            out = run(*args(a, b))
+        except (PolycfError, ValueError):
+            continue
+        _assert_normal_form(out)
+
+
+def test_euler_property_examples_reach_every_error():
+    raised = set()
+    for case in _EULER_EXAMPLES:
+        for run, _, args in _EULER_CASES:
+            try:
+                run(*args(case["a"], case["b"]))
+            except PolycfError as exc:
+                raised.add((type(exc), exc.index))
+    assert raised == {(RepeatedValue, 2), (ZeroTerm, 1), (ZeroTerm, 2), (DegenerateTerm, 2), (UnitTerm, 3)}
+
+
+def test_transform_outputs_are_in_normal_form():
+    w = [F(1, 2)] * 12
+    for preset, params in [("e", {}), ("brouncker", {}), ("ex3.3", {"A": "3"}), ("ex4.2", {"A": "-1"}),
+                           ("ex2.5", {}), ("ex3.4", {"k": "2", "A": "2"})]:
+        cf = build_preset(preset, params).cf
+        _assert_normal_form(even_part(cf, 5))
+        _assert_normal_form(odd_part(cf, 5))
+        _assert_normal_form(bauer_muir(cf, w, 5).cf)
+        _assert_normal_form(extension_bmoe(cf, [F(0)] + w, 5))
+    for cf in (_FRACTIONAL, _ZERO_B2):
+        _assert_normal_form(odd_part(cf, 1))
+        _assert_normal_form(bauer_muir(cf, _W, 4).cf)
+        _assert_normal_form(extension_bmoe(cf, [F(0)] + _W[1:], 3))
+    _assert_normal_form(even_part(_FRACTIONAL, 3))
+    a, b = [F(3), F(-1, 2), F(5, 7), F(-4, 9)], [F(1, 3), F(2), F(-1, 5), F(7, 2), F(3)]
+    for run, _, args in _EULER_CASES:
+        _assert_normal_form(run(*args(a, b)))
