@@ -37,6 +37,9 @@ from .families import LimitClaim
 from .poly import _floor_nth_root, _scan_bound, leading_coefficient
 
 _GUARD_BITS = 32
+# tietze_check declines to certify from a later term index: declining is
+# sound, and scanning this far is not useful
+_MAX_CERT_INDEX = 200000
 
 
 @dataclass(frozen=True)
@@ -108,30 +111,24 @@ def tietze_check(cf, scan_limit=200):
     a_{n+1} < 0, must hold from some index N0 on.  A polynomial tail admits
     an asymptotic certificate (leading-coefficient comparison past the root
     bound); the scan then locates the smallest N0.  Without a certifiable
-    tail the report is holds=False with method ScanOnly.
+    tail, or when the certificate starts past _MAX_CERT_INDEX, the report is
+    holds=False with method ScanOnly and the count of terms read, up to
+    scan_limit; every path raises NonIntegerTerms at a fractional term.
     """
     if scan_limit < 1:
         raise ValueError("scan_limit must be positive")
-    certifiable = cf.tail is not None and _is_integer_tail(cf.tail)
-    if not certifiable:
+    tail, n_cert = cf.tail, _MAX_CERT_INDEX + 1
+    if tail is not None and _is_integer_tail(tail):
+        sign_pos = _poly_eventually_nonneg(tail.a)
+        abs_a = tail.a if sign_pos else -tail.a
+        q = tail.b - abs_a - (0 if sign_pos else 1)
+        b_ok = tail.b - 1
+        arg_bound = max(_scan_bound(f, tail.start_index) for f in (tail.a, q, b_ok))
+        n_cert = max(arg_bound - tail.start_index + len(cf.prefix) + 1, 1)
+    if n_cert > _MAX_CERT_INDEX:
         limit = sum(1 for _ in _integer_terms(itertools.islice(_scaled_terms(cf), scan_limit)))
         return TietzeReport(False, None, "ScanOnly", limit)
-    tail = cf.tail
-    m = len(cf.prefix)
-    sign_pos = _poly_eventually_nonneg(tail.a)
-    abs_a = tail.a if sign_pos else -tail.a
-    q = tail.b - abs_a - (0 if sign_pos else 1)
-    b_ok = tail.b - 1
     cert_ok = _poly_eventually_nonneg(q) and _poly_eventually_nonneg(b_ok)
-    arg_bound = max(
-        _scan_bound(tail.a, tail.start_index),
-        _scan_bound(q, tail.start_index),
-        _scan_bound(b_ok, tail.start_index),
-    )
-    n_cert = max(arg_bound - tail.start_index + m + 1, 1)
-    if n_cert > 200000:
-        # declining to certify is sound; scanning this far is not useful
-        return TietzeReport(False, None, "ScanOnly", scan_limit)
     eff = max(scan_limit, n_cert)
     terms = list(_integer_terms(_first(_scaled_terms(cf), eff + 1)))
     if not cert_ok:

@@ -9,6 +9,7 @@ are byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -31,10 +32,12 @@ class _Parser(argparse.ArgumentParser):
         _fail(2, "InvalidInput", message)
 
 
+def _error(obj):
+    sys.stderr.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
 def _fail(code, kind, detail):
-    sys.stderr.write(
-        json.dumps({"error": kind, "detail": str(detail)}, sort_keys=True) + "\n"
-    )
+    _error({"error": kind, "detail": str(detail)})
     raise SystemExit(code)
 
 
@@ -211,16 +214,7 @@ def _cmd_family(args, params):
 
 def _cmd_tietze(args, params):
     cf = _resolve_cf(args, params)
-    report = analysis.tietze_check(cf, args.terms)
-    _emit(
-        {
-            "holds": report.holds,
-            "N0": report.N0,
-            "method": report.method,
-            "scan_limit": report.scan_limit,
-        },
-        args.format,
-    )
+    _emit(dataclasses.asdict(analysis.tietze_check(cf, args.terms)), args.format)
     return 0
 
 
@@ -334,21 +328,10 @@ def main(argv=None):
     try:
         return _COMMANDS[args.command](args, params)
     except HypothesisViolation as e:
-        sys.stderr.write(
-            json.dumps(
-                {"error": "HypothesisViolation", "condition": e.name, "detail": e.detail},
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        _error({"error": "HypothesisViolation", "condition": e.name, "detail": e.detail})
         return 1
     except PolycfError as e:
-        sys.stderr.write(
-            json.dumps(
-                {"error": type(e).__name__, "detail": str(e)}, sort_keys=True
-            )
-            + "\n"
-        )
+        _error({"error": type(e).__name__, "detail": str(e)})
         return 1
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as e:
         _fail(2, "InvalidInput", e)

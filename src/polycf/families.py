@@ -14,18 +14,18 @@ family_binomial are the symbolic Euler construction (transforms.euler_tail)
 of their perturbed partial sums, with term ratio rho = 1, -1 and
 (alpha-n+2) x/(n-1); family_sin_product is the weighted product (Euler with
 u = a w - w(n-1) and rho = a(n-1)); family_e_bauer_muir is Bauer-Muir
-(transforms.bauer_muir_tail) on the e preset.  Presets ex3.3, ex3.4, ex3.5,
-ex4.2 and ex5.6 are members of these five.  A g_nonzero hypothesis says
-that u(n) has no integer root n >= 1, so no tail numerator vanishes.
+(transforms.bauer_muir_tail) on the e preset.  A terminating binomial series
+is the finite transforms.generalized_euler of its terms instead.  Presets
+ex3.3, ex3.4, ex3.5, ex4.2 and ex5.6 are members of these five.  A g_nonzero
+hypothesis says that u(n) has no integer root n >= 1, so no tail numerator
+vanishes.
 
-Every Pincherle member's CF and limit are pincherle_family's construction
-of (H, b), followed by the integer form where the tail is not already
-integral: family_rational_limit (ex1.1), pincherle_poly_family (ex2.4,
-H = f/g and b = c/d) and ex2.2 (H = n + 2).  These state hypotheses of their
-own, so they build the CF alone and skip pincherle_family's three.
-Only ex2.5 keeps a hand-typed form: its H(n) = c(0) c(1) ... c(n-1) is a
-product of n factors, not a rational function of n, so pincherle_family
-cannot express it.
+Every Pincherle preset is _pincherle, pincherle_family's construction of
+(H, b) without its hypotheses, followed by the integer form where the tail
+is not already integral: family_rational_limit (ex1.1), pincherle_poly_family
+(ex2.4, H = f/g and b = c/d), ex2.2 (H = n + 2) and ex2.5 (H = 1 and
+b = c(n)^2/c(n-1)).  These state hypotheses of their own instead of
+pincherle_family's three.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cf import CFSpec, CFTail, _as_fraction, _as_ratfn, integer_tail_form
-from .errors import DegenerateTerm, HypothesisViolation, PoleAtArgument
+from .errors import HypothesisViolation, PoleAtArgument
 from .poly import (
     RationalFunction,
     degree,
@@ -44,7 +44,7 @@ from .poly import (
     json_value,
     leading_coefficient,
 )
-from .transforms import bauer_muir_tail, bernoulli_from_sequence, euler_tail
+from .transforms import bauer_muir_tail, euler_tail, generalized_euler
 
 _N = RationalFunction.variable()
 # largest zeta exponent family_zeta builds; see its docstring
@@ -264,22 +264,16 @@ def family_zeta(k, d):
 
 
 def _binomial_finite(alpha, x, r):
-    # terminating series: realize the perturbed partial sums directly
-    n_top = int(alpha)
-    s = Fraction(1)
-    total = Fraction(1)
-    seq = [Fraction(1) + r(0)]
-    for n in range(1, n_top + 1):
-        s = s * (alpha - n + 1) * x / n
-        total += s
-        seq.append(total + r(n) * s)
-    seq.append(total)
-    while len(seq) > 1 and seq[-1] == seq[-2]:
-        seq.pop()
-    for n in range(1, len(seq)):
-        if seq[n] == seq[n - 1]:
-            raise DegenerateTerm(n)
-    return bernoulli_from_sequence(seq)
+    # s_0..s_alpha, then a zero term and weight for the exact sum; trailing
+    # zero increments are dropped
+    s = [Fraction(1)]
+    for n in range(1, int(alpha) + 1):
+        s.append(s[-1] * (alpha - n + 1) * x / n)
+    terms = s + [Fraction(0)]
+    weights = [r(n) * t for n, t in enumerate(s)] + [Fraction(0)]
+    while len(terms) > 1 and terms[-1] + weights[-1] == weights[-2]:
+        del terms[-1], weights[-1]
+    return generalized_euler(terms, weights)
 
 
 def family_binomial(alpha, x, r):
@@ -288,22 +282,20 @@ def family_binomial(alpha, x, r):
     The n-th approximant is sum_{k=0..n} ff(alpha,k) x^k / k! + r(n) s_n,
     where ff is the falling factorial and s_n the n-th series term.  A
     non-negative integer alpha terminates the series and yields a finite CF
-    with exact final value.  Otherwise the CF is built by the Euler
-    construction with rho(n) = (alpha-n+2) x/(n-1) (the ratio s_{n-1}/s_{n-2})
-    and u(n) = (alpha-n+1) x (1+r(n))/n - r(n-1), followed by the integer
-    form.
+    with exact final value: generalized_euler of the terms s_n with weights
+    r(n) s_n.  Otherwise the CF is built by the Euler construction with
+    rho(n) = (alpha-n+2) x/(n-1) (the ratio s_{n-1}/s_{n-2}) and
+    u(n) = (alpha-n+1) x (1+r(n))/n - r(n-1), followed by the integer form.
     """
     alpha = _as_fraction(alpha)
     x = _as_fraction(x)
     r = _as_ratfn(r)
     r0 = _value_at_zero(r, "r")
     hyps = [_hyp("x_bounded", lambda: abs(x) < 1, "|x| < 1")]
-    if alpha.denominator == 1 and alpha >= 0:
-        cf = _binomial_finite(alpha, x, r)
-        limit = LimitClaim.exact((1 + x) ** int(alpha))
-        return FamilyMember(cf, limit, tuple(hyps))
     if alpha.denominator == 1:
         limit = LimitClaim.exact((1 + x) ** int(alpha))
+        if alpha >= 0:
+            return FamilyMember(_binomial_finite(alpha, x, r), limit, tuple(hyps))
     else:
         base = 1 + x
         if base <= 0:
@@ -451,10 +443,7 @@ def _preset_ex22(params):
 
 def _preset_ex25(params):
     c = params["c"]
-    t1 = (c(0) + c(1) ** 2, c(1) ** 2)
-    tail_a = c.shift(-2) * (c.shift(-1) + c * c)
-    tail_b = c * c
-    cf = CFSpec(Fraction(0), (t1,), CFTail(tail_a, tail_b, 2))
+    cf, limit = _pincherle(RationalFunction(1), c * c / c.shift(-1))
     hyps = (
         _hyp(
             "c_at_least_2",
@@ -462,7 +451,7 @@ def _preset_ex25(params):
             "c(n) >= 2 for n >= -1",
         ),
     )
-    return FamilyMember(cf, LimitClaim.exact(1), hyps)
+    return FamilyMember(integer_tail_form(cf), limit, hyps)
 
 
 _PRESET_BUILDERS = {

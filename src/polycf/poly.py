@@ -12,6 +12,14 @@ from .errors import PoleAtArgument, ZeroFunction
 
 # the degree of the zero function: compares below every integer and absorbs +
 MINUS_INFINITY = -math.inf
+# largest exponent of n in a polynomial string: ex2.5, the slowest preset
+# to build, takes about 0.1 s at c = n^32+2, and its polynomial gcds grow
+# like the fifth power of the degree
+_MAX_POLY_EXPONENT = 32
+# largest decimal exponent in a rational string, far past the 1233 digits of
+# 4096-bit precision: 1e-10000 parses in 0.2 ms, but Fraction's cost and that
+# of exact arithmetic on its value grow faster than the exponent
+_MAX_DECIMAL_EXPONENT = 10000
 
 
 def _floor_nth_root(m, d):
@@ -522,12 +530,16 @@ def json_value(value, path, kind):
     JSON object or array, "int" an integer or decimal-integer string, and
     "rational" an integer or a string such as "p/q" with q != 0.
 
-    Malformed input raises ValueError naming its JSON path.
+    Malformed input raises ValueError naming its JSON path, as does a
+    decimal exponent above _MAX_DECIMAL_EXPONENT, before Fraction expands it.
     """
     if kind in ("object", "list"):
         if isinstance(value, dict if kind == "object" else list):
             return value
     elif isinstance(value, (int, str)) and not isinstance(value, bool):
+        exp = _DECIMAL_EXP_RE.search(value) if isinstance(value, str) else None
+        if exp and not _at_most(exp.group(1), _MAX_DECIMAL_EXPONENT):
+            raise ValueError(f"{path}: decimal exponent above {_MAX_DECIMAL_EXPONENT}")
         try:
             return int(str(value), 10) if kind == "int" else Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -542,10 +554,20 @@ def json_list(value, path, kind):
 
 
 _TERM_RE = re.compile(r"([+-]?)(\d+)?(?:\*?n(?:[\^](\d+))?)?$")
+# the exponent digits of a decimal string such as "1.5e-20", as Fraction reads it
+_DECIMAL_EXP_RE = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def _at_most(digits, bound):
+    """Whether the decimal digits (underscores allowed) name at most bound,
+    decided without converting a long string."""
+    digits = digits.replace("_", "").lstrip("0")
+    return len(digits) <= len(str(bound)) and int(digits or "0") <= bound
 
 
 def poly_from_string(text):
-    """Parse strings like "3n^2 - n + 1" into an IntPolynomial."""
+    """Parse strings like "3n^2 - n + 1" into an IntPolynomial; an exponent
+    above _MAX_POLY_EXPONENT raises ValueError before anything is built."""
     s = text.replace(" ", "").replace("**", "^")
     if not s:
         raise ValueError("empty polynomial string")
@@ -561,10 +583,12 @@ def poly_from_string(text):
         coeff = int(m.group(2)) if m.group(2) is not None else 1
         if "n" not in chunk:
             power = 0
-        elif m.group(3) is not None:
+        elif m.group(3) is None:
+            power = 1
+        elif _at_most(m.group(3), _MAX_POLY_EXPONENT):
             power = int(m.group(3))
         else:
-            power = 1
+            raise ValueError(f"exponent of n above {_MAX_POLY_EXPONENT} in {chunk[:40]!r}")
         coeffs[power] = coeffs.get(power, 0) + sign * coeff
     out = [0] * (max(coeffs) + 1)
     for power, c in coeffs.items():

@@ -11,6 +11,7 @@ import pytest
 
 from polycf.analysis import (
     GrowthBound,
+    TietzeReport,
     growth_diagnostics,
     reference_constant,
     tietze_check,
@@ -174,6 +175,17 @@ def test_tietze_rational_tail_with_negative_step_scale(cf, index):
     with pytest.raises(NonIntegerTerms) as exc:
         tietze_check(cf, 200)
     assert exc.value.index == index
+
+
+def test_tietze_far_certificate_still_reads_the_terms():
+    # a(n) = n - 10^6 puts the certificate index past 200,000, so tietze_check
+    # declines to certify; its ScanOnly report still reads the terms
+    tail = CFTail("n-1000000", "n+2", 2)
+    with pytest.raises(NonIntegerTerms) as exc:
+        tietze_check(CFSpec(F(0), ((F(1, 2), F(3)),), tail), 50)
+    assert exc.value.index == 1
+    report = tietze_check(CFSpec(F(0), ((F(1), F(3)),), tail), 50)
+    assert report == TietzeReport(False, None, "ScanOnly", 50)
 
 
 def test_tietze_validation():

@@ -360,6 +360,25 @@ def test_deeply_nested_input_exits_two(tmp_path, source):
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInput"
 
 
+@pytest.mark.parametrize("argv", [
+    ["family", "--preset", "ex2.2", "--b", "n^33+2"],
+    ["family", "--preset", "ex2.5", "--c", "2n^1000"],
+    ["transform", "--op", "bauer-muir", "--preset", "e", "--w", "n^33"],
+    ["eval", "--preset", "e", "--tol", "1e-1000000"],
+    ["family", "--preset", "entry13", "--a", "1e10001"],
+    ["eval", "--input", '{"b0": "1e-1000000", "prefix": []}'],
+])
+def test_oversized_exponents_exit_two(argv):
+    # polynomial exponents above 32 and decimal exponents above 10000 are
+    # refused while parsing, before anything of that size is built
+    proc = _fresh_python("import sys, polycf.cli; sys.exit(polycf.cli.main(sys.argv[1:]))", *argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInput"
+    assert "exponent" in json.loads(lines[0])["detail"]
+
+
 _json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=8)
     | st.sampled_from(["1", "-2/3", "1/0", "n", "0"]),

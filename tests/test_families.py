@@ -23,8 +23,10 @@ from polycf.cf import (
 from polycf.errors import (
     DegenerateTerm,
     HypothesisViolation,
+    PoleAtArgument,
     PolycfError,
     ZeroEvenDenominator,
+    ZeroPartialNumerator,
 )
 from polycf.families import (
     LimitClaim,
@@ -42,8 +44,20 @@ from polycf.families import (
     preset_ids,
     ramanujan_entry13,
 )
-from polycf.poly import IntPolynomial, RationalFunction, degree, ratfn_from_string
-from polycf.transforms import bauer_muir, even_part, extension_bmoe, odd_part
+from polycf.poly import (
+    IntPolynomial,
+    RationalFunction,
+    degree,
+    eventually_nonnegative,
+    ratfn_from_string,
+)
+from polycf.transforms import (
+    bauer_muir,
+    bernoulli_from_sequence,
+    even_part,
+    extension_bmoe,
+    odd_part,
+)
 
 F = Fraction
 
@@ -90,11 +104,11 @@ def test_pincherle_family_rejects_undefined_limit():
 
 
 def test_pincherle_callers_skip_pincherle_family_hypotheses(monkeypatch):
-    # ex1.1, ex2.2 and ex2.4 state hypotheses of their own, so they build
+    # ex1.1, ex2.2, ex2.4 and ex2.5 state hypotheses of their own, so they build
     # the CF without pincherle_family's eventual-positivity scans
     import polycf.families as families
 
-    want = {p: build_preset(p) for p in ("ex1.1", "ex2.2", "ex2.4")}
+    want = {p: build_preset(p) for p in ("ex1.1", "ex2.2", "ex2.4", "ex2.5")}
 
     def refuse(H, b):
         raise AssertionError("pincherle_family called")
@@ -178,6 +192,99 @@ def test_integer_tail_form_drops_shifted_denominator_pair():
     assert degree(cf.tail.b) == degree(hand.tail.b) == 4
     assert degree(cf.tail.a) == degree(hand.tail.a) == 7
     assert approximants(cf, 25).values() == approximants(hand, 25).values()
+
+
+def _outcome(build):
+    """build(), a CF as its JSON form, or the error it raises."""
+    try:
+        out = build()
+    except PolycfError as e:
+        return type(e).__name__, getattr(e, "index", str(e))
+    return json.dumps(cf_to_json(out), sort_keys=True) if isinstance(out, CFSpec) else out
+
+
+def _hand_ex25(c):
+    """Reference for the ex2.5 preset's CF (limit 1): the form typed out by
+    hand before it was built as _pincherle(1, c^2/c(n-1)) in integer form."""
+    t1 = (c(0) + c(1) ** 2, c(1) ** 2)
+    tail_a = c.shift(-2) * (c.shift(-1) + c * c)
+    return CFSpec(F(0), (t1,), CFTail(tail_a, c * c, 2))
+
+
+# c whose integer form is the hand form itself
+_EX25_SAME_FORM = ["n+3", "n+1", "n+2", "n+4", "n+10", "2n+3", "n-1", "n-5", "n^2+2",
+                   "n^2+n+2", "n^2-n+2", "n^2+3n+7", "n^3+2"]
+# c whose integer form scales the tail less than the hand form does: constant
+# and rational c, and c whose values share a factor with c(n-1)
+_EX25_SMALLER_FORM = ["3", "5", "(n+3)/2", "(2n+1)/2", "(n^2+3)/(n+1)", "2n+4", "4n+4",
+                      "4n^2+4n+6", "3n+6", "3n^2+3n+3", "4n+2", "2n^2+2n+4"]
+
+
+def test_ex25_pincherle_construction_keeps_the_hand_form():
+    for text in _EX25_SAME_FORM + _EX25_SMALLER_FORM:
+        c = ratfn_from_string(text)
+        member, hand = build_preset("ex2.5", {"c": c}), _hand_ex25(c)
+        assert member.limit == LimitClaim.exact(1), text
+        # c = n-1 and n-5 vanish at a later n: both forms have a zero numerator there
+        want = _outcome(lambda: approximants(hand, 200).values())
+        assert _outcome(lambda: approximants(member.cf, 200).values()) == want, text
+        same = cf_to_json(member.cf) == cf_to_json(hand)
+        assert same == (text in _EX25_SAME_FORM), text
+        assert member.cf.tail.a.den == member.cf.tail.b.den == IntPolynomial((1,)), text
+        if isinstance(want, list) and c.den == IntPolynomial((1,)):  # hand form integral too
+            for n in range(1, 30):
+                assert _term_bits(member.cf, n) <= _term_bits(hand, n), (text, n)
+
+
+@pytest.mark.parametrize("text, error, index", [
+    # c(0) = 0 makes b(1) = c(1)^2/c(0) a pole; the hand form's a_2 was 0
+    ("n", PoleAtArgument, 2),
+    ("4n", PoleAtArgument, 2),
+    # c(0) + c(1)^2 = 0 is the first numerator, as in the hand form
+    ("2n^2-1", ZeroPartialNumerator, 1),
+])
+def test_ex25_outside_c_at_least_2_raises(text, error, index):
+    c = ratfn_from_string(text)
+    with pytest.raises(error):
+        build_preset("ex2.5", {"c": c})
+    assert not eventually_nonnegative(c - 2, -1)
+    with pytest.raises(ZeroPartialNumerator) as exc:
+        term_at(_hand_ex25(c), index)
+    assert exc.value.index == index
+
+
+def _hand_binomial_finite(alpha, x, r):
+    """Reference for the terminating family_binomial: the perturbed partial
+    sums realized one by one, before the CF was generalized_euler's."""
+    s = total = F(1)
+    seq = [F(1) + r(0)]
+    for n in range(1, int(alpha) + 1):
+        s = s * (alpha - n + 1) * x / n
+        total += s
+        seq.append(total + r(n) * s)
+    seq.append(total)
+    while len(seq) > 1 and seq[-1] == seq[-2]:
+        seq.pop()
+    for n in range(1, len(seq)):
+        if seq[n] == seq[n - 1]:
+            raise DegenerateTerm(n)
+    return bernoulli_from_sequence(seq)
+
+
+def test_finite_binomial_is_generalized_euler_of_the_hand_sums():
+    xs = [F(1, 3), F(-1, 2), F(2), F(0), F(-1)]
+    rs = ["1", "0", "-1", "n", "-n", "n-2", "2n-3", "n^2-3n+2", "1/(n+1)", "1/(n-3)"]
+    errors = set()
+    for alpha in range(7):
+        for x in xs:
+            for text in rs:
+                r = ratfn_from_string(text)
+                got = _outcome(lambda: family_binomial(alpha, x, r).cf)
+                want = _outcome(lambda: _hand_binomial_finite(F(alpha), x, r))
+                assert got == want, (alpha, x, text)
+                if isinstance(got, tuple):
+                    errors.add(got[0])
+    assert errors == {"DegenerateTerm", "PoleAtArgument"}
 
 
 def test_family_pi_structure():

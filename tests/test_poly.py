@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from polycf.errors import PoleAtArgument, ZeroFunction
 from polycf.poly import (
+    _MAX_DECIMAL_EXPONENT,
+    _MAX_POLY_EXPONENT,
     MINUS_INFINITY,
     IntPolynomial,
     RationalFunction,
@@ -20,6 +22,7 @@ from polycf.poly import (
     eventually_nonnegative,
     eventually_positive,
     has_integer_root_at_or_after,
+    json_value,
     leading_coefficient,
     poly_from_string,
     ratfn_from_string,
@@ -169,6 +172,28 @@ def test_poly_from_string():
     assert poly_from_string("2n+3n") == 5 * x
     with pytest.raises(ValueError):
         poly_from_string("n^")
+
+
+def test_poly_from_string_bounds_exponents():
+    x = IntPolynomial.variable()
+    assert poly_from_string(f"n^{_MAX_POLY_EXPONENT}+2") == x**_MAX_POLY_EXPONENT + 2
+    assert poly_from_string("n^007") == x**7
+    # refused before a coefficient list of that length exists
+    for text in (f"n^{_MAX_POLY_EXPONENT + 1}", "3n^100000+1", "n^" + "9" * 30):
+        with pytest.raises(ValueError, match=f"above {_MAX_POLY_EXPONENT}"):
+            poly_from_string(text)
+    with pytest.raises(ValueError, match=f"above {_MAX_POLY_EXPONENT}"):
+        ratfn_from_string(f"1/(n^{_MAX_POLY_EXPONENT + 1})")
+
+
+def test_json_value_bounds_decimal_exponents():
+    top = _MAX_DECIMAL_EXPONENT
+    assert json_value(f"1e-{top}", "$.x", "rational") == Fraction(1, 10**top)
+    assert json_value(f" -2.5E+0{top} ", "$.x", "rational") == Fraction(-25 * 10**top, 10)
+    assert json_value("3/4", "$.x", "rational") == Fraction(3, 4)
+    for text in (f"1e-{top + 1}", "1e-1000000", "-2.5E+99999999", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match=r"^\$\.x: decimal exponent above"):
+            json_value(text, "$.x", "rational")
 
 
 def test_ratfn_from_string():
