@@ -7,13 +7,14 @@ is a genuine cross-check.  Each series stops where its remainder falls below
 the fixed-point unit or the bound stated beside it:
 
 - pi: the Chudnovsky series (1988) summed by binary splitting, each term at
-  most 2^-45 times the one before, with sqrt(10005) from ``math.isqrt``;
+  most 2^-45 times the one before, with sqrt(10005) from ``math.isqrt``,
+  once per working shift;
 - zeta(k): P. Borwein's alternating series (1991) with Chebyshev weights,
   whose error after n terms is below 3 (3+sqrt 8)^-n / (1 - 2^(1-k));
 - e: sum 1/j! until the term is below the unit;
-- sin(pi/m)/(pi/m): its alternating Taylor series until the term is below
-  the unit;
-- algebraic roots: integer Newton iteration.
+- sin(pi/m)/(pi/m): Taylor terms of sin(pi/(m 2^r)), then r angle doublings;
+- algebraic roots: ``math.isqrt``, or integer Newton iteration from the
+  root of the radicand's top half.
 
 Values are memoised in process, keyed by the constant and the working shift.
 """
@@ -232,6 +233,15 @@ def _fp_pi(shift):
     return 426880 * math.isqrt(10005 << (2 * shift)) * q // t
 
 
+def _pi(shift):
+    # one pi per shift for PiOver4, BrounckerPi and SineProduct, under a key
+    # that no constant's describe() string equals
+    key = (_fp_pi, shift)
+    if key not in _memo:
+        _memo[key] = _fp_pi(shift)
+    return _memo[key]
+
+
 def _fp_e(shift):
     one = 1 << shift
     total = one
@@ -272,31 +282,41 @@ def _fp_root(p, q, r, s, shift):
 
 
 def _fp_sine_product(m, shift):
+    """m sin(x) / pi at x = pi/m, from y = x / 2^r: N Taylor terms of sin y
+    (60 at 4096 bits, not x's 300) leave under 2N + 3 units 2^-w of error,
+    cos y under 2N + 4, and each doubling maps the error vector by twice a
+    rotation and adds under 2.  So sin x is within 2^r (4N + 9) units, under
+    (4N + 9) 2^-(shift+17) sin x for w = shift + r + 16 + bits(m) and
+    sin x >= 2/m; pi's error moves sin(x)/x by at most its relative size and
+    the last division adds 2^(1-shift): all far below 2^(4-bits)."""
     if m < 1:
         raise UnsupportedConstant(f"SineProduct({m})")
-    pi = _fp_pi(shift)
-    x = pi // m
-    x2 = (x * x) >> shift
-    term = x
-    total = x
+    pi = _pi(shift)
+    r = math.isqrt(shift) // 2
+    w = shift + r + 16 + m.bit_length()
+    y = (pi << (w - r - shift)) // m
+    y2 = (y * y) >> w
+    term = s = y
     j = 1
     while term:
-        term = (term * x2) >> shift
-        term //= (2 * j) * (2 * j + 1)
-        total += -term if j % 2 else term
+        term = ((term * y2) >> w) // ((2 * j) * (2 * j + 1))
+        s += -term if j % 2 else term
         j += 1
-    return (m * total << shift) // pi
+    c = math.isqrt((1 << (2 * w)) - s * s)
+    for _ in range(r):
+        s, c = (s * c) >> (w - 1), ((c - s) * (c + s)) >> w
+    return (m * s << shift) // (pi << (w - shift))
 
 
 def _mantissa(constant, shift):
     name = constant.name
     params = constant.params
     if name == "PiOver4":
-        return _fp_pi(shift) // 4
+        return _pi(shift) // 4
     if name == "E":
         return _fp_e(shift)
     if name == "BrounckerPi":
-        return (4 << (2 * shift)) // _fp_pi(shift)
+        return (4 << (2 * shift)) // _pi(shift)
     if name == "Zeta":
         k = int(params["k"])
         if k < 2:

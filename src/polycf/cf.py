@@ -44,6 +44,8 @@ _SHIFT_SLACK_BITS = 64
 _FIRST_CHECKPOINT = 50
 _RICHARDSON_ORDER = 30
 _RATIO_SLACK_BITS = 0.125
+# integer_tail_form trial-divides its kappa argument below this (about 2 ms)
+_TRIAL_BOUND = 10000
 
 
 def _as_fraction(v):
@@ -680,16 +682,19 @@ def _scaled(terms, rs):
 
 
 def _least_square_root_multiple(d):
-    """Least k > 0 with k * k divisible by d > 0."""
+    """A k > 0 with k * k divisible by d > 0 after trial division below
+    _TRIAL_BOUND = B: least when the cofactor left is below B^3, so 1, p, p^2
+    (its isqrt) or pq; a larger cofactor is taken whole, so k stays valid."""
     k, p = 1, 2
-    while p * p <= d:
+    while p < _TRIAL_BOUND and p * p <= d:
         e = 0
         while d % p == 0:
             d //= p
             e += 1
         k *= p ** ((e + 1) // 2)
         p += 1
-    return k * d
+    r = math.isqrt(d)
+    return k * (r if r * r == d else d)
 
 
 def _integer_prefix(terms, r_last):
@@ -710,7 +715,8 @@ def integer_tail_form(cf):
     P = den_b(x) den_b(x-1) a(x), E is the primitive part of P's denominator
     (1 when P is a polynomial), F the factor of E with F(x) F(x-1) dividing
     E, G the factor of num_b with G(x) G(x-1) dividing P's numerator, and
-    kappa the least positive integer that makes r(x) r(x-1) a(x) integral.
+    kappa a positive integer that makes r(x) r(x-1) a(x) integral: valid, and
+    the least one unless _least_square_root_multiple leaves a large cofactor.
     Prefix term n < m is scaled as in to_integer_cf, by
     lcm(den(r_{n-1} a_n), den b_n), and the last one by r at its argument,
     so that the tail's closed form holds from its first term; r_{m-1} is

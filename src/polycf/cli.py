@@ -32,6 +32,11 @@ class _Parser(argparse.ArgumentParser):
         _fail(2, "InvalidInput", message)
 
 
+# the int <-> str digit limit, which interpreters before 3.10.7 do not have
+_get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
+
 def _error(obj):
     sys.stderr.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -41,7 +46,15 @@ def _fail(code, kind, detail):
     raise SystemExit(code)
 
 
-def _emit(obj, fmt):
+def _emit(fmt, build, *args, **kwargs):
+    """Write build(*args, **kwargs) as JSON or a table, lifting the limit on
+    int-to-str conversion, which guards the inputs parsed before, for it."""
+    limit = _get_digits()
+    _set_digits(0)
+    try:
+        obj = build(*args, **kwargs)
+    finally:
+        _set_digits(limit)
     if fmt == "json":
         sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
     else:
@@ -133,31 +146,24 @@ def _cmd_eval(args, params):
     tol = json_value(args.tol, "--tol", "rational")
     est = evaluate(cf, tol, args.terms, args.precision_bits)
     _emit(
-        {
-            "value": analysis._fmt(est.value, args.precision_bits),
-            "error_bound": analysis._fmt(est.error_bound, args.precision_bits),
-            "terms_used": est.terms_used,
-            "converged": est.converged,
-        },
         args.format,
+        dict,
+        value=analysis._fmt(est.value, args.precision_bits),
+        error_bound=analysis._fmt(est.error_bound, args.precision_bits),
+        terms_used=est.terms_used,
+        converged=est.converged,
     )
     return 0
 
 
+def _convergent_rows(cf, terms):
+    rows = [{"n": c.index, "A": str(c.A), "B": str(c.B), "value": str(c.value)}
+            for c in convergents(cf, terms)]  # str(UNDEFINED) is "Undefined"
+    return {"convergents": rows}
+
+
 def _cmd_convergents(args, params):
-    cf = _resolve_cf(args, params)
-    rows = []
-    for conv in convergents(cf, args.terms):
-        value = conv.value
-        rows.append(
-            {
-                "n": conv.index,
-                "A": str(conv.A),
-                "B": str(conv.B),
-                "value": str(value) if conv.B != 0 else "Undefined",
-            }
-        )
-    _emit({"convergents": rows}, args.format)
+    _emit(args.format, _convergent_rows, _resolve_cf(args, params), args.terms)
     return 0
 
 
@@ -179,26 +185,26 @@ def _cmd_transform(args, params):
             out = transforms.product_to_cf(rationals("factors"))
         else:
             out = transforms.generalized_product(rationals("factors"), rationals("weights"))
-        _emit(cf_to_json(out), args.format)
+        _emit(args.format, cf_to_json, out)
         return 0
     cf = _resolve_cf(args, params)
     if op == "even":
-        _emit(cf_to_json(transforms.even_part(cf, args.terms)), args.format)
+        _emit(args.format, cf_to_json, transforms.even_part(cf, args.terms))
     elif op == "odd":
-        _emit(cf_to_json(transforms.odd_part(cf, args.terms)), args.format)
+        _emit(args.format, cf_to_json, transforms.odd_part(cf, args.terms))
     elif op == "bauer-muir":
         res = transforms.bauer_muir(cf, _parse_w(args.w), args.terms)
         _emit(
-            {
+            args.format,
+            lambda: {
                 "cf": cf_to_json(res.cf),
                 "w": [str(x) for x in res.w],
                 "existence_margin": [str(x) for x in res.existence_margin],
             },
-            args.format,
         )
     elif op == "extend":
         out = transforms.extension_bmoe(cf, _parse_w(args.w), args.terms)
-        _emit(cf_to_json(out), args.format)
+        _emit(args.format, cf_to_json, out)
     else:
         _fail(2, "InvalidInput", f"unknown transform op {op!r}")
     return 0
@@ -207,14 +213,13 @@ def _cmd_transform(args, params):
 def _cmd_family(args, params):
     if not args.preset:
         _fail(2, "InvalidInput", "family requires --preset")
-    member = build_preset(args.preset, params)
-    _emit(_member_json(member), args.format)
+    _emit(args.format, _member_json, build_preset(args.preset, params))
     return 0
 
 
 def _cmd_tietze(args, params):
     cf = _resolve_cf(args, params)
-    _emit(dataclasses.asdict(analysis.tietze_check(cf, args.terms)), args.format)
+    _emit(args.format, dataclasses.asdict, analysis.tietze_check(cf, args.terms))
     return 0
 
 
@@ -230,7 +235,7 @@ def _cmd_verify(args, params):
         preset=args.preset,
         params=params,
     )
-    _emit(report.to_json(), args.format)
+    _emit(args.format, report.to_json)
     return 0 if report.verdict == "Pass" else 1
 
 

@@ -23,11 +23,18 @@ _MAX_DECIMAL_EXPONENT = 10000
 
 
 def _floor_nth_root(m, d):
+    """Largest r >= 0 with r**d <= m (0 for m <= 0), for d >= 1: isqrt, or
+    Newton steps g -> ((d-1) g + m // g^(d-1)) // d, which fall from any g >= r
+    to r, started one unit above the root of m's top half (Brent and
+    Zimmermann, Modern Computer Arithmetic, 1.5): a step or two at full width."""
     if m <= 0:
         return 0
     if d == 1:
         return m
-    g = 1 << (m.bit_length() // d + 1)
+    if d == 2:
+        return math.isqrt(m)
+    k = m.bit_length() // (2 * d)
+    g = (_floor_nth_root(m >> (k * d), d) + 1) << k if k else 1 << (m.bit_length() // d + 1)
     while True:
         nxt = ((d - 1) * g + m // g ** (d - 1)) // d
         if nxt >= g:
@@ -502,11 +509,13 @@ def eventually_positive(r, from_n):
 
 
 def eventually_nonnegative(r, from_n):
-    """Exact test of r(n) >= 0 for every integer n >= from_n."""
+    """Exact test of r(n) >= 0 for every integer n >= from_n; a pole raises."""
     r = r if isinstance(r, RationalFunction) else RationalFunction(r)
     if r.is_zero:
         return True
-    values = [r(n) for n in range(from_n, _scan_bound(r, from_n) + 1)]
+    for n in range(from_n, r.den.root_bound() + 1):
+        r(n)
+    values = map(r, range(from_n, _scan_bound(r, from_n) + 1))
     return all(v >= 0 for v in values) and r.num.leading_coefficient > 0
 
 

@@ -1,6 +1,7 @@
 """Unit tests for irrationality certification, growth diagnostics, and
 limit verification against the independent constant oracles."""
 
+import hashlib
 import json
 import math
 import time
@@ -55,14 +56,21 @@ ORACLE_TARGETS = {
         lambda: mpmath.sin(mpmath.pi / 3) / (mpmath.pi / 3),
     ),
 }
+# the sine oracle at a right angle (m = 2), near one and far from one
+_SINES = {f"SineProduct{m}": m for m in (2, 4, 5, 7, 12, 40)}
+ORACLE_TARGETS.update(
+    (name, (NamedConstant("SineProduct", {"m": m}),
+            lambda m=m: mpmath.sin(mpmath.pi / m) / (mpmath.pi / m)))
+    for name, m in _SINES.items()
+)
 
 
 @pytest.mark.parametrize(
     "bits, names",
     [
         (160, sorted(ORACLE_TARGETS)),
-        (1024, ["Zeta3", "Zeta11"]),
-        (4096, ["PiOver4", "BrounckerPi", "SineProduct"]),
+        (1024, ["Zeta3", "Zeta11", "Root", *_SINES]),
+        (4096, ["PiOver4", "BrounckerPi", "SineProduct", "Root", *_SINES]),
     ],
     ids=["160", "1024", "4096"],
 )
@@ -75,6 +83,27 @@ def test_oracles_against_mpmath(bits, names):
         with mpmath.workprec(bits + 40):
             want = target()
             assert abs(mpmath.mpf(got) - want) / abs(want) < mpmath.mpf(2) ** (4 - bits), name
+
+
+# sha256 of "man exp" lines of reference_constant(c, bits).man_exp at 256,
+# 1024 and 4096 bits, for the oracle constants of the high-precision
+# benchmark, as the full-width Newton root and full-angle sine series gave them
+_ORACLE_PINS = {
+    "PiOver4": "92677364f363453f13aa6c8d7fab85189420c915e307711208a527f6a315568e",
+    "E": "b94d47ce484e036bb5ec496fcfb20cdb20dfbd83069bbbba81f0a04dee20799c",
+    "BrounckerPi": "160e209d46343e5b211bde7f2be465547a3796fd5bbc361bcd9e934f04aa30a8",
+    "Root(p=12,q=7,r=1,s=5)": "cde524b6706d200d54c0896c595b2524304654e3bc3cec9ed2c1617218328708",
+    "SineProduct(m=3)": "518be4e72e1586b8bece4b8d41edfdf9eaeaf5a06f143378534fad109507e10b",
+    "Zeta(k=3)": "6505da3faf536092d6e49ab499f497d78697526c22863746d8701888a3682180",
+}
+
+
+def test_oracle_values_are_pinned():
+    for name in ("PiOver4", "E", "BrounckerPi", "Root", "SineProduct", "Zeta3"):
+        constant = ORACLE_TARGETS[name][0]
+        text = "".join("%d %d\n" % reference_constant(constant, bits).man_exp
+                       for bits in (256, 1024, 4096))
+        assert hashlib.sha256(text.encode()).hexdigest() == _ORACLE_PINS[constant.describe()]
 
 
 def test_reference_constant_precision_consistency():

@@ -16,6 +16,7 @@ from polycf.cf import (
     UNDEFINED,
     CFSpec,
     CFTail,
+    _least_square_root_multiple,
     _recurrence,
     _scaled_terms,
     approximants,
@@ -598,3 +599,16 @@ def test_json_round_trip():
 def test_json_round_trip_no_tail():
     cf = CFSpec(b0=F(0), prefix=((F(2), F(3)),))
     assert cf_from_json(cf_to_json(cf)) == cf
+
+
+def test_least_square_root_multiple_is_least_below_the_cube_bound():
+    # least k with d | k^2, by search, for every small d
+    for d in range(1, 2000):
+        assert _least_square_root_multiple(d) == next(k for k in range(1, d + 1) if k * k % d == 0)
+    # cofactors left after trial division below 10^4: a prime, a prime square
+    # and a product of two primes are settled exactly; 10007^3 is taken whole
+    p, q = 1000003, 1000033
+    cases = {p: p, 4 * p * p: 2 * p, 12 * p * q: 6 * p * q, 10007**3: 10007**3,
+             1000000007**2: 1000000007}
+    for d, k in cases.items():
+        assert _least_square_root_multiple(d) == k

@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -377,6 +378,41 @@ def test_oversized_exponents_exit_two(argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInput"
     assert "exponent" in json.loads(lines[0])["detail"]
+
+
+_MAIN = "import sys, polycf.cli; sys.exit(polycf.cli.main(sys.argv[1:]))"
+
+
+def test_convergents_print_integers_past_the_digit_limit():
+    # brouncker's A_n pass Python's 4300-digit int-to-str limit near n = 1300
+    rows = {}
+    for terms in ("30", "3000"):
+        proc = _fresh_python(_MAIN, "convergents", "--preset", "brouncker", "--terms", terms)
+        assert proc.returncode == 0, proc.stderr
+        rows[terms] = json.loads(proc.stdout)["convergents"]
+    assert len(rows["3000"]) == 3001 and max(len(r["A"]) for r in rows["3000"]) > 4300
+    assert rows["3000"][:31] == rows["30"]
+
+
+@pytest.mark.parametrize("b0", ["7" * 5000, '"' + "7" * 5000 + '"'], ids=["number", "string"])
+def test_input_integers_past_the_digit_limit_exit_two(b0):
+    proc = _fresh_python(_MAIN, "eval", "--input", '{"b0": %s, "prefix": []}' % b0)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInput"
+
+
+def test_family_with_a_large_prime_denominator_is_quick():
+    # kappa's trial division stops at _TRIAL_BOUND, not at the square root of
+    # 1000000007^2, and the b >= 2 scan at b(1) < 2, not after 2 * 10^9 values
+    start = time.monotonic()
+    proc = _fresh_python(_MAIN, "family", "--preset", "ex2.2", "--b", "(n+2)/1000000007")
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 1.0
+    member = json.loads(proc.stdout)
+    assert member["verified"] is False and member["cf"]["tail"]["b"]["den"] == ["1"]
 
 
 _json = st.recursive(

@@ -17,6 +17,8 @@ from polycf.poly import (
     MINUS_INFINITY,
     IntPolynomial,
     RationalFunction,
+    _ceil_nth_root,
+    _floor_nth_root,
     _poly_gcd,
     degree,
     eventually_nonnegative,
@@ -79,6 +81,41 @@ def test_root_bound_small_for_factored_high_degree():
     x = IntPolynomial.variable()
     p = x * (x - 1) ** 21 * ((x - 1) - (x - 2) ** 10) * ((x + 1) - x**10)
     assert p.root_bound() < 1000
+
+
+def _check_roots(d, m):
+    r = _floor_nth_root(m, d)
+    assert r >= 0 and r**d <= m < (r + 1) ** d, (d, m)
+    t = _ceil_nth_root(m, d)
+    assert t >= 0 and t**d >= m and (t == 0 or (t - 1) ** d < m), (d, m)
+
+
+@st.composite
+def _root_cases(draw):
+    # m up to 4,000 bits, or an exact d-th power r^d or one of its neighbours
+    d = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        return d, draw(st.integers(0, 2 ** draw(st.integers(0, 4000))))
+    r = draw(st.integers(0, 2 ** draw(st.integers(0, 4000 // d))))
+    return d, max(r**d + draw(st.sampled_from([-1, 0, 1])), 0)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(case=_root_cases())
+@example(case=(3, 2**3999))
+@example(case=(9, 3**2520 - 1))
+@example(case=(5, (2**800 + 1) ** 5 + 1))
+def test_nth_roots_bracket_m(case):
+    # r^d <= m < (r+1)^d for the floor root r, and the ceiling root above it
+    _check_roots(*case)
+
+
+def test_nth_roots_at_exact_powers():
+    for d in range(1, 10):
+        for r in [0, 1, 2, 3, 7, 2**64 - 1, 3**100, 10 ** (1000 // d)]:
+            assert _floor_nth_root(r**d, d) == r == _ceil_nth_root(r**d, d)
+            for m in (r**d - 1, r**d + 1):
+                _check_roots(d, max(m, 0))
 
 
 def test_rational_function_reduction():
