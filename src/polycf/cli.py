@@ -101,7 +101,9 @@ def _collect_params(extras):
     return params
 
 
-def _load_json_arg(raw):
+def _load_json_arg(raw, params):
+    if params:  # no preset is built to read them
+        _fail(2, "InvalidInput", f"unknown parameters for --input: {', '.join(sorted(params))}")
     try:
         if raw == "-":
             return json.loads(sys.stdin.read())
@@ -117,7 +119,7 @@ def _resolve_cf(args, params):
     if args.preset:
         return build_preset(args.preset, params).cf
     if args.input:
-        return cf_from_json(_load_json_arg(args.input))
+        return cf_from_json(_load_json_arg(args.input, params))
     _fail(2, "InvalidInput", "provide --preset or --input")
 
 
@@ -172,7 +174,7 @@ def _cmd_transform(args, params):
     if op in ("euler", "gen-euler", "product", "gen-product"):
         if not args.input:
             _fail(2, "InvalidInput", f"transform {op} requires --input")
-        data = json_value(_load_json_arg(args.input), "$", "object")
+        data = json_value(_load_json_arg(args.input, params), "$", "object")
 
         def rationals(key):
             return json_list(data.get(key), f"$.{key}", "rational")
@@ -268,11 +270,12 @@ _REPRODUCE_ROWS += [
 
 
 def _cmd_reproduce(args, params):
+    if params:
+        _fail(2, "InvalidInput", f"unknown parameters for reproduce-paper: {', '.join(sorted(params))}")
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     grouped = {}
     lines = []
-    all_pass = True
     for preset, row_params, terms, tol, bits in _REPRODUCE_ROWS:
         member = build_preset(preset, dict(row_params))
         report = analysis.verify_limit(
@@ -281,8 +284,6 @@ def _cmd_reproduce(args, params):
         grouped.setdefault(preset, []).append(report.to_json())
         label = ",".join(f"{k}={row_params[k]}" for k in sorted(row_params)) or "-"
         lines.append(f"{preset} [{label}] terms={terms} tol={tol} {report.verdict}")
-        if report.verdict != "Pass":
-            all_pass = False
     for preset, rows in grouped.items():
         path = os.path.join(out_dir, f"{preset.replace('.', '_')}.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -293,7 +294,7 @@ def _cmd_reproduce(args, params):
     passed = sum(1 for line in lines if line.endswith(" Pass"))
     lines.append(f"{passed}/{len(_REPRODUCE_ROWS)} rows passed")
     sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if all_pass else 1
+    return 0 if passed == len(_REPRODUCE_ROWS) else 1
 
 
 _COMMANDS = {

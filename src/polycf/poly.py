@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -16,6 +17,11 @@ MINUS_INFINITY = -math.inf
 # to build, takes about 0.1 s at c = n^32+2, and its polynomial gcds grow
 # like the fifth power of the degree
 _MAX_POLY_EXPONENT = 32
+# largest degree of num plus den in JSON input: ex2.5 at c of degree 32 over
+# 32, the largest preset output, has 192; at 96 over 96 the gcd takes 0.7 s
+# on c(n)^2/(c(n-1)c(n-2)), c = n^48+2, and 2 s with random 20-digit
+# coefficients, growing like the fifth power of the degree
+_MAX_JSON_DEGREE = 192
 # largest decimal exponent in a rational string, far past the 1233 digits of
 # 4096-bit precision: 1e-10000 parses in 0.2 ms, but Fraction's cost and that
 # of exact arithmetic on its value grow faster than the exponent
@@ -400,17 +406,6 @@ class RationalFunction:
     def is_zero(self):
         return self.num.is_zero
 
-    @property
-    def is_constant(self):
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self):
-        if not self.is_constant:
-            raise ValueError(f"{self!r} is not constant")
-        if self.is_zero:
-            return Fraction(0)
-        return Fraction(self.num.coeffs[0], self.den.coeffs[0])
-
     def __call__(self, n):
         bottom = self.den(n)
         if bottom == 0:
@@ -451,6 +446,8 @@ class RationalFunction:
         num, den = (IntPolynomial.from_json(obj.get(k), f"{path}.{k}") for k in ("num", "den"))
         if den.is_zero:
             raise ValueError(f"{path}.den: the zero polynomial")
+        if num.degree + den.degree > _MAX_JSON_DEGREE:
+            raise ValueError(f"{path}: degree {num.degree} over {den.degree}, above {_MAX_JSON_DEGREE} in all")
         return cls(num, den)
 
     def __eq__(self, other):
@@ -495,43 +492,44 @@ def _scan_bound(r, from_n):
     return max(r.num.root_bound(), r.den.root_bound(), from_n - 1)
 
 
-def eventually_positive(r, from_n):
-    """Exact test of r(n) > 0 for every integer n >= from_n.
+def _keeps_sign(p, from_n):
+    """Whether by Descartes' rule of signs p(n) keeps one sign for n >= from_n:
+    p(x + from_n) has no sign change among its coefficients and p(from_n) != 0."""
+    q = p.shift(from_n).coeffs
+    return bool(q) and q[0] != 0 and (min(q) >= 0 or max(q) <= 0)
 
-    Signs are decided by scanning up to a root bound and comparing leading
-    coefficients beyond it.  Raises PoleAtArgument if any integer n >= from_n
-    is a pole.
-    """
+
+def _signs(r, from_n):
+    """The one scan behind the sign predicates: the first pole n >= from_n
+    raises PoleAtArgument, found from the denominator's integer values up to
+    its root bound; then, lazily and with no Fraction built, num(n) den(n) for
+    n = from_n, ..., _scan_bound(r, from_n) + 1, or for n = from_n alone when
+    num and den both _keeps_sign.  Their signs are those of r(n), n >= from_n."""
     r = r if isinstance(r, RationalFunction) else RationalFunction(r)
-    # a pole past the root bound is impossible, so the full scan finds them all
-    values = [r(n) for n in range(from_n, _scan_bound(r, from_n) + 1)]
-    return all(v > 0 for v in values) and not r.is_zero and r.num.leading_coefficient > 0
+    den_keeps = _keeps_sign(r.den, from_n)
+    if not den_keeps:
+        den_values = itertools.islice(r.den.values_from(from_n), max(r.den.root_bound() + 1 - from_n, 0))
+        for pole in itertools.compress(itertools.count(from_n), map(operator.not_, den_values)):
+            raise PoleAtArgument(pole)
+    last = from_n if den_keeps and _keeps_sign(r.num, from_n) else _scan_bound(r, from_n) + 1
+    num_values = itertools.islice(r.num.values_from(from_n), last + 1 - from_n)
+    return map(operator.mul, num_values, r.den.values_from(from_n))
+
+
+def eventually_positive(r, from_n):
+    """Exact test of r(n) > 0 for every integer n >= from_n; a pole raises."""
+    return all(s > 0 for s in _signs(r, from_n))
 
 
 def eventually_nonnegative(r, from_n):
     """Exact test of r(n) >= 0 for every integer n >= from_n; a pole raises."""
-    r = r if isinstance(r, RationalFunction) else RationalFunction(r)
-    if r.is_zero:
-        return True
-    for n in range(from_n, r.den.root_bound() + 1):
-        r(n)
-    values = map(r, range(from_n, _scan_bound(r, from_n) + 1))
-    return all(v >= 0 for v in values) and r.num.leading_coefficient > 0
+    return all(s >= 0 for s in _signs(r, from_n))
 
 
 def has_integer_root_at_or_after(r, from_n):
-    """Exact test for an integer n >= from_n with r(n) = 0."""
-    r = r if isinstance(r, RationalFunction) else RationalFunction(r)
-    if r.is_zero:
-        return True
-    bound = _scan_bound(r, from_n)
-    for n in range(from_n, bound + 1):
-        try:
-            if r(n) == 0:
-                return True
-        except PoleAtArgument:
-            continue
-    return False
+    """Exact test for an integer n >= from_n with r(n) = 0, which for the
+    reduced r is a root of the numerator, never a pole: _signs reads it alone."""
+    return 0 in _signs(r.num if isinstance(r, RationalFunction) else RationalFunction(r).num, from_n)
 
 
 def json_value(value, path, kind):

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycf.cli import main
+from polycf.poly import IntPolynomial
 
 
 def run(capsys, argv):
@@ -321,10 +322,13 @@ print(json.dumps(results))
 """
 
 
-def _fresh_python(*args, stdin=None):
+def _fresh_python(*args, stdin=None, timeout=120):
     env = dict(os.environ, PYTHONPATH=str(_SRC))
-    return subprocess.run([sys.executable, "-c", *args], capture_output=True,
-                          text=True, env=env, timeout=120, input=stdin)
+    try:
+        return subprocess.run([sys.executable, "-c", *args], capture_output=True,
+                              text=True, env=env, timeout=timeout, input=stdin)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{args[1:]} did not finish within {timeout} s")
 
 
 def test_exact_commands_leave_mpmath_unloaded(capsys):
@@ -407,12 +411,68 @@ def test_family_with_a_large_prime_denominator_is_quick():
     # kappa's trial division stops at _TRIAL_BOUND, not at the square root of
     # 1000000007^2, and the b >= 2 scan at b(1) < 2, not after 2 * 10^9 values
     start = time.monotonic()
-    proc = _fresh_python(_MAIN, "family", "--preset", "ex2.2", "--b", "(n+2)/1000000007")
+    proc = _fresh_python(_MAIN, "family", "--preset", "ex2.2", "--b", "(n+2)/1000000007",
+                         timeout=5)
     elapsed = time.monotonic() - start
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 1.0
     member = json.loads(proc.stdout)
     assert member["verified"] is False and member["cf"]["tail"]["b"]["den"] == ["1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "ex2.2", "--b", "(n+3000000000)/1000000000"],
+    ["--preset", "ex1.1", "--f", "n+1000000000000"],
+    ["--preset", "ex2.4", "--c", "n^2+1000000000000"],
+])
+def test_family_with_a_huge_positive_root_bound_is_quick(argv):
+    # every hypothesis function keeps its sign by Descartes' rule, so none is
+    # scanned up to its root bound of 10^9 or more
+    start = time.monotonic()
+    proc = _fresh_python(_MAIN, "family", *argv, timeout=5)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 1.0
+    assert json.loads(proc.stdout)["verified"] is True
+
+
+def test_input_tail_of_oversized_degree_exits_two_quickly():
+    # b = c^2 / c(n-1) with c = n^200 + 2: 77 s in the constructor's gcd if read
+    c = IntPolynomial.variable() ** 200 + 2
+    b = {"num": (c * c).to_json(), "den": c.shift(-1).to_json()}
+    cf = {"b0": "1", "tail": {"a": {"num": ["1"], "den": ["1"]}, "b": b, "start_index": 1}}
+    proc = _fresh_python(_MAIN, "eval", "--input", json.dumps(cf), timeout=5)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInput"
+    assert json.loads(lines[0])["detail"].startswith("$.tail.b: degree 400 over 200")
+
+
+def test_largest_zeta_member_reads_back_through_input(capsys):
+    # ex3.4 at k = 40 has a tail numerator of degree 158, within the JSON bound
+    code, out, _ = run(capsys, ["family", "--preset", "ex3.4", "--k", "40"])
+    assert code == 0
+    cf = json.loads(out)["cf"]
+    assert len(cf["tail"]["a"]["num"]) == 159
+    code, out, _ = run(capsys, ["eval", "--input", json.dumps(cf), "--terms", "10"])
+    assert code == 0 and json.loads(out)["terms_used"] == 10
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["eval", "--input", '{"b0": "1", "prefix": [["1", "2"]]}', "--A", "5"], "--input"),
+    (["transform", "--op", "euler", "--input", '{"terms": ["1", "1/2"]}', "--zzz", "5"],
+     "--input"),
+    (["reproduce-paper", "--out", "unused", "--A", "3"], "reproduce-paper"),
+])
+def test_parameters_without_a_preset_exit_two(capsys, tmp_path, argv, where):
+    argv = [str(tmp_path / a) if a == "unused" else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {
+        "error": "InvalidInput", "detail": f"unknown parameters for {where}: {argv[-2][2:]}"}
+    assert not (tmp_path / "unused").exists()
 
 
 _json = st.recursive(

@@ -20,6 +20,7 @@ from polycf.poly import (
     _ceil_nth_root,
     _floor_nth_root,
     _poly_gcd,
+    _scan_bound,
     degree,
     eventually_nonnegative,
     eventually_positive,
@@ -135,8 +136,7 @@ def test_rational_function_denominator_sign():
 
 def test_rational_function_from_fraction_scalar():
     r = RationalFunction(Fraction(3, 4))
-    assert r.is_constant
-    assert r.constant_value() == Fraction(3, 4)
+    assert r == Fraction(3, 4)
     s = RationalFunction.variable() + Fraction(1, 2)
     assert s(1) == Fraction(3, 2)
 
@@ -198,6 +198,57 @@ def test_has_integer_root_at_or_after():
     assert has_integer_root_at_or_after(p, 7)
     assert not has_integer_root_at_or_after(p, 8)
     assert not has_integer_root_at_or_after(RationalFunction(x**2 + 1), -100)
+
+
+@st.composite
+def _scanned_functions(draw):
+    """Products of integer-root factors, perhaps plus a small polynomial; as
+    an IntPolynomial, a quotient of two such, or the zero function."""
+
+    def poly():
+        p = IntPolynomial((draw(st.sampled_from([-3, -1, 1, 2])),))
+        for k in draw(st.lists(st.integers(-8, 10), max_size=3)):
+            p = p * IntPolynomial((-k, 1))
+        return p + IntPolynomial(draw(st.lists(st.integers(-6, 6), max_size=4)))
+
+    kind = draw(st.sampled_from(["poly", "ratfn", "ratfn", "zero"]))
+    if kind == "zero":
+        return draw(st.sampled_from([RationalFunction(0), IntPolynomial()]))
+    num = poly()
+    if kind == "poly":
+        return num
+    den = poly()
+    return RationalFunction(num, den if not den.is_zero else 1)
+
+
+def _outcome(predicate, r, from_n):
+    try:
+        return predicate(r, from_n)
+    except PoleAtArgument as exc:
+        return PoleAtArgument, exc.argument
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(r=_scanned_functions(), from_n=st.integers(-5, 8))
+@example(r=IntPolynomial((-3, 1)), from_n=3)  # a root at from_n, no sign change after
+@example(r=RationalFunction(1, IntPolynomial((-4, 1))), from_n=2)  # a pole after from_n
+def test_sign_predicates_match_a_fraction_scan(r, from_n):
+    # reference: r(n) as Fractions over [from_n, _scan_bound]; past the bound
+    # r has the sign of its leading coefficient, and no pole lies there
+    f = r if isinstance(r, RationalFunction) else RationalFunction(r)
+    values, poles = [], []
+    for n in range(from_n, _scan_bound(f, from_n) + 1):
+        if f.den(n) == 0:
+            poles.append(n)
+        else:
+            values.append(Fraction(f.num(n), f.den(n)))
+    lead = 0 if f.is_zero else f.num.leading_coefficient
+    pole = (PoleAtArgument, poles[0]) if poles else None
+    assert _outcome(eventually_positive, r, from_n) == (
+        pole or (all(v > 0 for v in values) and lead > 0))
+    assert _outcome(eventually_nonnegative, r, from_n) == (
+        f.is_zero or pole or (all(v >= 0 for v in values) and lead > 0))
+    assert _outcome(has_integer_root_at_or_after, r, from_n) == (f.is_zero or 0 in values)
 
 
 def test_poly_from_string():
