@@ -50,6 +50,10 @@ class TietzeReport:
     method: str
     scan_limit: int
 
+    def to_json(self):
+        return {"holds": self.holds, "N0": self.N0, "method": self.method,
+                "scan_limit": self.scan_limit}
+
 
 @dataclass(frozen=True)
 class GrowthBound:

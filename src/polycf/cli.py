@@ -9,7 +9,6 @@ are byte-stable across runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -23,11 +22,6 @@ from .poly import json_list, json_value, ratfn_from_string
 
 
 class _Parser(argparse.ArgumentParser):
-    # abbreviation matching would swallow preset params like --f as --format
-    def __init__(self, *args, **kwargs):
-        kwargs.setdefault("allow_abbrev", False)
-        super().__init__(*args, **kwargs)
-
     def error(self, message):
         _fail(2, "InvalidInput", message)
 
@@ -96,6 +90,8 @@ def _collect_params(extras):
             if i >= len(extras):
                 _fail(2, "InvalidInput", f"missing value for --{name}")
             value = extras[i]
+        if name in params:
+            _fail(2, "InvalidInput", f"parameter --{name} given more than once")
         params[name] = value
         i += 1
     return params
@@ -116,16 +112,12 @@ def _load_json_arg(raw, params):
 
 
 def _resolve_cf(args, params):
-    if args.preset:
+    if args.input is None:
         return build_preset(args.preset, params).cf
-    if args.input:
-        return cf_from_json(_load_json_arg(args.input, params))
-    _fail(2, "InvalidInput", "provide --preset or --input")
+    return cf_from_json(_load_json_arg(args.input, params))
 
 
 def _parse_w(raw):
-    if raw is None:
-        _fail(2, "InvalidInput", "this transform requires --w")
     if "n" in raw:
         return ratfn_from_string(raw)
     return [json_value(part, "--w", "rational") for part in raw.split(",")]
@@ -171,6 +163,9 @@ def _cmd_convergents(args, params):
 
 def _cmd_transform(args, params):
     op = args.op
+    if (args.w is None) == (op in ("bauer-muir", "extend")):
+        verb = "requires" if args.w is None else "does not read"
+        _fail(2, "InvalidInput", f"transform {op} {verb} --w")
     if op in ("euler", "gen-euler", "product", "gen-product"):
         if not args.input:
             _fail(2, "InvalidInput", f"transform {op} requires --input")
@@ -204,30 +199,24 @@ def _cmd_transform(args, params):
                 "existence_margin": [str(x) for x in res.existence_margin],
             },
         )
-    elif op == "extend":
+    else:
         out = transforms.extension_bmoe(cf, _parse_w(args.w), args.terms)
         _emit(args.format, cf_to_json, out)
-    else:
-        _fail(2, "InvalidInput", f"unknown transform op {op!r}")
     return 0
 
 
 def _cmd_family(args, params):
-    if not args.preset:
-        _fail(2, "InvalidInput", "family requires --preset")
     _emit(args.format, _member_json, build_preset(args.preset, params))
     return 0
 
 
 def _cmd_tietze(args, params):
     cf = _resolve_cf(args, params)
-    _emit(args.format, dataclasses.asdict, analysis.tietze_check(cf, args.terms))
+    _emit(args.format, analysis.tietze_check(cf, args.terms).to_json)
     return 0
 
 
 def _cmd_verify(args, params):
-    if not args.preset:
-        _fail(2, "InvalidInput", "verify requires --preset")
     member = build_preset(args.preset, params)
     report = analysis.verify_limit(
         member,
@@ -297,33 +286,44 @@ def _cmd_reproduce(args, params):
     return 0 if passed == len(_REPRODUCE_ROWS) else 1
 
 
+_OPTIONS = {
+    "preset": {"required": True},
+    "op": {"required": True, "choices": ["euler", "gen-euler", "product", "gen-product",
+                                         "even", "odd", "bauer-muir", "extend"]},
+    "w": {},
+    "terms": {"type": int, "default": 64},
+    "tol": {"default": "1e-10"},
+    "precision-bits": {"type": int, "default": 128},
+    "format": {"choices": ["json", "table"], "default": "json"},
+    "out": {"default": "paper_reports"},
+}
+
+# command -> (handler, the options it reads), where "source" is one of --preset
+# and --input; an option it does not declare reaches it as a preset parameter
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "convergents": _cmd_convergents,
-    "transform": _cmd_transform,
-    "family": _cmd_family,
-    "tietze": _cmd_tietze,
-    "verify": _cmd_verify,
-    "reproduce-paper": _cmd_reproduce,
+    "eval": (_cmd_eval, ("source", "terms", "tol", "precision-bits", "format")),
+    "convergents": (_cmd_convergents, ("source", "terms", "format")),
+    "transform": (_cmd_transform, ("op", "w", "source", "terms", "format")),
+    "family": (_cmd_family, ("preset", "format")),
+    "tietze": (_cmd_tietze, ("source", "terms", "format")),
+    "verify": (_cmd_verify, ("preset", "terms", "tol", "precision-bits", "format")),
+    "reproduce-paper": (_cmd_reproduce, ("out",)),
 }
 
 
 def _build_parser():
     parser = _Parser(prog="polycf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, add_help=True)
-        p.add_argument("--terms", type=int, default=64)
-        p.add_argument("--tol", type=str, default="1e-10")
-        p.add_argument("--precision-bits", type=int, default=128, dest="precision_bits")
-        p.add_argument("--format", choices=["json", "table"], default="json")
-        p.add_argument("--preset", type=str, default=None, choices=None)
-        p.add_argument("--input", type=str, default=None)
-        if name == "transform":
-            p.add_argument("--op", type=str, required=True)
-            p.add_argument("--w", type=str, default=None)
-        if name == "reproduce-paper":
-            p.add_argument("--out", type=str, default="paper_reports")
+    for name, (_, options) in _COMMANDS.items():
+        # abbreviation matching would swallow preset params like --f as --format
+        p = sub.add_parser(name, allow_abbrev=False)
+        for option in options:
+            if option == "source":
+                group = p.add_mutually_exclusive_group(required=True)
+                group.add_argument("--preset")
+                group.add_argument("--input")
+            else:
+                p.add_argument("--" + option, **_OPTIONS[option])
     return parser
 
 
@@ -332,7 +332,7 @@ def main(argv=None):
     args, extras = parser.parse_known_args(argv)
     params = _collect_params(extras)
     try:
-        return _COMMANDS[args.command](args, params)
+        return _COMMANDS[args.command][0](args, params)
     except HypothesisViolation as e:
         _error({"error": "HypothesisViolation", "condition": e.name, "detail": e.detail})
         return 1

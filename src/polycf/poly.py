@@ -22,6 +22,14 @@ _MAX_POLY_EXPONENT = 32
 # on c(n)^2/(c(n-1)c(n-2)), c = n^48+2, and 2 s with random 20-digit
 # coefficients, growing like the fifth power of the degree
 _MAX_JSON_DEGREE = 192
+# most decimal digits in a coefficient of a polynomial string, above the 13
+# of 10^12 in the CLI tests: ex2.5's gcds take about 2 s on a random degree-32 c
+# with 16-digit coefficients, 4.6 s at 30 digits and 41 s at 100
+_MAX_POLY_DIGITS = 16
+# most decimal digits in a coefficient of JSON input: ex3.4's output has 42 at
+# k = 40 (47 at A = 10^6), every preset's at its defaults at most 6; the gcd
+# of a random 96-over-96 tail takes 10 s at 48 digits and 35 s at 100
+_MAX_JSON_DIGITS = 48
 # largest decimal exponent in a rational string, far past the 1233 digits of
 # 4096-bit precision: 1e-10000 parses in 0.2 ms, but Fraction's cost and that
 # of exact arithmetic on its value grow faster than the exponent
@@ -448,6 +456,8 @@ class RationalFunction:
             raise ValueError(f"{path}.den: the zero polynomial")
         if num.degree + den.degree > _MAX_JSON_DEGREE:
             raise ValueError(f"{path}: degree {num.degree} over {den.degree}, above {_MAX_JSON_DEGREE} in all")
+        if _digits_above(num.coeffs + den.coeffs, _MAX_JSON_DIGITS):
+            raise ValueError(f"{path}: a coefficient above {_MAX_JSON_DIGITS} digits")
         return cls(num, den)
 
     def __eq__(self, other):
@@ -572,9 +582,16 @@ def _at_most(digits, bound):
     return len(digits) <= len(str(bound)) and int(digits or "0") <= bound
 
 
+def _digits_above(coeffs, digits):
+    """Whether an int of coeffs has more than digits decimal digits."""
+    limit = 10**digits
+    return any(not -limit < c < limit for c in coeffs)
+
+
 def poly_from_string(text):
     """Parse strings like "3n^2 - n + 1" into an IntPolynomial; an exponent
-    above _MAX_POLY_EXPONENT raises ValueError before anything is built."""
+    above _MAX_POLY_EXPONENT raises ValueError before anything is built, and
+    a coefficient above _MAX_POLY_DIGITS digits before any gcd reads it."""
     s = text.replace(" ", "").replace("**", "^")
     if not s:
         raise ValueError("empty polynomial string")
@@ -600,6 +617,8 @@ def poly_from_string(text):
     out = [0] * (max(coeffs) + 1)
     for power, c in coeffs.items():
         out[power] = c
+    if _digits_above(out, _MAX_POLY_DIGITS):
+        raise ValueError(f"coefficient above {_MAX_POLY_DIGITS} digits in {text[:40]!r}")
     return IntPolynomial(out)
 
 

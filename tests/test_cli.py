@@ -5,10 +5,12 @@ parsed, and the report files are compared byte for byte where determinism
 is claimed.
 """
 
+import argparse
 import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycf.cli import main
+from polycf.cli import _build_parser, main
 from polycf.poly import IntPolynomial
 
 
@@ -449,8 +451,36 @@ def test_input_tail_of_oversized_degree_exits_two_quickly():
     assert json.loads(lines[0])["detail"].startswith("$.tail.b: degree 400 over 200")
 
 
+def _hundred_digit_coefficients(count, seed=0):
+    rng = random.Random(seed)
+    return [rng.randrange(10**99, 10**100) for _ in range(count)]
+
+
+_BIG_C = "+".join(f"{a}n^{i}" for i, a in enumerate(_hundred_digit_coefficients(33)))
+_BIG_B = {"num": [str(a) for a in _hundred_digit_coefficients(97, 1)],
+          "den": [str(a) for a in _hundred_digit_coefficients(97, 2)]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--preset", "ex2.5", "--c", _BIG_C],
+    ["eval", "--input", json.dumps({"b0": "1", "tail": {
+        "a": {"num": ["1"], "den": ["1"]}, "b": _BIG_B, "start_index": 1}})],
+], ids=["ex2.5-degree-32", "input-96-over-96"])
+def test_oversized_coefficients_exit_two_quickly(argv):
+    # 100-digit coefficients: about 40 s in the polynomial gcds if read
+    start = time.monotonic()
+    proc = _fresh_python(_MAIN, *argv, timeout=5)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 2 and elapsed < 1.0
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInput"
+    assert "coefficient above" in json.loads(lines[0])["detail"]
+
+
 def test_largest_zeta_member_reads_back_through_input(capsys):
-    # ex3.4 at k = 40 has a tail numerator of degree 158, within the JSON bound
+    # ex3.4 at k = 40 has a tail numerator of degree 158 with 42-digit
+    # coefficients, within both JSON bounds
     code, out, _ = run(capsys, ["family", "--preset", "ex3.4", "--k", "40"])
     assert code == 0
     cf = json.loads(out)["cf"]
@@ -473,6 +503,121 @@ def test_parameters_without_a_preset_exit_two(capsys, tmp_path, argv, where):
     assert len(lines) == 1 and json.loads(lines[0]) == {
         "error": "InvalidInput", "detail": f"unknown parameters for {where}: {argv[-2][2:]}"}
     assert not (tmp_path / "unused").exists()
+
+
+# each command's options, as the README table lists them; any other option
+# reaches the command as a preset parameter and exits 2
+_DECLARED = {
+    "eval": {"--preset", "--input", "--terms", "--tol", "--precision-bits", "--format"},
+    "convergents": {"--preset", "--input", "--terms", "--format"},
+    "tietze": {"--preset", "--input", "--terms", "--format"},
+    "transform": {"--op", "--w", "--preset", "--input", "--terms", "--format"},
+    "family": {"--preset", "--format"},
+    "verify": {"--preset", "--terms", "--tol", "--precision-bits", "--format"},
+    "reproduce-paper": {"--out"},
+}
+_BASE = {"reproduce-paper": [], "transform": ["--op", "even", "--preset", "e"]}
+_VALUES = {"--preset": "e", "--input": "x", "--terms": "5", "--tol": "3",
+           "--precision-bits": "7", "--format": "table", "--op": "even", "--w": "1,2",
+           "--out": "unused"}
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    declared = {name: [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+                for name, p in sub.choices.items()}
+    assert {name: {s for a in actions for s in a.option_strings}
+            for name, actions in declared.items()} == _DECLARED
+    assert sum(map(len, declared.values())) == 28
+    # every declared option is shown to be read below
+    read = {(command, option) for command, _, option, _ in _READ} | {("reproduce-paper", "--out")}
+    assert read == {(name, option) for name, options in _DECLARED.items() for option in options}
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command in _DECLARED for option in _VALUES
+    if option not in _DECLARED[command]])
+def test_undeclared_option_exits_two(capsys, tmp_path, monkeypatch, command, option):
+    monkeypatch.chdir(tmp_path)
+    base = _BASE.get(command, ["--preset", "e"])
+    code, out, err = run(capsys, [command] + base + [option, _VALUES[option]])
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidInput"
+    assert json.loads(lines[0])["detail"].endswith(f"unknown parameters for "
+                                                   f"{'e' if base else command}: {option[2:]}")
+    assert list(tmp_path.iterdir()) == []
+
+
+_E_JSON = json.dumps({"b0": "2", "prefix": [], "tail": {
+    "a": {"num": ["1", "1"], "den": ["1"]}, "b": {"num": ["1", "1"], "den": ["1"]},
+    "start_index": 1}})
+
+
+# (command, base arguments, option, value): adding the option to the base
+# changes the exit code or stdout, so the command reads it
+_READ = [
+    (command, (["--op", "even"] if command == "transform" else []) + base, option, value)
+    for command in ("eval", "convergents", "tietze", "transform")
+    for base, option, value in [
+        ([], "--preset", "e"), ([], "--input", _E_JSON),
+        (["--preset", "e"], "--terms", "3"), (["--preset", "e"], "--format", "table")]
+] + [
+    ("eval", ["--preset", "e"], "--tol", "1e-3"),
+    ("eval", ["--preset", "e"], "--precision-bits", "64"),
+    ("transform", ["--preset", "e"], "--op", "odd"),
+    ("transform", ["--op", "bauer-muir", "--preset", "e"], "--w", "n+1"),
+    ("family", [], "--preset", "e"),
+    ("family", ["--preset", "e"], "--format", "table"),
+    ("verify", [], "--preset", "e"),
+    ("verify", ["--preset", "e"], "--terms", "5"),
+    ("verify", ["--preset", "e"], "--tol", "1e-3"),
+    ("verify", ["--preset", "e"], "--precision-bits", "256"),
+    ("verify", ["--preset", "e"], "--format", "table"),
+]
+
+
+@pytest.mark.parametrize("command, base, option, value", _READ)
+def test_declared_option_is_read(capsys, command, base, option, value):
+    without = run(capsys, [command] + base)
+    with_option = run(capsys, [command] + base + [option, value])
+    assert with_option[:2] != without[:2]
+
+
+def test_reproduce_paper_reads_out(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _, out, _ = run(capsys, ["reproduce-paper", "--out", "elsewhere"])
+    assert out.endswith("rows passed\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["elsewhere"]
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["transform", "--op", "euler", "--preset", "e", "--input", '{"terms": ["1", "1/2"]}',
+      "--terms", "3", "--tol", "5"], "argument --input: not allowed with argument --preset"),
+    (["transform", "--op", "euler", "--input", '{"terms": ["1", "1/2"]}', "--terms", "3",
+      "--tol", "5"], "unknown parameters for --input: tol"),
+    (["reproduce-paper", "--terms", "5"], "unknown parameters for reproduce-paper: terms"),
+    (["eval", "--preset", "e", "--input", "{}"],
+     "argument --input: not allowed with argument --preset"),
+    (["transform", "--op", "even", "--preset", "e", "--terms", "4", "--w", "1,2"],
+     "transform even does not read --w"),
+    (["transform", "--op", "euler", "--input", '{"terms": ["1"]}', "--w", "1"],
+     "transform euler does not read --w"),
+    (["eval", "--preset", "ex2.2", "--b", "n+1", "--b", "0"],
+     "parameter --b given more than once"),
+    (["eval", "--input", _E_JSON, "--A", "1", "--A=2"], "parameter --A given more than once"),
+    (["family", "--preset", "ex2.2", "--b", "n+1", "--b", "n+1"],
+     "parameter --b given more than once"),
+])
+def test_ignored_or_repeated_flags_exit_two(capsys, tmp_path, monkeypatch, argv, detail):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "InvalidInput", "detail": detail}
+    assert list(tmp_path.iterdir()) == []
 
 
 _json = st.recursive(

@@ -39,7 +39,7 @@ def test_indexed_error_pins(cls, message, capsys):
     def raise_it(args, params):
         raise cls(7)
 
-    with mock.patch.dict(cli._COMMANDS, {"family": raise_it}):
+    with mock.patch.dict(cli._COMMANDS, {"family": (raise_it, cli._COMMANDS["family"][1])}):
         assert cli.main(["family", "--preset", "e"]) == 1
     out = capsys.readouterr()
     assert out.out == ""

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from polycf.errors import PoleAtArgument, ZeroFunction
 from polycf.poly import (
     _MAX_DECIMAL_EXPONENT,
+    _MAX_JSON_DIGITS,
+    _MAX_POLY_DIGITS,
     _MAX_POLY_EXPONENT,
     MINUS_INFINITY,
     IntPolynomial,
@@ -272,6 +274,24 @@ def test_poly_from_string_bounds_exponents():
             poly_from_string(text)
     with pytest.raises(ValueError, match=f"above {_MAX_POLY_EXPONENT}"):
         ratfn_from_string(f"1/(n^{_MAX_POLY_EXPONENT + 1})")
+
+
+def test_coefficient_digits_are_bounded_before_the_gcd():
+    top = 10**_MAX_POLY_DIGITS - 1
+    assert poly_from_string(f"{top}n-{top}") == IntPolynomial((-top, top))
+    assert ratfn_from_string(f"(n+1)/{top}").den == IntPolynomial((top,))
+    # the bound is on each summed coefficient, not on each written term
+    for text in (f"{top + 1}n", f"n-{top + 1}", f"{top}n+{top}n", "2n+" + "9" * 100):
+        with pytest.raises(ValueError, match=f"coefficient above {_MAX_POLY_DIGITS} digits"):
+            poly_from_string(text)
+    top = 10**_MAX_JSON_DIGITS - 1
+    r = RationalFunction.from_json({"num": [str(-top), "1"], "den": ["2", str(top)]})
+    assert r.num.coeffs == (-top, 1)
+    for num in ([str(top + 1), "1"], [1, -top - 1]):
+        with pytest.raises(ValueError, match=rf"^\$: a coefficient above {_MAX_JSON_DIGITS} digits"):
+            RationalFunction.from_json({"num": num, "den": ["2", "3"]})
+    with pytest.raises(ValueError, match="above"):
+        RationalFunction.from_json({"num": ["1"], "den": ["2", str(top + 1)]})
 
 
 def test_json_value_bounds_decimal_exponents():
