@@ -19,12 +19,9 @@ the fixed-point unit or the bound stated beside it:
 Values are memoised in process, keyed by the constant and the working shift.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf import _canonical_pairs, _first, _is_integer_tail, _mpf_of, _scaled_terms
@@ -32,6 +29,7 @@ from .errors import (
     EmptyRange,
     HypothesisViolation,
     NonIntegerTerms,
+    Record,
     UnsupportedConstant,
 )
 from .families import LimitClaim
@@ -43,41 +41,23 @@ _GUARD_BITS = 32
 _MAX_CERT_INDEX = 200000
 
 
-@dataclass(frozen=True)
-class TietzeReport:
-    holds: bool
-    N0: int
-    method: str
-    scan_limit: int
+class TietzeReport(Record):
+    __slots__ = ("holds", "N0", "method", "scan_limit")
 
     def to_json(self):
         return {"holds": self.holds, "N0": self.N0, "method": self.method,
                 "scan_limit": self.scan_limit}
 
 
-@dataclass(frozen=True)
-class GrowthBound:
+class GrowthBound(Record):
     """A denominator growth bound; `C` and `phi` are mpmath mpf numbers."""
 
-    kind: str
-    k: int
-    D: Fraction
-    epsilon: Fraction
-    C: object
-    phi: object
+    __slots__ = ("kind", "k", "D", "epsilon", "C", "phi")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    preset: str
-    params: dict
-    terms: int
-    claimed: str
-    oracle: str
-    abs_err: str
-    rel_err: str
-    verdict: str
-    method: str
+class VerificationReport(Record):
+    __slots__ = ("preset", "params", "terms", "claimed", "oracle", "abs_err", "rel_err",
+                 "verdict", "method")
 
     def to_json(self):
         return {

@@ -6,19 +6,16 @@ tail of rational functions.  The k-th tail term (k >= 1 past the prefix)
 evaluates the tail functions at argument start_index + k - 1.
 """
 
-from __future__ import annotations
-
 import collections
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import (
     NoSuchTerm,
     PoleAtArgument,
+    Record,
     ZeroPartialNumerator,
     ZeroScaleFactor,
 )
@@ -83,58 +80,47 @@ class _Undefined:
 UNDEFINED = _Undefined()
 
 
-@dataclass(frozen=True)
-class CFTail:
-    a: RationalFunction
-    b: RationalFunction
-    start_index: int = 1
+class CFTail(Record):
+    __slots__ = ("a", "b", "start_index")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_ratfn(self.a))
-        object.__setattr__(self, "b", _as_ratfn(self.b))
-        if not isinstance(self.start_index, int):
+    def __init__(self, a, b, start_index=1):
+        self._set(_as_ratfn(a), _as_ratfn(b), start_index)
+        if not isinstance(start_index, int):
             raise TypeError("start_index must be an integer")
 
 
-@dataclass(frozen=True)
-class CFSpec:
-    b0: Fraction = Fraction(0)
-    prefix: tuple = ()
-    tail: Optional[CFTail] = None
+class CFSpec(Record):
+    __slots__ = ("b0", "prefix", "tail")
 
-    def __post_init__(self):
-        object.__setattr__(self, "b0", _as_fraction(self.b0))
-        object.__setattr__(
-            self,
-            "prefix",
-            tuple((_as_fraction(a), _as_fraction(b)) for a, b in self.prefix),
-        )
-        if self.tail is not None and not isinstance(self.tail, CFTail):
-            object.__setattr__(self, "tail", CFTail(*self.tail))
+    def __init__(self, b0=Fraction(0), prefix=(), tail=None):
+        self._set(_as_fraction(b0),
+                  tuple((_as_fraction(a), _as_fraction(b)) for a, b in prefix),
+                  tail if tail is None or isinstance(tail, CFTail) else CFTail(*tail))
 
     @classmethod
     def _make(cls, b0, prefix, tail=None):
         """Trusted constructor: b0 and every prefix value are already
         Fractions, prefix is a tuple of pairs, tail is None or a CFTail."""
         out = object.__new__(cls)
-        out.__dict__.update(b0=b0, prefix=prefix, tail=tail)
+        out._set(b0, prefix, tail)
         return out
 
 
-@dataclass(frozen=True)
-class Convergent:
-    index: int
-    A: Fraction
-    B: Fraction
+class Convergent(Record):
+    __slots__ = ("index", "A", "B")
+
+    def __init__(self, index, A, B):  # direct: convergents builds one per term
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
 
     @property
     def value(self):
         return self.A / self.B if self.B != 0 else UNDEFINED
 
 
-@dataclass(frozen=True)
-class ApproximantSequence:
-    entries: tuple
+class ApproximantSequence(Record):
+    __slots__ = ("entries",)
 
     def values(self):
         return [value for _, value in self.entries]
@@ -146,8 +132,7 @@ class ApproximantSequence:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
+class LimitEstimate(Record):
     """A limit estimate; `value` and `error_bound` are mpmath mpf numbers.
 
     `method` is "plain" for an approximant A_n/B_n and "richardson" for an
@@ -160,11 +145,7 @@ class LimitEstimate:
     with error_bound 1.0e-9, while its distance to the limit is 9.6e-6.
     """
 
-    value: object
-    error_bound: object
-    terms_used: int
-    converged: bool
-    method: str
+    __slots__ = ("value", "error_bound", "terms_used", "converged", "method")
 
 
 def term_at(cf, n):

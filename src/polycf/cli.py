@@ -6,8 +6,6 @@ All numeric output is either an exact rational rendered as a decimal string
 are byte-stable across runs.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -170,6 +168,8 @@ def _cmd_transform(args, params):
         if not args.input:
             _fail(2, "InvalidInput", f"transform {op} requires --input")
         data = json_value(_load_json_arg(args.input, params), "$", "object")
+        if "terms" in args.given:  # the output has as many terms as the input
+            _fail(2, "InvalidInput", f"transform {op} does not read --terms")
 
         def rationals(key):
             return json_list(data.get(key), f"$.{key}", "rational")
@@ -328,8 +328,14 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args, extras = parser.parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, extras = _build_parser().parse_known_args(argv)
+    # the option names given, read from argv: argparse keeps a repeat's last value
+    args.given = [tok[2:].partition("=")[0] for tok in argv if tok.startswith("--")]
+    for option in _COMMANDS[args.command][1]:
+        for name in ("preset", "input") if option == "source" else (option,):
+            if args.given.count(name) > 1:
+                _fail(2, "InvalidInput", f"option --{name} given more than once")
     params = _collect_params(extras)
     try:
         return _COMMANDS[args.command][0](args, params)

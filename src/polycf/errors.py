@@ -1,4 +1,74 @@
-"""Exception types shared across the package."""
+"""Exception types and the frozen record base shared across the package."""
+
+
+class _DataclassFields:
+    """A record class's __dataclass_fields__, made on first access, so that
+    dataclasses.fields, replace and asdict accept records while code that
+    never asks never imports dataclasses (and inspect with it)."""
+
+    def __get__(self, record, cls):
+        import dataclasses
+
+        fields = dataclasses.make_dataclass(cls.__name__, cls.__slots__).__dataclass_fields__
+        if cls.__slots__:  # cached per record class; Record keeps this descriptor
+            cls.__dataclass_fields__ = fields
+        return fields
+
+
+class Record:
+    """Base of the package's frozen records, which behave as frozen dataclasses.
+
+    A subclass names its fields in __slots__ and the defaults of some in
+    _defaults; a subclass that normalises its fields defines __init__ and
+    stores them with _set.  Assigning or deleting a field raises
+    AttributeError; equality, hashing, repr, copying and pickling read the
+    tuple of field values.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+        bound = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        try:
+            self._set(*[bound[name] for name in names])
+        except KeyError as e:
+            raise TypeError(f"{type(self).__name__}() missing field {e}") from None
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # the default would restore the slots by the refused setattr
+        return object.__new__, (type(self),), self._values()
+
+    def __setstate__(self, values):
+        self._set(*values)
 
 
 class PolycfError(Exception):

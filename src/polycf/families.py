@@ -28,13 +28,10 @@ b = c(n)^2/c(n-1)).  These state hypotheses of their own instead of
 pincherle_family's three.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cf import CFSpec, CFTail, _as_fraction, _as_ratfn, integer_tail_form
-from .errors import HypothesisViolation, PoleAtArgument
+from .errors import HypothesisViolation, PoleAtArgument, Record
 from .poly import (
     RationalFunction,
     degree,
@@ -53,23 +50,22 @@ _ZETA_MAX_K = 40
 _E_CF = CFSpec(Fraction(2), (), CFTail(_N, _N, 2))
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    name: str
-    holds: bool
-    detail: str = ""
+class Hypothesis(Record):
+    __slots__ = ("name", "holds", "detail")
+    _defaults = {"detail": ""}
 
 
-@dataclass(frozen=True)
-class NamedConstant:
+class NamedConstant(Record):
     """Reference constant identified by name plus exact integer parameters.
 
     Known names: PiOver4, E, Zeta (k), Root (p, q, r, s meaning (p/q)^(r/s)),
     SineProduct (m, meaning m sin(pi/m)/pi), BrounckerPi (4/pi).
     """
 
-    name: str
-    params: dict = field(default_factory=dict)
+    __slots__ = ("name", "params")
+
+    def __init__(self, name, params=None):
+        self._set(name, {} if params is None else params)
 
     def describe(self):
         if not self.params:
@@ -78,11 +74,9 @@ class NamedConstant:
         return f"{self.name}({inner})"
 
 
-@dataclass(frozen=True)
-class LimitClaim:
-    kind: str
-    value: Fraction = None
-    constant: NamedConstant = None
+class LimitClaim(Record):
+    __slots__ = ("kind", "value", "constant")
+    _defaults = {"value": None, "constant": None}
 
     @classmethod
     def exact(cls, value):
@@ -107,11 +101,9 @@ class LimitClaim:
         }
 
 
-@dataclass(frozen=True)
-class FamilyMember:
-    cf: CFSpec
-    limit: LimitClaim
-    hypotheses: tuple = ()
+class FamilyMember(Record):
+    __slots__ = ("cf", "limit", "hypotheses")
+    _defaults = {"hypotheses": ()}
 
     @property
     def verified(self):

@@ -1,7 +1,5 @@
 """Exact integer polynomials and rational functions in one variable n."""
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

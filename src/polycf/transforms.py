@@ -13,15 +13,13 @@ combination of the source approximants), and the test suite checks those
 correspondences term by term.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf import CFSpec, CFTail, _as_fraction, _as_ratfn, _check_count, _first, _scaled_terms
 from .errors import (
     DegenerateTerm,
     NonzeroW0,
+    Record,
     RepeatedValue,
     TransformDoesNotExist,
     UnitTerm,
@@ -32,14 +30,13 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(Record):
     """Terms a_0, a_1, ... of a series; approximants track partial sums."""
 
-    terms: tuple
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(_as_fraction(t) for t in self.terms))
+    def __init__(self, terms):
+        self._set(tuple(_as_fraction(t) for t in terms))
 
     def partial_sums(self):
         out = []
@@ -50,16 +47,13 @@ class SeriesSpec:
         return out
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(Record):
     """Factors a_1, a_2, ... of a product; approximants track partial products."""
 
-    factors: tuple
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "factors", tuple(_as_fraction(t) for t in self.factors)
-        )
+    def __init__(self, factors):
+        self._set(tuple(_as_fraction(t) for t in factors))
 
     def partial_products(self):
         out = []
@@ -70,15 +64,12 @@ class ProductSpec:
         return out
 
 
-@dataclass(frozen=True)
-class BauerMuirResult:
+class BauerMuirResult(Record):
     """Transformed fraction together with the modifying sequence w and the
     existence margins lambda_n = a_n - w_{n-1} (b_n + w_n), all nonzero: tuples
     from bauer_muir, rational functions of n from bauer_muir_tail."""
 
-    cf: CFSpec
-    w: tuple
-    existence_margin: tuple
+    __slots__ = ("cf", "w", "existence_margin")
 
 
 def _as_sequence(x, attr):

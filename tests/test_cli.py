@@ -306,12 +306,15 @@ def test_verify_rejects_oracle_precision_before_evaluating(capsys, monkeypatch):
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-# Runs each argv list of sys.argv[1] through main in this one process and
-# prints, per command, its exit code and whether mpmath is loaded afterwards.
+# Imports polycf.cli, then runs each argv list of sys.argv[1] through main in
+# this one process; prints which of mpmath, dataclasses and inspect are loaded
+# after the import, then per command its exit code and the same list.
 _FRESH = """
 import contextlib, io, json, sys
 import polycf.cli
-results = []
+def loaded():
+    return [name for name in ("mpmath", "dataclasses", "inspect") if name in sys.modules]
+results = [loaded()]
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -319,7 +322,7 @@ for argv in json.loads(sys.argv[1]):
             code = polycf.cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    results.append([code, "mpmath" in sys.modules])
+    results.append([code, loaded()])
 print(json.dumps(results))
 """
 
@@ -343,7 +346,7 @@ def test_exact_commands_leave_mpmath_unloaded(capsys):
     ]
     proc = _fresh_python(_FRESH, json.dumps(exact))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, False]] * len(exact)
+    assert json.loads(proc.stdout) == [[]] + [[0, []]] * len(exact)
 
     for argv in (["eval", "--preset", "e"],
                  ["verify", "--preset", "e", "--terms", "60", "--tol", "1e-10"]):
@@ -351,6 +354,24 @@ def test_exact_commands_leave_mpmath_unloaded(capsys):
                               *argv)
         code, out, _ = run(capsys, argv)
         assert (fresh.returncode, fresh.stdout) == (code, out)
+
+
+def test_commands_leave_dataclasses_and_inspect_unloaded():
+    commands = [
+        ["eval", "--preset", "e"],
+        ["verify", "--preset", "e", "--terms", "60", "--tol", "1e-10"],
+        ["convergents", "--preset", "ex3.3", "--terms", "10"],
+        ["family", "--preset", "ex3.4"],
+        ["tietze", "--preset", "e", "--terms", "50"],
+        ["transform", "--op", "bauer-muir", "--preset", "e", "--terms", "4", "--w", "n+1"],
+        ["transform", "--op", "gen-euler", "--input", '{"terms": ["1", "1/2"], "weights": ["1", "2"]}'],
+    ]
+    proc = _fresh_python(_FRESH, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    after_import, *after_commands = json.loads(proc.stdout)
+    assert after_import == []
+    assert [code for code, _ in after_commands] == [0] * len(commands)
+    assert all(set(loaded) <= {"mpmath"} for _, loaded in after_commands)
 
 
 @pytest.mark.parametrize("source", ["literal", "file", "stdin"])
@@ -609,6 +630,26 @@ def test_reproduce_paper_reads_out(capsys, tmp_path, monkeypatch):
     (["eval", "--input", _E_JSON, "--A", "1", "--A=2"], "parameter --A given more than once"),
     (["family", "--preset", "ex2.2", "--b", "n+1", "--b", "n+1"],
      "parameter --b given more than once"),
+    (["eval", "--preset", "e", "--terms", "5", "--terms", "60", "--tol", "1e-30"],
+     "option --terms given more than once"),
+    (["eval", "--preset", "e", "--format", "json", "--format", "table"],
+     "option --format given more than once"),
+    (["convergents", "--preset", "e", "--terms=3", "--terms", "3"],
+     "option --terms given more than once"),
+    (["verify", "--preset", "e", "--tol", "1e-3", "--precision-bits=64", "--precision-bits=64"],
+     "option --precision-bits given more than once"),
+    (["family", "--preset", "e", "--preset", "ex2.2"], "option --preset given more than once"),
+    (["tietze", "--input", _E_JSON, "--input=" + _E_JSON], "option --input given more than once"),
+    (["transform", "--op", "even", "--op", "odd", "--preset", "e"],
+     "option --op given more than once"),
+    (["transform", "--op", "bauer-muir", "--preset", "e", "--w", "n", "--w", "n+1"],
+     "option --w given more than once"),
+    (["reproduce-paper", "--out", "a", "--out", "b"], "option --out given more than once"),
+] + [
+    (["transform", "--op", op, "--input", '{"terms": ["1", "1/2"], "factors": ["2"], '
+      '"weights": ["1", "1"]}', terms], f"transform {op} does not read --terms")
+    for op in ("euler", "gen-euler", "product", "gen-product")
+    for terms in ("--terms=1", "--terms=64")
 ])
 def test_ignored_or_repeated_flags_exit_two(capsys, tmp_path, monkeypatch, argv, detail):
     monkeypatch.chdir(tmp_path)
