@@ -24,7 +24,8 @@ import math
 import operator
 from fractions import Fraction
 
-from .cf import _canonical_pairs, _first, _is_integer_tail, _mpf_of, _scaled_terms
+from .cf import _canonical_pairs, _first, _is_integer_tail, _limit, _limit_tol, _mpf, _scaled_terms
+from .dyadic import divide, round_rational, round_to, to_str
 from .errors import (
     EmptyRange,
     HypothesisViolation,
@@ -59,17 +60,9 @@ class VerificationReport(Record):
     __slots__ = ("preset", "params", "terms", "claimed", "oracle", "abs_err", "rel_err",
                  "verdict", "method")
 
-    def to_json(self):
-        return {
-            "preset": self.preset,
-            "params": {k: str(v) for k, v in sorted(self.params.items())},
-            "terms": self.terms,
-            "claimed": self.claimed,
-            "oracle": self.oracle,
-            "abs_err": self.abs_err,
-            "verdict": self.verdict,
-            "method": self.method,
-        }
+    def to_json(self):  # every field but rel_err, with params as strings
+        out = {name: getattr(self, name) for name in self.__slots__ if name != "rel_err"}
+        return dict(out, params={k: str(v) for k, v in sorted(self.params.items())})
 
 
 def _integer_terms(steps):
@@ -84,9 +77,7 @@ def _integer_terms(steps):
 
 def _poly_eventually_nonneg(r):
     # eventual sign of a polynomial (or constant-denominator) expression
-    if r.is_zero:
-        return True
-    return leading_coefficient(r) > 0
+    return r.is_zero or leading_coefficient(r) > 0
 
 
 def tietze_check(cf, scan_limit=200):
@@ -164,7 +155,8 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
         and not cf.tail.b.is_zero
         and (cf.tail.b.num.degree - cf.tail.b.den.degree) >= 1
     )
-    with mpmath.workprec(precision_bits + _GUARD_BITS):
+    wide = precision_bits + _GUARD_BITS
+    with mpmath.workprec(wide):
         phi = (1 + mpmath.sqrt(5)) / 2
         if factorial_kind:
             k = cf.tail.b.num.degree - cf.tail.b.den.degree
@@ -178,11 +170,11 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
                 num, den = B_n.numerator * up, B_n.denominator * down
                 if least is None or num * least[1] < least[0] * den:
                     least = num, den
-            C = _mpf_of(Fraction(*least))
+            C = _mpf(round_rational(Fraction(*least), wide, 0), wide)
             kind, kk, DD = "FactorialPower", k, D
         else:
             powers = itertools.accumulate(itertools.repeat(phi, len(bs)), operator.mul)
-            C = min(_mpf_of(B_n) / p for B_n, p in zip(bs, powers))
+            C = min(_mpf(round_rational(B_n, wide, 0), wide) / p for B_n, p in zip(bs, powers))
             kind, kk, DD = "GoldenRatio", 0, Fraction(1)
         with mpmath.workprec(precision_bits):
             return GrowthBound(kind, kk, DD, epsilon, +C, +phi)
@@ -227,9 +219,7 @@ def _pi(shift):
 
 
 def _fp_e(shift):
-    one = 1 << shift
-    total = one
-    term = one
+    total = term = 1 << shift
     k = 1
     while term:
         term //= k
@@ -315,19 +305,8 @@ def _mantissa(constant, shift):
     raise UnsupportedConstant(name)
 
 
-def reference_constant(constant, precision_bits):
-    """High-precision value of a named constant, relative error < 2^(4-bits).
-
-    Values are kept in an in-process memo keyed by the constant and the
-    working shift.
-    """
-    import mpmath
-
-    if isinstance(constant, LimitClaim):
-        if constant.kind == "exact":
-            with mpmath.workprec(precision_bits):
-                return mpmath.mpf(constant.value.numerator) / constant.value.denominator
-        constant = constant.constant
+def _oracle(constant, precision_bits):
+    """(m, shift), m / 2^shift within 2^(4-bits) of the constant, relative."""
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
     shift = precision_bits + _GUARD_BITS
@@ -335,62 +314,76 @@ def reference_constant(constant, precision_bits):
     mant = _memo.get(key)
     if mant is None:
         mant = _memo[key] = _mantissa(constant, shift)
-    with mpmath.workprec(precision_bits):
-        return mpmath.mpf(mant) / (1 << shift)
+    return mant, shift
 
 
-def _fmt(x, precision_bits):
-    import mpmath
+def reference_constant(constant, precision_bits):
+    """High-precision value of a named constant, relative error < 2^(4-bits).
 
-    dps = mpmath.libmp.prec_to_dps(precision_bits)
-    return mpmath.nstr(x, dps)
+    Values are kept in an in-process memo keyed by the constant and the
+    working shift.
+    """
+    if isinstance(constant, LimitClaim):
+        if constant.kind == "exact":
+            return _mpf(round_rational(constant.value, precision_bits, 0), precision_bits)
+        constant = constant.constant
+    mant, shift = _oracle(constant, precision_bits)
+    return _mpf(round_to(mant, -shift, precision_bits), precision_bits)
 
 
 def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
                  preset="", params=None):
     """Evaluate a family member and compare against its independent oracle.
 
-    The value comes from one cf.extrapolate call, which reads the member's
-    terms once: its Richardson estimate where that applies (method
-    "richardson"), and otherwise its plain last approximant (method
-    "plain").  Pass when the discrepancy is within tol plus the oracle
-    error.  Otherwise Fail when the evaluation converged and the
-    discrepancy also exceeds its error_bound (the last gap, an estimate)
-    plus the oracle error, and Inconclusive when it did not converge or that
-    gap leaves room for the discrepancy; an extrapolated estimate never
-    counts as converged.  The evaluation itself runs at a much smaller
-    internal tolerance so early stopping never hides a max-terms-limited
-    estimate.
+    The value comes from one run of cf.extrapolate's loop, which reads the
+    member's terms once: its Richardson estimate where that applies (method
+    "richardson"), else its plain last approximant (method "plain"), run at
+    tol / 10^6 so that early stopping never hides a max-terms-limited
+    estimate.  The verdict compares exact rationals: d = |estimate - oracle|
+    against tol and the oracle's bound e = |m / 2^shift| 2^(4-bits) for a
+    named constant m / 2^shift (e = 0 for an exact claim).  Pass: d <= tol + e,
+    the estimate is within tol of the claim up to the oracle's error.  Fail:
+    the evaluation converged and d > gap + e, with gap its error_bound (the
+    last gap, an estimate, not a bound).  Inconclusive: otherwise, that is
+    unconverged or within gap + e; an extrapolated estimate never counts as
+    converged.  oracle, abs_err and rel_err print as mpmath did: the estimate
+    and the oracle rounded to precision_bits, their distance at
+    precision_bits + 32 bits, and that over |oracle| likewise.
     """
-    import mpmath
-
-    from .cf import _limit_tol, extrapolate
-
-    tol_frac = _limit_tol(tol, terms, precision_bits)
-    if member.limit.kind == "named" and precision_bits < 64:
+    tol = _limit_tol(tol, terms, precision_bits)
+    claim = member.limit
+    if claim.kind == "named" and precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")  # the oracle's minimum
-    est = extrapolate(member.cf, tol_frac / 10 ** 6, terms, precision_bits)
-    with mpmath.workprec(precision_bits + _GUARD_BITS):
-        oracle = reference_constant(member.limit, precision_bits)
-        diff = abs(est.value - oracle)
-        oracle_err = abs(oracle) * mpmath.mpf(2) ** (4 - precision_bits)
-        tol_mpf = mpmath.mpf(tol_frac.numerator) / tol_frac.denominator
-        bound = est.error_bound if mpmath.isfinite(est.error_bound) else mpmath.mpf(0)
-        if diff <= tol_mpf + oracle_err:
-            verdict = "Pass"
-        elif est.converged and diff > bound + oracle_err:
-            verdict = "Fail"
-        else:
-            verdict = "Inconclusive"
-        rel = diff / abs(oracle) if oracle != 0 else mpmath.inf
+    value, gap, n, converged, method = _limit(member.cf, tol / 10 ** 6, terms, precision_bits,
+                                              "auto", True)
+    if claim.kind == "named":
+        mant, shift = _oracle(claim.constant, precision_bits)
+        ref = Fraction(mant, 1 << shift)
+        ref_err = Fraction(abs(mant), 1 << (shift + precision_bits - 4))
+        oracle = round_to(mant, -shift, precision_bits)
+    else:
+        ref, ref_err = claim.value, 0
+        oracle = round_rational(ref, precision_bits, 0)
+    d = abs(value - ref)
+    if d <= tol + ref_err:
+        verdict = "Pass"
+    elif converged and d > (gap or 0) + ref_err:
+        verdict = "Fail"
+    else:
+        verdict = "Inconclusive"
+    wide = precision_bits + _GUARD_BITS
+    (m1, e1), (m2, e2) = round_rational(value, precision_bits), oracle
+    e = min(e1, e2)
+    diff = round_to(abs((m1 << (e1 - e)) - (m2 << (e2 - e))), e, wide)
+    rel = divide(*diff, abs(m2), e2, wide) if m2 else None
     return VerificationReport(
         preset=preset,
         params=dict(params or {}),
-        terms=est.terms_used,
-        claimed=member.limit.describe(),
-        oracle=_fmt(oracle, precision_bits),
-        abs_err=_fmt(diff, precision_bits),
-        rel_err=_fmt(rel, precision_bits),
+        terms=n,
+        claimed=claim.describe(),
+        oracle=to_str(oracle, precision_bits),
+        abs_err=to_str(diff, precision_bits),
+        rel_err=to_str(rel, precision_bits),
         verdict=verdict,
-        method=est.method,
+        method=method,
     )

@@ -188,17 +188,14 @@ def approximants(cf, N):
     return ApproximantSequence(tuple((conv.index, conv.value) for conv in convergents(cf, N)))
 
 
-def _round_to(x, precision_bits):
+def _mpf(x, precision_bits):
+    """The mpf of a dyadic (man, exp) of at most precision_bits bits; None is +inf."""
     import mpmath
 
+    if x is None:
+        return mpmath.inf
     with mpmath.workprec(precision_bits):
-        return +x
-
-
-def _mpf_of(q):
-    import mpmath
-
-    return mpmath.mpf(q.numerator) / q.denominator
+        return mpmath.mpf(x)
 
 
 def _scaled_terms(cf):
@@ -378,11 +375,11 @@ def evaluate(cf, tol, max_terms, precision_bits=128, backend="auto"):
     "float" gives it the budget b = precision_bits + guard +
     bitlen(max_terms), so that its shifts add up to less than
     max_terms * 2^-b <= 2^-(precision_bits + guard) relative.  The value and
-    the last gap become mpf once, through Fraction.  A failure to converge
+    the last gap, exact Fractions, become mpf once.  A failure to converge
     is reported through converged=False, not an exception.  error_bound is
     the last gap, an estimate and not a bound (see LimitEstimate).
     """
-    return _limit(cf, tol, max_terms, precision_bits, backend, extrapolating=False)
+    return _estimate(_limit(cf, tol, max_terms, precision_bits, backend, False), precision_bits)
 
 
 def tail_class(cf):
@@ -488,15 +485,15 @@ def extrapolate(cf, tol, max_terms, precision_bits=128):
     A Richardson estimate never counts as converged, and its error_bound is
     infinite.  terms_used is the number of terms read.
     """
-    return _limit(cf, tol, max_terms, precision_bits, "auto", extrapolating=True)
+    return _estimate(_limit(cf, tol, max_terms, precision_bits, "auto", True), precision_bits)
 
 
 def _limit(cf, tol, max_terms, precision_bits, backend, extrapolating):
     """The loop behind evaluate and extrapolate: one kernel run, read by the
     Richardson checkpoints while that method applies, else by the plain
-    stop rule."""
-    import mpmath
-
+    stop rule.  Returns the exact parts (value, gap, terms_used, converged,
+    method): the estimate and the last gap as Fractions, the gap None where
+    there is none yet."""
     tol = _limit_tol(tol, max_terms, precision_bits)
     if backend == "auto":
         backend = "exact" if max_terms <= _EXACT_TERM_LIMIT else "float"
@@ -570,16 +567,23 @@ def _limit(cf, tol, max_terms, precision_bits, backend, extrapolating):
             converged, gap, B_gap = True, 0, 1
     richardson = pairs is not None
     gap_den = abs(B_last * B_gap)
-    with mpmath.workprec(precision_bits + _FLOAT_GUARD_BITS):
-        value = _mpf_of(estimates[-1] if richardson else Fraction(A_last, B_last))
-        error = _mpf_of(Fraction(abs(gap), gap_den)) if gap_den else mpmath.inf
-    return LimitEstimate(
-        value=_round_to(value, precision_bits),
-        error_bound=_round_to(error, precision_bits),
-        terms_used=n,
-        converged=converged,
-        method="richardson" if richardson else "plain",
+    return (
+        estimates[-1] if richardson else Fraction(A_last, B_last),
+        Fraction(abs(gap), gap_den) if gap_den else None,
+        n,
+        converged,
+        "richardson" if richardson else "plain",
     )
+
+
+def _estimate(parts, precision_bits):
+    """The LimitEstimate of _limit's parts, value and gap rounded as
+    mpmath.mpf(num) / den at precision_bits + 32 bits, then to precision_bits."""
+    from .dyadic import round_rational
+
+    value, gap, *rest = parts
+    return LimitEstimate(*(_mpf(round_rational(q, precision_bits), precision_bits)
+                           for q in (value, gap)), *rest)
 
 
 def similarity_scale(cf, r):
@@ -751,16 +755,12 @@ def tail_cf(cf, k):
 
 def cf_to_json(cf):
     """CF JSON: rationals as "p/q" strings, tail functions as coeff arrays."""
+    tail = cf.tail
     return {
         "b0": str(cf.b0),
         "prefix": [[str(a), str(b)] for a, b in cf.prefix],
-        "tail": None
-        if cf.tail is None
-        else {
-            "a": cf.tail.a.to_json(),
-            "b": cf.tail.b.to_json(),
-            "start_index": cf.tail.start_index,
-        },
+        "tail": None if tail is None else {
+            "a": tail.a.to_json(), "b": tail.b.to_json(), "start_index": tail.start_index},
     }
 
 

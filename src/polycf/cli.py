@@ -12,8 +12,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import analysis, transforms
-from .cf import cf_from_json, cf_to_json, convergents, evaluate
+from .cf import _limit, cf_from_json, cf_to_json, convergents
 from .errors import HypothesisViolation, PolycfError
 from .families import build_preset
 from .poly import json_list, json_value, ratfn_from_string
@@ -134,16 +133,19 @@ def _member_json(member):
 
 
 def _cmd_eval(args, params):
+    from .dyadic import round_rational, to_str
+
     cf = _resolve_cf(args, params)
     tol = json_value(args.tol, "--tol", "rational")
-    est = evaluate(cf, tol, args.terms, args.precision_bits)
+    bits = args.precision_bits
+    value, gap, terms_used, converged, _ = _limit(cf, tol, args.terms, bits, "auto", False)
     _emit(
         args.format,
         dict,
-        value=analysis._fmt(est.value, args.precision_bits),
-        error_bound=analysis._fmt(est.error_bound, args.precision_bits),
-        terms_used=est.terms_used,
-        converged=est.converged,
+        value=to_str(round_rational(value, bits), bits),
+        error_bound=to_str(round_rational(gap, bits), bits),
+        terms_used=terms_used,
+        converged=converged,
     )
     return 0
 
@@ -160,6 +162,8 @@ def _cmd_convergents(args, params):
 
 
 def _cmd_transform(args, params):
+    from . import transforms
+
     op = args.op
     if (args.w is None) == (op in ("bauer-muir", "extend")):
         verb = "requires" if args.w is None else "does not read"
@@ -211,12 +215,16 @@ def _cmd_family(args, params):
 
 
 def _cmd_tietze(args, params):
+    from . import analysis
+
     cf = _resolve_cf(args, params)
     _emit(args.format, analysis.tietze_check(cf, args.terms).to_json)
     return 0
 
 
 def _cmd_verify(args, params):
+    from . import analysis
+
     member = build_preset(args.preset, params)
     report = analysis.verify_limit(
         member,
@@ -231,19 +239,10 @@ def _cmd_verify(args, params):
 
 
 # one row per verified identity, mirroring the stated tolerances exactly
-_REPRODUCE_ROWS = [
-    ("brouncker", {}, 10000, "2.5e-4", 128),
-]
-_REPRODUCE_ROWS += [
-    ("ex1.1", {"f": f, "m": str(m)}, 100, "1e-8", 128)
-    for f in ("1", "n", "n^2")
-    for m in (1, 2, 3)
-]
-_REPRODUCE_ROWS += [
-    ("ex2.2", {}, 100, "1e-8", 128),
-    ("ex2.4", {}, 100, "1e-8", 128),
-    ("ex2.5", {}, 100, "1e-8", 128),
-]
+_REPRODUCE_ROWS = [("brouncker", {}, 10000, "2.5e-4", 128)]
+_REPRODUCE_ROWS += [("ex1.1", {"f": f, "m": str(m)}, 100, "1e-8", 128)
+                    for f in ("1", "n", "n^2") for m in (1, 2, 3)]
+_REPRODUCE_ROWS += [(preset, {}, 100, "1e-8", 128) for preset in ("ex2.2", "ex2.4", "ex2.5")]
 _REPRODUCE_ROWS += [("ex3.3", {"A": str(a)}, 10000, "1e-3", 128) for a in range(1, 6)]
 _REPRODUCE_ROWS += [
     ("ex3.4", {"k": str(k), "A": str(a)}, terms, tol, bits)
@@ -253,14 +252,14 @@ _REPRODUCE_ROWS += [
 _REPRODUCE_ROWS += [("ex3.5", {"A": str(a)}, 120, "1e-12", 128) for a in (1, 2, 3)]
 _REPRODUCE_ROWS += [("ex4.2", {"A": str(a)}, 10000, "1e-3", 128) for a in (-1, 0, 1)]
 _REPRODUCE_ROWS += [("ex5.6", {"A": str(a)}, 60, "1e-10", 128) for a in (0, 1, 2, 3)]
-_REPRODUCE_ROWS += [
-    ("entry13", {"a": "1", "b": "1", "d": "1"}, 200, "1e-6", 128),
-]
+_REPRODUCE_ROWS += [("entry13", {"a": "1", "b": "1", "d": "1"}, 200, "1e-6", 128)]
 
 
 def _cmd_reproduce(args, params):
     if params:
         _fail(2, "InvalidInput", f"unknown parameters for reproduce-paper: {', '.join(sorted(params))}")
+    from . import analysis
+
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     grouped = {}
@@ -285,6 +284,9 @@ def _cmd_reproduce(args, params):
     sys.stdout.write("\n".join(lines) + "\n")
     return 0 if passed == len(_REPRODUCE_ROWS) else 1
 
+
+# 16 times the widest benchmark row; 10^10 bits would not fit in memory
+_MAX_PRECISION_BITS = 1 << 16
 
 _OPTIONS = {
     "preset": {"required": True},
@@ -336,6 +338,8 @@ def main(argv=None):
         for name in ("preset", "input") if option == "source" else (option,):
             if args.given.count(name) > 1:
                 _fail(2, "InvalidInput", f"option --{name} given more than once")
+    if getattr(args, "precision_bits", 0) > _MAX_PRECISION_BITS:
+        _fail(2, "InvalidInput", f"--precision-bits must be at most {_MAX_PRECISION_BITS}")
     params = _collect_params(extras)
     try:
         return _COMMANDS[args.command][0](args, params)

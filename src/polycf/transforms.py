@@ -13,6 +13,8 @@ combination of the source approximants), and the test suite checks those
 correspondences term by term.
 """
 
+import itertools
+import operator
 from fractions import Fraction
 
 from .cf import CFSpec, CFTail, _as_fraction, _as_ratfn, _check_count, _first, _scaled_terms
@@ -39,12 +41,7 @@ class SeriesSpec(Record):
         self._set(tuple(_as_fraction(t) for t in terms))
 
     def partial_sums(self):
-        out = []
-        total = Fraction(0)
-        for t in self.terms:
-            total += t
-            out.append(total)
-        return out
+        return list(itertools.accumulate(self.terms))
 
 
 class ProductSpec(Record):
@@ -56,12 +53,7 @@ class ProductSpec(Record):
         self._set(tuple(_as_fraction(t) for t in factors))
 
     def partial_products(self):
-        out = []
-        total = Fraction(1)
-        for t in self.factors:
-            total *= t
-            out.append(total)
-        return out
+        return list(itertools.accumulate(self.factors, operator.mul))
 
 
 class BauerMuirResult(Record):

@@ -6,9 +6,12 @@ import json
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycf.analysis import (
     GrowthBound,
@@ -317,6 +320,65 @@ def test_verify_limit_pass():
     report = verify_limit(member, 80, 128, F(1, 10**8), preset="ex1.1", params={})
     assert report.verdict == "Pass"
     assert report.rel_err is not None
+
+
+@pytest.mark.parametrize("preset", ["e", "ex1.1"])
+def test_verify_limit_verdicts_compare_exactly(monkeypatch, preset):
+    # the verdict compares d = |estimate - oracle| with tol, the last gap and
+    # the oracle bound e exactly: edge cases on both sides of each boundary
+    import polycf.analysis as analysis
+
+    member = build_preset(preset)
+    bits, tol = 64, F(1, 10**10)
+    if member.limit.kind == "named":
+        mant, shift = analysis._oracle(member.limit.constant, bits)
+        ref, e = F(mant, 1 << shift), F(mant, 1 << (shift + bits - 4))
+    else:
+        ref, e = member.limit.value, F(0)
+    tiny = F(1, 2**400)
+    cases = [  # (estimate, last gap, converged, verdict)
+        (ref + tol + e, None, False, "Pass"),
+        (ref - tol - e, tol, True, "Pass"),
+        (ref + tol + e + tiny, None, False, "Inconclusive"),
+        (ref - tol - e - tiny, tol, True, "Fail"),
+        (ref + 2 * tol + e, 2 * tol, True, "Inconclusive"),
+        (ref + 2 * tol + e + tiny, 2 * tol, True, "Fail"),
+        (ref + tol + e + tiny, F(0), True, "Fail"),
+    ]
+    for value, gap, converged, verdict in cases:
+        monkeypatch.setattr(analysis, "_limit", lambda *args: (value, gap, 7, converged, "plain"))
+        report = verify_limit(member, 64, bits, tol)
+        assert (report.verdict, report.terms) == (verdict, 7), (value - ref, gap, converged)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["e", "ex1.1", "ex3.3", "ex3.5"]), st.sampled_from([64, 128, 192, 1024]),
+       st.randoms(use_true_random=False))
+def test_verify_limit_prints_what_mpmath_gives(preset, bits, rng):
+    # oracle, abs_err and rel_err are the estimate and the oracle rounded to
+    # bits, their distance at bits + 32 and that over |oracle|, all in mpmath;
+    # half the estimates lie far from the oracle, where that distance has
+    # more than bits + 32 bits
+    import polycf.analysis as analysis
+
+    k = rng.getrandbits(rng.randint(1, 400)) * rng.choice([1, -1])
+    scale = rng.randint(-300, 0) if rng.random() < 0.5 else rng.randint(0, 1500)
+    member = build_preset(preset)
+    ref = member.limit.value if member.limit.kind == "exact" else F(
+        *analysis._oracle(member.limit.constant, bits)[:1], 1 << (bits + 32))
+    value = ref + F(k, 2**scale) if scale >= 0 else ref + k * 2**-scale
+    with mock.patch.object(analysis, "_limit", lambda *args: (value, None, 9, False, "plain")):
+        report = verify_limit(member, 64, bits, F(1, 10**10))
+    with mpmath.workprec(bits + 32):
+        oracle = reference_constant(member.limit, bits)
+        est = mpmath.mpf(value.numerator) / value.denominator
+        with mpmath.workprec(bits):
+            est = +est
+        diff = abs(est - oracle)
+        rel = diff / abs(oracle)
+    dps = mpmath.libmp.prec_to_dps(bits)
+    assert (report.oracle, report.abs_err, report.rel_err) == tuple(
+        mpmath.nstr(x, dps) for x in (oracle, diff, rel))
 
 
 def test_verify_limit_inconclusive_when_not_converged():

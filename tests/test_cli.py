@@ -285,12 +285,14 @@ def test_negative_count_names_the_given_count(capsys, command):
 
 
 def test_verify_rejects_oracle_precision_before_evaluating(capsys, monkeypatch):
+    import polycf.analysis
     import polycf.cf
 
     def never(*args, **kwargs):
         raise AssertionError("evaluated before the precision check")
 
     monkeypatch.setattr(polycf.cf, "extrapolate", never)
+    monkeypatch.setattr(polycf.analysis, "_limit", never)  # the loop verify_limit runs
     for bits in ("10", "63"):
         code, out, err = run(capsys, ["verify", "--preset", "brouncker", "--terms", "200",
                                       "--precision-bits", bits])
@@ -307,13 +309,15 @@ def test_verify_rejects_oracle_precision_before_evaluating(capsys, monkeypatch):
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # Imports polycf.cli, then runs each argv list of sys.argv[1] through main in
-# this one process; prints which of mpmath, dataclasses and inspect are loaded
-# after the import, then per command its exit code and the same list.
+# this one process; prints which of mpmath, dataclasses, inspect and
+# polycf.analysis are loaded after the import, then per command its exit code
+# and the same list.
 _FRESH = """
 import contextlib, io, json, sys
 import polycf.cli
 def loaded():
-    return [name for name in ("mpmath", "dataclasses", "inspect") if name in sys.modules]
+    names = ("mpmath", "dataclasses", "inspect", "polycf.analysis")
+    return [name for name in names if name in sys.modules]
 results = [loaded()]
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
@@ -337,16 +341,17 @@ def _fresh_python(*args, stdin=None, timeout=120):
 
 
 def test_exact_commands_leave_mpmath_unloaded(capsys):
+    # tietze comes last: it loads polycf.analysis, which the others leave unloaded
     exact = [
         ["convergents", "--preset", "e", "--terms", "10"],
         ["family", "--preset", "ex3.3"],
-        ["tietze", "--preset", "e", "--terms", "50"],
         ["transform", "--op", "even", "--preset", "e", "--terms", "4"],
         ["transform", "--op", "euler", "--input", '{"terms": ["1", "-1/3", "1/5"]}'],
+        ["tietze", "--preset", "e", "--terms", "50"],
     ]
     proc = _fresh_python(_FRESH, json.dumps(exact))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[]] + [[0, []]] * len(exact)
+    assert json.loads(proc.stdout) == [[]] + [[0, []]] * 4 + [[0, ["polycf.analysis"]]]
 
     for argv in (["eval", "--preset", "e"],
                  ["verify", "--preset", "e", "--terms", "60", "--tol", "1e-10"]):
@@ -371,7 +376,72 @@ def test_commands_leave_dataclasses_and_inspect_unloaded():
     after_import, *after_commands = json.loads(proc.stdout)
     assert after_import == []
     assert [code for code, _ in after_commands] == [0] * len(commands)
-    assert all(set(loaded) <= {"mpmath"} for _, loaded in after_commands)
+    assert all(set(loaded) <= {"polycf.analysis"} for _, loaded in after_commands)
+
+
+def test_eval_verify_and_reproduce_paper_leave_mpmath_unloaded(tmp_path):
+    commands = [
+        ["eval", "--preset", "e", "--tol", "1e-30"],
+        ["eval", "--preset", "ex3.4", "--terms", "400", "--precision-bits", "4096"],
+        ["verify", "--preset", "ex3.3", "--terms", "10000", "--tol", "1e-3"],
+        ["verify", "--preset", "e", "--terms", "2000", "--tol", "1e-1200",
+         "--precision-bits", "4096"],
+        ["reproduce-paper", "--out", str(tmp_path)],
+    ]
+    proc = _fresh_python(_FRESH, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [0, []], [0, []]] + [[0, ["polycf.analysis"]]] * 2 + [
+        [1, ["polycf.analysis"]]]  # the entry13 row is Inconclusive
+
+
+def test_package_names_resolve_on_first_access():
+    script = """
+import json, sys
+import polycf
+before = sorted(name for name in sys.modules if name.startswith("polycf"))
+names = {}
+exec("from polycf import *", names)
+same = all(getattr(polycf, name) is getattr(sys.modules["polycf." + polycf._MODULE_OF[name]], name)
+           for name in polycf.__all__)
+try:
+    polycf.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps([before, len(polycf.__all__), sorted(set(polycf.__all__) - set(dir(polycf))),
+                  sorted(set(polycf.__all__) - set(names)), same, missing]))
+"""
+    proc = _fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["polycf"], 76, [], [], True, "module 'polycf' has no attribute 'no_such_name'"]
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_precision_above_the_cap_exits_two_before_any_build(capsys, monkeypatch, command):
+    import polycf.cli
+
+    code, out, _ = run(capsys, [command, "--preset", "e", "--terms", "3000", "--tol", "1e-9000",
+                                "--precision-bits", "65536"])
+    assert code == 0 and len(json.loads(out)["oracle" if command == "verify" else "value"]) > 19000
+
+    def never(*args, **kwargs):
+        raise AssertionError("built before the precision check")
+
+    monkeypatch.setattr(polycf.cli, "build_preset", never)
+    code, out, err = run(capsys, [command, "--preset", "e", "--precision-bits", "65537"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "InvalidInput",
+                               "detail": "--precision-bits must be at most 65536"}
+    # 10^10 bits once ended in a MemoryError traceback; run it under a 2 GiB
+    # address-space limit in case the check is lost
+    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+              "import polycf.cli; sys.exit(polycf.cli.main(sys.argv[1:]))")
+    proc = _fresh_python(script, command, "--preset", "e", "--precision-bits", "10000000000")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr
+    assert json.loads(lines[0]) == json.loads(err)
 
 
 @pytest.mark.parametrize("source", ["literal", "file", "stdin"])
