@@ -339,16 +339,18 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
     member's terms once: its Richardson estimate where that applies (method
     "richardson"), else its plain last approximant (method "plain"), run at
     tol / 10^6 so that early stopping never hides a max-terms-limited
-    estimate.  The verdict compares exact rationals: d = |estimate - oracle|
-    against tol and the oracle's bound e = |m / 2^shift| 2^(4-bits) for a
-    named constant m / 2^shift (e = 0 for an exact claim).  Pass: d <= tol + e,
-    the estimate is within tol of the claim up to the oracle's error.  Fail:
-    the evaluation converged and d > gap + e, with gap its error_bound (the
-    last gap, an estimate, not a bound).  Inconclusive: otherwise, that is
-    unconverged or within gap + e; an extrapolated estimate never counts as
-    converged.  oracle, abs_err and rel_err print as mpmath did: the estimate
-    and the oracle rounded to precision_bits, their distance at
-    precision_bits + 32 bits, and that over |oracle| likewise.
+    estimate.  The verdict compares d = |estimate - oracle| against tol and
+    the oracle's bound e = |m / 2^shift| 2^(4-bits) for a named constant
+    m / 2^shift (e = 0 for an exact claim) exactly, cross-multiplying the
+    integers of the estimate p/q, tol and _limit's gap pair.  Pass:
+    d <= tol + e, the estimate is within tol of the claim up to the
+    oracle's error.  Fail: the evaluation converged and d > gap + e, with
+    gap its error_bound (the last gap, an estimate, not a bound).
+    Inconclusive: otherwise, that is unconverged or within gap + e; an
+    extrapolated estimate never counts as converged.  oracle, abs_err and
+    rel_err print as mpmath did: the estimate and the oracle rounded to
+    precision_bits, their distance at precision_bits + 32 bits, and that
+    over |oracle| likewise.
     """
     tol = _limit_tol(tol, terms, precision_bits)
     claim = member.limit
@@ -356,18 +358,23 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
         raise ValueError("precision_bits must be at least 64")  # the oracle's minimum
     value, gap, n, converged, method = _limit(member.cf, tol / 10 ** 6, terms, precision_bits,
                                               "auto", True)
+    # d = |value - claim| = dist / q_ref and the oracle's bound e / (q_ref / q 2^f)
+    p, q = value.numerator, value.denominator
     if claim.kind == "named":
         mant, shift = _oracle(claim.constant, precision_bits)
-        ref = Fraction(mant, 1 << shift)
-        ref_err = Fraction(abs(mant), 1 << (shift + precision_bits - 4))
         oracle = round_to(mant, -shift, precision_bits)
+        dist, q_ref, e, f = abs((p << shift) - mant * q), q << shift, abs(mant), precision_bits - 4
     else:
-        ref, ref_err = claim.value, 0
-        oracle = round_rational(ref, precision_bits, 0)
-    d = abs(value - ref)
-    if d <= tol + ref_err:
+        r = claim.value
+        oracle = round_rational(r, precision_bits, 0)
+        dist, q_ref, e, f = abs(p * r.denominator - r.numerator * q), q * r.denominator, 0, 0
+
+    def within(x, y):  # d <= x / y + the oracle's bound
+        return dist * y << f <= (x * q_ref << f) + e * q * y
+
+    if within(tol.numerator, tol.denominator):
         verdict = "Pass"
-    elif converged and d > (gap or 0) + ref_err:
+    elif converged and not within(*(gap or (0, 1))):
         verdict = "Fail"
     else:
         verdict = "Inconclusive"

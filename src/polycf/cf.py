@@ -138,11 +138,12 @@ class LimitEstimate(Record):
     `method` is "plain" for an approximant A_n/B_n and "richardson" for an
     extrapolated value.  Despite its name, `error_bound` is an estimate,
     not a bound: on the plain path it is the last gap |A_n/B_n - A_l/B_l|
-    between defined approximants (0 for a finite CF, infinite before the
-    first gap), and on the Richardson path it is infinite.  `converged` says
-    only that two gaps fell below tol, and the true error can be far larger:
-    evaluate(ex4.2 with A = 0, 1e-9, 10^4) stops converged at 9,587 terms
-    with error_bound 1.0e-9, while its distance to the limit is 9.6e-6.
+    between defined approximants (0 for a finite CF with a defined final
+    approximant, infinite before the first gap), and on the Richardson path
+    it is infinite.  `converged` says only that two gaps fell below tol, and
+    the true error can be far larger: evaluate(ex4.2 with A = 0, 1e-9, 10^4)
+    stops converged at 9,587 terms with error_bound 1.0e-9, while its
+    distance to the limit is 9.6e-6.
     """
 
     __slots__ = ("value", "error_bound", "terms_used", "converged", "method")
@@ -178,7 +179,7 @@ def _canonical_pairs(b0, steps):
     """Exact (A_n, B_n) for the steps' terms: the kernel's pairs divided by
     its scale M_n = den(b0) m_1 ... m_n, normalised only where M_n != 1."""
     M = b0.denominator
-    for A, B, m, _ in _recurrence(b0, steps):
+    for A, B, m, _, _ in _recurrence(b0, steps):
         M *= m
         yield (Fraction(A), Fraction(B)) if M == 1 else (Fraction(A, M), Fraction(B, M))
 
@@ -269,8 +270,8 @@ def _iter_terms(cf, N=None):
 
 
 def _recurrence(b0, steps, budget=None, gaps=False):
-    """The recurrence kernel, in Python integers: (A, B, m, D) after each of
-    the integer steps (a, b, m) of _scaled_terms, starting from b0.
+    """The recurrence kernel, in Python integers: (A, B, m, D, err) after
+    each of the integer steps (a, b, m) of _scaled_terms, starting from b0.
 
     (A, A_prev, B, B_prev) hold A_n, A_{n-1}, B_n, B_{n-1} times one common
     scale, so A/B is the approximant whatever the scale is.  Without a
@@ -281,17 +282,25 @@ def _recurrence(b0, steps, budget=None, gaps=False):
 
     Gaps.  With gaps, D is the gap numerator A B_l - A_l B against the
     previous pair (A_l, B_l), the one yielded before (for term 1, b0 as
-    num/den), exactly; otherwise D is None and the kernel does no work for
-    it.  The kernel keeps the determinant E = A B_prev - A_prev B of its
-    state.  A step gives D = -a E (the b-terms cancel) and E = m D, since
-    then A_prev = m A_l and B_prev = m B_l: one product with a small term
-    each, where forming D directly takes two full-width products.  A shift
-    by k writes X = 2^k X' + r_X with 0 <= r_X < 2^k for each of the four,
-    so against the unshifted previous pair
+    num/den): exact while err is None, else within 2^err |D| of it if
+    err <= -2; without gaps D and err are None.  The kernel keeps the
+    determinant E = A B_prev - A_prev B of its state.  A step gives D = -a E
+    (the b-terms cancel) and E = m D, since then A_prev = m A_l and
+    B_prev = m B_l: one product with a small term each, where forming D
+    directly takes two full-width products, and no change of relative error.
+    A shift by k writes X = 2^k X' + r_X with 0 <= r_X < 2^k, so
         m D' = A' B_prev - A_prev B' = (E - r_A B_prev + A_prev r_B) / 2^k,
-        E' = A' B_prev' - A_prev' B' = (m D' - A' r_{B_prev} + r_{A_prev} B') / 2^k.
-    Both left sides are integers, so both right shifts are exact divisions
-    and D and E stay exact at every step.
+        E' = A' B_prev' - A_prev' B' = (m D' - A' r_{B_prev} + r_{A_prev} B') / 2^k,
+    and the kernel drops the r terms: mD = E >> k, D = mD // m, E = mD >> k.
+    With M the largest bit length of the four before the shift (so
+    |m| <= |B_prev| < 2^M and k < M), the first line drops less than
+    2^(k+M+1) and the second 2^k (1 + |A'| + |B'|) <= 2^(M+2), so E' 2^(2k)
+    and D' 2^k m (with // m) move by less than t |E| for t = 2^(k+M+4-bl(E)),
+    and the floors shrink them by less than 2^(k+M) <= t |E| / 8.  A relative
+    error psi thus becomes at most (psi + t) / (1 - t/8) <= psi + 2t = psi + 2^e
+    while psi + t <= 1/2.  The kernel sums these as count 2^emax (emax the
+    largest e over count shifts): err = emax + bl(count).  Rounding each
+    shift's bound up to a whole bit instead would lose a bit per shift.
 
     Truncation error.  A common shift changes no ratio of the four, so A/B
     is unchanged by the scaling itself.  The floor of the shift moves each
@@ -310,7 +319,7 @@ def _recurrence(b0, steps, budget=None, gaps=False):
     A_prev, B_prev = b0.denominator, 0
     A, B = b0.numerator, b0.denominator
     E = -B * B
-    D = None
+    D, err, count, emax = None, None, 0, -math.inf
     limit = None if budget is None else budget + _SHIFT_SLACK_BITS
     for a, b, m in steps:
         if gaps:
@@ -324,22 +333,22 @@ def _recurrence(b0, steps, budget=None, gaps=False):
             B, B_prev = b * B + a * B_prev, m * B
         if limit is not None and (top := B_prev.bit_length()) > limit:
             # B_prev is nonzero here: `or top` skips the zeros
-            shift = min(
-                A.bit_length() or top, A_prev.bit_length() or top, B.bit_length() or top, top
-            ) - budget
+            lengths = (A.bit_length() or top, A_prev.bit_length() or top,
+                       B.bit_length() or top, top)
+            shift = min(lengths) - budget
             if shift > _SHIFT_SLACK_BITS:
-                if gaps:
-                    mask = (1 << shift) - 1
-                    r_A_prev, r_B_prev = A_prev & mask, B_prev & mask
-                    mD = (E - (A & mask) * B_prev + A_prev * (B & mask)) >> shift
                 A >>= shift
                 A_prev >>= shift
                 B >>= shift
                 B_prev >>= shift
                 if gaps:
+                    e = shift + max(lengths) + 5 - E.bit_length()
+                    count, emax = count + 1, max(emax, e)
+                    err = emax + count.bit_length()
+                    mD = E >> shift
                     D = mD if m == 1 else mD // m
-                    E = (mD - A * r_B_prev + r_A_prev * B) >> shift
-        yield A, B, m, D
+                    E = mD >> shift
+        yield A, B, m, D, err
 
 
 def _limit_tol(tol, max_terms, precision_bits):
@@ -361,23 +370,28 @@ def evaluate(cf, tol, max_terms, precision_bits=128, backend="auto"):
 
     Stops once two consecutive gaps between defined approximants fall below
     tol, compared in integers as |D| tol_den < tol_num |B B_last| with
-    D = A B_last - A_last B; a finite CF yields its exact final value with
-    error bound 0.  D comes from the kernel's determinant recurrence, or is
-    formed directly for the one step after an undefined approximant (the
-    kernel's previous pair is then not the last defined one).  The
+    D = A B_last - A_last B; a finite CF whose final approximant is defined
+    yields that exact value with error bound 0, and one whose final
+    approximant is undefined its last defined one, unconverged.  The
     comparison is screened by bit lengths first: with
     L = bitlen(D) + bitlen(tol_den) and R = bitlen(tol_num) + bitlen(B) +
     bitlen(B_last), the left side lies in [2^(L-2), 2^L) and the right in
     [2^(R-3), 2^R) (D = 0 is small), so L <= R - 3 decides small and
     L >= R + 2 decides not small without a product; only the four values
-    between compare exactly.  Both backends run the kernel of _recurrence:
+    between compare exactly.  D comes from the kernel's determinant
+    recurrence; past the float kernel's first shift that D is approximate
+    and only decides "not small" (L from bitlen(D) - 1, its bound at most
+    2^-2 of it).  Other steps form D directly, as does the one after an
+    undefined approximant (the kernel's previous pair is then not the last
+    defined one).  Both backends run the kernel of _recurrence:
     "exact" never rounds and is authoritative for moderate term counts,
     "float" gives it the budget b = precision_bits + guard +
     bitlen(max_terms), so that its shifts add up to less than
     max_terms * 2^-b <= 2^-(precision_bits + guard) relative.  The value and
-    the last gap, exact Fractions, become mpf once.  A failure to converge
-    is reported through converged=False, not an exception.  error_bound is
-    the last gap, an estimate and not a bound (see LimitEstimate).
+    the last gap, formed exactly once at the end, become mpf once.  A
+    failure to converge is reported through converged=False, not an
+    exception.  error_bound is the last gap, an estimate and not a bound
+    (see LimitEstimate).
     """
     return _estimate(_limit(cf, tol, max_terms, precision_bits, backend, False), precision_bits)
 
@@ -492,8 +506,9 @@ def _limit(cf, tol, max_terms, precision_bits, backend, extrapolating):
     """The loop behind evaluate and extrapolate: one kernel run, read by the
     Richardson checkpoints while that method applies, else by the plain
     stop rule.  Returns the exact parts (value, gap, terms_used, converged,
-    method): the estimate and the last gap as Fractions, the gap None where
-    there is none yet."""
+    method): the estimate as a Fraction, and the last gap
+    |A_N/B_N - A_l/B_l| as the integer pair (|A_N B_l - A_l B_N|, |B_N B_l|),
+    not reduced, or None where there is none yet."""
     tol = _limit_tol(tol, max_terms, precision_bits)
     if backend == "auto":
         backend = "exact" if max_terms <= _EXACT_TERM_LIMIT else "float"
@@ -515,12 +530,12 @@ def _limit(cf, tol, max_terms, precision_bits, backend, extrapolating):
     offset = tol_den.bit_length() - tol_num.bit_length()
     A_last, B_last = cf.b0.numerator, cf.b0.denominator
     last_bits = B_last.bit_length()
-    gap, B_gap = 0, 0  # the last gap is gap / (B_last B_gap); none yet while B_gap is 0
+    A_gap, B_gap, gap = 0, 0, None  # (A_gap, B_gap): the defined pair before the last one
     adjacent = True  # the kernel's previous pair is (A_last, B_last)
     small_prev = converged = False
     estimates, parity_gaps = [], []
     n = 0
-    for n, (A, B, _, D) in enumerate(kernel, 1):
+    for n, (A, B, _, D, err) in enumerate(kernel, 1):
         if pairs is not None:
             pairs.append((A, B))
             if n != points[len(estimates)]:
@@ -545,10 +560,12 @@ def _limit(cf, tol, max_terms, precision_bits, backend, extrapolating):
         if not B:
             adjacent = False
             continue
-        if D is None or not adjacent:
-            D = A * B_last - A_last * B
-            adjacent = True
         B_bits = B.bit_length()
+        if D is None or not adjacent or err is not None and not (
+                err <= -2 and D and D.bit_length() - B_bits - last_bits + offset >= 3):
+            # past a shift the kernel's D only settles "not small": bl(exact D) >= bl(D) - 1
+            D = A * B_last - A_last * B
+        adjacent = True
         excess = D.bit_length() - B_bits - last_bits + offset  # L - R
         if excess >= 2 and D:
             small = False
@@ -556,20 +573,21 @@ def _limit(cf, tol, max_terms, precision_bits, backend, extrapolating):
             small = True
         else:
             small = abs(D) * tol_den < tol_num * abs(B * B_last)
-        gap, B_gap = D, B_last
+        A_gap, B_gap = A_last, B_last
         A_last, B_last, last_bits = A, B, B_bits
         if small and small_prev:
             converged = True
             break
         small_prev = small
     else:
-        if n < max_terms:  # a finite CF: its exact final value
-            converged, gap, B_gap = True, 0, 1
+        if n < max_terms and adjacent:  # a finite CF whose final approximant is defined
+            converged, gap = True, (0, 1)
+    if gap is None and B_gap:  # the last gap, formed exactly once
+        gap = abs(A_last * B_gap - A_gap * B_last), abs(B_last * B_gap)
     richardson = pairs is not None
-    gap_den = abs(B_last * B_gap)
     return (
         estimates[-1] if richardson else Fraction(A_last, B_last),
-        Fraction(abs(gap), gap_den) if gap_den else None,
+        gap,
         n,
         converged,
         "richardson" if richardson else "plain",
@@ -583,7 +601,7 @@ def _estimate(parts, precision_bits):
 
     value, gap, *rest = parts
     return LimitEstimate(*(_mpf(round_rational(q, precision_bits), precision_bits)
-                           for q in (value, gap)), *rest)
+                           for q in (value, gap and Fraction(*gap))), *rest)
 
 
 def similarity_scale(cf, r):

@@ -143,7 +143,7 @@ def _cmd_eval(args, params):
         args.format,
         dict,
         value=to_str(round_rational(value, bits), bits),
-        error_bound=to_str(round_rational(gap, bits), bits),
+        error_bound=to_str(round_rational(gap and Fraction(*gap), bits), bits),
         terms_used=terms_used,
         converged=converged,
     )

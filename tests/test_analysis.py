@@ -2,6 +2,7 @@
 limit verification against the independent constant oracles."""
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -25,6 +26,8 @@ from polycf.cf import (
     _RICHARDSON_ORDER,
     CFSpec,
     CFTail,
+    _recurrence,
+    _scaled_terms,
     approximants,
     convergents,
     evaluate,
@@ -325,30 +328,68 @@ def test_verify_limit_pass():
 @pytest.mark.parametrize("preset", ["e", "ex1.1"])
 def test_verify_limit_verdicts_compare_exactly(monkeypatch, preset):
     # the verdict compares d = |estimate - oracle| with tol, the last gap and
-    # the oracle bound e exactly: edge cases on both sides of each boundary
+    # the oracle bound e exactly: edge cases on both sides of each boundary,
+    # for a named constant (e) and an exact claim (ex1.1) at 64 to 4096
+    # bits; _limit gives the last gap as an integer pair, here not reduced
     import polycf.analysis as analysis
 
     member = build_preset(preset)
-    bits, tol = 64, F(1, 10**10)
-    if member.limit.kind == "named":
-        mant, shift = analysis._oracle(member.limit.constant, bits)
-        ref, e = F(mant, 1 << shift), F(mant, 1 << (shift + bits - 4))
-    else:
-        ref, e = member.limit.value, F(0)
-    tiny = F(1, 2**400)
-    cases = [  # (estimate, last gap, converged, verdict)
-        (ref + tol + e, None, False, "Pass"),
-        (ref - tol - e, tol, True, "Pass"),
-        (ref + tol + e + tiny, None, False, "Inconclusive"),
-        (ref - tol - e - tiny, tol, True, "Fail"),
-        (ref + 2 * tol + e, 2 * tol, True, "Inconclusive"),
-        (ref + 2 * tol + e + tiny, 2 * tol, True, "Fail"),
-        (ref + tol + e + tiny, F(0), True, "Fail"),
-    ]
-    for value, gap, converged, verdict in cases:
-        monkeypatch.setattr(analysis, "_limit", lambda *args: (value, gap, 7, converged, "plain"))
-        report = verify_limit(member, 64, bits, tol)
-        assert (report.verdict, report.terms) == (verdict, 7), (value - ref, gap, converged)
+    tol = F(1, 10**10)
+    for bits in (64, 128, 1024, 4096):
+        if member.limit.kind == "named":
+            mant, shift = analysis._oracle(member.limit.constant, bits)
+            ref, e = F(mant, 1 << shift), F(mant, 1 << (shift + bits - 4))
+        else:
+            ref, e = member.limit.value, F(0)
+        tiny = F(1, 2 ** (2 * bits + 300))
+        cases = [  # (estimate, last gap, converged, verdict)
+            (ref + tol + e, None, False, "Pass"),
+            (ref - tol - e, tol, True, "Pass"),
+            (ref + tol + e + tiny, None, False, "Inconclusive"),
+            (ref - tol - e - tiny, tol, True, "Fail"),
+            (ref + 2 * tol + e, 2 * tol, True, "Inconclusive"),
+            (ref + 2 * tol + e + tiny, 2 * tol, True, "Fail"),
+            (ref + tol + e + tiny, F(0), True, "Fail"),
+            (ref - 3 * tol - e, 3 * tol + tiny, True, "Inconclusive"),
+        ]
+        for value, gap, converged, verdict in cases:
+            pair = None if gap is None else (3 * gap.numerator, 3 * gap.denominator)
+            monkeypatch.setattr(analysis, "_limit",
+                                lambda *args: (value, pair, 7, converged, "plain"))
+            report = verify_limit(member, 64, bits, tol)
+            assert (report.verdict, report.terms) == (verdict, 7), (bits, value - ref, gap)
+
+
+def _direct_limit(cf, tol, max_terms, bits):
+    """_limit's plain rule on the float kernel, every gap formed directly
+    from the pairs as products: (value, gap pair, terms_used, converged)."""
+    budget = bits + 32 + max_terms.bit_length()
+    kernel = _recurrence(cf.b0, itertools.islice(_scaled_terms(cf), max_terms), budget)
+    A_last, B_last = cf.b0.numerator, cf.b0.denominator
+    gap, small_prev, n = None, False, 0
+    for n, (A, B, _, _, _) in enumerate(kernel, 1):
+        if B:
+            gap = abs(A * B_last - A_last * B), abs(B * B_last)
+            A_last, B_last = A, B
+            small = gap[0] * tol.denominator < tol.numerator * gap[1]
+            if small and small_prev:
+                return F(A_last, B_last), gap, n, True
+            small_prev = small
+    return F(A_last, B_last), gap, n, False
+
+
+@pytest.mark.parametrize("bits", [1024, 4096])
+@pytest.mark.parametrize("preset", ["e", "ex5.6", "ex3.5", "ex1.1", "ex2.2", "ex2.4", "ex2.5"])
+def test_limit_parts_equal_a_direct_product_reference(preset, bits):
+    # the high-precision verifications: the kernel's gap numerators are
+    # approximate past its first shift, and every part must still equal the
+    # reference's, the last gap as the same unreduced pair
+    import polycf.cf as cf_module
+
+    cf = build_preset(preset).cf
+    tol = F(1, 2 ** (bits - 40)) / 10**6
+    assert cf_module._limit(cf, tol, 2000, bits, "auto", True) == (
+        *_direct_limit(cf, tol, 2000, bits), "plain")
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

@@ -172,6 +172,19 @@ def test_evaluate_finite_cf_exact():
         assert est.value == mpmath.mpf(15) / 11
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_finite_cf_with_undefined_final_approximant_is_not_converged(backend):
+    # A_1/B_1 = 1/0: the last defined approximant is b0, with no gap yet
+    est = evaluate(CFSpec(b0=F(0), prefix=((F(1), F(0)),)), F(1, 100), 2, backend=backend)
+    assert (est.value, est.error_bound, est.terms_used, est.converged) == (0, mpmath.inf, 1, False)
+    # B_3 = 0 after B_1 = 1, B_2 = 2: A_2/B_2 = 3/2, one gap |3/2 - 2/1| back
+    cf = CFSpec(b0=F(1), prefix=((F(1), F(1)), (F(1), F(1)), (F(-4), F(2))))
+    assert approximants(cf, 3).values()[3] is UNDEFINED
+    est = evaluate(cf, F(1, 100), 5, backend=backend)
+    assert (est.value, est.error_bound, est.terms_used, est.converged) == (
+        mpmath.mpf(1.5), mpmath.mpf(0.5), 3, False)
+
+
 def test_evaluate_non_convergence_is_flagged():
     slow = CFSpec(b0=F(1), tail=("4n^2-4n+1", "2"))
     est = evaluate(slow, F(1, 10**9), 50)
@@ -269,19 +282,20 @@ def _kernel(cf, budget, gaps=True):
 
 def _reference_evaluate(cf, tol, max_terms, precision_bits, backend):
     """evaluate's stop rule with the gaps formed directly from the kernel's
-    pairs, as products; returns the LimitEstimate fields and every gap."""
+    pairs, as products; returns the LimitEstimate fields and every gap as a
+    pair (numerator, denominator)."""
     budget = precision_bits + _FLOAT_GUARD_BITS + max_terms.bit_length()
     budget = budget if backend == "float" else None
     A_last, B_last = cf.b0.numerator, cf.b0.denominator
     gap_num, gap_den, gaps = 0, 0, []
     small_prev = converged = finite = False
-    n = 0
-    for n, (A, B, _, _) in enumerate(itertools.islice(_kernel(cf, budget, False), max_terms), 1):
+    n, B = 0, B_last
+    for n, (A, B, _, _, _) in enumerate(itertools.islice(_kernel(cf, budget, False), max_terms), 1):
         if B == 0:
             continue
         gap_num = abs(A * B_last - A_last * B)
         gap_den = abs(B * B_last)
-        gaps.append(F(gap_num, gap_den))
+        gaps.append((gap_num, gap_den))
         A_last, B_last = A, B
         small = gap_num * tol.denominator < tol.numerator * gap_den
         if small and small_prev:
@@ -289,7 +303,8 @@ def _reference_evaluate(cf, tol, max_terms, precision_bits, backend):
             break
         small_prev = small
     else:
-        finite = n < max_terms
+        # a finite CF is exact only where its final approximant is defined
+        finite = n < max_terms and B != 0
     with mpmath.workprec(precision_bits + _FLOAT_GUARD_BITS):
         q = F(A_last, B_last)
         value = mpmath.mpf(q.numerator) / q.denominator
@@ -355,26 +370,93 @@ def test_evaluate_stop_rule_matches_direct_products(cf, tol, max_terms, bits, ba
         assert got.value.args == exc.args
         return
     assert _fields(evaluate(cf, tol, max_terms, bits, backend)) == want
-    if pick is not None and any(gaps):
+    if pick is not None and any(num for num, _ in gaps):
         # a tol at a gap or just beside it: the bit-length screen cannot
         # decide that step, and at equality the strict comparison does
-        nonzero = [g for g in gaps if g]
+        nonzero = [g for g in gaps if g[0]]
         i, side = pick
-        tol = nonzero[i % len(nonzero)] * (1 + F(side, 2**40))
+        tol = F(*nonzero[i % len(nonzero)]) * (1 + F(side, 2**40))
         want, _ = _reference_evaluate(cf, tol, max_terms, bits, backend)
         assert _fields(evaluate(cf, tol, max_terms, bits, backend)) == want
 
 
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    preset=st.sampled_from([("ex3.5", "A"), ("ex4.2", "A"), ("ex3.3", "A"), ("brouncker", None)]),
+    A=st.sampled_from(["1", "2", "3"]),
+    max_terms=st.integers(1500, 2000),
+    bits=st.sampled_from([1024, 2048, 4096]),
+    pick=st.tuples(st.integers(0, 2000), st.sampled_from([-1, 0, 1])),
+)
+def test_evaluate_stop_rule_matches_direct_products_at_high_precision(
+        preset, A, max_terms, bits, pick):
+    # wide budgets over many terms: shifts come every few terms, the kernel's
+    # gap numerators are approximate, and a tol at a gap puts steps in the
+    # band where the stop rule forms them exactly
+    name, param = preset
+    cf = build_preset(name, {param: A} if param else {}).cf
+    test_evaluate_stop_rule_matches_direct_products.hypothesis.inner_test(
+        cf, F(1, 2 ** (bits - 20)), max_terms, bits, "float", pick)
+
+
+def _check_kernel_gaps(cf, N, budget):
+    """Every D the kernel flags exact (err None) is A B_l - A_l B, and every
+    other lies within 2^err |D| of it where err <= -2; returns the number
+    of approximate D with such a bound."""
+    A_l, B_l = cf.b0.numerator, cf.b0.denominator
+    bounded = 0
+    for A, B, _, D, err in itertools.islice(_kernel(cf, budget), N):
+        exact = A * B_l - A_l * B
+        if err is None:
+            assert D == exact
+        elif err <= -2:
+            assert abs(D - exact) <= F(abs(D)) * F(2) ** err
+            bounded += 1
+        A_l, B_l = A, B
+    return bounded
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(cf=_gap_cf, N=st.integers(1, 40), budget=st.none() | st.integers(1, 100))
-def test_kernel_gap_is_the_determinant_of_consecutive_pairs(cf, N, budget):
-    A_l, B_l = cf.b0.numerator, cf.b0.denominator
+def test_kernel_gap_is_exact_or_within_its_bound(cf, N, budget):
     try:
-        for A, B, _, D in itertools.islice(_kernel(cf, budget), N):
-            assert D == A * B_l - A_l * B
-            A_l, B_l = A, B
+        _check_kernel_gaps(cf, N, budget)
     except PolycfError:
         pass
+
+
+@pytest.mark.parametrize("preset", ["ex3.5", "ex4.2", "ex3.3", "brouncker"])
+@pytest.mark.parametrize("bits", [128, 1024, 4096])
+def test_kernel_gap_bound_holds_over_many_shifts(preset, bits):
+    cf = build_preset(preset).cf
+    assert _check_kernel_gaps(cf, 1500, bits + _FLOAT_GUARD_BITS + 11) > 0
+
+
+@pytest.mark.parametrize("preset", ["ex3.5", "ex4.2", "e", "brouncker"])
+@pytest.mark.parametrize("bits", [128, 1024])
+def test_stop_rule_reads_an_approximate_gap_only_within_its_bound(monkeypatch, preset, bits):
+    # each approximate D moved up by 1/4 of the exact one where err <= -2
+    # (the largest error the rule accepts), and to nonsense where err > -2:
+    # every decision must still be the exact rule's, at tols placed at gaps
+    import polycf.cf as cf_module
+
+    def skewed(*args, **kwargs):
+        for A, B, m, D, err in _recurrence(*args, **kwargs):
+            if err is not None and err > -2:
+                D <<= 40
+            elif err is not None:
+                exact = A * B_l - A_l * B
+                D = exact + (abs(exact) >> 2) * (1 if exact > 0 else -1)
+            A_l, B_l = A, B
+            yield A, B, m, D, err
+
+    cf = build_preset(preset).cf
+    _, gaps = _reference_evaluate(cf, F(1, 2 ** (bits + 200)), 1500, bits, "float")
+    tols = [F(1, 2 ** (bits + 200))] + [F(*gaps[len(gaps) * i // 8]) for i in range(1, 8)]
+    monkeypatch.setattr(cf_module, "_recurrence", skewed)
+    for tol in tols:
+        want, _ = _reference_evaluate(cf, tol, 1500, bits, "float")
+        assert _fields(evaluate(cf, tol, 1500, bits, "float")) == want
 
 
 def _stop_rule(cf, tol, max_terms):

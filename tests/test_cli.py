@@ -59,6 +59,15 @@ def test_eval_from_inline_json(capsys):
     assert json.loads(out)["value"].startswith("2.71828")
 
 
+def test_eval_finite_cf_with_undefined_final_approximant(capsys):
+    # A_1/B_1 = 1/0: the last defined approximant is b0 = 0, with no gap yet
+    code, out, _ = run(capsys, ["eval", "--input", '{"b0": "0", "prefix": [["1", "0"]]}',
+                                "--terms", "2"])
+    assert code == 0
+    assert json.loads(out) == {"converged": False, "error_bound": "+inf", "terms_used": 1,
+                               "value": "0.0"}
+
+
 def test_eval_from_file(tmp_path, capsys):
     code, out, _ = run(capsys, ["family", "--preset", "e"])
     cf_json = json.dumps(json.loads(out)["cf"])
