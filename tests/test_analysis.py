@@ -112,6 +112,30 @@ def test_oracle_values_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == _ORACLE_PINS[constant.describe()]
 
 
+# sha256 of "man exp" lines, the mantissa in hex, of reference_constant at 64,
+# 160, 1024, 4096 and 16384 bits for SineProduct(m), as the sine series with
+# r angle doublings gave them
+_SINE_PINS = {
+    2: "15eda00609ce92f760fd1f73210856089bba38223534c2e642447cafb6137910",
+    3: "ca7a49f70c51f97ad7243b814d43692fb845efc89c0e4c9f581fa819bb56a585",
+    4: "5f4e2ff9604a8333fe708cccdebf04a1a73429e07673bc3714d62b2c049c280f",
+    5: "b27b3e4a52c102dccc30b1bf6b7b1322d635a4ba625e8bd354fa9bb7c533a452",
+    7: "1993c3491f2cdae5cf67f60bd5ee74dfdc5b38e178469d7bc2e86701616c791f",
+    12: "0a9596d185c53dd37f55ac3e9f7f22ad642d26b674562aad92e5d93c2743e558",
+    40: "b2de5f82e425d19cb8a665b46e41f00d18c63f7dbe23c822b276e16636c85b79",
+    1000: "02cf5685e28f56340fdd26c9e02416d5cf1ea3c06e2b5fa06f38a0ab05c56203",
+    1000000: "f6731001ab28e5f4cd5d135171e476423a344498c6b899f6a85dc736dd0da628",
+}
+
+
+@pytest.mark.parametrize("m", sorted(_SINE_PINS))
+def test_sine_product_values_are_pinned(m):
+    constant = NamedConstant("SineProduct", {"m": m})
+    text = "".join("%x %d\n" % reference_constant(constant, bits).man_exp
+                   for bits in (64, 160, 1024, 4096, 16384))
+    assert hashlib.sha256(text.encode()).hexdigest() == _SINE_PINS[m]
+
+
 def test_reference_constant_precision_consistency():
     # the higher-precision value must round to the lower-precision one
     for constant in (
