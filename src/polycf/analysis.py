@@ -12,7 +12,8 @@ the fixed-point unit or the bound stated beside it:
 - zeta(k): P. Borwein's alternating series (1991) with Chebyshev weights,
   whose error after n terms is below 3 (3+sqrt 8)^-n / (1 - 2^(1-k));
 - e: sum 1/j! until the term is below the unit;
-- sin(pi/m)/(pi/m): Taylor terms of sin(pi/(m 2^r)), then r angle doublings;
+- sin(pi/m)/(pi/m): the Taylor series of cos(pi/(m 2^r)) by rectangular
+  splitting, r doublings of the angle, and one square root;
 - algebraic roots: ``math.isqrt``, or integer Newton iteration from the
   root of the radicand's top half.
 
@@ -256,35 +257,63 @@ def _fp_root(p, q, r, s, shift):
 
 
 def _fp_sine_product(m, shift):
-    """m sin(x) / pi at x = pi/m, from y = x / 2^r: N Taylor terms of sin y
-    (60 at 4096 bits, not x's 300) leave under 2N + 3 units 2^-w of error,
-    cos y under 2N + 4, and each doubling maps the error vector by twice a
-    rotation and adds under 2.  So sin x is within 2^r (4N + 9) units, under
-    (4N + 9) 2^-(shift+17) sin x for w = shift + r + 16 + bits(m) and
-    sin x >= 2/m; pi's error moves sin(x)/x by at most its relative size and
-    the last division adds 2^(1-shift): all far below 2^(4-bits)."""
+    """m sin(x) / pi at x = pi/m: cos y at y = x / 2^r by rectangular
+    splitting of its Taylor series (Brent & Zimmermann, Modern Computer
+    Arithmetic, 4.4.3), r doublings c <- 2c^2 - 1 and s = sqrt(1 - c^2).
+    In units 2^-w, with Y = y^2 < 2^-10: the powers Y^j are within 3 units;
+    Horner's T_j = 1 - Y T_(j+1) / ((2j+1)(2j+2)) takes the k steps of a
+    block from them by floor divisions, after one product by Y^k, and keeps
+    T within 8 units, so cos y is within 9 with the first omitted term.  A
+    doubling maps an error e to at most 4e + 2, leaving c within 10 4^r;
+    sin x >= 2/m puts s within 5 4^r m^2 + m units of relative error,
+    under 2^-(shift+5) for w = shift + 2r + 2 bits(m) + 8.  pi's error
+    moves sin(x)/x by at most its relative size and the last division adds
+    2^(1-shift): all far below 2^(4-bits).  m = 1 is sin pi = 0."""
     if m < 1:
         raise UnsupportedConstant(f"SineProduct({m})")
+    if m == 1:
+        return 0
     pi = _pi(shift)
-    r = math.isqrt(shift) // 2
-    w = shift + r + 16 + m.bit_length()
+    r = 3 * _floor_nth_root(shift, 3) // 2
+    w = shift + 2 * r + 2 * m.bit_length() + 8
     y = (pi << (w - r - shift)) // m
-    y2 = (y * y) >> w
-    term = s = y
-    j = 1
-    while term:
-        term = ((term * y2) >> w) // ((2 * j) * (2 * j + 1))
-        s += -term if j % 2 else term
-        j += 1
-    c = math.isqrt((1 << (2 * w)) - s * s)
+    # term n of cos y, Y^n / (2n)!, is below 2^-e for e = -n log2 Y + log2 (2n)!:
+    # sum the n terms before the first one under half a unit
+    n, e, log_inv_y = 0, 0.0, 2 * (r + math.log2(m) - 1.66)  # log2 pi < 1.66
+    while e < w + 1:
+        n += 1
+        e += log_inv_y + math.log2((2 * n - 1) * 2 * n)
+    k = math.isqrt(n)
+    powers = [1 << w, y * y >> w]
+    for _ in range(k - 1):
+        powers.append(powers[-1] * powers[1] >> w)
+    c = 0
+    for i in range(k * -(-n // k) - k, -1, -k):  # blocks of terms i..i+k-1, last first
+        c = powers[k] * c >> w
+        for j in range(i + k - 1, i - 1, -1):
+            c = powers[j - i] - c // ((2 * j + 1) * (2 * j + 2))
     for _ in range(r):
-        s, c = (s * c) >> (w - 1), ((c - s) * (c + s)) >> w
+        c = (c * c >> (w - 1)) - (1 << w)
+    s = math.isqrt((1 << (2 * w)) - c * c)
     return (m * s << shift) // (pi << (w - shift))
+
+
+def _int_param(constant, name):
+    """constant's parameter name as an exact integer: an int, an integral
+    Fraction or an integer string, else UnsupportedConstant."""
+    value = constant.params.get(name)
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            value = None
+    if not (isinstance(value, (int, Fraction)) and value.denominator == 1):
+        raise UnsupportedConstant(constant.describe())
+    return int(value)
 
 
 def _mantissa(constant, shift):
     name = constant.name
-    params = constant.params
     if name == "PiOver4":
         return _pi(shift) // 4
     if name == "E":
@@ -292,16 +321,14 @@ def _mantissa(constant, shift):
     if name == "BrounckerPi":
         return (4 << (2 * shift)) // _pi(shift)
     if name == "Zeta":
-        k = int(params["k"])
+        k = _int_param(constant, "k")
         if k < 2:
             raise UnsupportedConstant(f"Zeta({k})")
         return _fp_zeta(k, shift)
     if name == "Root":
-        return _fp_root(
-            int(params["p"]), int(params["q"]), int(params["r"]), int(params["s"]), shift
-        )
+        return _fp_root(*(_int_param(constant, x) for x in "pqrs"), shift)
     if name == "SineProduct":
-        return _fp_sine_product(int(params["m"]), shift)
+        return _fp_sine_product(_int_param(constant, "m"), shift)
     raise UnsupportedConstant(name)
 
 

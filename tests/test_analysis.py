@@ -93,7 +93,9 @@ def test_oracles_against_mpmath(bits, names):
 
 # sha256 of "man exp" lines of reference_constant(c, bits).man_exp at 256,
 # 1024 and 4096 bits, for the oracle constants of the high-precision
-# benchmark, as the full-width Newton root and full-angle sine series gave them
+# benchmark, as the full-width Newton root and full-angle sine series gave
+# them; the sine oracle's later methods (angle doublings, then a cosine
+# series by rectangular splitting) keep them
 _ORACLE_PINS = {
     "PiOver4": "92677364f363453f13aa6c8d7fab85189420c915e307711208a527f6a315568e",
     "E": "b94d47ce484e036bb5ec496fcfb20cdb20dfbd83069bbbba81f0a04dee20799c",
@@ -114,7 +116,7 @@ def test_oracle_values_are_pinned():
 
 # sha256 of "man exp" lines, the mantissa in hex, of reference_constant at 64,
 # 160, 1024, 4096 and 16384 bits for SineProduct(m), as the sine series with
-# r angle doublings gave them
+# r angle doublings gave them; the rectangular cosine series keeps them
 _SINE_PINS = {
     2: "15eda00609ce92f760fd1f73210856089bba38223534c2e642447cafb6137910",
     3: "ca7a49f70c51f97ad7243b814d43692fb845efc89c0e4c9f581fa819bb56a585",
@@ -142,6 +144,9 @@ def test_reference_constant_precision_consistency():
         NamedConstant("E"),
         NamedConstant("Zeta", {"k": 2}),
         NamedConstant("PiOver4"),
+        NamedConstant("SineProduct", {"m": 3}),
+        NamedConstant("SineProduct", {"m": 40}),
+        ORACLE_TARGETS["Root"][0],
     ):
         hi = reference_constant(constant, 128)
         lo = reference_constant(constant, 64)
@@ -165,6 +170,67 @@ def test_reference_constant_validation():
         reference_constant(NamedConstant("Mystery"), 128)
     with pytest.raises(UnsupportedConstant):
         reference_constant(NamedConstant("Root", {"p": -1, "q": 2, "r": 1, "s": 2}), 128)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("Zeta", {"k": 2.5}),
+        ("Zeta", {"k": F(5, 2)}),
+        ("Zeta", {"k": "2.5"}),
+        ("Zeta", {}),
+        ("SineProduct", {"m": 3.9}),
+        ("SineProduct", {"m": 3.0}),
+        ("SineProduct", {"n": 3}),
+        ("Root", {"p": 12.5, "q": 7, "r": 1, "s": 5}),
+        ("Root", {"p": 12, "q": 7, "r": 1}),
+    ],
+)
+def test_reference_constant_rejects_non_integer_parameters(name, params):
+    # a parameter is read as an exact integer or not at all: truncating 2.5
+    # to 2 would verify a claim against the wrong constant
+    constant = NamedConstant(name, params)
+    with pytest.raises(UnsupportedConstant) as exc:
+        reference_constant(constant, 64)
+    assert exc.value.name == constant.describe()
+
+
+def test_reference_constant_reads_exact_integer_parameters():
+    # an integral Fraction or an integer string is the same integer
+    for name, params, same in [
+        ("Zeta", {"k": F(6, 2)}, {"k": 3}),
+        ("Zeta", {"k": "3"}, {"k": 3}),
+        ("SineProduct", {"m": "7"}, {"m": 7}),
+        ("Root", {"p": F(12), "q": "7", "r": 1, "s": F(10, 2)}, {"p": 12, "q": 7, "r": 1, "s": 5}),
+    ]:
+        assert (reference_constant(NamedConstant(name, params), 128)
+                == reference_constant(NamedConstant(name, same), 128))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(2, 60) | st.floats(math.log10(2), 12).map(lambda t: round(10 ** t)),
+    bits=st.integers(64, 8192),
+)
+def test_sine_product_oracle_against_mpmath(m, bits):
+    # m sin(pi/m) / pi within the documented relative error 2^(4 - bits), for
+    # m near 2 and log-uniform up to 10^12
+    got = reference_constant(NamedConstant("SineProduct", {"m": m}), bits)
+    with mpmath.workprec(bits + 40):
+        want = m * mpmath.sin(mpmath.pi / m) / mpmath.pi
+        assert abs(mpmath.mpf(got) - want) / want < mpmath.mpf(2) ** (4 - bits)
+
+
+def test_sine_product_oracle_extremes():
+    # m = 1 is sin pi, exactly zero; m = 10^30 is 1 - pi^2 / (6 m^2) + ...
+    for bits in (64, 1024, 4096):
+        assert reference_constant(NamedConstant("SineProduct", {"m": 1}), bits) == 0
+    m = 10**30
+    for bits in (256, 4096):
+        got = reference_constant(NamedConstant("SineProduct", {"m": m}), bits)
+        with mpmath.workprec(bits + 40):
+            want = m * mpmath.sin(mpmath.pi / m) / mpmath.pi
+            assert abs(mpmath.mpf(got) - want) / want < mpmath.mpf(2) ** (4 - bits)
 
 
 def test_tietze_e_cf_certified():
