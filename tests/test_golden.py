@@ -4,9 +4,12 @@ tests/golden_cli.json holds the exit code and stdout of `polycf eval` and
 `polycf verify` for every preset at its defaults at 64, 128, 192 and 1024
 bits, a few other rows (the float backend, finite and exact-limit CFs, the
 Richardson path, 4096-bit rows whose errors print through mpmath's
-far-exponent branch, the sine-product family ex4.2 at 4096 bits), and the
-sha256 of the `reproduce-paper` stdout and of each of its files.  Every
-printed number must stay the same byte for byte.
+far-exponent branch, the sine-product family ex4.2 at 4096 bits), the
+`polycf family` output of every preset at its defaults and of the members
+`ex2.2 --b 1` and `ex2.5 --c 1`, whose hypotheses fail (hypothesis names,
+details, `holds` and `verified`), and the sha256 of the `reproduce-paper`
+stdout and of each of its files.  Every printed number must stay the same
+byte for byte.
 """
 
 import hashlib
