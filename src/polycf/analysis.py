@@ -26,7 +26,7 @@ import operator
 from fractions import Fraction
 
 from .cf import _canonical_pairs, _first, _is_integer_tail, _limit, _limit_tol, _mpf, _scaled_terms
-from .dyadic import divide, round_rational, round_to, to_str
+from .dyadic import round_rational, round_to, to_str
 from .errors import (
     EmptyRange,
     HypothesisViolation,
@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedConstant,
 )
 from .families import LimitClaim
-from .poly import _floor_nth_root, _scan_bound, leading_coefficient
+from .poly import _floor_nth_root, _scan_bound, degree, leading_coefficient
 
 _GUARD_BITS = 32
 # tietze_check declines to certify from a later term index: declining is
@@ -58,11 +58,11 @@ class GrowthBound(Record):
 
 
 class VerificationReport(Record):
-    __slots__ = ("preset", "params", "terms", "claimed", "oracle", "abs_err", "rel_err",
-                 "verdict", "method")
+    __slots__ = ("preset", "params", "terms", "claimed", "oracle", "abs_err", "verdict",
+                 "method")
 
-    def to_json(self):  # every field but rel_err, with params as strings
-        out = {name: getattr(self, name) for name in self.__slots__ if name != "rel_err"}
+    def to_json(self):  # every field, with params as strings
+        out = {name: getattr(self, name) for name in self.__slots__}
         return dict(out, params={k: str(v) for k, v in sorted(self.params.items())})
 
 
@@ -151,16 +151,11 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
         raise ValueError("precision_bits must be at least 1")
     steps = _first(_terms_at_least_one(cf), N)
     bs = [B for _, B in _canonical_pairs(cf.b0, steps)]
-    factorial_kind = (
-        cf.tail is not None
-        and not cf.tail.b.is_zero
-        and (cf.tail.b.num.degree - cf.tail.b.den.degree) >= 1
-    )
+    k = degree(cf.tail.b) if cf.tail is not None else 0
     wide = precision_bits + _GUARD_BITS
     with mpmath.workprec(wide):
         phi = (1 + mpmath.sqrt(5)) / 2
-        if factorial_kind:
-            k = cf.tail.b.num.degree - cf.tail.b.den.degree
+        if k >= 1:
             D = leading_coefficient(cf.tail.b)
             base = abs(D) / (1 + epsilon)
             # up / down = 1 / (base^n (n!)^k); least ratio by cross-multiplication
@@ -374,10 +369,9 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
     oracle's error.  Fail: the evaluation converged and d > gap + e, with
     gap its error_bound (the last gap, an estimate, not a bound).
     Inconclusive: otherwise, that is unconverged or within gap + e; an
-    extrapolated estimate never counts as converged.  oracle, abs_err and
-    rel_err print as mpmath did: the estimate and the oracle rounded to
-    precision_bits, their distance at precision_bits + 32 bits, and that
-    over |oracle| likewise.
+    extrapolated estimate never counts as converged.  oracle and abs_err
+    print as mpmath did: the estimate and the oracle rounded to
+    precision_bits, and their distance at precision_bits + 32 bits.
     """
     tol = _limit_tol(tol, terms, precision_bits)
     claim = member.limit
@@ -409,7 +403,6 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
     (m1, e1), (m2, e2) = round_rational(value, precision_bits), oracle
     e = min(e1, e2)
     diff = round_to(abs((m1 << (e1 - e)) - (m2 << (e2 - e))), e, wide)
-    rel = divide(*diff, abs(m2), e2, wide) if m2 else None
     return VerificationReport(
         preset=preset,
         params=dict(params or {}),
@@ -417,7 +410,6 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
         claimed=claim.describe(),
         oracle=to_str(oracle, precision_bits),
         abs_err=to_str(diff, precision_bits),
-        rel_err=to_str(rel, precision_bits),
         verdict=verdict,
         method=method,
     )

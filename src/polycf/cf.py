@@ -24,9 +24,11 @@ from .poly import (
     RationalFunction,
     _exact_div,
     _poly_gcd,
+    degree,
     has_integer_root_at_or_after,
     json_list,
     json_value,
+    leading_coefficient,
     ratfn_from_string,
 )
 
@@ -418,15 +420,11 @@ def tail_class(cf):
     tail = cf.tail
     if tail is None or tail.a.is_zero or tail.b.is_zero:
         return None
-    a, b = tail.a, tail.b
-    p = a.num.degree - a.den.degree
-    q = b.num.degree - b.den.degree
-    # alpha = na/da and beta = nb/db, compared in integers
-    na, da = a.num.leading_coefficient, a.den.leading_coefficient
-    nb, db = b.num.leading_coefficient, b.den.leading_coefficient
-    if p == 2 * q and nb * nb * da + 4 * na * db * db == 0:
+    p, q = degree(tail.a), degree(tail.b)
+    alpha, beta = leading_coefficient(tail.a), leading_coefficient(tail.b)
+    if p == 2 * q and beta * beta + 4 * alpha == 0:
         return "parabolic"
-    if p == 2 * q + 2 and na * da > 0 and nb * db > 0:
+    if p == 2 * q + 2 and alpha > 0 and beta > 0:
         return "positive"
     return None
 

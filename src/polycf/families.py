@@ -420,65 +420,41 @@ def ramanujan_entry13(a, b, d):
     return FamilyMember(cf, LimitClaim.exact(a), hyps)
 
 
-def _preset_ex22(params):
-    b = params["b"]
-    cf, limit = _pincherle(_N + 2, b)
-    hyps = (
-        _hyp(
-            "b_at_least_2",
-            lambda: eventually_nonnegative(b - 2, 1),
-            "b(n) >= 2 for n >= 1",
-        ),
-    )
-    return FamilyMember(integer_tail_form(cf), limit, hyps)
+def _pincherle_at_least_2(H, b, name, x, n0):
+    """The Pincherle preset (H, b) in integer form, whose one hypothesis is
+    x(n) >= 2 for n >= n0, with x called name."""
+    cf, limit = _pincherle(H, b)
+    hyp = _hyp(f"{name}_at_least_2", lambda: eventually_nonnegative(x - 2, n0),
+               f"{name}(n) >= 2 for n >= {n0}")
+    return FamilyMember(integer_tail_form(cf), limit, (hyp,))
 
 
-def _preset_ex25(params):
-    c = params["c"]
-    cf, limit = _pincherle(RationalFunction(1), c * c / c.shift(-1))
-    hyps = (
-        _hyp(
-            "c_at_least_2",
-            lambda: eventually_nonnegative(c - 2, -1),
-            "c(n) >= 2 for n >= -1",
-        ),
-    )
-    return FamilyMember(integer_tail_form(cf), limit, hyps)
-
-
-_PRESET_BUILDERS = {
-    "brouncker": lambda p: FamilyMember(
+# preset -> (parameters, builder of the resolved parameters); a parameter is
+# name -> (kind, default) with kinds int | rational | ratfn
+_PRESETS = {
+    "brouncker": ({}, lambda p: FamilyMember(
         CFSpec(Fraction(1), (), CFTail((2 * _N - 1) ** 2, 2, 1)),
         LimitClaim.named("BrounckerPi"),
-    ),
-    "e": lambda p: FamilyMember(_E_CF, LimitClaim.named("E")),
-    "ex1.1": lambda p: family_rational_limit(p["f"], p["m"]),
-    "ex2.2": _preset_ex22,
-    "ex2.4": lambda p: pincherle_poly_family(_N**2 + 1, 1, p["c"], 1),
-    "ex2.5": _preset_ex25,
-    "ex3.3": lambda p: family_pi(p["A"] * (2 * _N - 1)),
-    "ex3.4": lambda p: family_zeta(p["k"], p["A"] * (_N + 1)),
-    "ex3.5": lambda p: family_binomial(Fraction(1, 5), Fraction(5, 7), p["A"] * _N - 1),
-    "ex4.2": lambda p: family_sin_product(3, p["A"]),
-    "ex5.6": lambda p: family_e_bauer_muir(p["A"]),
-    "entry13": lambda p: ramanujan_entry13(p["a"], p["b"], p["d"]),
+    )),
+    "e": ({}, lambda p: FamilyMember(_E_CF, LimitClaim.named("E"))),
+    "ex1.1": ({"f": ("ratfn", "1"), "m": ("int", "1")},
+              lambda p: family_rational_limit(p["f"], p["m"])),
+    "ex2.2": ({"b": ("ratfn", "n+1")},
+              lambda p: _pincherle_at_least_2(_N + 2, p["b"], "b", p["b"], 1)),
+    "ex2.4": ({"c": ("ratfn", "n+2")}, lambda p: pincherle_poly_family(_N**2 + 1, 1, p["c"], 1)),
+    "ex2.5": ({"c": ("ratfn", "n+3")}, lambda p: _pincherle_at_least_2(
+        RationalFunction(1), p["c"] * p["c"] / p["c"].shift(-1), "c", p["c"], -1)),
+    "ex3.3": ({"A": ("int", "1")}, lambda p: family_pi(p["A"] * (2 * _N - 1))),
+    "ex3.4": ({"k": ("int", "2"), "A": ("int", "1")},
+              lambda p: family_zeta(p["k"], p["A"] * (_N + 1))),
+    "ex3.5": ({"A": ("int", "1")},
+              lambda p: family_binomial(Fraction(1, 5), Fraction(5, 7), p["A"] * _N - 1)),
+    "ex4.2": ({"A": ("int", "0")}, lambda p: family_sin_product(3, p["A"])),
+    "ex5.6": ({"A": ("int", "1")}, lambda p: family_e_bauer_muir(p["A"])),
+    "entry13": ({"a": ("rational", "1"), "b": ("rational", "1"), "d": ("rational", "1")},
+                lambda p: ramanujan_entry13(p["a"], p["b"], p["d"])),
 }
-
-# parameter name -> (kind, default) with kinds int | rational | ratfn
-PRESET_PARAMS = {
-    "brouncker": {},
-    "e": {},
-    "ex1.1": {"f": ("ratfn", "1"), "m": ("int", "1")},
-    "ex2.2": {"b": ("ratfn", "n+1")},
-    "ex2.4": {"c": ("ratfn", "n+2")},
-    "ex2.5": {"c": ("ratfn", "n+3")},
-    "ex3.3": {"A": ("int", "1")},
-    "ex3.4": {"k": ("int", "2"), "A": ("int", "1")},
-    "ex3.5": {"A": ("int", "1")},
-    "ex4.2": {"A": ("int", "0")},
-    "ex5.6": {"A": ("int", "1")},
-    "entry13": {"a": ("rational", "1"), "b": ("rational", "1"), "d": ("rational", "1")},
-}
+PRESET_PARAMS = {preset: spec for preset, (spec, _) in _PRESETS.items()}
 
 
 def _coerce(kind, value, name):
@@ -491,14 +467,14 @@ def _coerce(kind, value, name):
 
 
 def preset_ids():
-    return sorted(_PRESET_BUILDERS)
+    return sorted(_PRESETS)
 
 
 def build_preset(preset, params=None):
     """Construct a named preset member; params override the defaults."""
-    if preset not in _PRESET_BUILDERS:
+    if preset not in _PRESETS:
         raise ValueError(f"unknown preset {preset!r}")
-    spec = PRESET_PARAMS[preset]
+    spec, build = _PRESETS[preset]
     given = dict(params or {})
     resolved = {}
     for name, (kind, default) in spec.items():
@@ -507,4 +483,4 @@ def build_preset(preset, params=None):
     if given:
         extra = ", ".join(sorted(given))
         raise ValueError(f"unknown parameters for {preset}: {extra}")
-    return _PRESET_BUILDERS[preset](resolved)
+    return build(resolved)

@@ -87,10 +87,6 @@ class IntPolynomial:
         return out
 
     @classmethod
-    def constant(cls, c):
-        return cls((c,))
-
-    @classmethod
     def variable(cls):
         return cls((0, 1))
 

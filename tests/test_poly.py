@@ -381,7 +381,7 @@ _dense = st.lists(_small, max_size=4).map(IntPolynomial)
 # products of linear factors, so that operands often share a factor
 _factored = st.builds(
     lambda c, factors: math.prod((IntPolynomial((b, a)) for a, b in factors), start=c),
-    st.sampled_from([1, -1, 2, -3, 6]).map(IntPolynomial.constant),
+    st.sampled_from([1, -1, 2, -3, 6]).map(lambda c: IntPolynomial((c,))),
     st.lists(st.tuples(st.integers(-2, 2).filter(bool), st.integers(-3, 3)), max_size=3),
 )
 _polys = st.one_of(_dense, _factored)

@@ -67,11 +67,10 @@ _RECORDS = [
      ("kind", "k", "D", "epsilon", "C", "phi"),
      "GrowthBound(kind='poly', k=2, D=Fraction(1, 1), epsilon=Fraction(1, 10), C=mpf('3.0'), "
      "phi=mpf('0.25'))"),
-    (VerificationReport("e", {"A": 1}, 60, "E", "2.718", "1e-20", "3e-21", "Pass", "plain"),
-     ("preset", "params", "terms", "claimed", "oracle", "abs_err", "rel_err", "verdict",
-      "method"),
+    (VerificationReport("e", {"A": 1}, 60, "E", "2.718", "1e-20", "Pass", "plain"),
+     ("preset", "params", "terms", "claimed", "oracle", "abs_err", "verdict", "method"),
      "VerificationReport(preset='e', params={'A': 1}, terms=60, claimed='E', oracle='2.718', "
-     "abs_err='1e-20', rel_err='3e-21', verdict='Pass', method='plain')"),
+     "abs_err='1e-20', verdict='Pass', method='plain')"),
 ]
 _IDS = [type(record).__name__ for record, _, _ in _RECORDS]
 

@@ -1,0 +1,68 @@
+"""Static checks of the package source, with the standard library's ast.
+
+Every name a module of src/polycf imports is read in that module, and every
+private module-level name (one leading underscore) is read somewhere in the
+package outside its own definition.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+_SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "polycf").glob("*.py"))
+_TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in _SOURCES}
+
+
+def _imported(tree):
+    """(line, name) for each name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _read(node):
+    """The names node reads: loaded names, attributes and imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def _defined(statement):
+    """The module-level names a top-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = []
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    return [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+
+
+@pytest.mark.parametrize("module", sorted(_TREES))
+def test_no_unused_import(module):
+    tree = _TREES[module]
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert [(line, name) for line, name in _imported(tree) if name not in loaded] == []
+
+
+def test_every_private_module_level_name_is_read():
+    statements = [(module, s, set(_read(s))) for module, tree in _TREES.items() for s in tree.body]
+    unread = [
+        f"{module}: {name}"
+        for module, statement, _ in statements
+        for name in _defined(statement)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in read for _, other, read in statements if other is not statement)
+    ]
+    assert unread == []
