@@ -7,9 +7,11 @@ Richardson path, 4096-bit rows whose errors print through mpmath's
 far-exponent branch, the sine-product family ex4.2 at 4096 bits), the
 `polycf family` output of every preset at its defaults and of the members
 `ex2.2 --b 1` and `ex2.5 --c 1`, whose hypotheses fail (hypothesis names,
-details, `holds` and `verified`), and the sha256 of the `reproduce-paper`
-stdout and of each of its files.  Every printed number must stay the same
-byte for byte.
+details, `holds` and `verified`), `polycf transform` for each of its eight
+ops and once with `--format table`, `polycf eval --preset ex3.3` at 300 and
+301 terms (the last count on the exact kernel and the first on the budgeted
+one), and the sha256 of the `reproduce-paper` stdout and of each of its
+files.  Every printed number must stay the same byte for byte.
 """
 
 import hashlib
