@@ -377,8 +377,7 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
     claim = member.limit
     if claim.kind == "named" and precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")  # the oracle's minimum
-    value, gap, n, converged, method = _limit(member.cf, tol / 10 ** 6, terms, precision_bits,
-                                              "auto", True)
+    value, gap, n, converged, method = _limit(member.cf, tol / 10 ** 6, terms, precision_bits, True)
     # d = |value - claim| = dist / q_ref and the oracle's bound e / (q_ref / q 2^f)
     p, q = value.numerator, value.denominator
     if claim.kind == "named":

@@ -32,10 +32,10 @@ from .poly import (
     ratfn_from_string,
 )
 
-# beyond this many terms the exact backend's integers get unwieldy
+# the limit loop's kernel is exact up to this many terms and budgeted beyond
 _EXACT_TERM_LIMIT = 300
 _FLOAT_GUARD_BITS = 32
-# the float kernel shifts its integers once they pass its bit budget by this
+# the budgeted kernel shifts its integers once they pass its bit budget by this
 # much, so that a shift comes every few terms rather than every term
 _SHIFT_SLACK_BITS = 64
 # extrapolate: the first checkpoint, the largest Richardson order m, and how
@@ -367,7 +367,7 @@ def _limit_tol(tol, max_terms, precision_bits):
     return tol
 
 
-def evaluate(cf, tol, max_terms, precision_bits=128, backend="auto"):
+def evaluate(cf, tol, max_terms, precision_bits=128):
     """Estimate the limit by iterating approximants (method "plain").
 
     Stops once two consecutive gaps between defined approximants fall below
@@ -381,21 +381,20 @@ def evaluate(cf, tol, max_terms, precision_bits=128, backend="auto"):
     [2^(R-3), 2^R) (D = 0 is small), so L <= R - 3 decides small and
     L >= R + 2 decides not small without a product; only the four values
     between compare exactly.  D comes from the kernel's determinant
-    recurrence; past the float kernel's first shift that D is approximate
-    and only decides "not small" (L from bitlen(D) - 1, its bound at most
-    2^-2 of it).  Other steps form D directly, as does the one after an
+    recurrence; past the kernel's first shift that D is approximate and
+    only decides "not small" (L from bitlen(D) - 1, its bound at most 2^-2
+    of it).  Other steps form D directly, as does the one after an
     undefined approximant (the kernel's previous pair is then not the last
-    defined one).  Both backends run the kernel of _recurrence:
-    "exact" never rounds and is authoritative for moderate term counts,
-    "float" gives it the budget b = precision_bits + guard +
-    bitlen(max_terms), so that its shifts add up to less than
-    max_terms * 2^-b <= 2^-(precision_bits + guard) relative.  The value and
-    the last gap, formed exactly once at the end, become mpf once.  A
-    failure to converge is reported through converged=False, not an
-    exception.  error_bound is the last gap, an estimate and not a bound
-    (see LimitEstimate).
+    defined one).  For max_terms up to _EXACT_TERM_LIMIT = 300 the kernel of
+    _recurrence never rounds; beyond, it runs with the budget
+    b = precision_bits + guard + bitlen(max_terms), so that its shifts add
+    up to less than max_terms * 2^-b <= 2^-(precision_bits + guard)
+    relative.  The value and the last gap, formed exactly once at the
+    end, become mpf once.  A failure to converge is reported through
+    converged=False, not an exception.  error_bound is the last gap, an
+    estimate and not a bound (see LimitEstimate).
     """
-    return _estimate(_limit(cf, tol, max_terms, precision_bits, backend, False), precision_bits)
+    return _estimate(_limit(cf, tol, max_terms, precision_bits, False), precision_bits)
 
 
 def tail_class(cf):
@@ -484,23 +483,24 @@ def extrapolate(cf, tol, max_terms, precision_bits=128):
     tol, or at the last checkpoint.
 
     The kernel runs once.  Without a class or three checkpoints the run is
-    evaluate's, with its automatic backend.  A failed ratio test or a zero
-    B_i in a checkpoint's window turns the method down, and evaluate's stop
-    rule reads on from that pair to max_terms, forming each gap directly, so
-    such a CF stops no earlier than the pair after that checkpoint.
+    evaluate's, exact up to 300 terms and budgeted beyond.  A failed ratio
+    test or a zero B_i in a checkpoint's window turns the method down, and
+    evaluate's stop rule reads on from that pair to max_terms, forming each
+    gap directly, so such a CF stops no earlier than the pair after that
+    checkpoint.
 
     Precision.  An error e in the f_{n_i} moves the estimate by up to
     sum |u_i| / d times e, so the fixed-point values carry
-    ceil(log2 sum |u_i| / d) guard bits more than evaluate's float backend,
-    computed from the last (largest) window before the run.
+    ceil(log2 sum |u_i| / d) guard bits more than evaluate's budget beyond
+    300 terms, computed from the last (largest) window before the run.
 
     A Richardson estimate never counts as converged, and its error_bound is
     infinite.  terms_used is the number of terms read.
     """
-    return _estimate(_limit(cf, tol, max_terms, precision_bits, "auto", True), precision_bits)
+    return _estimate(_limit(cf, tol, max_terms, precision_bits, True), precision_bits)
 
 
-def _limit(cf, tol, max_terms, precision_bits, backend, extrapolating):
+def _limit(cf, tol, max_terms, precision_bits, extrapolating):
     """The loop behind evaluate and extrapolate: one kernel run, read by the
     Richardson checkpoints while that method applies, else by the plain
     stop rule.  Returns the exact parts (value, gap, terms_used, converged,
@@ -508,10 +508,6 @@ def _limit(cf, tol, max_terms, precision_bits, backend, extrapolating):
     |A_N/B_N - A_l/B_l| as the integer pair (|A_N B_l - A_l B_N|, |B_N B_l|),
     not reduced, or None where there is none yet."""
     tol = _limit_tol(tol, max_terms, precision_bits)
-    if backend == "auto":
-        backend = "exact" if max_terms <= _EXACT_TERM_LIMIT else "float"
-    if backend not in ("exact", "float"):
-        raise ValueError(f"unknown backend {backend!r}")
     points = _checkpoints(max_terms) if extrapolating and tail_class(cf) else []
     pairs = budget = None  # pairs: the Richardson window while that method applies
     if len(points) >= 3:
@@ -520,7 +516,7 @@ def _limit(cf, tol, max_terms, precision_bits, backend, extrapolating):
         bits = precision_bits + _FLOAT_GUARD_BITS + guard
         budget = bits + points[-1].bit_length()
         pairs = collections.deque(maxlen=2 * len(last) - 1)
-    elif backend == "float":
+    elif max_terms > _EXACT_TERM_LIMIT:
         budget = precision_bits + _FLOAT_GUARD_BITS + max_terms.bit_length()
     steps = itertools.islice(_scaled_terms(cf), max_terms)
     kernel = _recurrence(cf.b0, steps, budget, gaps=pairs is None)

@@ -12,7 +12,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .cf import _limit, cf_from_json, cf_to_json, convergents
+from . import transforms
+from .cf import CFSpec, _limit, cf_from_json, cf_to_json, convergents
 from .errors import HypothesisViolation, PolycfError
 from .families import build_preset
 from .poly import json_list, json_value, ratfn_from_string
@@ -138,7 +139,7 @@ def _cmd_eval(args, params):
     cf = _resolve_cf(args, params)
     tol = json_value(args.tol, "--tol", "rational")
     bits = args.precision_bits
-    value, gap, terms_used, converged, _ = _limit(cf, tol, args.terms, bits, "auto", False)
+    value, gap, terms_used, converged, _ = _limit(cf, tol, args.terms, bits, False)
     _emit(
         args.format,
         dict,
@@ -161,51 +162,47 @@ def _cmd_convergents(args, params):
     return 0
 
 
-def _cmd_transform(args, params):
-    from . import transforms
+# transform op -> (its transforms function, what it reads): the keys of its
+# --input object, "w" for a CF and --w, or None for a CF alone
+_TRANSFORMS = {
+    "euler": (transforms.euler_from_series, ("terms",)),
+    "gen-euler": (transforms.generalized_euler, ("terms", "weights")),
+    "product": (transforms.product_to_cf, ("factors",)),
+    "gen-product": (transforms.generalized_product, ("factors", "weights")),
+    "even": (transforms.even_part, None),
+    "odd": (transforms.odd_part, None),
+    "bauer-muir": (transforms.bauer_muir, "w"),
+    "extend": (transforms.extension_bmoe, "w"),
+}
 
+
+def _transform_json(out):
+    if isinstance(out, CFSpec):
+        return cf_to_json(out)
+    return {  # a BauerMuirResult
+        "cf": cf_to_json(out.cf),
+        "w": [str(x) for x in out.w],
+        "existence_margin": [str(x) for x in out.existence_margin],
+    }
+
+
+def _cmd_transform(args, params):
     op = args.op
-    if (args.w is None) == (op in ("bauer-muir", "extend")):
+    build, reads = _TRANSFORMS[op]
+    if (args.w is None) == (reads == "w"):
         verb = "requires" if args.w is None else "does not read"
         _fail(2, "InvalidInput", f"transform {op} {verb} --w")
-    if op in ("euler", "gen-euler", "product", "gen-product"):
+    if isinstance(reads, tuple):
         if not args.input:
             _fail(2, "InvalidInput", f"transform {op} requires --input")
         data = json_value(_load_json_arg(args.input, params), "$", "object")
         if "terms" in args.given:  # the output has as many terms as the input
             _fail(2, "InvalidInput", f"transform {op} does not read --terms")
-
-        def rationals(key):
-            return json_list(data.get(key), f"$.{key}", "rational")
-
-        if op == "euler":
-            out = transforms.euler_from_series(rationals("terms"))
-        elif op == "gen-euler":
-            out = transforms.generalized_euler(rationals("terms"), rationals("weights"))
-        elif op == "product":
-            out = transforms.product_to_cf(rationals("factors"))
-        else:
-            out = transforms.generalized_product(rationals("factors"), rationals("weights"))
-        _emit(args.format, cf_to_json, out)
-        return 0
-    cf = _resolve_cf(args, params)
-    if op == "even":
-        _emit(args.format, cf_to_json, transforms.even_part(cf, args.terms))
-    elif op == "odd":
-        _emit(args.format, cf_to_json, transforms.odd_part(cf, args.terms))
-    elif op == "bauer-muir":
-        res = transforms.bauer_muir(cf, _parse_w(args.w), args.terms)
-        _emit(
-            args.format,
-            lambda: {
-                "cf": cf_to_json(res.cf),
-                "w": [str(x) for x in res.w],
-                "existence_margin": [str(x) for x in res.existence_margin],
-            },
-        )
+        out = build(*[json_list(data.get(key), f"$.{key}", "rational") for key in reads])
     else:
-        out = transforms.extension_bmoe(cf, _parse_w(args.w), args.terms)
-        _emit(args.format, cf_to_json, out)
+        cf = _resolve_cf(args, params)
+        out = build(cf, args.terms) if reads is None else build(cf, _parse_w(args.w), args.terms)
+    _emit(args.format, _transform_json, out)
     return 0
 
 
@@ -290,8 +287,7 @@ _MAX_PRECISION_BITS = 1 << 16
 
 _OPTIONS = {
     "preset": {"required": True},
-    "op": {"required": True, "choices": ["euler", "gen-euler", "product", "gen-product",
-                                         "even", "odd", "bauer-muir", "extend"]},
+    "op": {"required": True, "choices": list(_TRANSFORMS)},
     "w": {},
     "terms": {"type": int, "default": 64},
     "tol": {"default": "1e-10"},

@@ -454,7 +454,8 @@ _PRESETS = {
     "entry13": ({"a": ("rational", "1"), "b": ("rational", "1"), "d": ("rational", "1")},
                 lambda p: ramanujan_entry13(p["a"], p["b"], p["d"])),
 }
-PRESET_PARAMS = {preset: spec for preset, (spec, _) in _PRESETS.items()}
+# copies: a caller that edits the public table changes no later build
+PRESET_PARAMS = {preset: dict(spec) for preset, (spec, _) in _PRESETS.items()}
 
 
 def _coerce(kind, value, name):

@@ -474,9 +474,7 @@ class RationalFunction:
 
 
 def degree(r):
-    """Degree of a rational function (or polynomial); MINUS_INFINITY for zero."""
-    if isinstance(r, IntPolynomial):
-        return r.degree
+    """Degree of a rational function; MINUS_INFINITY for zero."""
     if r.is_zero:
         return MINUS_INFINITY
     return r.num.degree - r.den.degree
@@ -484,8 +482,6 @@ def degree(r):
 
 def leading_coefficient(r):
     """Leading coefficient of numerator over leading coefficient of denominator."""
-    if isinstance(r, IntPolynomial):
-        return Fraction(r.leading_coefficient)
     if r.is_zero:
         raise ZeroFunction("the zero function has no leading coefficient")
     return Fraction(r.num.leading_coefficient, r.den.leading_coefficient)

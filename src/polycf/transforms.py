@@ -4,8 +4,9 @@ plus contractions and the Bauer-Muir transformation.
 Every series and product construction goes through one Euler term rule:
 _euler_term on rational functions for euler_tail, and the same rule on the
 integer numerators and denominators of the values in _euler_body for the
-finite ones.  euler_tail and bauer_muir_tail return CFs with a symbolic
-tail, from which the families are built.
+finite ones; all of these but product_to_cf build through _euler_cf,
+which also refuses a u_n = 0.  euler_tail and bauer_muir_tail return CFs
+with a symbolic tail, from which the families are built.
 
 All constructions here are exact: every output approximant is a prescribed
 rational function of the inputs (partial sums, partial products, or a fixed
@@ -100,18 +101,21 @@ def _euler_body(u, rho=None):
     return tuple(terms)
 
 
+def _euler_cf(b0, u, error, rho=None):
+    """The finite Euler CF with leading term b0 and the terms of _euler_body;
+    raises error(n) at the first u_n = 0, which gives no Euler term."""
+    for n, v in enumerate(u, 1):
+        if v == 0:
+            raise error(n)
+    return CFSpec._make(b0, _euler_body(u, rho))
+
+
 def bernoulli_from_sequence(K):
     """CF whose n-th approximant is K_n, for a sequence with K_n != K_{n-1}."""
     K = [_as_fraction(t) for t in K]
     if not K:
         raise ValueError("sequence must contain at least K_0")
-    deltas = []
-    for n in range(1, len(K)):
-        d = K[n] - K[n - 1]
-        if d == 0:
-            raise RepeatedValue(n)
-        deltas.append(d)
-    return CFSpec._make(K[0], _euler_body(deltas))
+    return _euler_cf(K[0], [K[n] - K[n - 1] for n in range(1, len(K))], RepeatedValue)
 
 
 def euler_from_series(a):
@@ -119,10 +123,7 @@ def euler_from_series(a):
     a = _as_sequence(a, "terms")
     if not a:
         raise ValueError("series must contain at least a_0")
-    for n in range(1, len(a)):
-        if a[n] == 0:
-            raise ZeroTerm(n)
-    return CFSpec._make(a[0], _euler_body(a[1:]))
+    return _euler_cf(a[0], a[1:], ZeroTerm)
 
 
 def generalized_euler(a, b):
@@ -135,13 +136,8 @@ def generalized_euler(a, b):
     b = [_as_fraction(t) for t in b]
     if not a or len(b) != len(a):
         raise ValueError("need weights b_0..b_N matching terms a_0..a_N")
-    c = []
-    for n in range(1, len(a)):
-        cn = a[n] + b[n] - b[n - 1]
-        if cn == 0:
-            raise DegenerateTerm(n)
-        c.append(cn)
-    return CFSpec._make(a[0] + b[0], _euler_body(c))
+    c = [a[n] + b[n] - b[n - 1] for n in range(1, len(a))]
+    return _euler_cf(a[0] + b[0], c, DegenerateTerm)
 
 
 def product_to_cf(a):
@@ -169,13 +165,8 @@ def generalized_product(a, b):
     b = [_as_fraction(t) for t in b]
     if len(b) != len(a) + 1:
         raise ValueError("need weights b_0..b_N matching factors a_1..a_N")
-    u = []
-    for n in range(1, len(a) + 1):
-        v = a[n - 1] * b[n] - b[n - 1]
-        if v == 0:
-            raise DegenerateTerm(n)
-        u.append(v)
-    return CFSpec._make(b[0], _euler_body(u, [1] + a[:-1]))
+    u = [a[n - 1] * b[n] - b[n - 1] for n in range(1, len(a) + 1)]
+    return _euler_cf(b[0], u, DegenerateTerm, [1] + a[:-1])
 
 
 def euler_tail(b0, u, rho=1):

@@ -477,7 +477,7 @@ def test_limit_parts_equal_a_direct_product_reference(preset, bits):
 
     cf = build_preset(preset).cf
     tol = F(1, 2 ** (bits - 40)) / 10**6
-    assert cf_module._limit(cf, tol, 2000, bits, "auto", True) == (
+    assert cf_module._limit(cf, tol, 2000, bits, True) == (
         *_direct_limit(cf, tol, 2000, bits), "plain")
 
 

@@ -5,12 +5,14 @@ import json
 import math
 import operator
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import polycf.cf as cf_module
 from polycf.cf import (
     _FLOAT_GUARD_BITS,
     UNDEFINED,
@@ -42,6 +44,14 @@ from polycf.poly import IntPolynomial, RationalFunction, ratfn_from_string
 F = Fraction
 
 E_CF = CFSpec(b0=F(2), tail=("n+1", "n+1"))
+
+
+def _evaluate(cf, tol, max_terms, bits=128, backend="exact"):
+    """evaluate on the exact kernel ("exact") or the budgeted one ("float")
+    whatever max_terms is, with the switch at _EXACT_TERM_LIMIT moved."""
+    limit = {"exact": math.inf, "float": 0}[backend]
+    with mock.patch.object(cf_module, "_EXACT_TERM_LIMIT", limit):
+        return evaluate(cf, tol, max_terms, bits)
 
 
 def test_term_at_prefix_and_tail():
@@ -156,6 +166,14 @@ def test_approximants_undefined_entry():
     assert seq.values()[2] == F(2)
 
 
+def test_approximant_sequence_indexes_its_entries():
+    seq = approximants(E_CF, 3)
+    assert len(seq) == 4
+    assert [seq[n] for n in range(len(seq))] == [(c.index, c.value) for c in convergents(E_CF, 3)]
+    assert seq[-1] == (3, seq.values()[3])
+    assert seq[1:3] == seq.entries[1:3]
+
+
 def test_evaluate_converges_to_e():
     est = evaluate(E_CF, F(1, 10**15), 40)
     assert est.converged
@@ -175,12 +193,12 @@ def test_evaluate_finite_cf_exact():
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_finite_cf_with_undefined_final_approximant_is_not_converged(backend):
     # A_1/B_1 = 1/0: the last defined approximant is b0, with no gap yet
-    est = evaluate(CFSpec(b0=F(0), prefix=((F(1), F(0)),)), F(1, 100), 2, backend=backend)
+    est = _evaluate(CFSpec(b0=F(0), prefix=((F(1), F(0)),)), F(1, 100), 2, backend=backend)
     assert (est.value, est.error_bound, est.terms_used, est.converged) == (0, mpmath.inf, 1, False)
     # B_3 = 0 after B_1 = 1, B_2 = 2: A_2/B_2 = 3/2, one gap |3/2 - 2/1| back
     cf = CFSpec(b0=F(1), prefix=((F(1), F(1)), (F(1), F(1)), (F(-4), F(2))))
     assert approximants(cf, 3).values()[3] is UNDEFINED
-    est = evaluate(cf, F(1, 100), 5, backend=backend)
+    est = _evaluate(cf, F(1, 100), 5, backend=backend)
     assert (est.value, est.error_bound, est.terms_used, est.converged) == (
         mpmath.mpf(1.5), mpmath.mpf(0.5), 3, False)
 
@@ -197,16 +215,14 @@ def test_evaluate_validation():
         evaluate(E_CF, F(0), 10)
     with pytest.raises(ValueError):
         evaluate(E_CF, F(1, 10), 1)
-    with pytest.raises(ValueError):
-        evaluate(E_CF, F(1, 10), 10, backend="fancy")
     for bits in (0, -3):
         with pytest.raises(ValueError):
             evaluate(E_CF, F(1, 10), 10, precision_bits=bits)
 
 
 def test_evaluate_backends_agree():
-    exact = evaluate(E_CF, F(1, 10**12), 60, backend="exact")
-    flt = evaluate(E_CF, F(1, 10**12), 60, backend="float")
+    exact = _evaluate(E_CF, F(1, 10**12), 60, backend="exact")
+    flt = _evaluate(E_CF, F(1, 10**12), 60, backend="float")
     assert abs(exact.value - flt.value) < 1e-12
     assert exact.converged and flt.converged
 
@@ -235,7 +251,7 @@ def _exact_last_convergent(cf, N):
 
 def _float_matches_last_convergent(cf, N):
     """A float evaluate over all N terms is within 2^-128 of exact A_N/B_N."""
-    est = evaluate(cf, F(1, 10**100), N, precision_bits=128, backend="float")
+    est = _evaluate(cf, F(1, 10**100), N, 128, "float")
     assert est.terms_used == N and not est.converged
     A, B = _exact_last_convergent(cf, N)
     man, exp = est.value.man_exp
@@ -366,10 +382,10 @@ def test_evaluate_stop_rule_matches_direct_products(cf, tol, max_terms, bits, ba
         want, gaps = _reference_evaluate(cf, tol, max_terms, bits, backend)
     except PolycfError as exc:
         with pytest.raises(type(exc)) as got:
-            evaluate(cf, tol, max_terms, bits, backend)
+            _evaluate(cf, tol, max_terms, bits, backend)
         assert got.value.args == exc.args
         return
-    assert _fields(evaluate(cf, tol, max_terms, bits, backend)) == want
+    assert _fields(_evaluate(cf, tol, max_terms, bits, backend)) == want
     if pick is not None and any(num for num, _ in gaps):
         # a tol at a gap or just beside it: the bit-length screen cannot
         # decide that step, and at equality the strict comparison does
@@ -377,7 +393,7 @@ def test_evaluate_stop_rule_matches_direct_products(cf, tol, max_terms, bits, ba
         i, side = pick
         tol = F(*nonzero[i % len(nonzero)]) * (1 + F(side, 2**40))
         want, _ = _reference_evaluate(cf, tol, max_terms, bits, backend)
-        assert _fields(evaluate(cf, tol, max_terms, bits, backend)) == want
+        assert _fields(_evaluate(cf, tol, max_terms, bits, backend)) == want
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -438,8 +454,6 @@ def test_stop_rule_reads_an_approximate_gap_only_within_its_bound(monkeypatch, p
     # each approximate D moved up by 1/4 of the exact one where err <= -2
     # (the largest error the rule accepts), and to nonsense where err > -2:
     # every decision must still be the exact rule's, at tols placed at gaps
-    import polycf.cf as cf_module
-
     def skewed(*args, **kwargs):
         for A, B, m, D, err in _recurrence(*args, **kwargs):
             if err is not None and err > -2:
@@ -456,7 +470,7 @@ def test_stop_rule_reads_an_approximate_gap_only_within_its_bound(monkeypatch, p
     monkeypatch.setattr(cf_module, "_recurrence", skewed)
     for tol in tols:
         want, _ = _reference_evaluate(cf, tol, 1500, bits, "float")
-        assert _fields(evaluate(cf, tol, 1500, bits, "float")) == want
+        assert _fields(_evaluate(cf, tol, 1500, bits, "float")) == want
 
 
 def _stop_rule(cf, tol, max_terms):
@@ -487,8 +501,8 @@ def test_rational_tail_same_on_both_backends(a, b):
     cf = CFSpec(b0=F(1, 3), prefix=((F(2, 5), F(7, 3)),), tail=CFTail(a, b, 2))
     tol = F(1, 10**30)
     n, value, gap = _stop_rule(cf, tol, 300)
-    exact = evaluate(cf, tol, 300, backend="exact")
-    flt = evaluate(cf, tol, 300, backend="float")
+    exact = _evaluate(cf, tol, 300, backend="exact")
+    flt = _evaluate(cf, tol, 300, backend="float")
     assert exact.converged and flt.converged
     assert exact.terms_used == flt.terms_used == n
     assert exact.value == flt.value
@@ -506,7 +520,7 @@ def test_undefined_approximant_mid_prefix_is_skipped():
     tol = F(1, 2)
     n, value, gap = _stop_rule(cf, tol, 50)
     for backend in ("exact", "float"):
-        est = evaluate(cf, tol, 50, backend=backend)
+        est = _evaluate(cf, tol, 50, backend=backend)
         assert est.converged
         assert est.terms_used == n
         assert _close(est.value, value)
@@ -516,11 +530,11 @@ def test_undefined_approximant_mid_prefix_is_skipped():
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_prefix_of_exactly_max_terms_is_not_finite(backend):
     cf = CFSpec(b0=F(0), prefix=((F(1), F(1)),) * 10)
-    est = evaluate(cf, F(1, 10**30), 10, backend=backend)
+    est = _evaluate(cf, F(1, 10**30), 10, backend=backend)
     assert not est.converged
     assert est.terms_used == 10
     assert est.error_bound > 0
-    est = evaluate(cf, F(1, 10**30), 11, backend=backend)
+    est = _evaluate(cf, F(1, 10**30), 11, backend=backend)
     assert est.converged
     assert est.terms_used == 10
     assert est.error_bound == 0
@@ -530,13 +544,13 @@ def test_prefix_of_exactly_max_terms_is_not_finite(backend):
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_term_errors_raised_when_reached(backend):
     zero_at_3 = CFSpec(b0=F(0), tail=("n-3", "1"))
-    assert evaluate(zero_at_3, F(1, 10), 2, backend=backend).terms_used == 2
+    assert _evaluate(zero_at_3, F(1, 10), 2, backend=backend).terms_used == 2
     with pytest.raises(ZeroPartialNumerator):
-        evaluate(zero_at_3, F(1, 10**9), 10, backend=backend)
+        _evaluate(zero_at_3, F(1, 10**9), 10, backend=backend)
     pole_at_4 = CFSpec(b0=F(0), tail=("1/(n-4)", "n"))
-    assert evaluate(pole_at_4, F(1, 10**9), 3, backend=backend).terms_used == 3
+    assert _evaluate(pole_at_4, F(1, 10**9), 3, backend=backend).terms_used == 3
     with pytest.raises(PoleAtArgument):
-        evaluate(pole_at_4, F(1, 10**9), 10, backend=backend)
+        _evaluate(pole_at_4, F(1, 10**9), 10, backend=backend)
 
 
 def test_similarity_scale_sequence_preserves_values():

@@ -169,7 +169,9 @@ def _golden_numbers(tmp_path, capsys):
     out = []
     for row in _GOLDEN["rows"]:
         argv = row["argv"]
-        bits = int(argv[argv.index("--precision-bits") + 1]) if "--precision-bits" in argv else 128
+        if "table" in argv:  # the one table row is a transform's, with none of these numbers
+            continue
+        bits =int(argv[argv.index("--precision-bits") + 1]) if "--precision-bits" in argv else 128
         data = json.loads(row["stdout"])
         out += [(data[k], bits) for k in ("value", "error_bound", "oracle", "abs_err") if k in data]
     main(["reproduce-paper", "--out", str(tmp_path)])

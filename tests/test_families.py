@@ -292,7 +292,7 @@ def test_family_pi_structure():
     assert m.cf.b0 == F(-1)
     assert m.limit.constant.name == "PiOver4"
     assert m.verified
-    est = evaluate(m.cf, F(1, 10**8), 3000, backend="float")
+    est = evaluate(m.cf, F(1, 10**8), 3000)
     with mpmath.workprec(128):
         assert abs(est.value - mpmath.pi / 4) < 1e-3
 
@@ -331,7 +331,7 @@ def test_family_zeta_k2_converges():
     m = family_zeta(2, IntPolynomial((1, 1)))
     assert m.limit.constant.describe() == "Zeta(k=2)"
     assert m.verified
-    est = evaluate(m.cf, F(1, 10**10), 2000, backend="float")
+    est = evaluate(m.cf, F(1, 10**10), 2000)
     with mpmath.workprec(128):
         assert abs(est.value - mpmath.zeta(2)) < 1e-6
 
@@ -371,7 +371,7 @@ def test_family_sin_product_m3_display():
     assert (a1, b1) == (F(-1), F(9))
     a2, b2 = term_at(m.cf, 2)
     assert (a2, b2) == (F(72), F(-44))
-    est = evaluate(m.cf, F(1, 10**8), 2000, backend="float")
+    est = evaluate(m.cf, F(1, 10**8), 2000)
     with mpmath.workprec(128):
         want = mpmath.sin(mpmath.pi / 3) / (mpmath.pi / 3)
         assert abs(est.value - want) < 1e-2
@@ -440,6 +440,17 @@ def test_preset_ids_and_params():
         assert member.limit is not None
 
 
+def test_editing_preset_params_changes_no_build(monkeypatch):
+    before = {pid: build_preset(pid) for pid in preset_ids()}
+    monkeypatch.setitem(PRESET_PARAMS["ex2.2"], "b", ("ratfn", "1"))
+    for spec in PRESET_PARAMS.values():
+        for name in list(spec):
+            if spec is not PRESET_PARAMS["ex2.2"]:
+                monkeypatch.delitem(spec, name)
+    assert {pid: build_preset(pid) for pid in preset_ids()} == before
+    assert all(h.holds for h in build_preset("ex2.2").hypotheses)
+
+
 def test_build_preset_param_coercion():
     m = build_preset("ex3.4", {"k": "3", "A": "2"})
     assert m.limit.constant.params["k"] == 3
@@ -470,7 +481,7 @@ def test_preset_default_members_verified():
 
 def test_preset_brouncker_value():
     m = build_preset("brouncker")
-    est = evaluate(m.cf, F(1, 10**6), 5000, backend="float")
+    est = evaluate(m.cf, F(1, 10**6), 5000)
     with mpmath.workprec(128):
         assert abs(est.value - 4 / mpmath.pi) < 1e-3
 

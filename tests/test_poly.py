@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polycf.errors import PoleAtArgument, ZeroFunction
@@ -311,6 +311,21 @@ def test_ratfn_from_string():
     assert r.den == x + 2
     assert ratfn_from_string("n^2").den == IntPolynomial((1,))
     assert ratfn_from_string("3/4")(10) == Fraction(3, 4)
+
+
+_bounded_poly = st.lists(
+    st.integers(-3, 3) | st.integers(1 - 10**_MAX_POLY_DIGITS, 10**_MAX_POLY_DIGITS - 1),
+    max_size=_MAX_POLY_EXPONENT + 1,
+).map(IntPolynomial)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=_bounded_poly, q=_bounded_poly.filter(lambda q: not q.is_zero))
+def test_str_round_trips_through_the_parsers(p, q):
+    assert poly_from_string(str(p)) == p
+    r = RationalFunction(p, q)
+    assume(all(abs(c) < 10**_MAX_POLY_DIGITS for c in r.num.coeffs + r.den.coeffs))
+    assert ratfn_from_string(str(r)) == r
 
 
 def test_json_round_trip():
