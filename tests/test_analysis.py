@@ -383,6 +383,30 @@ def test_growth_constant_matches_direct_formula(cf, epsilon):
     assert g.C._mpf_ == _reference_growth_constant(cf, 120, epsilon)
 
 
+# sha256 of "N eps kind k D epsilon C phi" lines, C and phi as hex mantissa
+# and exponent, of growth_diagnostics(preset, N, eps) for N = 1, 2, 200, 2000
+# and eps = 1, 1/10, as the exact search over every index gave them
+_GROWTH_PINS = {
+    "brouncker": "b9d691834c3ea05fde480eea39e0dfd4c4e647d1b95b217703050ea1aac2b634",
+    "e": "46c22f50a68c4502bd51c9d8e71a071b96e6ea38a5751db6a556c56e0d63fb97",
+    "ex2.2": "156d582579f8ba1c09edcffca263498cd876c18363db00a17e51d03f428bd622",
+    "ex2.4": "7209679f2fa4b180db4762500edfd3f18beb12b8bd5472d7109e6c0f954dbaf1",
+    "ex2.5": "fc767d1b920637a9a71afa24b773d6ca5416780e34fcd73823fac65fe5362087",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_GROWTH_PINS))
+def test_growth_bounds_are_pinned(preset):
+    cf = build_preset(preset, {}).cf
+    text = ""
+    for N in (1, 2, 200, 2000):
+        for eps in (F(1), F(1, 10)):
+            g = growth_diagnostics(cf, N, eps)
+            text += "%d %s %s %d %s %s %x %d %x %d\n" % (
+                N, eps, g.kind, g.k, g.D, g.epsilon, *g.C.man_exp, *g.phi.man_exp)
+    assert hashlib.sha256(text.encode()).hexdigest() == _GROWTH_PINS[preset]
+
+
 def test_growth_float_epsilon_is_read_as_written():
     # 0.1 is 1/10 as written, not the nearest double 3602879701896397/2^55
     g = growth_diagnostics(E_CF, 200, epsilon=0.1)

@@ -1,5 +1,6 @@
 """Unit tests for the continued fraction model and evaluator."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -131,14 +132,18 @@ def test_determinant_identity(cf, N):
         assert lhs == (-1) ** (n - 1) * prod
 
 
+# a fractional b0, rational prefix terms and a tail written with the negative
+# constant denominator -3 (held as (-n-1)/3)
+_SCALED_CF = CFSpec(F(-7, 3), ((F(2, 5), F(-3, 4)), (F(-1, 6), F(5, 2))),
+                    CFTail(RationalFunction(IntPolynomial([1, 1]), -3), "n^2-5", 1))
+
+
 def test_convergents_normalise_where_the_scale_is_not_one():
-    # the kernel's scale M_n = den(b0) m_1 ... m_n.  A fractional b0, rational
-    # prefix terms and a tail written with the negative constant denominator
-    # -3 (held as (-n-1)/3): M_n = 3 * 20 * 12 * 3^(n-2).  A tail
-    # denominator 2x - 1 read from x = 0: M_n = -1, -1, -3, -15, ...
+    # the kernel's scale M_n = den(b0) m_1 ... m_n: for _SCALED_CF,
+    # M_n = 3 * 20 * 12 * 3^(n-2).  A tail denominator 2x - 1 read from
+    # x = 0: M_n = -1, -1, -3, -15, ...
     cases = (
-        (CFSpec(F(-7, 3), ((F(2, 5), F(-3, 4)), (F(-1, 6), F(5, 2))),
-                CFTail(RationalFunction(IntPolynomial([1, 1]), -3), "n^2-5", 1)), 30),
+        (_SCALED_CF, 30),
         (CFSpec(F(2), (), CFTail("n+3", "(n-2)/(2n-1)", 0)), 12),
     )
     for cf, N in cases:
@@ -146,6 +151,34 @@ def test_convergents_normalise_where_the_scale_is_not_one():
         convs = convergents(cf, N)
         assert [(c.A, c.B) for c in convs] == _reference_pairs(cf, N)
         assert all(type(v) is F for c in convs for v in (c.A, c.B))
+
+
+# sha256 of "n A B" lines, A and B as hex p/q, of convergents(cf, N): ex3.3
+# at 1,000 terms (A = 1 has an integer b0, A = 2..5 a fractional one), ex3.4
+# with k = 3 at 300 terms, and _SCALED_CF, whose fractional b0 and prefix
+# terms make the kernel's scale M_n != 1 at every row
+_CONVERGENT_PINS = {
+    ("ex3.3", (("A", "1"),), 1000): "2bffd7b0a6f6839beedded70a72df1fb925829e728dc3498471478227e06c040",
+    ("ex3.3", (("A", "2"),), 1000): "e426f0048db0784c7a76c7d36121d95774da3af7aa17c96dcad75c74cee22870",
+    ("ex3.3", (("A", "3"),), 1000): "5da74b9c15d7def06d5f2287f884ec8cf450034879a5c858e0f3339861b3d047",
+    ("ex3.3", (("A", "4"),), 1000): "72bb75e61363029cab116788c4b34e2a7e3aaf7bf1a8273d35923a0ce4b31b32",
+    ("ex3.3", (("A", "5"),), 1000): "abe3694ff4ce29eeff855a1171a2310709c831523039914bfe9c5e30a433fb05",
+    ("ex3.4", (("k", "3"), ("A", "1")), 300): "7d31566d517f85cc26acdfa95bec15e4bb130eafb7723fdd08953d4fcffec7cb",
+    ("ex3.4", (("k", "3"), ("A", "2")), 300): "dd5a6236b37f6dddc798ddc5366f45801986b42e6b36798068503a9b78e1e0a8",
+    ("ex3.4", (("k", "3"), ("A", "3")), 300): "863fa5a8b4cce67011c83bf2ee3e139cf20aa97bc40cfd2e854097c0a9a1042c",
+    (None, (), 300): "91f50f482b75a402dfd2d041c5ef917f79983411dd45965fc27c132eda5a0b97",
+}
+
+
+@pytest.mark.parametrize("preset, params, N", sorted(_CONVERGENT_PINS, key=str))
+def test_convergents_are_pinned(preset, params, N):
+    cf = _SCALED_CF if preset is None else build_preset(preset, dict(params)).cf
+    convs = convergents(cf, N)
+    text = "".join(f"{c.index} {c.A.numerator:x}/{c.A.denominator:x} "
+                   f"{c.B.numerator:x}/{c.B.denominator:x}\n" for c in convs)
+    assert hashlib.sha256(text.encode()).hexdigest() == _CONVERGENT_PINS[preset, params, N]
+    assert all(type(v) is F and v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+               for c in convs for v in (c.A, c.B))
 
 
 def test_convergents_reject_negative_counts():

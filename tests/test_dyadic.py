@@ -169,7 +169,7 @@ def _golden_numbers(tmp_path, capsys):
     out = []
     for row in _GOLDEN["rows"]:
         argv = row["argv"]
-        if "table" in argv:  # the one table row is a transform's, with none of these numbers
+        if "table" in argv:  # the table rows print none of these numbers
             continue
         bits =int(argv[argv.index("--precision-bits") + 1]) if "--precision-bits" in argv else 128
         data = json.loads(row["stdout"])

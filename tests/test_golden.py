@@ -10,8 +10,10 @@ far-exponent branch, the sine-product family ex4.2 at 4096 bits), the
 details, `holds` and `verified`), `polycf transform` for each of its eight
 ops and once with `--format table`, `polycf eval --preset ex3.3` at 300 and
 301 terms (the last count on the exact kernel and the first on the budgeted
-one), and the sha256 of the `reproduce-paper` stdout and of each of its
-files.  Every printed number must stay the same byte for byte.
+one), `polycf convergents --preset ex3.3` with A = 1 (an integer b0) and
+A = 2 (b0 = 1/2) in both formats, and the sha256 of the `reproduce-paper`
+stdout and of each of its files.  Every printed number must stay the same
+byte for byte.
 """
 
 import hashlib
