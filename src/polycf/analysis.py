@@ -25,7 +25,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .cf import _canonical_pairs, _first, _is_integer_tail, _limit, _limit_tol, _mpf, _scaled_terms
+from .cf import _first, _is_integer_tail, _limit, _limit_tol, _mpf, _recurrence, _scaled_terms
 from .dyadic import round_rational, round_to, to_str
 from .errors import (
     EmptyRange,
@@ -131,14 +131,45 @@ def _terms_at_least_one(cf):
         yield a, b, m
 
 
+def _least_candidates(bs, log_p, log_q, k, wide):
+    """The indices n (from 1) where B_n / (g^n (n!)^k) can be least as
+    growth_diagnostics compares it, for B_n = B / M with (B, M) = bs[n - 1]
+    and g = p/q with log_p, log_q the float log2 of p and q.
+
+    The screen takes l_n = log2 B - log2 M - n log2 g - k log2 n! in floats,
+    the logs apart because log2 of a huge Fraction overflows.  With
+    u = 2^-53, each log2 is within 4u (1 + |log2|), the sum log2 n! within
+    (n + 2) u of itself and each other step within u of its size, so l_n is
+    within e = 8 (N + 8) u (S + 1) of the exact log2 of its ratio, S the sum
+    of the sizes at n = N (B and M grow with n).  GoldenRatio's mpf ratios,
+    with n - 1 products in phi^n, are within (3n + 2) 2^-wide of exact,
+    which adds (N + 8) 2^(4 - wide) to e.  The least compared ratio then has
+    l_n <= min l + 2e.
+    """
+    N = len(bs)
+    log_facts = list(itertools.accumulate(map(math.log2, range(1, N + 1))))
+    logs = [math.log2(B) - math.log2(M) - n * (log_p - log_q) - k * log_fact
+            for n, (B, M), log_fact in zip(itertools.count(1), bs, log_facts)]
+    size = sum(map(math.log2, bs[-1])) + N * (abs(log_p) + abs(log_q)) + k * log_facts[-1] + 1
+    bar = min(logs) + 2 * (N + 8) * (size * 2.0**-50 + 2.0 ** (4 - wide))
+    return [n for n, log in enumerate(logs, 1) if log <= bar]
+
+
 def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
     """Exhibit an empirical lower-bound constant for denominator growth.
 
     For a polynomial tail with non-constant b the bound is
     B_n >= C (|D|/(1+eps))^n (n!)^k with k = deg b and D its leading
-    coefficient; otherwise B_n >= C phi^n with phi the golden ratio.
-    Requires every realized term >= 1.  A float epsilon is read through its
-    shortest repr, as cf's limit tolerances are: 0.1 is 1/10.
+    coefficient; otherwise B_n >= C phi^n with phi the golden ratio.  C is
+    the least ratio over n = 1..N: for FactorialPower the exact
+    B_n / ((|D|/(1+eps))^n (n!)^k), rounded once; for GoldenRatio B_n
+    rounded to precision_bits + 32 bits and divided by phi^n, formed by
+    repeated products at that precision.  B_n is read from the kernel as
+    its B over its scale, unreduced and with no A_n formed, and only the
+    indices that a float screen of the ratios' logs cannot rule out are
+    compared (_least_candidates).  Requires every realized term >= 1.  A float
+    epsilon is read through its shortest repr, as cf's limit tolerances
+    are: 0.1 is 1/10.
     """
     import mpmath
 
@@ -149,8 +180,10 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
         raise ValueError("epsilon must be positive")
     if precision_bits < 1:
         raise ValueError("precision_bits must be at least 1")
-    steps = _first(_terms_at_least_one(cf), N)
-    bs = [B for _, B in _canonical_pairs(cf.b0, steps)]
+    bs, M = [], 1  # B_n = B / M, M > 0 as the steps are sign-normalised; b0 moves only A_n
+    for _, B, m, _, _ in _recurrence(Fraction(0), _first(_terms_at_least_one(cf), N)):
+        M *= m
+        bs.append((B, M))
     k = degree(cf.tail.b) if cf.tail is not None else 0
     wide = precision_bits + _GUARD_BITS
     with mpmath.workprec(wide):
@@ -158,19 +191,17 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
         if k >= 1:
             D = leading_coefficient(cf.tail.b)
             base = abs(D) / (1 + epsilon)
-            # up / down = 1 / (base^n (n!)^k); least ratio by cross-multiplication
-            up, down, least = 1, 1, None
-            for n, B_n in enumerate(bs, 1):
-                up *= base.denominator
-                down *= base.numerator * n**k
-                num, den = B_n.numerator * up, B_n.denominator * down
-                if least is None or num * least[1] < least[0] * den:
-                    least = num, den
-            C = _mpf(round_rational(Fraction(*least), wide, 0), wide)
+            p, q = base.numerator, base.denominator
+            least = min(
+                Fraction(bs[n - 1][0] * q**n, bs[n - 1][1] * p**n * math.factorial(n) ** k)
+                for n in _least_candidates(bs, math.log2(p), math.log2(q), k, wide)
+            )
+            C = _mpf(round_rational(least, wide, 0), wide)
             kind, kk, DD = "FactorialPower", k, D
         else:
-            powers = itertools.accumulate(itertools.repeat(phi, len(bs)), operator.mul)
-            C = min(_mpf(round_rational(B_n, wide, 0), wide) / p for B_n, p in zip(bs, powers))
+            ns = _least_candidates(bs, math.log2(1 + math.sqrt(5)), 1.0, 0, wide)
+            powers = list(itertools.accumulate(itertools.repeat(phi, ns[-1]), operator.mul))
+            C = min(_mpf(round_rational(Fraction(*bs[n - 1]), wide, 0), wide) / powers[n - 1] for n in ns)
             kind, kk, DD = "GoldenRatio", 0, Fraction(1)
         with mpmath.workprec(precision_bits):
             return GrowthBound(kind, kk, DD, epsilon, +C, +phi)

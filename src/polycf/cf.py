@@ -109,16 +109,23 @@ class CFSpec(Record):
 
 
 class Convergent(Record):
+    """The canonical pair (A_n, B_n) of index n, each a reduced Fraction."""
+
     __slots__ = ("index", "A", "B")
 
-    def __init__(self, index, A, B):  # direct: convergents builds one per term
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+    @classmethod
+    def _make(cls, index, A, B):
+        """Trusted constructor, one per row of convergents: sets the slots directly."""
+        out = object.__new__(cls)
+        _set_index(out, index), _set_A(out, A), _set_B(out, B)
+        return out
 
     @property
     def value(self):
         return self.A / self.B if self.B != 0 else UNDEFINED
+
+
+_set_index, _set_A, _set_B = (vars(Convergent)[name].__set__ for name in Convergent.__slots__)
 
 
 class ApproximantSequence(Record):
@@ -172,18 +179,24 @@ def term_at(cf, n):
 def convergents(cf, N):
     """Exact canonical pairs (A_n, B_n) for n = 0..N."""
     pairs = _canonical_pairs(cf.b0, _first(_scaled_terms(cf), N))
-    return [Convergent(0, cf.b0, Fraction(1))] + [
-        Convergent(n, A, B) for n, (A, B) in enumerate(pairs, 1)
-    ]
+    make = Convergent._make
+    return [make(0, cf.b0, Fraction(1))] + [make(n, A, B) for n, (A, B) in enumerate(pairs, 1)]
 
 
 def _canonical_pairs(b0, steps):
-    """Exact (A_n, B_n) for the steps' terms: the kernel's pairs divided by
-    its scale M_n = den(b0) m_1 ... m_n, normalised only where M_n != 1."""
-    M = b0.denominator
-    for A, B, m, _, _ in _recurrence(b0, steps):
+    """Exact (A_n, B_n) for the steps' terms from one kernel run started at
+    c, for b0 = c + r/q: A_n = (q A + r B) / (q M) and B_n = B / M from the
+    kernel's pair (A, B) and scale M = m_1 ... m_n (A_n is linear in b0 and
+    B_n free of it), so a row is normalised only where r != 0 or M != 1."""
+    q = b0.denominator
+    c, r = divmod(b0.numerator, q)
+    M = 1
+    for A, B, m, _, _ in _recurrence(Fraction(c), steps):
         M *= m
-        yield (Fraction(A), Fraction(B)) if M == 1 else (Fraction(A, M), Fraction(B, M))
+        if r:
+            yield Fraction(q * A + r * B, q * M), Fraction(B) if M == 1 else Fraction(B, M)
+        else:
+            yield (Fraction(A), Fraction(B)) if M == 1 else (Fraction(A, M), Fraction(B, M))
 
 
 def approximants(cf, N):

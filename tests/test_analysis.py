@@ -11,9 +11,10 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polycf import analysis
 from polycf.analysis import (
     GrowthBound,
     TietzeReport,
@@ -405,6 +406,63 @@ def test_growth_bounds_are_pinned(preset):
             text += "%d %s %s %d %s %s %x %d %x %d\n" % (
                 N, eps, g.kind, g.k, g.D, g.epsilon, *g.C.man_exp, *g.phi.man_exp)
     assert hashlib.sha256(text.encode()).hexdigest() == _GROWTH_PINS[preset]
+
+
+def _tied_cf(k, prefix, scale, digits, sign):
+    """(cf, j): a CF whose least growth ratios sit at indices j - 1 and j,
+    equal for sign 0 and about 10^-digits apart (relative) for sign +-1.
+
+    The ratios are those of growth_diagnostics with eps = 1.  k >= 1: after
+    the prefix terms (at most 4 each, so every ratio B_n / (base^n (n!)^k)
+    falls, as base = scale / 2 >= 16), term j is chosen so that ratio_j = ratio_{j-1} (1 + sign 10^-digits); the tail
+    b(n) = scale n^k then makes every later ratio rise.  k = 0: b_1 = scale
+    and a_2 = scale / phi, rounded at 10^-digits, put B_2 / phi^2 next to
+    B_1 / phi (j = 2); len(prefix) terms (1, 1) keep the following ratios
+    close to them, and the tail b = 3 makes them rise.
+    """
+    if k == 0:
+        unit = 10**digits
+        a2 = F(scale * (math.isqrt(5 * unit * unit) - unit) + sign, 2 * unit)
+        terms = ((F(1), F(scale)), (a2, F(1))) + ((F(1), F(1)),) * len(prefix)
+        return CFSpec(F(0), terms, CFTail("1", "3", len(terms) + 1)), 2
+    j = len(prefix) + 1
+    A_prev, B_prev, A, B = F(1), F(0), F(0), F(1)
+    for a, b in prefix:
+        B, B_prev = b * B + a * B_prev, B
+    target = F(scale, 2) * j**k * (1 + F(sign, 10**digits)) * B
+    terms = tuple(prefix) + (((F(1), (target - B_prev) / B)),)
+    return CFSpec(F(0), terms, CFTail("1", f"{scale}n^{k}", j + 1)), j
+
+
+_at_most_four = st.fractions(min_value=1, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(k=2, prefix=[(F(3), F(2)), (F(1), F(4, 3))], scale=40, digits=30, sign=-1, extra=1997)
+@example(k=0, prefix=[(F(1), F(1))] * 5, scale=50, digits=40, sign=1, extra=1991)
+@example(k=1, prefix=[(F(1), F(1))], scale=32, digits=5, sign=0, extra=3)
+@given(
+    k=st.integers(0, 2),
+    prefix=st.lists(st.tuples(_at_most_four, _at_most_four), min_size=1, max_size=5),
+    scale=st.integers(32, 64),
+    digits=st.integers(1, 40),
+    sign=st.sampled_from([-1, 0, 1]),
+    extra=st.integers(0, 40),
+)
+def test_screened_growth_matches_the_direct_formula_at_ties(k, prefix, scale, digits, sign, extra):
+    cf, j = _tied_cf(k, prefix, scale, digits, sign)
+    N = len(cf.prefix) + extra
+    survivors, screen = [], analysis._least_candidates
+
+    def spy(*args):
+        survivors.append(screen(*args))
+        return survivors[-1]
+
+    with mock.patch.object(analysis, "_least_candidates", spy):
+        g = growth_diagnostics(cf, N, epsilon=F(1))
+    assert g.C._mpf_ == _reference_growth_constant(cf, N, F(1))
+    if digits >= 20:  # the near tie is far inside the screen's margin
+        assert {j - 1, j} <= set(survivors[0])
 
 
 def test_growth_float_epsilon_is_read_as_written():

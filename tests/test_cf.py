@@ -19,6 +19,8 @@ from polycf.cf import (
     UNDEFINED,
     CFSpec,
     CFTail,
+    _canonical_pairs,
+    _first,
     _least_square_root_multiple,
     _recurrence,
     _scaled_terms,
@@ -151,6 +153,27 @@ def test_convergents_normalise_where_the_scale_is_not_one():
         convs = convergents(cf, N)
         assert [(c.A, c.B) for c in convs] == _reference_pairs(cf, N)
         assert all(type(v) is F for c in convs for v in (c.A, c.B))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example(b0=F(-7, 3), cf=_SCALED_CF, N=20)
+@example(b0=F(2), cf=CFSpec(F(0), (), CFTail("n+3", "(n-2)/(2n-1)", 0)), N=12)
+@given(b0=st.builds(F, st.integers(-40, 40), st.integers(1, 12)), cf=_rational_cf,
+       N=st.integers(0, 12))
+def test_canonical_pairs_match_the_fraction_recurrence(b0, cf, N):
+    # b0 = c + r/q with r != 0 for a fractional b0, and rational prefixes and
+    # tails give kernel scales M != 1
+    cf = CFSpec(b0, cf.prefix, cf.tail)
+    try:
+        want = _reference_pairs(cf, N)[1:]
+    except PolycfError as exc:
+        with pytest.raises(type(exc)) as got:
+            list(_canonical_pairs(b0, _first(_scaled_terms(cf), N)))
+        assert got.value.args == exc.args
+        return
+    pairs = list(_canonical_pairs(b0, _first(_scaled_terms(cf), N)))
+    assert pairs == want
+    assert all(type(v) is F for pair in pairs for v in pair)
 
 
 # sha256 of "n A B" lines, A and B as hex p/q, of convergents(cf, N): ex3.3
