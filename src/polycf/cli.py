@@ -65,6 +65,8 @@ def _table_lines(obj, prefix):
                 yield f"{prefix}{k}: {v}"
     elif isinstance(obj, list):
         for v in obj:
+            if isinstance(v, list) and not any(isinstance(x, (dict, list)) for x in v):
+                v = f"[{', '.join(map(str, v))}]"  # an innermost list, such as a pair, on one line
             if isinstance(v, (dict, list)):
                 yield from _table_lines(v, prefix + "  ")
             else:

@@ -258,12 +258,14 @@ def odd_part(cf, N):
 
 
 def _w_values(w, count):
+    """w_0..w_{count-1}: w(n) for a callable w, else w itself, which must
+    hold exactly count values."""
     if callable(w):
         return [_as_fraction(w(n)) for n in range(count)]
     vals = [_as_fraction(x) for x in w]
-    if len(vals) < count:
+    if len(vals) != count:
         raise ValueError(f"need w_0..w_{count - 1}, got {len(vals)} values")
-    return vals[:count]
+    return vals
 
 
 def bauer_muir(cf, w, N):

@@ -96,6 +96,12 @@ def test_transform_euler(capsys):
     assert len(data["prefix"]) == 2
 
 
+def test_table_format_prints_each_pair_on_one_line(capsys):
+    payload = json.dumps({"terms": ["1", "-1/3", "1/5"]})
+    code, out, _ = run(capsys, ["transform", "--op", "euler", "--input", payload, "--format", "table"])
+    assert (code, out) == (0, "b0: 1\nprefix:\n  - [-1/3, 1]\n  - [-1/5, -2/15]\ntail: None\n")
+
+
 def test_transform_gen_product(capsys):
     payload = json.dumps({"factors": ["2", "3"], "weights": ["5", "7", "11"]})
     code, out, _ = run(capsys, ["transform", "--op", "gen-product", "--input", payload])
@@ -723,6 +729,10 @@ def test_reproduce_paper_reads_out(capsys, tmp_path, monkeypatch):
      "option --op given more than once"),
     (["transform", "--op", "bauer-muir", "--preset", "e", "--w", "n", "--w", "n+1"],
      "option --w given more than once"),
+    (["transform", "--op", "bauer-muir", "--preset", "e", "--terms", "2", "--w", "0,0,0,0"],
+     "need w_0..w_2, got 4 values"),
+    (["transform", "--op", "extend", "--preset", "e", "--terms", "2", "--w", "0,1,1,1,1"],
+     "need w_0..w_3, got 5 values"),
     (["reproduce-paper", "--out", "a", "--out", "b"], "option --out given more than once"),
 ] + [
     (["transform", "--op", op, "--input", '{"terms": ["1", "1/2"], "factors": ["2"], '

@@ -237,6 +237,17 @@ def test_bauer_muir_with_list_w():
     assert all(m != 0 for m in res.existence_margin)
 
 
+def test_w_lists_must_hold_exactly_the_values_read():
+    # bauer_muir reads w_0..w_N and extension_bmoe w_0..w_{N+1}; a longer
+    # list is refused as a shorter one is, not cut
+    for bad in ([F(1)] * 2, [F(1)] * 4):
+        with pytest.raises(ValueError, match=f"need w_0..w_2, got {len(bad)} values"):
+            bauer_muir(E_CF, bad, 2)
+    for bad in ([F(0)] + [F(1)] * 2, [F(0)] + [F(1)] * 4):
+        with pytest.raises(ValueError, match=f"need w_0..w_3, got {len(bad)} values"):
+            extension_bmoe(E_CF, bad, 2)
+
+
 def test_bauer_muir_nonexistence():
     # w_n = 0 for all n gives lambda_n = a_n... pick w so lambda_1 = 0:
     # a_1 = 2, b_1 = 2; w_0 (b_1 + w_1) = 2 with w_0 = 1, w_1 = 0
@@ -251,7 +262,7 @@ def test_margin_error_precedes_missing_term():
         bauer_muir(cf, [F(0), F(1), F(1), F(1)], 3)
     assert exc.value.index == 2
     with pytest.raises(TransformDoesNotExist) as exc:
-        extension_bmoe(cf, [F(0), F(1), F(1), F(1), F(1)], 2)
+        extension_bmoe(cf, [F(0), F(1), F(1), F(1)], 2)
     assert exc.value.index == 2
 
 
@@ -496,7 +507,8 @@ def test_transforms_match_fraction_formulas(cf, N, w, zero_at):
             pass
         else:
             w[zero_at] = a / w[zero_at - 1] - b
-    ext_w = [F(0)] + w[1:]
+    # w_0..w_N for bauer_muir and w_0 = 0, w_1..w_{N+1} for extension_bmoe
+    ext_w, w = [F(0)] + w[1 : N + 2], w[: N + 1]
     _same_outcome(lambda: even_part(cf, N), lambda: _ref_even_part(cf, N))
     _same_outcome(lambda: odd_part(cf, N), lambda: _ref_odd_part(cf, N))
     _same_outcome(lambda: bauer_muir(cf, w, N), lambda: _ref_bauer_muir(cf, w, N))
@@ -513,7 +525,7 @@ def test_transform_property_examples_cover_the_integer_step_cases():
     a, b = term_at(_FRACTIONAL, 3)
     w[3] = a / w[2] - b
     with pytest.raises(TransformDoesNotExist) as exc:
-        bauer_muir(_FRACTIONAL, w, 4)
+        bauer_muir(_FRACTIONAL, w[:5], 4)
     assert exc.value.index == 3
 
 
@@ -629,7 +641,7 @@ def test_euler_property_examples_reach_every_error():
 
 
 def test_transform_outputs_are_in_normal_form():
-    w = [F(1, 2)] * 12
+    w = [F(1, 2)] * 6
     for preset, params in [("e", {}), ("brouncker", {}), ("ex3.3", {"A": "3"}), ("ex4.2", {"A": "-1"}),
                            ("ex2.5", {}), ("ex3.4", {"k": "2", "A": "2"})]:
         cf = build_preset(preset, params).cf
@@ -639,8 +651,8 @@ def test_transform_outputs_are_in_normal_form():
         _assert_normal_form(extension_bmoe(cf, [F(0)] + w, 5))
     for cf in (_FRACTIONAL, _ZERO_B2):
         _assert_normal_form(odd_part(cf, 1))
-        _assert_normal_form(bauer_muir(cf, _W, 4).cf)
-        _assert_normal_form(extension_bmoe(cf, [F(0)] + _W[1:], 3))
+        _assert_normal_form(bauer_muir(cf, _W[:5], 4).cf)
+        _assert_normal_form(extension_bmoe(cf, [F(0)] + _W[1:5], 3))
     _assert_normal_form(even_part(_FRACTIONAL, 3))
     a, b = [F(3), F(-1, 2), F(5, 7), F(-4, 9)], [F(1, 3), F(2), F(-1, 5), F(7, 2), F(3)]
     for run, _, args in _EULER_CASES:
