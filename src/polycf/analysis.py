@@ -161,15 +161,12 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
     For a polynomial tail with non-constant b the bound is
     B_n >= C (|D|/(1+eps))^n (n!)^k with k = deg b and D its leading
     coefficient; otherwise B_n >= C phi^n with phi the golden ratio.  C is
-    the least ratio over n = 1..N: for FactorialPower the exact
-    B_n / ((|D|/(1+eps))^n (n!)^k), rounded once; for GoldenRatio B_n
-    rounded to precision_bits + 32 bits and divided by phi^n, formed by
-    repeated products at that precision.  B_n is read from the kernel as
-    its B over its scale, unreduced and with no A_n formed, and only the
-    indices that a float screen of the ratios' logs cannot rule out are
-    compared (_least_candidates).  Requires every realized term >= 1.  A float
-    epsilon is read through its shortest repr, as cf's limit tolerances
-    are: 0.1 is 1/10.
+    the least ratio over n = 1..N, exact and then rounded for FactorialPower,
+    in mpf at precision_bits + 32 bits (phi^n by repeated products) for
+    GoldenRatio, compared only at the indices _least_candidates keeps; B_n
+    is read unreduced from the kernel, with no A_n formed.  Requires every
+    realized term >= 1.  A float epsilon is read through its shortest repr,
+    as cf's limit tolerances are: 0.1 is 1/10.
     """
     import mpmath
 

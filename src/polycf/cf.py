@@ -117,7 +117,9 @@ class Convergent(Record):
     def _make(cls, index, A, B):
         """Trusted constructor, one per row of convergents: sets the slots directly."""
         out = object.__new__(cls)
-        _set_index(out, index), _set_A(out, A), _set_B(out, B)
+        _set_index(out, index)
+        _set_A(out, A)
+        _set_B(out, B)
         return out
 
     @property
