@@ -414,7 +414,8 @@ def _tied_cf(k, prefix, scale, digits, sign):
 
     The ratios are those of growth_diagnostics with eps = 1.  k >= 1: after
     the prefix terms (at most 4 each, so every ratio B_n / (base^n (n!)^k)
-    falls, as base = scale / 2 >= 16), term j is chosen so that ratio_j = ratio_{j-1} (1 + sign 10^-digits); the tail
+    falls, as base = scale / 2 >= 16), term j is chosen so that
+    ratio_j = ratio_{j-1} (1 + sign 10^-digits), and the tail
     b(n) = scale n^k then makes every later ratio rise.  k = 0: b_1 = scale
     and a_2 = scale / phi, rounded at 10^-digits, put B_2 / phi^2 next to
     B_1 / phi (j = 2); len(prefix) terms (1, 1) keep the following ratios
@@ -426,11 +427,11 @@ def _tied_cf(k, prefix, scale, digits, sign):
         terms = ((F(1), F(scale)), (a2, F(1))) + ((F(1), F(1)),) * len(prefix)
         return CFSpec(F(0), terms, CFTail("1", "3", len(terms) + 1)), 2
     j = len(prefix) + 1
-    A_prev, B_prev, A, B = F(1), F(0), F(0), F(1)
+    B_prev, B = F(0), F(1)
     for a, b in prefix:
         B, B_prev = b * B + a * B_prev, B
     target = F(scale, 2) * j**k * (1 + F(sign, 10**digits)) * B
-    terms = tuple(prefix) + (((F(1), (target - B_prev) / B)),)
+    terms = tuple(prefix) + ((F(1), (target - B_prev) / B),)
     return CFSpec(F(0), terms, CFTail("1", f"{scale}n^{k}", j + 1)), j
 
 

@@ -729,16 +729,17 @@ def test_reproduce_paper_reads_out(capsys, tmp_path, monkeypatch):
      "option --op given more than once"),
     (["transform", "--op", "bauer-muir", "--preset", "e", "--w", "n", "--w", "n+1"],
      "option --w given more than once"),
-    (["transform", "--op", "bauer-muir", "--preset", "e", "--terms", "2", "--w", "0,0,0,0"],
-     "need w_0..w_2, got 4 values"),
-    (["transform", "--op", "extend", "--preset", "e", "--terms", "2", "--w", "0,1,1,1,1"],
-     "need w_0..w_3, got 5 values"),
     (["reproduce-paper", "--out", "a", "--out", "b"], "option --out given more than once"),
 ] + [
     (["transform", "--op", op, "--input", '{"terms": ["1", "1/2"], "factors": ["2"], '
       '"weights": ["1", "1"]}', terms], f"transform {op} does not read --terms")
     for op in ("euler", "gen-euler", "product", "gen-product")
     for terms in ("--terms=1", "--terms=64")
+] + [
+    (["transform", "--op", "bauer-muir", "--preset", "e", "--terms", "2", "--w", "0,0,0,0"],
+     "need w_0..w_2, got 4 values"),
+    (["transform", "--op", "extend", "--preset", "e", "--terms", "2", "--w", "0,1,1,1,1"],
+     "need w_0..w_3, got 5 values"),
 ])
 def test_ignored_or_repeated_flags_exit_two(capsys, tmp_path, monkeypatch, argv, detail):
     monkeypatch.chdir(tmp_path)
