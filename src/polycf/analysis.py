@@ -136,15 +136,12 @@ def _least_candidates(bs, log_p, log_q, k, wide):
     growth_diagnostics compares it, for B_n = B / M with (B, M) = bs[n - 1]
     and g = p/q with log_p, log_q the float log2 of p and q.
 
-    The screen takes l_n = log2 B - log2 M - n log2 g - k log2 n! in floats,
-    the logs apart because log2 of a huge Fraction overflows.  With
-    u = 2^-53, each log2 is within 4u (1 + |log2|), the sum log2 n! within
-    (n + 2) u of itself and each other step within u of its size, so l_n is
-    within e = 8 (N + 8) u (S + 1) of the exact log2 of its ratio, S the sum
-    of the sizes at n = N (B and M grow with n).  GoldenRatio's mpf ratios,
-    with n - 1 products in phi^n, are within (3n + 2) 2^-wide of exact,
-    which adds (N + 8) 2^(4 - wide) to e.  The least compared ratio then has
-    l_n <= min l + 2e.
+    l_n = log2 B - log2 M - n log2 g - k log2 n! in floats (log2 of a huge
+    Fraction overflows) is within e = 8 (N + 8) u (S + 1) + (N + 8) 2^(4 - wide)
+    of the log2 of the ratio as compared, u = 2^-53 and S the summed log2
+    sizes at n = N: each of the O(N) float steps errs by u times its size,
+    and GoldenRatio's mpf ratios by (3n + 2) 2^-wide.  So the least compared
+    ratio has l_n <= min l + 2e.
     """
     N = len(bs)
     log_facts = list(itertools.accumulate(map(math.log2, range(1, N + 1))))
@@ -161,12 +158,10 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
     For a polynomial tail with non-constant b the bound is
     B_n >= C (|D|/(1+eps))^n (n!)^k with k = deg b and D its leading
     coefficient; otherwise B_n >= C phi^n with phi the golden ratio.  C is
-    the least ratio over n = 1..N, exact and then rounded for FactorialPower,
-    in mpf at precision_bits + 32 bits (phi^n by repeated products) for
-    GoldenRatio, compared only at the indices _least_candidates keeps; B_n
-    is read unreduced from the kernel, with no A_n formed.  Requires every
-    realized term >= 1.  A float epsilon is read through its shortest repr,
-    as cf's limit tolerances are: 0.1 is 1/10.
+    the least ratio over n = 1..N, exact for FactorialPower and in mpf for
+    GoldenRatio, compared only at the indices _least_candidates keeps.
+    Requires every realized term >= 1.  A float epsilon is read through its
+    shortest repr, as cf's limit tolerances are: 0.1 is 1/10.
     """
     import mpmath
 

@@ -113,21 +113,14 @@ class Convergent(Record):
 
     __slots__ = ("index", "A", "B")
 
-    @classmethod
-    def _make(cls, index, A, B):
-        """Trusted constructor, one per row of convergents: sets the slots directly."""
-        out = object.__new__(cls)
-        _set_index(out, index)
-        _set_A(out, A)
-        _set_B(out, B)
-        return out
+    def __init__(self, index, A, B):  # direct: convergents builds one per term
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
 
     @property
     def value(self):
         return self.A / self.B if self.B != 0 else UNDEFINED
-
-
-_set_index, _set_A, _set_B = (vars(Convergent)[name].__set__ for name in Convergent.__slots__)
 
 
 class ApproximantSequence(Record):
@@ -181,8 +174,9 @@ def term_at(cf, n):
 def convergents(cf, N):
     """Exact canonical pairs (A_n, B_n) for n = 0..N."""
     pairs = _canonical_pairs(cf.b0, _first(_scaled_terms(cf), N))
-    make = Convergent._make
-    return [make(0, cf.b0, Fraction(1))] + [make(n, A, B) for n, (A, B) in enumerate(pairs, 1)]
+    return [Convergent(0, cf.b0, Fraction(1))] + [
+        Convergent(n, A, B) for n, (A, B) in enumerate(pairs, 1)
+    ]
 
 
 def _canonical_pairs(b0, steps):
@@ -195,10 +189,8 @@ def _canonical_pairs(b0, steps):
     M = 1
     for A, B, m, _, _ in _recurrence(Fraction(c), steps):
         M *= m
-        if r:
-            yield Fraction(q * A + r * B, q * M), Fraction(B) if M == 1 else Fraction(B, M)
-        else:
-            yield (Fraction(A), Fraction(B)) if M == 1 else (Fraction(A, M), Fraction(B, M))
+        yield (Fraction(A) if q * M == 1 else Fraction(q * A + r * B, q * M),
+               Fraction(B) if M == 1 else Fraction(B, M))
 
 
 def approximants(cf, N):
