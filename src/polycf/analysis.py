@@ -25,7 +25,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .cf import _first, _is_integer_tail, _limit, _limit_tol, _mpf, _recurrence, _scaled_terms
+from .cf import _as_fraction, _first, _is_integer_tail, _limit, _limit_tol, _mpf, _recurrence, _scaled_terms
 from .dyadic import round_rational, round_to, to_str
 from .errors import (
     EmptyRange,
@@ -167,7 +167,7 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
 
     if N < 1:
         raise EmptyRange()
-    epsilon = epsilon if isinstance(epsilon, Fraction) else Fraction(str(epsilon))
+    epsilon = epsilon if isinstance(epsilon, Fraction) else _as_fraction(str(epsilon))
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if precision_bits < 1:

@@ -48,12 +48,11 @@ _TRIAL_BOUND = 10000
 
 
 def _as_fraction(v):
+    """v as a Fraction; an int or a string goes through json_value's bounds."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
+    if isinstance(v, (int, str)):
+        return json_value(v, "value", "rational")
     raise TypeError(f"exact rational required, got {v!r}")
 
 
@@ -234,11 +233,10 @@ def _scaled_terms(cf):
         m = q * s
         a_vals = (tail.a.num * s).values_from(x0)
         b_vals = (tail.b.num * q).values_from(x0)
-        for n, a, b in zip(itertools.count(first), a_vals, b_vals):
+        for n, a, b in zip(itertools.count(first), a_vals, b_vals):  # never ends
             if a == 0:
                 raise ZeroPartialNumerator(n)
             yield a, b, m
-        return
     columns = (tail.a.num, qa, tail.b.num, qb)
     for n, x, p, q, r, s in zip(
         itertools.count(first),
@@ -364,7 +362,7 @@ def _limit_tol(tol, max_terms, precision_bits):
     """tol as a Fraction, after checking tol, max_terms and precision_bits as
     the limit loop and verify_limit both need them.  A float goes through its
     shortest repr, so 1e-10 becomes 1/10^10 rather than the nearest double."""
-    tol = tol if isinstance(tol, Fraction) else Fraction(str(tol))
+    tol = tol if isinstance(tol, Fraction) else _as_fraction(str(tol))
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_terms < 2:
@@ -758,9 +756,7 @@ def integer_tail_form(cf):
 
 
 def tail_cf(cf, k):
-    """Drop the first k terms and zero the leading term."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    """Drop the first k >= 0 terms and zero the leading term."""
     for _ in _iter_terms(cf, k):
         pass
     m = len(cf.prefix)

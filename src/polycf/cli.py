@@ -55,6 +55,7 @@ def _emit(fmt, build, *args, **kwargs):
 
 
 def _table_lines(obj, prefix):
+    """A dict's or list's lines; each list item follows a "-", or a nested one its own line."""
     if isinstance(obj, dict):
         for k in sorted(obj):
             v = obj[k]
@@ -63,16 +64,15 @@ def _table_lines(obj, prefix):
                 yield from _table_lines(v, prefix + "  ")
             else:
                 yield f"{prefix}{k}: {v}"
-    elif isinstance(obj, list):
+    else:
         for v in obj:
             if isinstance(v, list) and not any(isinstance(x, (dict, list)) for x in v):
                 v = f"[{', '.join(map(str, v))}]"  # an innermost list, such as a pair, on one line
             if isinstance(v, (dict, list)):
+                yield f"{prefix}-"
                 yield from _table_lines(v, prefix + "  ")
             else:
                 yield f"{prefix}- {v}"
-    else:
-        yield f"{prefix}{obj}"
 
 
 def _collect_params(extras):

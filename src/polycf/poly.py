@@ -311,21 +311,17 @@ def _poly_gcd(p, q):
 
 
 def _exact_div(p, g):
-    """Divide p by a known exact divisor g, staying in integer coefficients."""
+    """p / g for a g that divides p in Z[x], as every caller's g does: a
+    primitive gcd of p (Gauss's lemma), or a product of such factors."""
     if g.coeffs == (1,):
         return p
     num = list(p.coeffs)
     dg, lead = len(g.coeffs) - 1, g.coeffs[-1]
     quot = [0] * max(len(num) - dg, 0)
     for i in range(len(num) - 1, dg - 1, -1):
-        c, rem = divmod(num[i], lead)
-        if rem:
-            raise ArithmeticError("inexact polynomial division")
-        quot[i - dg] = c
+        quot[i - dg] = c = num[i] // lead
         for j, gc in enumerate(g.coeffs):
             num[i - dg + j] -= c * gc
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
     return IntPolynomial._make(tuple(quot))
 
 
@@ -481,9 +477,8 @@ def degree(r):
 
 
 def leading_coefficient(r):
-    """Leading coefficient of numerator over leading coefficient of denominator."""
-    if r.is_zero:
-        raise ZeroFunction("the zero function has no leading coefficient")
+    """Leading coefficient of numerator over leading coefficient of
+    denominator; the zero function raises ZeroFunction."""
     return Fraction(r.num.leading_coefficient, r.den.leading_coefficient)
 
 
@@ -561,6 +556,9 @@ def json_list(value, path, kind):
 
 
 _TERM_RE = re.compile(r"([+-]?)(\d+)?(?:\*?n(?:[\^](\d+))?)?$")
+# one side of a rational-function string: text with no parentheses, inside
+# at most one pair of them (the group lengths must then match)
+_SIDE_RE = re.compile(r"(\(?)([^()]*)(\)?)")
 # the exponent digits of a decimal string such as "1.5e-20", as Fraction reads it
 _DECIMAL_EXP_RE = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
@@ -613,35 +611,12 @@ def poly_from_string(text):
 
 
 def ratfn_from_string(text):
-    """Parse "p" or "p/q" (either side optionally parenthesized); a zero q
-    raises ValueError."""
-    s = text.replace(" ", "")
-    depth = 0
-    split_at = None
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            if split_at is not None:
-                raise ValueError(f"cannot parse rational function {text!r}")
-            split_at = i
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-
-    def strip_parens(part):
-        while part.startswith("(") and part.endswith(")"):
-            inner = part[1:-1]
-            if "(" in inner or ")" in inner:
-                raise ValueError(f"cannot parse rational function {text!r}")
-            part = inner
-        return part
-
-    if split_at is None:
-        return RationalFunction(poly_from_string(strip_parens(s)))
-    top = poly_from_string(strip_parens(s[:split_at]))
-    bottom = poly_from_string(strip_parens(s[split_at + 1 :]))
-    if bottom.is_zero:
+    """Parse "p" or "p/q": at most one "/", and each side a poly_from_string
+    string inside at most one pair of parentheses; a zero q raises ValueError."""
+    sides = [_SIDE_RE.fullmatch(side) for side in text.replace(" ", "").split("/")]
+    if len(sides) > 2 or not all(m and len(m[1]) == len(m[3]) for m in sides):
+        raise ValueError(f"cannot parse rational function {text!r}")
+    top, *bottom = (poly_from_string(m[2]) for m in sides)
+    if bottom and bottom[0].is_zero:
         raise ValueError(f"zero denominator in {text!r}")
-    return RationalFunction(top, bottom)
+    return RationalFunction(top, *bottom)
