@@ -38,7 +38,7 @@ from polycf.cf import (
 )
 from polycf.cli import _REPRODUCE_ROWS
 from polycf.errors import EmptyRange, HypothesisViolation, NonIntegerTerms, UnsupportedConstant
-from polycf.families import LimitClaim, NamedConstant, build_preset
+from polycf.families import LimitClaim, NamedConstant, build_preset, family_binomial
 from polycf.poly import leading_coefficient
 
 F = Fraction
@@ -171,6 +171,23 @@ def test_reference_constant_validation():
         reference_constant(NamedConstant("Mystery"), 128)
     with pytest.raises(UnsupportedConstant):
         reference_constant(NamedConstant("Root", {"p": -1, "q": 2, "r": 1, "s": 2}), 128)
+    for name, params in (("SineProduct", {"m": 0}), ("SineProduct", {"m": -3}),
+                         ("Zeta", {"k": 1}), ("Zeta", {"k": -2})):
+        with pytest.raises(UnsupportedConstant) as exc:
+            reference_constant(NamedConstant(name, params), 128)
+        assert exc.value.name == f"{name}({list(params.values())[0]})"
+
+
+def test_root_oracle_reads_a_negative_power_as_the_reciprocal():
+    # (4/1)^(-1/2) = (1/4)^(1/2); the binomial family claims such roots for
+    # a negative alpha, (1 + x)^alpha
+    half = NamedConstant("Root", {"p": 1, "q": 4, "r": 1, "s": 2})
+    for bits in (64, 128, 1024):
+        assert reference_constant(NamedConstant("Root", {"p": 4, "q": 1, "r": -1, "s": 2}), bits) \
+            == reference_constant(half, bits) == 0.5
+    member = family_binomial(F(-1, 2), F(-3, 4), "n")
+    assert member.limit.constant.params == {"p": 1, "q": 4, "r": -1, "s": 2}
+    assert reference_constant(member.limit, 128) == 2
 
 
 @pytest.mark.parametrize(
@@ -658,6 +675,36 @@ def test_entry13_takes_the_plain_path():
         "verdict": "Inconclusive",
         "method": "plain",
     }
+
+
+def test_a_tail_with_a_zero_function_has_no_class():
+    assert tail_class(CFSpec(b0=F(1), tail=("0", "n"))) is None
+    # b_n = 0: the approximants alternate between 1 and undefined
+    cf = CFSpec(b0=F(1), tail=("1", "0"))
+    assert tail_class(cf) is None
+    est = extrapolate(cf, F(1, 10**6), 60)
+    assert (est.method, est.value, est.converged) == ("plain", 1, True)
+
+
+def test_vanishing_parity_gaps_turn_richardson_down():
+    # a first numerator of 10^-80 puts every approximant of a positive-class
+    # tail below the fixed-point unit at 64 bits: the gaps read zero, no
+    # ratio is defined, and the plain rule reads on to max_terms
+    tail = build_preset("brouncker").cf.tail
+    cf = CFSpec(b0=F(0), prefix=((F(1, 10**80), F(1)),), tail=tail)
+    assert tail_class(cf) == "positive"
+    est = extrapolate(cf, F(1, 10**100), 800, 64)
+    assert (est.method, est.terms_used, est.converged) == ("plain", 800, False)
+
+
+def test_settled_ratios_read_on_until_the_estimates_agree():
+    # Brouncker's ratios settle at the third checkpoint (200): with tol 1e-3
+    # the estimates already agree there; with tol 1e-40 they do not, and the
+    # run goes on to the next checkpoint (400), where they do
+    cf = build_preset("brouncker").cf
+    for tol, terms in ((F(1, 10**3), 200), (F(1, 10**40), 400)):
+        est = extrapolate(cf, tol, 800)
+        assert (est.method, est.terms_used, est.converged) == ("richardson", terms, False)
 
 
 def test_turned_down_entry13_reads_on_to_the_last_approximant():

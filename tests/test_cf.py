@@ -41,8 +41,10 @@ from polycf.errors import (
     ZeroPartialNumerator,
     ZeroScaleFactor,
 )
-from polycf.families import build_preset
-from polycf.poly import IntPolynomial, RationalFunction, ratfn_from_string
+from polycf.analysis import growth_diagnostics
+from polycf.families import LimitClaim, build_preset
+from polycf.poly import _MAX_DECIMAL_EXPONENT, IntPolynomial, RationalFunction, ratfn_from_string
+from polycf.transforms import SeriesSpec, bauer_muir
 
 F = Fraction
 
@@ -645,6 +647,14 @@ def test_similarity_scale_symbolic_zero_factor_detected():
         similarity_scale(cf, ratfn_from_string("(n-4)/(0n-4)"))
 
 
+def test_similarity_scale_symbolic_zero_factor_in_the_prefix():
+    # r(n) = 1 - n is 1 at n = 0 and 0 at n = 1, the prefix's one term
+    cf = CFSpec(b0=F(2), prefix=((F(1), F(3)),), tail=("1", "2n+1"))
+    with pytest.raises(ZeroScaleFactor) as exc:
+        similarity_scale(cf, ratfn_from_string("1-n"))
+    assert exc.value.index == 1
+
+
 def test_to_integer_cf_already_integral():
     out = to_integer_cf(E_CF, 10)
     assert out == E_CF
@@ -733,6 +743,49 @@ def test_tail_cf_rejects_missing_terms():
     cf = CFSpec(b0=F(1), prefix=((F(1), F(2)),))
     with pytest.raises(NoSuchTerm):
         tail_cf(cf, 2)
+
+
+def test_tail_cf_rejects_a_negative_count():
+    with pytest.raises(ValueError, match=r"negative number of terms \(-1\)"):
+        tail_cf(E_CF, -1)
+
+
+@pytest.mark.parametrize("prefix", [[["1"]], [["1", "2", "3"]], [[]]])
+def test_json_prefix_items_must_be_pairs(prefix):
+    with pytest.raises(ValueError, match=r"^\$\.prefix\[0\]: expected a pair \[a, b\]$"):
+        cf_from_json({"b0": "1", "prefix": prefix})
+
+
+# library entry points that read a rational they are handed, each with
+# what it reports of the value
+_READERS = {
+    "CFSpec": lambda v: CFSpec(v).b0,
+    "SeriesSpec": lambda v: SeriesSpec([v]).terms[0],
+    "LimitClaim.exact": lambda v: LimitClaim.exact(v).value,
+    "bauer_muir": lambda v: bauer_muir(E_CF, [v, 0, 0], 2).w[0],
+    "evaluate": lambda v: evaluate(E_CF, v, 30),
+    "growth_diagnostics": lambda v: growth_diagnostics(E_CF, 5, v).epsilon,
+}
+
+
+@pytest.mark.parametrize("read", _READERS.values(), ids=_READERS)
+def test_library_strings_keep_the_decimal_exponent_bound(read):
+    with pytest.raises(ValueError, match=f"decimal exponent above {_MAX_DECIMAL_EXPONENT}$"):
+        read(f"1e-{_MAX_DECIMAL_EXPONENT + 1}")
+    # within the bound, strings and ints read as the Fraction they name
+    for value in (f"1e-{_MAX_DECIMAL_EXPONENT}", "3/7", " 2.5E-3 ", 5):
+        assert read(value) == read(F(value))
+
+
+def test_rational_strings_refuse_what_json_input_refuses():
+    # a zero denominator is a ValueError, as for JSON input, not a
+    # ZeroDivisionError; a bool is not a rational
+    for value in ("1/0", True, "", "n"):
+        with pytest.raises(ValueError, match="^value: expected rational"):
+            CFSpec(value)
+    with pytest.raises(TypeError, match="exact rational required"):
+        CFSpec(0.5)
+    assert evaluate(E_CF, 0.001, 10).terms_used == evaluate(E_CF, F(1, 1000), 10).terms_used
 
 
 def test_json_round_trip():

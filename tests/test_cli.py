@@ -87,6 +87,20 @@ def test_convergents_table_format(capsys):
     assert "B: 44" in out
 
 
+def test_table_rows_keep_their_boundaries(capsys):
+    # one "-" line opens each row of a list of dicts
+    code, out, _ = run(
+        capsys, ["convergents", "--preset", "ex3.3", "--terms", "3", "--format", "table"]
+    )
+    lines = out.splitlines()
+    assert code == 0
+    assert lines.count("  -") == sum(line.startswith("    n: ") for line in lines) == 4
+    assert lines[:6] == ["convergents:", "  -", "    A: 1", "    B: 1", "    n: 0", "    value: 1"]
+    code, out, _ = run(capsys, ["family", "--preset", "ex3.3", "--format", "table"])
+    hypotheses = out.split("hypotheses:\n")[1].split("limit:")[0].splitlines()
+    assert hypotheses.count("  -") == 3 and len(hypotheses) == 12
+
+
 def test_transform_euler(capsys):
     payload = json.dumps({"terms": ["1", "-1/3", "1/5"]})
     code, out, _ = run(capsys, ["transform", "--op", "euler", "--input", payload])
@@ -374,6 +388,14 @@ def test_exact_commands_leave_mpmath_unloaded(capsys):
                               *argv)
         code, out, _ = run(capsys, argv)
         assert (fresh.returncode, fresh.stdout) == (code, out)
+
+
+def test_module_runs_as_a_script(capsys):
+    argv = ["family", "--preset", "entry13", "--b", "2"]
+    fresh = subprocess.run([sys.executable, "-m", "polycf.cli", *argv], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=str(_SRC)), timeout=120)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == run(capsys, argv)
+    assert json.loads(fresh.stdout)["hypotheses"][0]["detail"].startswith("(a-b)/d < 0")
 
 
 def test_commands_leave_dataclasses_and_inspect_unloaded():
@@ -730,6 +752,8 @@ def test_reproduce_paper_reads_out(capsys, tmp_path, monkeypatch):
     (["transform", "--op", "bauer-muir", "--preset", "e", "--w", "n", "--w", "n+1"],
      "option --w given more than once"),
     (["reproduce-paper", "--out", "a", "--out", "b"], "option --out given more than once"),
+    (["eval", "--preset", "e", "stray"], "unexpected argument 'stray'"),
+    (["transform", "--op", "euler", "--preset", "e"], "transform euler requires --input"),
 ] + [
     (["transform", "--op", op, "--input", '{"terms": ["1", "1/2"], "factors": ["2"], '
       '"weights": ["1", "1"]}', terms], f"transform {op} does not read --terms")

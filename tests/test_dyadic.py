@@ -114,6 +114,18 @@ def test_to_str_follows_mpmaths_scaling_past_2_to_3500(bits):
             assert to_str(x, bits) == _nstr(*x, bits), (n, m)
 
 
+@pytest.mark.parametrize("bits", [53, 64, 128, 1024])
+def test_to_str_carries_a_run_of_nines_into_a_new_digit(bits):
+    # +-(1 - 2^-bits) 10^j: the digits read are dps nines and then a digit
+    # above 4, so rounding carries through every nine into a new leading 1
+    for j in (0, 3, -7):
+        q = (1 - Fraction(1, 1 << bits)) * Fraction(10) ** j
+        for x in (round_rational(q, bits), round_rational(-q, bits)):
+            assert to_str(x, bits) == _nstr(*x, bits)
+    assert to_str(((1 << bits) - 1, -bits), bits) == "1.0"
+    assert to_str((1 - (1 << bits), -bits), bits) == "-1.0"
+
+
 @pytest.mark.parametrize("bits", [53, 128, 4096])
 def test_ties_and_double_rounding(bits):
     # ties go to the even neighbour; round_rational rounds twice, so a value

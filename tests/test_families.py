@@ -101,6 +101,19 @@ def test_pincherle_family_flags_bad_hypotheses():
 def test_pincherle_family_rejects_undefined_limit():
     with pytest.raises(HypothesisViolation):
         pincherle_family(ratfn_from_string("n+1"), ratfn_from_string("n"))
+    for H, pole in (("1/(n+1)", -1), ("(n+2)/n", 0)):
+        with pytest.raises(HypothesisViolation) as exc:
+            pincherle_family(H, "n+2")
+        assert (exc.value.name, exc.value.detail) == ("limit_defined", f"H has a pole at n = {pole}")
+
+
+def test_leading_term_with_a_pole_is_refused():
+    for build, name in ((lambda: family_pi("1/n"), "f"), (lambda: family_zeta(2, "1/n"), "d"),
+                        (lambda: family_binomial(F(1, 2), F(1, 3), "1/n"), "r")):
+        with pytest.raises(HypothesisViolation) as exc:
+            build()
+        assert (exc.value.name, exc.value.detail) == ("leading_term_defined",
+                                                      f"{name} has a pole at n = 0")
 
 
 def test_pincherle_callers_skip_pincherle_family_hypotheses(monkeypatch):
@@ -380,6 +393,9 @@ def test_family_sin_product_m3_display():
 def test_family_sin_product_validation():
     with pytest.raises(ValueError):
         family_sin_product(0, 1)
+    for m, A in ((3.0, 1), (F(3), 1), (3, 0.5), (3, F(1))):
+        with pytest.raises(ValueError, match=r"must be an? (positive )?integer"):
+            family_sin_product(m, A)
     with pytest.raises(DegenerateTerm):
         family_sin_product(1, 0)
 
@@ -403,6 +419,14 @@ def test_family_rational_limit_exact_target():
         assert abs(_value(mem, 100, F(1, 10**10)) - (6 * mm + 1)) < 1e-8
 
 
+def test_integer_parameters_refuse_other_numbers():
+    for x in (1.0, F(1), "1"):
+        with pytest.raises(ValueError, match="A must be an integer"):
+            family_e_bauer_muir(x)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            family_rational_limit("1", x)
+
+
 def test_family_rational_limit_first_terms():
     mem = family_rational_limit(IntPolynomial((1,)), 1)
     assert term_at(mem.cf, 1) == (F(18), F(-1))
@@ -421,6 +445,11 @@ def test_ramanujan_entry13_branches():
     m3 = ramanujan_entry13(F(1), F(3), F(0))
     assert m3.verified
     assert abs(_value(m3, 60) - 1) < 1e-12
+    # (a-b)/d < 0, b never -kd
+    m4 = ramanujan_entry13(1, 2, 1)
+    assert m4.verified
+    assert m4.hypotheses[0].detail == "(a-b)/d < 0 with b never equal to -kd"
+    assert abs(_value(m4, 200, F(1, 10**6)) - 1) < 1e-2  # the error falls like 1/n
 
 
 def test_ramanujan_entry13_prefix_and_tail():
@@ -456,6 +485,9 @@ def test_build_preset_param_coercion():
     assert m.limit.constant.params["k"] == 3
     m2 = build_preset("ex1.1", {"f": "n^2", "m": "2"})
     assert m2.limit.value == F(13)
+    # a rational parameter may be a Fraction, an int or a string
+    for a in (F(1, 2), "1/2", "0.5"):
+        assert build_preset("entry13", {"a": a}) == ramanujan_entry13(F(1, 2), 1, 1)
 
 
 def test_build_preset_rejects_unknown():

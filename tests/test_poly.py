@@ -157,6 +157,37 @@ def test_rational_function_arithmetic_matches_pointwise():
         assert (r * s)(n) == r(n) * s(n)
 
 
+def test_integral_fractions_are_integer_coefficients():
+    x = IntPolynomial.variable()
+    assert IntPolynomial([Fraction(4, 2), Fraction(-3)]).coeffs == (2, -3)
+    assert x == x + Fraction(0) and IntPolynomial((5,)) == Fraction(10, 2)
+    assert (x + Fraction(3)).coeffs == (3, 1)
+
+
+def test_operands_of_other_types_are_not_implemented():
+    p = IntPolynomial((1, 1))
+    with pytest.raises(TypeError):
+        1.5 - p
+    with pytest.raises(TypeError):
+        p - 1.5
+    assert p != 1.5 and p != "n+1"
+
+
+@pytest.mark.parametrize("exponent", [-1, 1.0, Fraction(2)])
+def test_exponents_must_be_non_negative_ints(exponent):
+    with pytest.raises(ValueError, match="exponent must be a non-negative integer"):
+        IntPolynomial((1, 1)) ** exponent
+    with pytest.raises(ValueError, match="exponent must be a non-negative integer"):
+        RationalFunction(IntPolynomial((1, 1)), 2) ** exponent
+
+
+def test_zero_has_no_leading_coefficient():
+    with pytest.raises(ZeroFunction):
+        IntPolynomial().leading_coefficient
+    with pytest.raises(ZeroFunction):
+        leading_coefficient(RationalFunction(0))
+
+
 def test_rational_function_zero_denominator_rejected():
     with pytest.raises(ZeroFunction):
         RationalFunction(1, IntPolynomial())
@@ -311,6 +342,92 @@ def test_ratfn_from_string():
     assert r.den == x + 2
     assert ratfn_from_string("n^2").den == IntPolynomial((1,))
     assert ratfn_from_string("3/4")(10) == Fraction(3, 4)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("", "empty polynomial string"),
+    ("()", "empty polynomial string"),
+    ("n/", "empty polynomial string"),
+    ("n+", "cannot parse polynomial 'n+'"),
+    ("--n", "cannot parse polynomial '--n'"),
+    ("n+-1", "cannot parse polynomial 'n+-1'"),
+    ("((n))", "cannot parse rational function"),
+    ("(n", "cannot parse rational function"),
+    ("n/n/n", "cannot parse rational function"),
+    ("(n/n)", "cannot parse rational function"),
+    ("n/(0)", "zero denominator"),
+])
+def test_ratfn_from_string_rejects_malformed(text, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        ratfn_from_string(text)
+
+
+def _depth_counter_ratfn_from_string(text):
+    """ratfn_from_string as it was before its grammar was declared, verbatim:
+    the reference that the declared grammar must match."""
+    s = text.replace(" ", "")
+    depth = 0
+    split_at = None
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "/" and depth == 0:
+            if split_at is not None:
+                raise ValueError(f"cannot parse rational function {text!r}")
+            split_at = i
+    if depth != 0:
+        raise ValueError(f"unbalanced parentheses in {text!r}")
+
+    def strip_parens(part):
+        while part.startswith("(") and part.endswith(")"):
+            inner = part[1:-1]
+            if "(" in inner or ")" in inner:
+                raise ValueError(f"cannot parse rational function {text!r}")
+            part = inner
+        return part
+
+    if split_at is None:
+        return RationalFunction(poly_from_string(strip_parens(s)))
+    top = poly_from_string(strip_parens(s[:split_at]))
+    bottom = poly_from_string(strip_parens(s[split_at + 1 :]))
+    if bottom.is_zero:
+        raise ValueError(f"zero denominator in {text!r}")
+    return RationalFunction(top, bottom)
+
+
+def _parsed(parse, text):
+    """parse(text), or ValueError where it raises one."""
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+# tokens of rational-function strings: parentheses, slashes, signs, spaces,
+# tabs, both power signs, non-ASCII digits, exponents at and above the bound
+# and coefficients one digit above it
+_TOKENS = ["(", ")", "/", "+", "-", "*", "**", "^", " ", "\t", "n", "0", "1", "2", "9",
+           str(_MAX_POLY_EXPONENT), str(_MAX_POLY_EXPONENT + 1), "1" * (_MAX_POLY_DIGITS + 1),
+           "\u0663", "\uff11"]
+_polynomial_text = st.lists(st.sampled_from(_TOKENS[3:]), max_size=6).map("".join)
+_side_text = st.builds(lambda left, text, right: "(" * left + text + ")" * right,
+                       st.integers(0, 2), _polynomial_text, st.integers(0, 2))
+_ratfn_text = st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join),
+                        st.lists(_side_text, min_size=1, max_size=3).map("/".join))
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@example(text="((n))")
+@example(text="((n))/(n+1)")
+@example(text="(n+1)/((n))")
+@example(text=")n(")
+@example(text="(n)/(n")
+@example(text=" ( 2n ** 2 ) / ( n + 1 ) ")
+@given(text=_ratfn_text)
+def test_ratfn_from_string_matches_the_depth_counter(text):
+    assert _parsed(ratfn_from_string, text) == _parsed(_depth_counter_ratfn_from_string, text)
 
 
 _bounded_poly = st.lists(
