@@ -586,6 +586,21 @@ def test_undefined_approximant_mid_prefix_is_skipped():
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
+def test_undefined_approximants_break_the_run_of_small_gaps(backend):
+    # 1 + K(1/0): approximants 1, undefined, 1, undefined, ...; every gap
+    # between defined ones is 0, but an undefined one lies between each two
+    cf = CFSpec(b0=F(1), tail=("1", "0"))
+    est = _evaluate(cf, F(1, 10**6), 60, backend=backend)
+    assert (est.terms_used, est.converged, est.value, est.error_bound) == (60, False, 1, 0)
+    # approximants 1, undefined, 1, undefined, 1, 513/512: the gaps at 2 and
+    # 4 are not consecutive, those at 4 and 5 are
+    cf = CFSpec(b0=F(1), prefix=((F(1), F(0)),) * 4, tail=CFTail("1/n^9", "1", 2))
+    assert approximants(cf, 5).values()[1:] == [UNDEFINED, 1, UNDEFINED, 1, F(513, 512)]
+    est = _evaluate(cf, F(1, 10), 60, backend=backend)
+    assert (est.terms_used, est.converged) == (5, True)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
 def test_prefix_of_exactly_max_terms_is_not_finite(backend):
     cf = CFSpec(b0=F(0), prefix=((F(1), F(1)),) * 10)
     est = _evaluate(cf, F(1, 10**30), 10, backend=backend)
