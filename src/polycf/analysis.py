@@ -167,7 +167,7 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
 
     if N < 1:
         raise EmptyRange()
-    epsilon = epsilon if isinstance(epsilon, Fraction) else _as_fraction(str(epsilon))
+    epsilon = epsilon if isinstance(epsilon, Fraction) else _as_fraction(str(epsilon), "epsilon")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if precision_bits < 1:

@@ -7,6 +7,7 @@ evaluates the tail functions at argument start_index + k - 1.
 """
 
 import collections
+import functools
 import itertools
 import math
 import operator
@@ -43,17 +44,22 @@ _SHIFT_SLACK_BITS = 64
 _FIRST_CHECKPOINT = 50
 _RICHARDSON_ORDER = 30
 _RATIO_SLACK_BITS = 0.125
+# the kernel state (A, B, m, D, err) of an enumerated kernel item (n, state)
+_STATE = operator.itemgetter(1)
 # integer_tail_form trial-divides its kappa argument below this (about 2 ms)
 _TRIAL_BOUND = 10000
 
 
-def _as_fraction(v):
-    """v as a Fraction; an int or a string goes through json_value's bounds."""
+def _as_fraction(v, name, *index):
+    """v as a Fraction; an int or a string goes through json_value's bounds.
+    An error names the argument v was passed as: name, or name[i][j] for
+    the indices i, j of an item."""
     if isinstance(v, Fraction):
         return v
+    path = name + "".join(f"[{i}]" for i in index)
     if isinstance(v, (int, str)):
-        return json_value(v, "value", "rational")
-    raise TypeError(f"exact rational required, got {v!r}")
+        return json_value(v, path, "rational")
+    raise TypeError(f"{path}: exact rational required, got {v!r}")
 
 
 def _as_ratfn(v):
@@ -94,8 +100,9 @@ class CFSpec(Record):
     __slots__ = ("b0", "prefix", "tail")
 
     def __init__(self, b0=Fraction(0), prefix=(), tail=None):
-        self._set(_as_fraction(b0),
-                  tuple((_as_fraction(a), _as_fraction(b)) for a, b in prefix),
+        self._set(_as_fraction(b0, "b0"),
+                  tuple((_as_fraction(a, "prefix", i, 0), _as_fraction(b, "prefix", i, 1))
+                        for i, (a, b) in enumerate(prefix)),
                   tail if tail is None or isinstance(tail, CFTail) else CFTail(*tail))
 
     @classmethod
@@ -143,8 +150,9 @@ class LimitEstimate(Record):
     not a bound: on the plain path it is the last gap |A_n/B_n - A_l/B_l|
     between defined approximants (0 for a finite CF with a defined final
     approximant, infinite before the first gap), and on the Richardson path
-    it is infinite.  `converged` says only that two gaps fell below tol, and
-    the true error can be far larger: evaluate(ex4.2 with A = 0, 1e-9, 10^4)
+    it is infinite.  `converged` says only that two consecutive gaps, with
+    no undefined approximant between them, fell below tol, and the true
+    error can be far larger: evaluate(ex4.2 with A = 0, 1e-9, 10^4)
     stops converged at 9,587 terms with error_bound 1.0e-9, while its
     distance to the limit is 9.6e-6.
     """
@@ -362,7 +370,7 @@ def _limit_tol(tol, max_terms, precision_bits):
     """tol as a Fraction, after checking tol, max_terms and precision_bits as
     the limit loop and verify_limit both need them.  A float goes through its
     shortest repr, so 1e-10 becomes 1/10^10 rather than the nearest double."""
-    tol = tol if isinstance(tol, Fraction) else _as_fraction(str(tol))
+    tol = tol if isinstance(tol, Fraction) else _as_fraction(str(tol), "tol")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_terms < 2:
@@ -377,7 +385,10 @@ def evaluate(cf, tol, max_terms, precision_bits=128):
 
     Stops once two consecutive gaps between defined approximants fall below
     tol, compared in integers as |D| tol_den < tol_num |B B_last| with
-    D = A B_last - A_last B; a finite CF whose final approximant is defined
+    D = A B_last - A_last B.  An undefined approximant (B = 0) between two
+    gaps makes them not consecutive, so 1 + K(1/0), whose approximants
+    alternate between 1 and undefined, never converges.  A finite CF whose
+    final approximant is defined
     yields that exact value with error bound 0, and one whose final
     approximant is undefined its last defined one, unconverged.  The
     comparison is screened by bit lengths first: with
@@ -443,18 +454,30 @@ def _checkpoints(max_terms):
     return points
 
 
+@functools.cache
 def _richardson_weights(n):
-    """Integer weights u_0..u_m and their common denominator d that
-    extrapolate to x = 0 through the nodes x_i = 1/n_i, n_i = n - 2i, with
-    m = min(order, n // 4), so that every node is at least n/2.
+    """(u, d, guard): the integer weights u = (u_0, ..., u_m) and their common
+    denominator d that extrapolate to x = 0 through the nodes x_i = 1/n_i,
+    n_i = n - 2i, with m = min(order, n // 4), so that every node is at
+    least n/2; and guard = bitlen(ceil(sum |u_i| / d)), the bits an error
+    in the node values gains.  Cached: it is called for the checkpoints
+    50 * 2^k only, and every run at a checkpoint reads the same weights.
 
     The Lagrange weight of node i at 0 is n_i^m / prod_{j != i} (n_i - n_j);
     with n_i - n_j = 2 (j - i) that is u_i / d for u_i = (-1)^i C(m, i) n_i^m
     and d = 2^m m!.
     """
     m = min(_RICHARDSON_ORDER, n // 4)
-    u = [(-1) ** i * math.comb(m, i) * (n - 2 * i) ** m for i in range(m + 1)]
-    return u, math.factorial(m) << m
+    u = tuple((-1) ** i * math.comb(m, i) * (n - 2 * i) ** m for i in range(m + 1))
+    d = math.factorial(m) << m
+    return u, d, (-(-sum(map(abs, u)) // d)).bit_length()
+
+
+def _within(e0, e1, tol_num, tol_den):
+    """Whether the estimates S0/q0 and S1/q1 (q0, q1 > 0) differ by at most
+    tol = tol_num/tol_den, by cross-multiplying."""
+    (S0, q0), (S1, q1) = e0, e1
+    return abs(S1 * q0 - S0 * q1) * tol_den <= tol_num * q0 * q1
 
 
 def _ratio_settled(g0, g1, g2):
@@ -487,6 +510,15 @@ def extrapolate(cf, tol, max_terms, precision_bits=128):
     test.  The run stops once two successive estimates differ by at most
     tol, or at the last checkpoint.
 
+    Only the checkpoints are read in Python.  Between two of them the
+    kernel's states go straight into a window of the last 2m + 1 (a deque
+    filled in C by deque.extend over an islice of the kernel), so the run
+    does no per-term work beyond the kernel's own.  The weights, the guard
+    bits and the window's width come from the cached _richardson_weights;
+    each estimate is kept as the integer pair (sum u_i v_i, d 2^bits), with
+    v_i = floor(f_{n_i} 2^bits) in fixed point; two are compared by
+    cross-multiplying, and one Fraction is built, for the estimate returned.
+
     The kernel runs once.  Without a class or three checkpoints the run is
     evaluate's, exact up to 300 terms and budgeted beyond.  A failed ratio
     test or a zero B_i in a checkpoint's window turns the method down, and
@@ -516,15 +548,14 @@ def _limit(cf, tol, max_terms, precision_bits, extrapolating):
     points = _checkpoints(max_terms) if extrapolating and tail_class(cf) else []
     pairs = budget = None  # pairs: the Richardson window while that method applies
     if len(points) >= 3:
-        last, d = _richardson_weights(points[-1])
-        guard = math.ceil(Fraction(sum(map(abs, last)), d)).bit_length()
+        last, _, guard = _richardson_weights(points[-1])
         bits = precision_bits + _FLOAT_GUARD_BITS + guard
         budget = bits + points[-1].bit_length()
         pairs = collections.deque(maxlen=2 * len(last) - 1)
     elif max_terms > _EXACT_TERM_LIMIT:
         budget = precision_bits + _FLOAT_GUARD_BITS + max_terms.bit_length()
     steps = itertools.islice(_scaled_terms(cf), max_terms)
-    kernel = _recurrence(cf.b0, steps, budget, gaps=pairs is None)
+    kernel = enumerate(_recurrence(cf.b0, steps, budget, gaps=pairs is None), 1)
     tol_num, tol_den = tol.numerator, tol.denominator
     offset = tol_den.bit_length() - tol_num.bit_length()
     A_last, B_last = cf.b0.numerator, cf.b0.denominator
@@ -532,32 +563,35 @@ def _limit(cf, tol, max_terms, precision_bits, extrapolating):
     A_gap, B_gap, gap = 0, 0, None  # (A_gap, B_gap): the defined pair before the last one
     adjacent = True  # the kernel's previous pair is (A_last, B_last)
     small_prev = converged = False
-    estimates, parity_gaps = [], []
+    estimates, parity_gaps = [], []  # estimates: pairs (S, q) for the value S/q
     n = 0
-    for n, (A, B, _, D, err) in enumerate(kernel, 1):
-        if pairs is not None:
+    if pairs is not None:
+        # the kernel's states (A, B, ...) before the first checkpoint, in C
+        pairs.extend(map(_STATE, itertools.islice(kernel, points[0] - 1)))
+    for n, (A, B, _, D, err) in kernel:
+        if pairs is not None:  # n is a checkpoint
             pairs.append((A, B))
-            if n != points[len(estimates)]:
-                continue
-            u, d = _richardson_weights(n)
+            u, d, _ = _richardson_weights(n)
             window = [pairs[-1 - 2 * i] for i in range(len(u))]
-            if all(B_i for _, B_i in window):
+            if all(state[1] for state in window):
                 # f_{n_i} in units of 2^-bits
-                values = [(A_i << bits) // B_i for A_i, B_i in window]
-                estimates.append(Fraction(sum(map(operator.mul, u, values)), d << bits))
+                values = [(state[0] << bits) // state[1] for state in window]
+                estimates.append((sum(map(operator.mul, u, values)), d << bits))
                 parity_gaps.append(abs(values[0] - values[1]))
-                if len(parity_gaps) < 3:
-                    continue
-                if _ratio_settled(*parity_gaps[-3:]):
-                    if abs(estimates[-1] - estimates[-2]) <= tol or n == points[-1]:
-                        break
+                settled = len(parity_gaps) >= 3 and _ratio_settled(*parity_gaps[-3:])
+                if settled and (n == points[-1] or _within(*estimates[-2:], tol_num, tol_den)):
+                    break
+                if settled or len(parity_gaps) < 3:
+                    # read on to the next checkpoint, the states again in C
+                    pairs.extend(map(_STATE, itertools.islice(
+                        kernel, points[len(estimates)] - n - 1)))
                     continue
             # turned down: the plain rule reads on from this pair
-            A_last, B_last = next(p for p in itertools.islice(reversed(pairs), 1, None) if p[1])
+            A_last, B_last = next(p for p in itertools.islice(reversed(pairs), 1, None) if p[1])[:2]
             last_bits = B_last.bit_length()
             pairs = None
-        if not B:
-            adjacent = False
+        if not B:  # undefined: the run of small gaps starts again after it
+            adjacent = small_prev = False
             continue
         B_bits = B.bit_length()
         if D is None or not adjacent or err is not None and not (
@@ -585,7 +619,7 @@ def _limit(cf, tol, max_terms, precision_bits, extrapolating):
         gap = abs(A_last * B_gap - A_gap * B_last), abs(B_last * B_gap)
     richardson = pairs is not None
     return (
-        estimates[-1] if richardson else Fraction(A_last, B_last),
+        Fraction(*estimates[-1]) if richardson else Fraction(A_last, B_last),
         gap,
         n,
         converged,
@@ -612,7 +646,7 @@ def similarity_scale(cf, r):
     """
     if isinstance(r, (RationalFunction, IntPolynomial)):
         return _similarity_symbolic(cf, _as_ratfn(r))
-    return _similarity_sequence(cf, [_as_fraction(x) for x in r])
+    return _similarity_sequence(cf, [_as_fraction(x, "r", i) for i, x in enumerate(r)])
 
 
 def _similarity_sequence(cf, r):

@@ -80,7 +80,7 @@ class LimitClaim(Record):
 
     @classmethod
     def exact(cls, value):
-        return cls(kind="exact", value=_as_fraction(value))
+        return cls(kind="exact", value=_as_fraction(value, "value"))
 
     @classmethod
     def named(cls, name, **params):
@@ -279,8 +279,8 @@ def family_binomial(alpha, x, r):
     rho(n) = (alpha-n+2) x/(n-1) (the ratio s_{n-1}/s_{n-2}) and
     u(n) = (alpha-n+1) x (1+r(n))/n - r(n-1), followed by the integer form.
     """
-    alpha = _as_fraction(alpha)
-    x = _as_fraction(x)
+    alpha = _as_fraction(alpha, "alpha")
+    x = _as_fraction(x, "x")
     r = _as_ratfn(r)
     r0 = _value_at_zero(r, "r")
     hyps = [_hyp("x_bounded", lambda: abs(x) < 1, "|x| < 1")]
@@ -391,9 +391,9 @@ def ramanujan_entry13(a, b, d):
     and b not of the form -kd for integer k >= 0; d nonzero with a = b;
     or d = 0 with |a| < |b|.
     """
-    a = _as_fraction(a)
-    b = _as_fraction(b)
-    d = _as_fraction(d)
+    a = _as_fraction(a, "a")
+    b = _as_fraction(b, "b")
+    d = _as_fraction(d, "d")
     prefix = ((a * b, a + b + d),)
     p1 = d * _N + (a - d)
     p2 = d * _N + (b - d)

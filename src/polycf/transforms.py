@@ -39,7 +39,7 @@ class SeriesSpec(Record):
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self._set(tuple(_as_fraction(t) for t in terms))
+        self._set(tuple(_as_fraction(t, "terms", i) for i, t in enumerate(terms)))
 
     def partial_sums(self):
         return list(itertools.accumulate(self.terms))
@@ -51,7 +51,7 @@ class ProductSpec(Record):
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        self._set(tuple(_as_fraction(t) for t in factors))
+        self._set(tuple(_as_fraction(t, "factors", i) for i, t in enumerate(factors)))
 
     def partial_products(self):
         return list(itertools.accumulate(self.factors, operator.mul))
@@ -68,7 +68,7 @@ class BauerMuirResult(Record):
 def _as_sequence(x, attr):
     if isinstance(x, (SeriesSpec, ProductSpec)):
         x = getattr(x, attr)
-    return [_as_fraction(t) for t in x]
+    return [_as_fraction(t, attr, i) for i, t in enumerate(x)]
 
 
 def _euler_term(rho, u_2, u_1, u):
@@ -112,7 +112,7 @@ def _euler_cf(b0, u, error, rho=None):
 
 def bernoulli_from_sequence(K):
     """CF whose n-th approximant is K_n, for a sequence with K_n != K_{n-1}."""
-    K = [_as_fraction(t) for t in K]
+    K = [_as_fraction(t, "K", i) for i, t in enumerate(K)]
     if not K:
         raise ValueError("sequence must contain at least K_0")
     return _euler_cf(K[0], [K[n] - K[n - 1] for n in range(1, len(K))], RepeatedValue)
@@ -133,7 +133,7 @@ def generalized_euler(a, b):
     c_n = a_n + b_n - b_{n-1} must be nonzero.
     """
     a = _as_sequence(a, "terms")
-    b = [_as_fraction(t) for t in b]
+    b = [_as_fraction(t, "b", i) for i, t in enumerate(b)]
     if not a or len(b) != len(a):
         raise ValueError("need weights b_0..b_N matching terms a_0..a_N")
     c = [a[n] + b[n] - b[n - 1] for n in range(1, len(a))]
@@ -162,7 +162,7 @@ def generalized_product(a, b):
     requires every u_n != 0.
     """
     a = _as_sequence(a, "factors")
-    b = [_as_fraction(t) for t in b]
+    b = [_as_fraction(t, "b", i) for i, t in enumerate(b)]
     if len(b) != len(a) + 1:
         raise ValueError("need weights b_0..b_N matching factors a_1..a_N")
     u = [a[n - 1] * b[n] - b[n - 1] for n in range(1, len(a) + 1)]
@@ -188,7 +188,7 @@ def euler_tail(b0, u, rho=1):
         if a == 0:
             raise DegenerateTerm(n)
     tail = CFTail(*_euler_term(rho, u.shift(-2), u.shift(-1), u), 3)
-    return CFSpec(_as_fraction(b0), prefix, tail)
+    return CFSpec(_as_fraction(b0, "b0"), prefix, tail)
 
 
 def _checked_steps(cf, wv, N):
@@ -261,8 +261,8 @@ def _w_values(w, count):
     """w_0..w_{count-1}: w(n) for a callable w, else w itself, which must
     hold exactly count values."""
     if callable(w):
-        return [_as_fraction(w(n)) for n in range(count)]
-    vals = [_as_fraction(x) for x in w]
+        return [_as_fraction(w(n), "w", n) for n in range(count)]
+    vals = [_as_fraction(x, "w", i) for i, x in enumerate(w)]
     if len(vals) != count:
         raise ValueError(f"need w_0..w_{count - 1}, got {len(vals)} values")
     return vals

@@ -564,6 +564,8 @@ def _direct_limit(cf, tol, max_terms, bits):
             if small and small_prev:
                 return F(A_last, B_last), gap, n, True
             small_prev = small
+        else:
+            small_prev = False
     return F(A_last, B_last), gap, n, False
 
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -29,6 +30,7 @@ from polycf.cf import (
     cf_to_json,
     convergents,
     evaluate,
+    extrapolate,
     similarity_scale,
     tail_cf,
     term_at,
@@ -41,10 +43,18 @@ from polycf.errors import (
     ZeroPartialNumerator,
     ZeroScaleFactor,
 )
-from polycf.analysis import growth_diagnostics
-from polycf.families import LimitClaim, build_preset
+from polycf.analysis import growth_diagnostics, verify_limit
+from polycf.families import LimitClaim, build_preset, family_binomial, ramanujan_entry13
 from polycf.poly import _MAX_DECIMAL_EXPONENT, IntPolynomial, RationalFunction, ratfn_from_string
-from polycf.transforms import SeriesSpec, bauer_muir
+from polycf.transforms import (
+    ProductSpec,
+    SeriesSpec,
+    bauer_muir,
+    bernoulli_from_sequence,
+    euler_from_series,
+    euler_tail,
+    generalized_euler,
+)
 
 F = Fraction
 
@@ -365,7 +375,8 @@ def _reference_evaluate(cf, tol, max_terms, precision_bits, backend):
     small_prev = converged = finite = False
     n, B = 0, B_last
     for n, (A, B, _, _, _) in enumerate(itertools.islice(_kernel(cf, budget, False), max_terms), 1):
-        if B == 0:
+        if B == 0:  # an undefined approximant ends the run of small gaps
+            small_prev = False
             continue
         gap_num = abs(A * B_last - A_last * B)
         gap_den = abs(B * B_last)
@@ -534,14 +545,15 @@ def test_stop_rule_reads_an_approximate_gap_only_within_its_bound(monkeypatch, p
 def _stop_rule(cf, tol, max_terms):
     """The documented stop rule restated over approximants()."""
     values = approximants(cf, max_terms).values()
-    last, gaps = values[0], []
+    last, small_prev = values[0], False
     for n, v in enumerate(values[1:], 1):
-        if v is UNDEFINED:
+        if v is UNDEFINED:  # the run of small gaps starts again after it
+            small_prev = False
             continue
-        gaps.append(abs(v - last))
-        last = v
-        if len(gaps) >= 2 and gaps[-1] < tol and gaps[-2] < tol:
-            return n, v, gaps[-1]
+        gap, last = abs(v - last), v
+        if gap < tol and small_prev:
+            return n, v, gap
+        small_prev = gap < tol
     raise AssertionError("reference did not converge")
 
 
@@ -796,11 +808,48 @@ def test_rational_strings_refuse_what_json_input_refuses():
     # a zero denominator is a ValueError, as for JSON input, not a
     # ZeroDivisionError; a bool is not a rational
     for value in ("1/0", True, "", "n"):
-        with pytest.raises(ValueError, match="^value: expected rational"):
+        with pytest.raises(ValueError, match="^b0: expected rational"):
             CFSpec(value)
     with pytest.raises(TypeError, match="exact rational required"):
         CFSpec(0.5)
     assert evaluate(E_CF, 0.001, 10) == evaluate(E_CF, F(1, 1000), 10)  # by its shortest repr
+
+
+# library entry points, each with the name it gives the refused argument v
+_NAMED_READERS = {
+    "CFSpec-b0": ("b0", lambda v: CFSpec(v)),
+    "CFSpec-prefix-a": ("prefix[1][0]", lambda v: CFSpec(0, [(1, 1), (v, 1)])),
+    "CFSpec-prefix-b": ("prefix[0][1]", lambda v: CFSpec(0, [(1, v)])),
+    "evaluate": ("tol", lambda v: evaluate(E_CF, v, 10)),
+    "extrapolate": ("tol", lambda v: extrapolate(E_CF, v, 10)),
+    "verify_limit": ("tol", lambda v: verify_limit(build_preset("e"), 10, 128, v)),
+    "growth_diagnostics": ("epsilon", lambda v: growth_diagnostics(E_CF, 5, v)),
+    "similarity_scale": ("r[1]", lambda v: similarity_scale(E_CF, [1, v])),
+    "LimitClaim.exact": ("value", lambda v: LimitClaim.exact(v)),
+    "family_binomial-alpha": ("alpha", lambda v: family_binomial(v, 0, "0")),
+    "family_binomial-x": ("x", lambda v: family_binomial(F(1, 2), v, "0")),
+    "ramanujan_entry13": ("d", lambda v: ramanujan_entry13(1, 1, v)),
+    "SeriesSpec": ("terms[1]", lambda v: SeriesSpec([1, v])),
+    "euler_from_series": ("terms[2]", lambda v: euler_from_series([1, 2, v])),
+    "ProductSpec": ("factors[0]", lambda v: ProductSpec([v])),
+    "bernoulli_from_sequence": ("K[1]", lambda v: bernoulli_from_sequence([0, v])),
+    "generalized_euler": ("b[1]", lambda v: generalized_euler([1, 2], [0, v])),
+    "euler_tail": ("b0", lambda v: euler_tail(v, "n")),
+    "bauer_muir-list": ("w[2]", lambda v: bauer_muir(E_CF, [0, 0, v], 2)),
+    "bauer_muir-callable": ("w[3]", lambda v: bauer_muir(E_CF, lambda n: v if n == 3 else 0, 3)),
+}
+
+
+@pytest.mark.parametrize("name, read", _NAMED_READERS.values(), ids=_NAMED_READERS)
+def test_library_errors_name_the_refused_argument(name, read):
+    name = re.escape(name)
+    with pytest.raises(ValueError, match=f"^{name}: expected rational, got 'x'$"):
+        read("x")
+    with pytest.raises(ValueError, match=f"^{name}: decimal exponent above {_MAX_DECIMAL_EXPONENT}$"):
+        read(f"1e-{_MAX_DECIMAL_EXPONENT + 1}")
+    if name not in ("tol", "epsilon"):  # those two read a float by its shortest repr
+        with pytest.raises(TypeError, match=f"^{name}: exact rational required, got 0.5$"):
+            read(0.5)
 
 
 def test_json_round_trip():
