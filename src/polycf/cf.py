@@ -388,10 +388,9 @@ def evaluate(cf, tol, max_terms, precision_bits=128):
     D = A B_last - A_last B.  An undefined approximant (B = 0) between two
     gaps makes them not consecutive, so 1 + K(1/0), whose approximants
     alternate between 1 and undefined, never converges.  A finite CF whose
-    final approximant is defined
-    yields that exact value with error bound 0, and one whose final
-    approximant is undefined its last defined one, unconverged.  The
-    comparison is screened by bit lengths first: with
+    final approximant is defined yields that exact value with error bound
+    0, and one whose final approximant is undefined its last defined one,
+    unconverged.  The comparison is screened by bit lengths first: with
     L = bitlen(D) + bitlen(tol_den) and R = bitlen(tol_num) + bitlen(B) +
     bitlen(B_last), the left side lies in [2^(L-2), 2^L) and the right in
     [2^(R-3), 2^R) (D = 0 is small), so L <= R - 3 decides small and

@@ -1,5 +1,6 @@
 """Unit tests for the continued fraction model and evaluator."""
 
+import collections
 import hashlib
 import itertools
 import json
@@ -881,3 +882,186 @@ def test_least_square_root_multiple_is_least_below_the_cube_bound():
              1000000007**2: 1000000007}
     for d, k in cases.items():
         assert _least_square_root_multiple(d) == k
+
+
+def _per_term_richardson_weights(n):
+    """_richardson_weights as it was before it was cached, verbatim."""
+    m = min(cf_module._RICHARDSON_ORDER, n // 4)
+    u = [(-1) ** i * math.comb(m, i) * (n - 2 * i) ** m for i in range(m + 1)]
+    return u, math.factorial(m) << m
+
+
+def _per_term_limit(cf, tol, max_terms, precision_bits, extrapolating):
+    """_limit as it was before its Richardson branch read only checkpoints,
+    verbatim but for the module prefix c. and two changes: a B = 0 step
+    also sets small_prev = False (the stop rule's correction), and every
+    estimate is returned too.  The loop body runs at every term and builds
+    a Fraction for each estimate: the reference that the checkpoint loop
+    must match."""
+    c = cf_module
+    tol = c._limit_tol(tol, max_terms, precision_bits)
+    points = c._checkpoints(max_terms) if extrapolating and c.tail_class(cf) else []
+    pairs = budget = None  # pairs: the Richardson window while that method applies
+    if len(points) >= 3:
+        last, d = _per_term_richardson_weights(points[-1])
+        guard = math.ceil(Fraction(sum(map(abs, last)), d)).bit_length()
+        bits = precision_bits + c._FLOAT_GUARD_BITS + guard
+        budget = bits + points[-1].bit_length()
+        pairs = collections.deque(maxlen=2 * len(last) - 1)
+    elif max_terms > c._EXACT_TERM_LIMIT:
+        budget = precision_bits + c._FLOAT_GUARD_BITS + max_terms.bit_length()
+    steps = itertools.islice(c._scaled_terms(cf), max_terms)
+    kernel = c._recurrence(cf.b0, steps, budget, gaps=pairs is None)
+    tol_num, tol_den = tol.numerator, tol.denominator
+    offset = tol_den.bit_length() - tol_num.bit_length()
+    A_last, B_last = cf.b0.numerator, cf.b0.denominator
+    last_bits = B_last.bit_length()
+    A_gap, B_gap, gap = 0, 0, None  # (A_gap, B_gap): the defined pair before the last one
+    adjacent = True  # the kernel's previous pair is (A_last, B_last)
+    small_prev = converged = False
+    estimates, parity_gaps = [], []
+    n = 0
+    for n, (A, B, _, D, err) in enumerate(kernel, 1):
+        if pairs is not None:
+            pairs.append((A, B))
+            if n != points[len(estimates)]:
+                continue
+            u, d = _per_term_richardson_weights(n)
+            window = [pairs[-1 - 2 * i] for i in range(len(u))]
+            if all(B_i for _, B_i in window):
+                # f_{n_i} in units of 2^-bits
+                values = [(A_i << bits) // B_i for A_i, B_i in window]
+                estimates.append(Fraction(sum(map(operator.mul, u, values)), d << bits))
+                parity_gaps.append(abs(values[0] - values[1]))
+                if len(parity_gaps) < 3:
+                    continue
+                if c._ratio_settled(*parity_gaps[-3:]):
+                    if abs(estimates[-1] - estimates[-2]) <= tol or n == points[-1]:
+                        break
+                    continue
+            # turned down: the plain rule reads on from this pair
+            A_last, B_last = next(p for p in itertools.islice(reversed(pairs), 1, None) if p[1])
+            last_bits = B_last.bit_length()
+            pairs = None
+        if not B:
+            adjacent = small_prev = False
+            continue
+        B_bits = B.bit_length()
+        if D is None or not adjacent or err is not None and not (
+                err <= -2 and D and D.bit_length() - B_bits - last_bits + offset >= 3):
+            # past a shift the kernel's D only settles "not small": bl(exact D) >= bl(D) - 1
+            D = A * B_last - A_last * B
+        adjacent = True
+        excess = D.bit_length() - B_bits - last_bits + offset  # L - R
+        if excess >= 2 and D:
+            small = False
+        elif excess <= -3:
+            small = True
+        else:
+            small = abs(D) * tol_den < tol_num * abs(B * B_last)
+        A_gap, B_gap = A_last, B_last
+        A_last, B_last, last_bits = A, B, B_bits
+        if small and small_prev:
+            converged = True
+            break
+        small_prev = small
+    else:
+        if n < max_terms and adjacent:  # a finite CF whose final approximant is defined
+            converged, gap = True, (0, 1)
+    if gap is None and B_gap:  # the last gap, formed exactly once
+        gap = abs(A_last * B_gap - A_gap * B_last), abs(B_last * B_gap)
+    richardson = pairs is not None
+    return (
+        estimates[-1] if richardson else Fraction(A_last, B_last),
+        gap,
+        n,
+        converged,
+        "richardson" if richardson else "plain",
+    ), estimates
+
+
+_CHECKPOINT_PRESETS = [("brouncker", {})] + [("ex3.3", {"A": str(A)}) for A in range(1, 6)] + [
+    ("ex3.4", {"k": str(k), "A": str(A)}) for k in (2, 3, 11) for A in (1, 2, 3)] + [
+    ("ex4.2", {"A": str(A)}) for A in (-1, 0, 1)]
+
+
+@st.composite
+def _algebraic_cf(draw):
+    """A CF whose tail has a class: a preset of the paper's algebraic
+    families, or a random positive or parabolic tail, its numerator times
+    (n - k1)/(n - k2) (a zero or a pole within 450 terms, or none) after a
+    prefix of up to 60 small terms, b_n = 0 among them (B_n = 0 steps)."""
+    if draw(st.booleans()):
+        preset, params = draw(st.sampled_from(_CHECKPOINT_PRESETS))
+        return build_preset(preset, params).cf
+    n = IntPolynomial.variable()
+    beta = draw(st.integers(1, 3))
+    low = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    if draw(st.booleans()):  # positive: a ~ alpha n^2, b = beta
+        a, b = draw(st.integers(1, 3)) * n * n + low[1] * n + low[0], IntPolynomial([beta])
+    else:  # parabolic: a ~ -beta^2 n^2, b ~ 2 beta n
+        a, b = -beta * beta * n * n + low[1] * n + low[0], 2 * beta * n + draw(st.integers(-2, 2))
+    k1, k2 = draw(st.integers(-600, 450)), draw(st.integers(-600, 450))
+    a = RationalFunction(a * (n - k1), n - k2) if k1 != k2 else RationalFunction(a)
+    prefix = draw(st.lists(st.tuples(_small, _small | st.just(F(0))), max_size=60))
+    return CFSpec(draw(_rational), tuple(prefix), CFTail(a, RationalFunction(b),
+                                                         draw(st.integers(1, 3))))
+
+
+def _zero_b_at_40():
+    """Brouncker's tail after 40 prefix terms with B_40 = 0: inside the
+    window of the checkpoint 50, which turns the method down."""
+    prefix = [(F(1), F(1))] * 39
+    B_38, B_39 = (c.B for c in convergents(CFSpec(F(0), tuple(prefix)), 39)[38:])
+    cf = CFSpec(F(0), tuple(prefix) + ((F(1), -B_38 / B_39),), build_preset("brouncker").cf.tail)
+    assert convergents(cf, 40)[40].B == 0
+    return cf
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(cf=build_preset("brouncker").cf, max_terms=800, tol=F(1, 10**3), bits=128, pick=None)
+@example(cf=build_preset("brouncker").cf, max_terms=800, tol=F(1, 10**40), bits=128, pick=None)
+@example(cf=build_preset("brouncker").cf, max_terms=800, tol=F(1, 10**40), bits=128, pick=(1, 0))
+@example(cf=build_preset("ex3.3", {"A": "2"}).cf, max_terms=800, tol=F(1, 10**40), bits=128,
+         pick=(2, 0))
+@example(cf=_zero_b_at_40(), max_terms=400, tol=F(1, 10**9), bits=128, pick=None)
+@example(cf=CFSpec(F(0), (), CFTail("n^3/(n-120)", "2")), max_terms=400, tol=F(1), bits=64,
+         pick=None)
+@example(cf=CFSpec(F(0), (), CFTail("(n^3-75n^2)/(n+1)", "2")), max_terms=400, tol=F(1),
+         bits=64, pick=None)
+@given(
+    cf=_algebraic_cf(),
+    max_terms=st.sampled_from([400, 200, 201, 199, 49, 50, 51, 800]),
+    tol=st.integers(1, 200).map(lambda k: F(1, 2**k)),
+    bits=st.sampled_from([16, 64, 128]),
+    pick=st.none() | st.tuples(st.integers(0, 6), st.sampled_from([-1, 0, 1])),
+)
+def test_checkpoint_loop_matches_the_per_term_loop(cf, max_terms, tol, bits, pick):
+    # same parts or the same exception; with pick, tol at the distance of two
+    # successive estimates or just beside it, so the run stops at a chosen
+    # checkpoint, with the comparison at equality
+    try:
+        want, estimates = _per_term_limit(cf, tol, max_terms, bits, True)
+    except PolycfError as exc:
+        with pytest.raises(type(exc)) as got:
+            cf_module._limit(cf, tol, max_terms, bits, True)
+        assert got.value.args == exc.args
+        return
+    assert cf_module._limit(cf, tol, max_terms, bits, True) == want
+    diffs = [abs(e1 - e0) for e0, e1 in zip(estimates, estimates[1:]) if e1 != e0]
+    if pick is not None and diffs:
+        i, side = pick
+        tol = diffs[i % len(diffs)] * (1 + F(side, 2**40))
+        assert cf_module._limit(cf, tol, max_terms, bits, True) == _per_term_limit(
+            cf, tol, max_terms, bits, True)[0]
+
+
+@pytest.mark.parametrize("n", [50 * 2**k for k in range(8)])  # every checkpoint up to 6400
+def test_richardson_weights_are_the_lagrange_weights_at_zero(n):
+    u, d, guard = weights = cf_module._richardson_weights(n)
+    assert type(u) is tuple and cf_module._richardson_weights(n) is weights
+    m = min(cf_module._RICHARDSON_ORDER, n // 4)
+    nodes = [F(1, n - 2 * i) for i in range(m + 1)]
+    lagrange = [math.prod(x_j / (x_j - x_i) for x_j in nodes if x_j != x_i) for x_i in nodes]
+    assert [F(u_i, d) for u_i in u] == lagrange
+    assert guard == math.ceil(F(sum(map(abs, u)), d)).bit_length()
