@@ -173,7 +173,7 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
     if precision_bits < 1:
         raise ValueError("precision_bits must be at least 1")
     bs, M = [], 1  # B_n = B / M, M > 0 as the steps are sign-normalised; b0 moves only A_n
-    for _, B, m, _, _ in _recurrence(Fraction(0), _first(_terms_at_least_one(cf), N)):
+    for _, B, m, *_ in _recurrence(Fraction(0), _first(_terms_at_least_one(cf), N)):
         M *= m
         bs.append((B, M))
     k = degree(cf.tail.b) if cf.tail is not None else 0

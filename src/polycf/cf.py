@@ -38,13 +38,16 @@ _EXACT_TERM_LIMIT = 300
 _FLOAT_GUARD_BITS = 32
 # the budgeted kernel shifts its integers once they pass its bit budget by this
 # much, so that a shift comes every few terms rather than every term
-_SHIFT_SLACK_BITS = 64
+_SHIFT_SLACK_BITS = 256
+# past its first shift the budgeted kernel keeps its determinant as a
+# mantissa of this many bits times a power of two
+_DET_BITS = 128
 # extrapolate: the first checkpoint, the largest Richardson order m, and how
 # far (in bits) a gap-doubling ratio may sit from 2^-(c+1)
 _FIRST_CHECKPOINT = 50
 _RICHARDSON_ORDER = 30
 _RATIO_SLACK_BITS = 0.125
-# the kernel state (A, B, m, D, err) of an enumerated kernel item (n, state)
+# the kernel state (A, B, m, D, err, x) of an enumerated kernel item (n, state)
 _STATE = operator.itemgetter(1)
 # integer_tail_form trial-divides its kappa argument below this (about 2 ms)
 _TRIAL_BOUND = 10000
@@ -148,13 +151,13 @@ class LimitEstimate(Record):
     `method` is "plain" for an approximant A_n/B_n and "richardson" for an
     extrapolated value.  Despite its name, `error_bound` is an estimate,
     not a bound: on the plain path it is the last gap |A_n/B_n - A_l/B_l|
-    between defined approximants (0 for a finite CF with a defined final
-    approximant, infinite before the first gap), and on the Richardson path
-    it is infinite.  `converged` says only that two consecutive gaps, with
-    no undefined approximant between them, fell below tol, and the true
-    error can be far larger: evaluate(ex4.2 with A = 0, 1e-9, 10^4)
-    stops converged at 9,587 terms with error_bound 1.0e-9, while its
-    distance to the limit is 9.6e-6.
+    between adjacent defined approximants (0 for a finite CF with a defined
+    final approximant, infinite before the first gap or across an undefined
+    one), and on the Richardson path it is infinite.  `converged` says only
+    that two consecutive gaps, with no undefined approximant between them,
+    fell below tol, and the true error can be far larger: evaluate(ex4.2
+    with A = 0, 1e-9, 10^4) stops converged at 9,587 terms with error_bound
+    1.0e-9, while its distance to the limit is 9.6e-6.
     """
 
     __slots__ = ("value", "error_bound", "terms_used", "converged", "method")
@@ -194,7 +197,7 @@ def _canonical_pairs(b0, steps):
     q = b0.denominator
     c, r = divmod(b0.numerator, q)
     M = 1
-    for A, B, m, _, _ in _recurrence(Fraction(c), steps):
+    for A, B, m, *_ in _recurrence(Fraction(c), steps):
         M *= m
         yield (Fraction(A) if q * M == 1 else Fraction(q * A + r * B, q * M),
                Fraction(B) if M == 1 else Fraction(B, M))
@@ -285,37 +288,46 @@ def _iter_terms(cf, N=None):
 
 
 def _recurrence(b0, steps, budget=None, gaps=False):
-    """The recurrence kernel, in Python integers: (A, B, m, D, err) after
+    """The recurrence kernel, in Python integers: (A, B, m, D, err, x) after
     each of the integer steps (a, b, m) of _scaled_terms, starting from b0.
 
     (A, A_prev, B, B_prev) hold A_n, A_{n-1}, B_n, B_{n-1} times one common
     scale, so A/B is the approximant whatever the scale is.  Without a
     budget the integers are never rounded, and the scale after term n is
     den(b0) times the step scales m of terms 1..n.  With a budget b, once
-    every nonzero one of the four has more than b + slack bits, all four are
-    shifted right by the same amount, so that the smallest keeps b bits.
+    every nonzero one of the four has more than b + _SHIFT_SLACK_BITS bits
+    (256), all four are shifted right by the same amount, so that the
+    smallest keeps b bits.  A shift costs about as much as a step, and the
+    slack spaces the shifts by at least 256 bits of growth.
 
-    Gaps.  With gaps, D is the gap numerator A B_l - A_l B against the
+    Gaps.  With gaps, D 2^x is the gap numerator A B_l - A_l B against the
     previous pair (A_l, B_l), the one yielded before (for term 1, b0 as
-    num/den): exact while err is None, else within 2^err |D| of it if
-    err <= -2; without gaps D and err are None.  The kernel keeps the
-    determinant E = A B_prev - A_prev B of its state.  A step gives D = -a E
-    (the b-terms cancel) and E = m D, since then A_prev = m A_l and
-    B_prev = m B_l: one product with a small term each, where forming D
-    directly takes two full-width products, and no change of relative error.
-    A shift by k writes X = 2^k X' + r_X with 0 <= r_X < 2^k, so
+    num/den): exact, with x = 0, while err is None, else within
+    2^err |D 2^x| of it if err <= -2; without gaps D and err are None and
+    x is 0.  The kernel keeps the determinant of its state as E 2^x, with
+    E = A B_prev - A_prev B exactly (x = 0) up to its first shift.  A step
+    gives D = -a E (the b-terms cancel) and E = m D, since then
+    A_prev = m A_l and B_prev = m B_l: one product with a small term each,
+    where forming D directly takes two full-width products, and no change
+    of relative error.  A shift by k writes X = 2^k X' + r_X with
+    0 <= r_X < 2^k, so
         m D' = A' B_prev - A_prev B' = (E - r_A B_prev + A_prev r_B) / 2^k,
         E' = A' B_prev' - A_prev' B' = (m D' - A' r_{B_prev} + r_{A_prev} B') / 2^k,
-    and the kernel drops the r terms: mD = E >> k, D = mD // m, E = mD >> k.
-    With M the largest bit length of the four before the shift (so
-    |m| <= |B_prev| < 2^M and k < M), the first line drops less than
-    2^(k+M+1) and the second 2^k (1 + |A'| + |B'|) <= 2^(M+2), so E' 2^(2k)
-    and D' 2^k m (with // m) move by less than t |E| for t = 2^(k+M+4-bl(E)),
-    and the floors shrink them by less than 2^(k+M) <= t |E| / 8.  A relative
-    error psi thus becomes at most (psi + t) / (1 - t/8) <= psi + 2t = psi + 2^e
-    while psi + t <= 1/2.  The kernel sums these as count 2^emax (emax the
-    largest e over count shifts): err = emax + bl(count).  Rounding each
-    shift's bound up to a whole bit instead would lose a bit per shift.
+    and the kernel drops the r terms, which only moves exponents: as
+    E = m D, D' = D 2^(x-k) and E' = E 2^(x-2k), with no division by m.
+    With M the largest bit length of the four before the shift, the r
+    terms of the first line are below 2^(k+M+1) and those of the second
+    below 2^(M+1), so D' and E' move by less than t |D 2^x| / 2^k and
+    t |E 2^x| / 2^(2k), for t = 2^(k+M+3-L) and L = bl(E) + x: a relative
+    error psi becomes at most psi + t.  Then E' is cut to its top
+    W = _DET_BITS (128) bits, the fixed precision of Brent and Zimmermann,
+    Modern Computer Arithmetic, ch. 3; that moves it by less than 2^(1-W)
+    of itself, which brings psi <= 1/2 to at most psi + 2^(2-W).  So
+    between shifts E has W bits plus the small factors of the steps since,
+    not the state's width.  The kernel sums the two terms of each shift as
+    count 2^emax (emax the largest exponent over them):
+    err = emax + bl(count).  Rounding each shift's bound up to a whole bit
+    instead would lose a bit per shift.
 
     Truncation error.  A common shift changes no ratio of the four, so A/B
     is unchanged by the scaling itself.  The floor of the shift moves each
@@ -325,19 +337,19 @@ def _recurrence(b0, steps, budget=None, gaps=False):
     do, so it reaches A/B amplified only by the recurrence's own
     conditioning, as rounding in any b-bit arithmetic would be.  There is at
     most one shift per term, so the shifts of N terms add up to less than
-    N * 2^-b relative before that amplification.  The budget is set by the
-    smallest value, not the largest, because A_{n-1} can be smaller than A_n
-    by a factor near b_n (2^40 and more in the zeta(k) families, whose
-    recurrences cancel): a budget on the largest value gives up those bits
-    of A_{n-1}.
+    N * 2^-b relative before that amplification, whatever the slack.  The
+    budget is set by the smallest value, not the largest, because A_{n-1}
+    can be smaller than A_n by a factor near b_n (2^40 and more in the
+    zeta(k) families, whose recurrences cancel): a budget on the largest
+    value gives up those bits of A_{n-1}.
     """
     A_prev, B_prev = b0.denominator, 0
     A, B = b0.numerator, b0.denominator
     E = -B * B
-    D, err, count, emax = None, None, 0, -math.inf
+    D, err, count, emax, x = None, None, 0, -math.inf, 0
     limit = None if budget is None else budget + _SHIFT_SLACK_BITS
     for a, b, m in steps:
-        if gaps:
+        if gaps:  # D and E both have the exponent x here
             D = -a * E
             E = D if m == 1 else m * D
         if m == 1:
@@ -357,13 +369,14 @@ def _recurrence(b0, steps, budget=None, gaps=False):
                 B >>= shift
                 B_prev >>= shift
                 if gaps:
-                    e = shift + max(lengths) + 5 - E.bit_length()
-                    count, emax = count + 1, max(emax, e)
+                    e = shift + max(lengths) + 3 - E.bit_length() - x
+                    count, emax = count + 2, max(emax, e, 2 - _DET_BITS)
                     err = emax + count.bit_length()
-                    mD = E >> shift
-                    D = mD if m == 1 else mD // m
-                    E = mD >> shift
-        yield A, B, m, D, err
+                    cut = max(E.bit_length() - _DET_BITS, 0)
+                    E, x = E >> cut, x - 2 * shift + cut
+                    yield A, B, m, D, err, x + shift - cut  # x - shift before the cut
+                    continue
+        yield A, B, m, D, err, x
 
 
 def _limit_tol(tol, max_terms, precision_bits):
@@ -386,19 +399,20 @@ def evaluate(cf, tol, max_terms, precision_bits=128):
     Stops once two consecutive gaps between defined approximants fall below
     tol, compared in integers as |D| tol_den < tol_num |B B_last| with
     D = A B_last - A_last B.  An undefined approximant (B = 0) between two
-    gaps makes them not consecutive, so 1 + K(1/0), whose approximants
-    alternate between 1 and undefined, never converges.  A finite CF whose
-    final approximant is defined yields that exact value with error bound
-    0, and one whose final approximant is undefined its last defined one,
-    unconverged.  The comparison is screened by bit lengths first: with
+    gaps makes them not consecutive, and no last gap is reported across
+    one, so 1 + K(1/0), whose approximants alternate between 1 and
+    undefined, never converges and reports error bound +inf.  A finite CF
+    whose final approximant is defined yields that exact value with error
+    bound 0, and one whose final approximant is undefined its last defined
+    one, unconverged.  The comparison is screened by bit lengths first: with
     L = bitlen(D) + bitlen(tol_den) and R = bitlen(tol_num) + bitlen(B) +
     bitlen(B_last), the left side lies in [2^(L-2), 2^L) and the right in
     [2^(R-3), 2^R) (D = 0 is small), so L <= R - 3 decides small and
     L >= R + 2 decides not small without a product; only the four values
     between compare exactly.  D comes from the kernel's determinant
-    recurrence; past the kernel's first shift that D is approximate and
-    only decides "not small" (L from bitlen(D) - 1, its bound at most 2^-2
-    of it).  Other steps form D directly, as does the one after an
+    recurrence; past the kernel's first shift that D 2^x is approximate
+    and only decides "not small" (L from bitlen(D) + x - 1, its bound at
+    most 2^-2 of it).  Other steps form D directly, as does the one after an
     undefined approximant (the kernel's previous pair is then not the last
     defined one).  For max_terms up to _EXACT_TERM_LIMIT = 300 the kernel of
     _recurrence never rounds; beyond, it runs with the budget
@@ -567,7 +581,7 @@ def _limit(cf, tol, max_terms, precision_bits, extrapolating):
     if pairs is not None:
         # the kernel's states (A, B, ...) before the first checkpoint, in C
         pairs.extend(map(_STATE, itertools.islice(kernel, points[0] - 1)))
-    for n, (A, B, _, D, err) in kernel:
+    for n, (A, B, _, D, err, x) in kernel:
         if pairs is not None:  # n is a checkpoint
             pairs.append((A, B))
             u, d, _ = _richardson_weights(n)
@@ -587,25 +601,31 @@ def _limit(cf, tol, max_terms, precision_bits, extrapolating):
                     continue
             # turned down: the plain rule reads on from this pair
             A_last, B_last = next(p for p in itertools.islice(reversed(pairs), 1, None) if p[1])[:2]
-            last_bits = B_last.bit_length()
+            last_bits, adjacent = B_last.bit_length(), bool(pairs[-2][1])
             pairs = None
         if not B:  # undefined: the run of small gaps starts again after it
             adjacent = small_prev = False
             continue
         B_bits = B.bit_length()
-        if D is None or not adjacent or err is not None and not (
-                err <= -2 and D and D.bit_length() - B_bits - last_bits + offset >= 3):
-            # past a shift the kernel's D only settles "not small": bl(exact D) >= bl(D) - 1
-            D = A * B_last - A_last * B
-        adjacent = True
-        excess = D.bit_length() - B_bits - last_bits + offset  # L - R
-        if excess >= 2 and D:
+        if err is not None and adjacent and err <= -2 and D and (
+                D.bit_length() + x - B_bits - last_bits + offset >= 3):
+            # past a shift the kernel's D 2^x only settles "not small": bl(exact) >= bl(D) + x - 1
             small = False
-        elif excess <= -3:
-            small = True
         else:
-            small = abs(D) * tol_den < tol_num * abs(B * B_last)
-        A_gap, B_gap = A_last, B_last
+            if D is None or not adjacent or err is not None:
+                D = A * B_last - A_last * B
+            excess = D.bit_length() - B_bits - last_bits + offset  # L - R
+            if excess >= 2 and D:
+                small = False
+            elif excess <= -3:
+                small = True
+            else:
+                small = abs(D) * tol_den < tol_num * abs(B * B_last)
+        if adjacent:
+            A_gap, B_gap = A_last, B_last
+        else:  # no last gap across an undefined approximant
+            A_gap = B_gap = 0
+            adjacent = True
         A_last, B_last, last_bits = A, B, B_bits
         if small and small_prev:
             converged = True

@@ -37,8 +37,11 @@ _MAX_DECIMAL_EXPONENT = 10000
 def _floor_nth_root(m, d):
     """Largest r >= 0 with r**d <= m (0 for m <= 0), for d >= 1: isqrt, or
     Newton steps g -> ((d-1) g + m // g^(d-1)) // d, which fall from any g >= r
-    to r, started one unit above the root of m's top half (Brent and
-    Zimmermann, Modern Computer Arithmetic, 1.5): a step or two at full width."""
+    to r (Brent and Zimmermann, Modern Computer Arithmetic, 1.5), started one
+    unit above the root of m's top bits.  For r of more than 32 bits those
+    give about 16 bits more than half of r's, so one step at full width lands
+    on r, or rarely r + 1, and one exact check g^d <= m ends it; otherwise,
+    and for shorter roots, the steps go on until they stop falling."""
     if m <= 0:
         return 0
     if d == 1:
@@ -46,7 +49,13 @@ def _floor_nth_root(m, d):
     if d == 2:
         return math.isqrt(m)
     k = m.bit_length() // (2 * d)
-    g = (_floor_nth_root(m >> (k * d), d) + 1) << k if k else 1 << (m.bit_length() // d + 1)
+    if k > 16:
+        g = (_floor_nth_root(m >> ((k - 16) * d), d) + 1) << (k - 16)
+        g = ((d - 1) * g + m // g ** (d - 1)) // d
+        if g ** d <= m:
+            return g
+    else:
+        g = (_floor_nth_root(m >> (k * d), d) + 1) << k if k else 1 << (m.bit_length() // d + 1)
     while True:
         nxt = ((d - 1) * g + m // g ** (d - 1)) // d
         if nxt >= g:

@@ -556,7 +556,7 @@ def _direct_limit(cf, tol, max_terms, bits):
     kernel = _recurrence(cf.b0, itertools.islice(_scaled_terms(cf), max_terms), budget)
     A_last, B_last = cf.b0.numerator, cf.b0.denominator
     gap, small_prev, n = None, False, 0
-    for n, (A, B, _, _, _) in enumerate(kernel, 1):
+    for n, (A, B, *_) in enumerate(kernel, 1):
         if B:
             gap = abs(A * B_last - A_last * B), abs(B * B_last)
             A_last, B_last = A, B

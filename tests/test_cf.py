@@ -373,12 +373,14 @@ def _reference_evaluate(cf, tol, max_terms, precision_bits, backend):
     budget = budget if backend == "float" else None
     A_last, B_last = cf.b0.numerator, cf.b0.denominator
     gap_num, gap_den, gaps = 0, 0, []
-    small_prev = converged = finite = False
+    small_prev = converged = finite = skipped = across = False
     n, B = 0, B_last
-    for n, (A, B, _, _, _) in enumerate(itertools.islice(_kernel(cf, budget, False), max_terms), 1):
+    for n, (A, B, *_) in enumerate(itertools.islice(_kernel(cf, budget, False), max_terms), 1):
         if B == 0:  # an undefined approximant ends the run of small gaps
             small_prev = False
+            skipped = True
             continue
+        across, skipped = skipped, False  # a gap across an undefined approximant is not reported
         gap_num = abs(A * B_last - A_last * B)
         gap_den = abs(B * B_last)
         gaps.append((gap_num, gap_den))
@@ -396,7 +398,7 @@ def _reference_evaluate(cf, tol, max_terms, precision_bits, backend):
         value = mpmath.mpf(q.numerator) / q.denominator
         if finite:
             converged, error = True, mpmath.mpf(0)
-        elif gap_den == 0:
+        elif gap_den == 0 or across:
             error = mpmath.inf
         else:
             q = F(gap_num, gap_den)
@@ -491,18 +493,26 @@ def _check_kernel_gaps(cf, N, budget):
     of approximate D with such a bound."""
     A_l, B_l = cf.b0.numerator, cf.b0.denominator
     bounded = 0
-    for A, B, _, D, err in itertools.islice(_kernel(cf, budget), N):
+    for A, B, _, D, err, x in itertools.islice(_kernel(cf, budget), N):
         exact = A * B_l - A_l * B
         if err is None:
-            assert D == exact
+            assert (D, x) == (exact, 0)
         elif err <= -2:
-            assert abs(D - exact) <= F(abs(D)) * F(2) ** err
+            D = F(D) * F(2) ** x
+            assert abs(D - exact) <= abs(D) * F(2) ** err
             bounded += 1
         A_l, B_l = A, B
     return bounded
 
 
+# a step scale m of about 2^88
+_WIDE_SCALE_CF = CFSpec(0, (), CFTail(RationalFunction(248662, 19430301118571),
+                                      RationalFunction(1, 19430301118571), 0))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@example(cf=_WIDE_SCALE_CF, N=3, budget=59)
+@example(cf=_WIDE_SCALE_CF, N=40, budget=100)  # across shifts
 @given(cf=_gap_cf, N=st.integers(1, 40), budget=st.none() | st.integers(1, 100))
 def test_kernel_gap_is_exact_or_within_its_bound(cf, N, budget):
     try:
@@ -525,14 +535,14 @@ def test_stop_rule_reads_an_approximate_gap_only_within_its_bound(monkeypatch, p
     # (the largest error the rule accepts), and to nonsense where err > -2:
     # every decision must still be the exact rule's, at tols placed at gaps
     def skewed(*args, **kwargs):
-        for A, B, m, D, err in _recurrence(*args, **kwargs):
+        for A, B, m, D, err, x in _recurrence(*args, **kwargs):
             if err is not None and err > -2:
                 D <<= 40
             elif err is not None:
                 exact = A * B_l - A_l * B
-                D = exact + (abs(exact) >> 2) * (1 if exact > 0 else -1)
+                D, x = exact + (abs(exact) >> 2) * (1 if exact > 0 else -1), 0
             A_l, B_l = A, B
-            yield A, B, m, D, err
+            yield A, B, m, D, err, x
 
     cf = build_preset(preset).cf
     _, gaps = _reference_evaluate(cf, F(1, 2 ** (bits + 200)), 1500, bits, "float")
@@ -562,6 +572,17 @@ def _close(x, q, bits=127):
     """|x - q| <= 2^-bits |q| for an mpf x and a rational q, exactly."""
     man, exp = x.man_exp
     return abs(F(man) * F(2) ** exp - q) <= abs(q) / 2**bits
+
+
+def test_tol_below_the_budget_stops_where_the_exact_rule_does():
+    # tol 10^-1300 (about 2^-4318) lies below the 4139-bit budget of a 4096-bit
+    # evaluate over 2000 terms: the budgeted kernel must still carry enough
+    # bits for the gaps to fall below it where the exact rule's do
+    cf = build_preset("e").cf
+    n, _, gap = _stop_rule(cf, F(1, 10**1300), 600)
+    est = evaluate(cf, "1e-1300", 2000, 4096)
+    assert (n, est.terms_used, est.converged) == (561, 561, True)
+    assert _close(est.error_bound, gap, 40)
 
 
 @pytest.mark.parametrize(
@@ -601,10 +622,11 @@ def test_undefined_approximant_mid_prefix_is_skipped():
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_undefined_approximants_break_the_run_of_small_gaps(backend):
     # 1 + K(1/0): approximants 1, undefined, 1, undefined, ...; every gap
-    # between defined ones is 0, but an undefined one lies between each two
+    # between defined ones is 0, but an undefined one lies between each two,
+    # so no gap is reported
     cf = CFSpec(b0=F(1), tail=("1", "0"))
     est = _evaluate(cf, F(1, 10**6), 60, backend=backend)
-    assert (est.terms_used, est.converged, est.value, est.error_bound) == (60, False, 1, 0)
+    assert (est.terms_used, est.converged, est.value, est.error_bound) == (60, False, 1, math.inf)
     # approximants 1, undefined, 1, undefined, 1, 513/512: the gaps at 2 and
     # 4 are not consecutive, those at 4 and 5 are
     cf = CFSpec(b0=F(1), prefix=((F(1), F(0)),) * 4, tail=CFTail("1/n^9", "1", 2))
@@ -893,11 +915,12 @@ def _per_term_richardson_weights(n):
 
 def _per_term_limit(cf, tol, max_terms, precision_bits, extrapolating):
     """_limit as it was before its Richardson branch read only checkpoints,
-    verbatim but for the module prefix c. and two changes: a B = 0 step
-    also sets small_prev = False (the stop rule's correction), and every
-    estimate is returned too.  The loop body runs at every term and builds
-    a Fraction for each estimate: the reference that the checkpoint loop
-    must match."""
+    verbatim but for the module prefix c. and four changes: a B = 0 step
+    also sets small_prev = False (the stop rule's correction), the kernel
+    yields D's exponent x, no last gap is taken across an undefined
+    approximant, and every estimate is returned too.  The loop body runs
+    at every term and builds a Fraction for each estimate: the reference
+    that the checkpoint loop must match."""
     c = cf_module
     tol = c._limit_tol(tol, max_terms, precision_bits)
     points = c._checkpoints(max_terms) if extrapolating and c.tail_class(cf) else []
@@ -921,7 +944,7 @@ def _per_term_limit(cf, tol, max_terms, precision_bits, extrapolating):
     small_prev = converged = False
     estimates, parity_gaps = [], []
     n = 0
-    for n, (A, B, _, D, err) in enumerate(kernel, 1):
+    for n, (A, B, _, D, err, x) in enumerate(kernel, 1):
         if pairs is not None:
             pairs.append((A, B))
             if n != points[len(estimates)]:
@@ -941,26 +964,25 @@ def _per_term_limit(cf, tol, max_terms, precision_bits, extrapolating):
                     continue
             # turned down: the plain rule reads on from this pair
             A_last, B_last = next(p for p in itertools.islice(reversed(pairs), 1, None) if p[1])
-            last_bits = B_last.bit_length()
+            last_bits, adjacent = B_last.bit_length(), bool(pairs[-2][1])
             pairs = None
         if not B:
             adjacent = small_prev = False
             continue
         B_bits = B.bit_length()
         if D is None or not adjacent or err is not None and not (
-                err <= -2 and D and D.bit_length() - B_bits - last_bits + offset >= 3):
-            # past a shift the kernel's D only settles "not small": bl(exact D) >= bl(D) - 1
-            D = A * B_last - A_last * B
-        adjacent = True
-        excess = D.bit_length() - B_bits - last_bits + offset  # L - R
+                err <= -2 and D and D.bit_length() + x - B_bits - last_bits + offset >= 3):
+            # past a shift the kernel's D 2^x only settles "not small": bl(exact) >= bl(D) + x - 1
+            D, x = A * B_last - A_last * B, 0
+        excess = D.bit_length() + x - B_bits - last_bits + offset  # L - R
         if excess >= 2 and D:
             small = False
         elif excess <= -3:
             small = True
         else:
             small = abs(D) * tol_den < tol_num * abs(B * B_last)
-        A_gap, B_gap = A_last, B_last
-        A_last, B_last, last_bits = A, B, B_bits
+        A_gap, B_gap = (A_last, B_last) if adjacent else (0, 0)
+        A_last, B_last, last_bits, adjacent = A, B, B_bits, True
         if small and small_prev:
             converged = True
             break

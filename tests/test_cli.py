@@ -70,12 +70,13 @@ def test_eval_finite_cf_with_undefined_final_approximant(capsys):
 
 def test_eval_undefined_approximants_infinitely_often_do_not_converge(capsys):
     # 1 + K(1/0): approximants 1, undefined, 1, undefined, ...; each undefined
-    # one breaks the run of small gaps, so no two count as consecutive
+    # one breaks the run of small gaps, so no two count as consecutive, and
+    # no gap across one is reported
     tail = {"a": {"num": ["1"], "den": ["1"]}, "b": {"num": [], "den": ["1"]}, "start_index": 1}
     code, out, _ = run(capsys, ["eval", "--input", json.dumps({"b0": "1", "tail": tail}),
                                 "--terms", "60"])
     assert code == 0
-    assert json.loads(out) == {"converged": False, "error_bound": "0.0", "terms_used": 60,
+    assert json.loads(out) == {"converged": False, "error_bound": "+inf", "terms_used": 60,
                                "value": "1.0"}
 
 

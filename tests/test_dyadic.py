@@ -177,7 +177,9 @@ def test_logarithm_constants_cut_as_mpmaths(prec):
 
 
 def _golden_numbers(tmp_path, capsys):
-    """(string, bits) of every number the golden rows and reproduce-paper print."""
+    """(string, bits) of every finite number the golden rows and reproduce-paper
+    print; an error_bound of +inf (no gap yet, or none across an undefined
+    approximant) has no dyadic form."""
     out = []
     for row in _GOLDEN["rows"]:
         argv = row["argv"]
@@ -185,7 +187,8 @@ def _golden_numbers(tmp_path, capsys):
             continue
         bits =int(argv[argv.index("--precision-bits") + 1]) if "--precision-bits" in argv else 128
         data = json.loads(row["stdout"])
-        out += [(data[k], bits) for k in ("value", "error_bound", "oracle", "abs_err") if k in data]
+        out += [(data[k], bits) for k in ("value", "error_bound", "oracle", "abs_err")
+                if data.get(k, "+inf") != "+inf"]
     main(["reproduce-paper", "--out", str(tmp_path)])
     capsys.readouterr()
     bits_of = {}

@@ -95,11 +95,11 @@ def _check_roots(d, m):
 
 @st.composite
 def _root_cases(draw):
-    # m up to 4,000 bits, or an exact d-th power r^d or one of its neighbours
+    # m up to 21,000 bits, or an exact d-th power r^d or one of its neighbours
     d = draw(st.integers(1, 9))
     if draw(st.booleans()):
-        return d, draw(st.integers(0, 2 ** draw(st.integers(0, 4000))))
-    r = draw(st.integers(0, 2 ** draw(st.integers(0, 4000 // d))))
+        return d, draw(st.integers(0, 2 ** draw(st.integers(0, 21000))))
+    r = draw(st.integers(0, 2 ** draw(st.integers(0, 21000 // d))))
     return d, max(r**d + draw(st.sampled_from([-1, 0, 1])), 0)
 
 
@@ -108,6 +108,7 @@ def _root_cases(draw):
 @example(case=(3, 2**3999))
 @example(case=(9, 3**2520 - 1))
 @example(case=(5, (2**800 + 1) ** 5 + 1))
+@example(case=(5, (12 << 5 * (4096 + 32)) // 7))  # the oracle Root(12,7,1,5) at 4096 bits
 def test_nth_roots_bracket_m(case):
     # r^d <= m < (r+1)^d for the floor root r, and the ceiling root above it
     _check_roots(*case)
