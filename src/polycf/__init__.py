@@ -14,21 +14,21 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "cf": "UNDEFINED ApproximantSequence CFSpec CFTail Convergent LimitEstimate approximants"
-          " cf_from_json cf_to_json convergents evaluate integer_tail_form similarity_scale"
-          " tail_cf term_at to_integer_cf",
+    "cf": "UNDEFINED CFSpec CFTail Convergent LimitEstimate approximants cf_from_json"
+          " cf_to_json convergents evaluate integer_tail_form similarity_scale tail_cf term_at"
+          " to_integer_cf",
     "errors": "DegenerateTerm EmptyRange HypothesisViolation NonIntegerTerms NonzeroW0"
               " NoSuchTerm PoleAtArgument PolycfError RepeatedValue TransformDoesNotExist"
               " UnitTerm UnsupportedConstant ZeroEvenDenominator ZeroFunction"
               " ZeroOddDenominator ZeroPartialNumerator ZeroScaleFactor ZeroTerm ZeroW",
     "poly": "IntPolynomial RationalFunction poly_from_string ratfn_from_string",
-    "transforms": "BauerMuirResult ProductSpec SeriesSpec bauer_muir bauer_muir_tail"
-                  " bernoulli_from_sequence euler_from_series euler_tail even_part"
-                  " extension_bmoe generalized_euler generalized_product odd_part product_to_cf",
+    "transforms": "BauerMuirResult bauer_muir bauer_muir_tail bernoulli_from_sequence"
+                  " euler_from_series euler_tail even_part extension_bmoe generalized_euler"
+                  " generalized_product odd_part product_to_cf",
     "families": "FamilyMember Hypothesis LimitClaim NamedConstant PRESET_PARAMS build_preset"
                 " family_binomial family_e_bauer_muir family_pi family_rational_limit"
                 " family_sin_product family_zeta pincherle_family pincherle_poly_family"
-                " preset_ids ramanujan_entry13",
+                " ramanujan_entry13",
     "analysis": "GrowthBound TietzeReport VerificationReport growth_diagnostics"
                 " reference_constant tietze_check verify_limit",
 }

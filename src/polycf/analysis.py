@@ -25,7 +25,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .cf import _as_fraction, _first, _is_integer_tail, _limit, _limit_tol, _mpf, _recurrence, _scaled_terms
+from .cf import _first, _is_integer_tail, _limit, _limit_tol, _mpf, _positive, _recurrence, _scaled_terms
 from .dyadic import round_rational, round_to, to_str
 from .errors import (
     EmptyRange,
@@ -167,11 +167,7 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
 
     if N < 1:
         raise EmptyRange()
-    epsilon = epsilon if isinstance(epsilon, Fraction) else _as_fraction(str(epsilon), "epsilon")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if precision_bits < 1:
-        raise ValueError("precision_bits must be at least 1")
+    epsilon = _positive(epsilon, "epsilon", precision_bits)
     bs, M = [], 1  # B_n = B / M, M > 0 as the steps are sign-normalised; b0 moves only A_n
     for _, B, m, *_ in _recurrence(Fraction(0), _first(_terms_at_least_one(cf), N)):
         M *= m
@@ -398,13 +394,12 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
     """
     tol = _limit_tol(tol, terms, precision_bits)
     claim = member.limit
-    if claim.kind == "named" and precision_bits < 64:
-        raise ValueError("precision_bits must be at least 64")  # the oracle's minimum
+    if claim.kind == "named":  # first: below 64 bits the oracle refuses before the loop runs
+        mant, shift = _oracle(claim.constant, precision_bits)
     value, gap, n, converged, method = _limit(member.cf, tol / 10 ** 6, terms, precision_bits, True)
     # d = |value - claim| = dist / q_ref and the oracle's bound e / (q_ref / q 2^f)
     p, q = value.numerator, value.denominator
     if claim.kind == "named":
-        mant, shift = _oracle(claim.constant, precision_bits)
         oracle = round_to(mant, -shift, precision_bits)
         dist, q_ref, e, f = abs((p << shift) - mant * q), q << shift, abs(mant), precision_bits - 4
     else:

@@ -132,19 +132,6 @@ class Convergent(Record):
         return self.A / self.B if self.B != 0 else UNDEFINED
 
 
-class ApproximantSequence(Record):
-    __slots__ = ("entries",)
-
-    def values(self):
-        return [value for _, value in self.entries]
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __len__(self):
-        return len(self.entries)
-
-
 class LimitEstimate(Record):
     """A limit estimate; `value` and `error_bound` are mpmath mpf numbers.
 
@@ -205,7 +192,7 @@ def _canonical_pairs(b0, steps):
 
 def approximants(cf, N):
     """Approximant values A_n/B_n for n = 0..N; UNDEFINED where B_n = 0."""
-    return ApproximantSequence(tuple((conv.index, conv.value) for conv in convergents(cf, N)))
+    return [conv.value for conv in convergents(cf, N)]
 
 
 def _mpf(x, precision_bits):
@@ -379,17 +366,24 @@ def _recurrence(b0, steps, budget=None, gaps=False):
         yield A, B, m, D, err, x
 
 
-def _limit_tol(tol, max_terms, precision_bits):
-    """tol as a Fraction, after checking tol, max_terms and precision_bits as
-    the limit loop and verify_limit both need them.  A float goes through its
-    shortest repr, so 1e-10 becomes 1/10^10 rather than the nearest double."""
-    tol = tol if isinstance(tol, Fraction) else _as_fraction(str(tol), "tol")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_terms < 2:
-        raise ValueError("max_terms must be at least 2")
+def _positive(v, name, precision_bits):
+    """v as a positive Fraction, after checking v and precision_bits >= 1.  A
+    float goes through its shortest repr, so 1e-10 becomes 1/10^10 rather
+    than the nearest double."""
+    v = v if isinstance(v, Fraction) else _as_fraction(str(v), name)
+    if v <= 0:
+        raise ValueError(f"{name} must be positive")
     if precision_bits < 1:
         raise ValueError("precision_bits must be at least 1")
+    return v
+
+
+def _limit_tol(tol, max_terms, precision_bits):
+    """tol as a Fraction, after checking tol, precision_bits and max_terms as
+    the limit loop and verify_limit both need them."""
+    tol = _positive(tol, "tol", precision_bits)
+    if max_terms < 2:
+        raise ValueError("max_terms must be at least 2")
     return tol
 
 

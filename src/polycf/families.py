@@ -467,10 +467,6 @@ def _coerce(kind, value, name):
     return json_value(value, name, kind)
 
 
-def preset_ids():
-    return sorted(_PRESETS)
-
-
 def build_preset(preset, params=None):
     """Construct a named preset member; params override the defaults."""
     if preset not in _PRESETS:

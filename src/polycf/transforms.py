@@ -4,9 +4,10 @@ plus contractions and the Bauer-Muir transformation.
 Every series and product construction goes through one Euler term rule:
 _euler_term on rational functions for euler_tail, and the same rule on the
 integer numerators and denominators of the values in _euler_body for the
-finite ones; all of these but product_to_cf build through _euler_cf,
-which also refuses a u_n = 0.  euler_tail and bauer_muir_tail return CFs
-with a symbolic tail, from which the families are built.
+finite ones.  The series constructions build through _euler_cf and both
+products through _product_cf, each of which refuses a u_n = 0.  euler_tail
+and bauer_muir_tail return CFs with a symbolic tail, from which the
+families are built.
 
 All constructions here are exact: every output approximant is a prescribed
 rational function of the inputs (partial sums, partial products, or a fixed
@@ -14,8 +15,6 @@ combination of the source approximants), and the test suite checks those
 correspondences term by term.
 """
 
-import itertools
-import operator
 from fractions import Fraction
 
 from .cf import CFSpec, CFTail, _as_fraction, _as_ratfn, _check_count, _first, _scaled_terms
@@ -33,30 +32,6 @@ from .errors import (
 )
 
 
-class SeriesSpec(Record):
-    """Terms a_0, a_1, ... of a series; approximants track partial sums."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self._set(tuple(_as_fraction(t, "terms", i) for i, t in enumerate(terms)))
-
-    def partial_sums(self):
-        return list(itertools.accumulate(self.terms))
-
-
-class ProductSpec(Record):
-    """Factors a_1, a_2, ... of a product; approximants track partial products."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        self._set(tuple(_as_fraction(t, "factors", i) for i, t in enumerate(factors)))
-
-    def partial_products(self):
-        return list(itertools.accumulate(self.factors, operator.mul))
-
-
 class BauerMuirResult(Record):
     """Transformed fraction together with the modifying sequence w and the
     existence margins lambda_n = a_n - w_{n-1} (b_n + w_n), all nonzero: tuples
@@ -66,8 +41,6 @@ class BauerMuirResult(Record):
 
 
 def _as_sequence(x, attr):
-    if isinstance(x, (SeriesSpec, ProductSpec)):
-        x = getattr(x, attr)
     return [_as_fraction(t, attr, i) for i, t in enumerate(x)]
 
 
@@ -101,18 +74,19 @@ def _euler_body(u, rho=None):
     return tuple(terms)
 
 
-def _euler_cf(b0, u, error, rho=None):
-    """The finite Euler CF with leading term b0 and the terms of _euler_body;
-    raises error(n) at the first u_n = 0, which gives no Euler term."""
+def _euler_cf(b0, u, error):
+    """The finite Euler CF with leading term b0 and the terms of _euler_body
+    with rho_n = 1; raises error(n) at the first u_n = 0, which gives no
+    Euler term."""
     for n, v in enumerate(u, 1):
         if v == 0:
             raise error(n)
-    return CFSpec._make(b0, _euler_body(u, rho))
+    return CFSpec._make(b0, _euler_body(u))
 
 
 def bernoulli_from_sequence(K):
     """CF whose n-th approximant is K_n, for a sequence with K_n != K_{n-1}."""
-    K = [_as_fraction(t, "K", i) for i, t in enumerate(K)]
+    K = _as_sequence(K, "K")
     if not K:
         raise ValueError("sequence must contain at least K_0")
     return _euler_cf(K[0], [K[n] - K[n - 1] for n in range(1, len(K))], RepeatedValue)
@@ -133,40 +107,43 @@ def generalized_euler(a, b):
     c_n = a_n + b_n - b_{n-1} must be nonzero.
     """
     a = _as_sequence(a, "terms")
-    b = [_as_fraction(t, "b", i) for i, t in enumerate(b)]
+    b = _as_sequence(b, "b")
     if not a or len(b) != len(a):
         raise ValueError("need weights b_0..b_N matching terms a_0..a_N")
     c = [a[n] + b[n] - b[n - 1] for n in range(1, len(a))]
     return _euler_cf(a[0] + b[0], c, DegenerateTerm)
 
 
-def product_to_cf(a):
-    """CF whose n-th approximant is the partial product a_1 ... a_n (x_0 = 1).
-
-    The Euler construction with u_n = a_n - 1 and rho_n = a_{n-1}.
-    """
-    a = _as_sequence(a, "factors")
-    for n in range(1, len(a) + 1):
-        v = a[n - 1]
+def _product_cf(a, b, error):
+    """The Euler CF with u_n = a_n b_n - b_{n-1} and rho_n = a_{n-1}, whose
+    n-th approximant is b_n * (a_1 ... a_n).  At the first index n where
+    a_n = 0 or u_n = 0 it raises ZeroTerm(n) for a zero factor, else
+    error(n)."""
+    u = [v * b[n] - b[n - 1] for n, v in enumerate(a, 1)]
+    for n, (v, w) in enumerate(zip(a, u), 1):
         if v == 0:
             raise ZeroTerm(n)
-        if v == 1:
-            raise UnitTerm(n)
-    return CFSpec._make(Fraction(1), _euler_body([v - 1 for v in a], [1] + a[:-1]))
+        if w == 0:
+            raise error(n)
+    return CFSpec._make(b[0], _euler_body(u, [1] + a[:-1]))
+
+
+def product_to_cf(a):
+    """CF whose n-th approximant is the partial product a_1 ... a_n (x_0 = 1):
+    _product_cf with every weight 1, so u_n = a_n - 1 and a factor 1 raises
+    UnitTerm."""
+    a = _as_sequence(a, "factors")
+    return _product_cf(a, [Fraction(1)] * (len(a) + 1), UnitTerm)
 
 
 def generalized_product(a, b):
-    """CF whose n-th approximant is b_n * (a_1 ... a_n), with x_0 = b_0.
-
-    The Euler construction with u_n = a_n b_n - b_{n-1} and rho_n = a_{n-1};
-    requires every u_n != 0.
-    """
+    """CF whose n-th approximant is b_n * (a_1 ... a_n), with x_0 = b_0:
+    _product_cf, which requires every a_n != 0 and u_n != 0."""
     a = _as_sequence(a, "factors")
-    b = [_as_fraction(t, "b", i) for i, t in enumerate(b)]
+    b = _as_sequence(b, "b")
     if len(b) != len(a) + 1:
         raise ValueError("need weights b_0..b_N matching factors a_1..a_N")
-    u = [a[n - 1] * b[n] - b[n - 1] for n in range(1, len(a) + 1)]
-    return _euler_cf(b[0], u, DegenerateTerm, [1] + a[:-1])
+    return _product_cf(a, b, DegenerateTerm)
 
 
 def euler_tail(b0, u, rho=1):

@@ -769,7 +769,7 @@ def test_extrapolate_agrees_with_exact_convergents(preset, params, terms, bits):
     # Lagrange extrapolation to x = 0 through (1/n_i, A_n_i/B_n_i), one parity
     m = min(_RICHARDSON_ORDER, n // 4)
     nodes = [n - 2 * i for i in range(m + 1)]
-    values = approximants(cf, n).values()
+    values = approximants(cf, n)
     want = F(0)
     for x in nodes:
         w = F(1)

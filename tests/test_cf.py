@@ -45,11 +45,9 @@ from polycf.errors import (
     ZeroScaleFactor,
 )
 from polycf.analysis import growth_diagnostics, verify_limit
-from polycf.families import LimitClaim, build_preset, family_binomial, ramanujan_entry13
+from polycf.families import PRESET_PARAMS, LimitClaim, build_preset, family_binomial, ramanujan_entry13
 from polycf.poly import _MAX_DECIMAL_EXPONENT, IntPolynomial, RationalFunction, ratfn_from_string
 from polycf.transforms import (
-    ProductSpec,
-    SeriesSpec,
     bauer_muir,
     bernoulli_from_sequence,
     euler_from_series,
@@ -230,17 +228,17 @@ def test_convergents_reject_negative_counts():
 def test_approximants_undefined_entry():
     # b_1 = 0, a_2 chosen so B_1 = 0 while B_2 != 0
     cf = CFSpec(b0=F(1), prefix=((F(1), F(0)), (F(1), F(1))))
-    seq = approximants(cf, 2)
-    assert seq.values()[1] is UNDEFINED
-    assert seq.values()[2] == F(2)
+    values = approximants(cf, 2)
+    assert values[1] is UNDEFINED
+    assert values[2] == F(2)
 
 
-def test_approximant_sequence_indexes_its_entries():
-    seq = approximants(E_CF, 3)
-    assert len(seq) == 4
-    assert [seq[n] for n in range(len(seq))] == [(c.index, c.value) for c in convergents(E_CF, 3)]
-    assert seq[-1] == (3, seq.values()[3])
-    assert seq[1:3] == seq.entries[1:3]
+@pytest.mark.parametrize("preset", sorted(PRESET_PARAMS))
+def test_approximants_are_the_convergent_values(preset):
+    cf = build_preset(preset).cf
+    values = approximants(cf, 12)
+    assert type(values) is list and len(values) == 13
+    assert values == [c.value for c in convergents(cf, 12)]
 
 
 def test_evaluate_converges_to_e():
@@ -266,7 +264,7 @@ def test_finite_cf_with_undefined_final_approximant_is_not_converged(backend):
     assert (est.value, est.error_bound, est.terms_used, est.converged) == (0, mpmath.inf, 1, False)
     # B_3 = 0 after B_1 = 1, B_2 = 2: A_2/B_2 = 3/2, one gap |3/2 - 2/1| back
     cf = CFSpec(b0=F(1), prefix=((F(1), F(1)), (F(1), F(1)), (F(-4), F(2))))
-    assert approximants(cf, 3).values()[3] is UNDEFINED
+    assert approximants(cf, 3)[3] is UNDEFINED
     est = _evaluate(cf, F(1, 100), 5, backend=backend)
     assert (est.value, est.error_bound, est.terms_used, est.converged) == (
         mpmath.mpf(1.5), mpmath.mpf(0.5), 3, False)
@@ -555,7 +553,7 @@ def test_stop_rule_reads_an_approximate_gap_only_within_its_bound(monkeypatch, p
 
 def _stop_rule(cf, tol, max_terms):
     """The documented stop rule restated over approximants()."""
-    values = approximants(cf, max_terms).values()
+    values = approximants(cf, max_terms)
     last, small_prev = values[0], False
     for n, v in enumerate(values[1:], 1):
         if v is UNDEFINED:  # the run of small gaps starts again after it
@@ -608,7 +606,7 @@ def test_rational_tail_same_on_both_backends(a, b):
 def test_undefined_approximant_mid_prefix_is_skipped():
     # B_2 = b_2 B_1 + a_2 B_0 = (-1)(1) + 1 = 0
     cf = CFSpec(b0=F(1), prefix=((F(1), F(1)), (F(1), F(-1))), tail=CFTail("n", "n+1", 3))
-    assert approximants(cf, 3).values()[2] is UNDEFINED
+    assert approximants(cf, 3)[2] is UNDEFINED
     tol = F(1, 2)
     n, value, gap = _stop_rule(cf, tol, 50)
     for backend in ("exact", "float"):
@@ -630,7 +628,7 @@ def test_undefined_approximants_break_the_run_of_small_gaps(backend):
     # approximants 1, undefined, 1, undefined, 1, 513/512: the gaps at 2 and
     # 4 are not consecutive, those at 4 and 5 are
     cf = CFSpec(b0=F(1), prefix=((F(1), F(0)),) * 4, tail=CFTail("1/n^9", "1", 2))
-    assert approximants(cf, 5).values()[1:] == [UNDEFINED, 1, UNDEFINED, 1, F(513, 512)]
+    assert approximants(cf, 5)[1:] == [UNDEFINED, 1, UNDEFINED, 1, F(513, 512)]
     est = _evaluate(cf, F(1, 10), 60, backend=backend)
     assert (est.terms_used, est.converged) == (5, True)
 
@@ -664,8 +662,8 @@ def test_term_errors_raised_when_reached(backend):
 def test_similarity_scale_sequence_preserves_values():
     cf = CFSpec(b0=F(1), tail=("n", "n+1"))
     scaled = similarity_scale(cf, [F(1), F(2), F(1, 3), F(5), F(7, 2)])
-    want = approximants(cf, 4).values()
-    got = approximants(scaled, 4).values()
+    want = approximants(cf, 4)
+    got = approximants(scaled, 4)
     assert got == want
 
 
@@ -680,8 +678,8 @@ def test_similarity_scale_sequence_validation():
 def test_similarity_scale_symbolic_preserves_values():
     cf = CFSpec(b0=F(2), tail=("1", "2n+1"))
     scaled = similarity_scale(cf, ratfn_from_string("n+1"))
-    want = approximants(cf, 8).values()
-    got = approximants(scaled, 8).values()
+    want = approximants(cf, 8)
+    got = approximants(scaled, 8)
     assert got == want
 
 
@@ -729,7 +727,7 @@ def test_to_integer_cf_returns_an_integer_cf_itself():
 def test_to_integer_cf_rescales_fractional_terms(cf, N, want):
     out = to_integer_cf(cf, N)
     assert out == CFSpec(cf.b0, tuple((F(a), F(b)) for a, b in want))
-    assert approximants(out, N).values() == approximants(cf, N).values()
+    assert approximants(out, N) == approximants(cf, N)
 
 
 def test_to_integer_cf_clears_denominators():
@@ -738,7 +736,7 @@ def test_to_integer_cf_clears_denominators():
     for n in range(1, 3):
         a, b = term_at(out, n)
         assert a.denominator == 1 and b.denominator == 1
-    assert approximants(out, 2).values() == approximants(cf, 2).values()
+    assert approximants(out, 2) == approximants(cf, 2)
 
 
 _fraction_1_to_8 = st.builds(F, st.integers(1, 8), st.integers(1, 8))
@@ -763,20 +761,20 @@ _positive_poly = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
 )
 def test_integer_and_similarity_forms_preserve_values(b0, prefix, seq, k, tail, p, q):
     cf = CFSpec(b0=F(b0), prefix=tuple(prefix))
-    want = approximants(cf, 8).values()
+    want = approximants(cf, 8)
     out = to_integer_cf(cf, 8)
-    assert approximants(out, 8).values() == want
+    assert approximants(out, 8) == want
     assert all(
         term_at(out, n)[0].denominator == 1 and term_at(out, n)[1].denominator == 1
         for n in range(1, 9)
     )
-    assert approximants(similarity_scale(cf, [F(1)] + seq), 8).values() == want
+    assert approximants(similarity_scale(cf, [F(1)] + seq), 8) == want
     # r(0) = 1 and r(n) > 0 for n >= 1, so every scaled term exists
     n = RationalFunction.variable()
     r = (1 + n * (p - 1)) / (1 + n * (q - 1))
     cf = CFSpec(F(b0), tuple(prefix[:k]), tail)
-    want = approximants(cf, 12).values()
-    assert approximants(similarity_scale(cf, r), 12).values() == want
+    want = approximants(cf, 12)
+    assert approximants(similarity_scale(cf, r), 12) == want
 
 
 def test_tail_cf_drops_prefix():
@@ -810,7 +808,6 @@ def test_json_prefix_items_must_be_pairs(prefix):
 # what it reports of the value
 _READERS = {
     "CFSpec": lambda v: CFSpec(v).b0,
-    "SeriesSpec": lambda v: SeriesSpec([v]).terms[0],
     "LimitClaim.exact": lambda v: LimitClaim.exact(v).value,
     "bauer_muir": lambda v: bauer_muir(E_CF, [v, 0, 0], 2).w[0],
     "evaluate": lambda v: evaluate(E_CF, v, 30),
@@ -852,9 +849,7 @@ _NAMED_READERS = {
     "family_binomial-alpha": ("alpha", lambda v: family_binomial(v, 0, "0")),
     "family_binomial-x": ("x", lambda v: family_binomial(F(1, 2), v, "0")),
     "ramanujan_entry13": ("d", lambda v: ramanujan_entry13(1, 1, v)),
-    "SeriesSpec": ("terms[1]", lambda v: SeriesSpec([1, v])),
     "euler_from_series": ("terms[2]", lambda v: euler_from_series([1, 2, v])),
-    "ProductSpec": ("factors[0]", lambda v: ProductSpec([v])),
     "bernoulli_from_sequence": ("K[1]", lambda v: bernoulli_from_sequence([0, v])),
     "generalized_euler": ("b[1]", lambda v: generalized_euler([1, 2], [0, v])),
     "euler_tail": ("b0", lambda v: euler_tail(v, "n")),

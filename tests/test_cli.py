@@ -135,6 +135,17 @@ def test_transform_gen_product(capsys):
     assert json.loads(out)["b0"] == "5"
 
 
+@pytest.mark.parametrize("op", ["product", "gen-product"])
+def test_transform_product_with_a_zero_factor_exits_one(capsys, op):
+    # product reads only the factors
+    payload = json.dumps({"factors": ["1/2", "0", "1/3"], "weights": ["1", "1", "1", "1"]})
+    code, out, err = run(capsys, ["transform", "--op", op, "--input", payload])
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ZeroTerm", "detail": "term is zero (index 2)"}
+
+
 def test_transform_even_odd(capsys):
     code, even_out, _ = run(
         capsys, ["transform", "--op", "even", "--preset", "e", "--terms", "4"]
@@ -463,7 +474,7 @@ print(json.dumps([before, len(polycf.__all__), sorted(set(polycf.__all__) - set(
     proc = _fresh_python(script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
-        ["polycf"], 76, [], [], True, "module 'polycf' has no attribute 'no_such_name'"]
+        ["polycf"], 72, [], [], True, "module 'polycf' has no attribute 'no_such_name'"]
 
 
 @pytest.mark.parametrize("command", ["eval", "verify"])

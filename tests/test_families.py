@@ -41,7 +41,6 @@ from polycf.families import (
     family_zeta,
     pincherle_family,
     pincherle_poly_family,
-    preset_ids,
     ramanujan_entry13,
 )
 from polycf.poly import (
@@ -185,12 +184,12 @@ _small_poly = (
 def test_pincherle_poly_family_matches_hand_form(f, g, c, d):
     try:
         want_cf, want_limit = _hand_pincherle_poly(f, g, c, d)
-        want = approximants(want_cf, 25).values()
+        want = approximants(want_cf, 25)
     except PolycfError:
         assume(False)
     member = pincherle_poly_family(f, g, c, d)
     assert member.limit.value == want_limit
-    assert approximants(member.cf, 25).values() == want
+    assert approximants(member.cf, 25) == want
     for n in range(1, 26):
         assert _term_bits(member.cf, n) <= _term_bits(want_cf, n), n
 
@@ -204,7 +203,7 @@ def test_integer_tail_form_drops_shifted_denominator_pair():
     hand, _ = _hand_pincherle_poly(f, g, c, RationalFunction(IntPolynomial((1,))))
     assert degree(cf.tail.b) == degree(hand.tail.b) == 4
     assert degree(cf.tail.a) == degree(hand.tail.a) == 7
-    assert approximants(cf, 25).values() == approximants(hand, 25).values()
+    assert approximants(cf, 25) == approximants(hand, 25)
 
 
 def _outcome(build):
@@ -239,8 +238,8 @@ def test_ex25_pincherle_construction_keeps_the_hand_form():
         member, hand = build_preset("ex2.5", {"c": c}), _hand_ex25(c)
         assert member.limit == LimitClaim.exact(1), text
         # c = n-1 and n-5 vanish at a later n: both forms have a zero numerator there
-        want = _outcome(lambda: approximants(hand, 200).values())
-        assert _outcome(lambda: approximants(member.cf, 200).values()) == want, text
+        want = _outcome(lambda: approximants(hand, 200))
+        assert _outcome(lambda: approximants(member.cf, 200)) == want, text
         same = cf_to_json(member.cf) == cf_to_json(hand)
         assert same == (text in _EX25_SAME_FORM), text
         assert member.cf.tail.a.den == member.cf.tail.b.den == IntPolynomial((1,)), text
@@ -355,7 +354,7 @@ def test_family_binomial_finite_case():
     m = family_binomial(3, F(1, 3), ratfn_from_string("1"))
     assert m.limit.kind == "exact"
     assert m.limit.value == F(64, 27)  # (1 + 1/3)^3
-    vals = approximants(m.cf, len(m.cf.prefix)).values()
+    vals = approximants(m.cf, len(m.cf.prefix))
     assert vals[-1] == F(64, 27)
 
 
@@ -460,23 +459,20 @@ def test_ramanujan_entry13_prefix_and_tail():
 
 
 def test_preset_ids_and_params():
-    ids = preset_ids()
-    assert ids == sorted(ids)
-    assert set(PRESET_PARAMS) == set(ids)
-    for pid in ids:
+    for pid in PRESET_PARAMS:
         member = build_preset(pid)
         assert member.cf is not None
         assert member.limit is not None
 
 
 def test_editing_preset_params_changes_no_build(monkeypatch):
-    before = {pid: build_preset(pid) for pid in preset_ids()}
+    before = {pid: build_preset(pid) for pid in PRESET_PARAMS}
     monkeypatch.setitem(PRESET_PARAMS["ex2.2"], "b", ("ratfn", "1"))
     for spec in PRESET_PARAMS.values():
         for name in list(spec):
             if spec is not PRESET_PARAMS["ex2.2"]:
                 monkeypatch.delitem(spec, name)
-    assert {pid: build_preset(pid) for pid in preset_ids()} == before
+    assert {pid: build_preset(pid) for pid in PRESET_PARAMS} == before
     assert all(h.holds for h in build_preset("ex2.2").hypotheses)
 
 
@@ -505,7 +501,7 @@ def test_preset_hypothesis_violations_raise():
 
 
 def test_preset_default_members_verified():
-    for pid in preset_ids():
+    for pid in PRESET_PARAMS:
         member = build_preset(pid)
         failing = [h.name for h in member.hypotheses if not h.holds]
         assert member.verified, (pid, failing)
@@ -761,14 +757,14 @@ _FAMILY_DIGESTS = [
 def _approximant_digest(cf, N=200):
     if cf.tail is None:
         N = min(N, len(cf.prefix))
-    text = "\n".join(str(v) for v in approximants(cf, N).values())
+    text = "\n".join(str(v) for v in approximants(cf, N))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_preset_approximants_pinned():
     from polycf.cli import _REPRODUCE_ROWS
 
-    wanted = {(p, "") for p in preset_ids()}
+    wanted = {(p, "") for p in PRESET_PARAMS}
     wanted |= {
         (p, ",".join(f"{k}={params[k]}" for k in sorted(params)))
         for p, params, *_ in _REPRODUCE_ROWS

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -35,8 +36,6 @@ from polycf.poly import IntPolynomial, RationalFunction, ratfn_from_string
 from polycf.families import build_preset
 from polycf.transforms import (
     BauerMuirResult,
-    ProductSpec,
-    SeriesSpec,
     _euler_term,
     bauer_muir,
     bauer_muir_tail,
@@ -72,7 +71,7 @@ def test_bernoulli_matches_sequence():
             if v != seq[-1]:
                 seq.append(v)
         cf = bernoulli_from_sequence(seq)
-        assert approximants(cf, len(seq) - 1).values() == seq
+        assert approximants(cf, len(seq) - 1) == seq
 
 
 def test_bernoulli_rejects_repeats():
@@ -88,9 +87,8 @@ def test_euler_matches_partial_sums():
     for _ in range(25):
         terms = [F(rng.randint(-9, 9), rng.randint(1, 9))]
         terms += [_nonzero(rng) for _ in range(14)]
-        spec = SeriesSpec(tuple(terms))
-        cf = euler_from_series(spec)
-        assert approximants(cf, 14).values() == spec.partial_sums()
+        cf = euler_from_series(terms)
+        assert approximants(cf, 14) == list(itertools.accumulate(terms))
 
 
 def test_euler_rejects_zero_term():
@@ -114,7 +112,7 @@ def test_generalized_euler_matches_shifted_sums():
         for k in range(n):
             total += a[k]
             sums.append(b[k] + total)
-        assert approximants(cf, n - 1).values() == sums
+        assert approximants(cf, n - 1) == sums
 
 
 def test_generalized_euler_validation():
@@ -132,9 +130,8 @@ def test_product_matches_partial_products():
             v = _nonzero(rng)
             if v != 1:
                 facs.append(v)
-        spec = ProductSpec(tuple(facs))
-        cf = product_to_cf(spec)
-        assert approximants(cf, 12).values() == [F(1)] + spec.partial_products()
+        cf = product_to_cf(facs)
+        assert approximants(cf, 12) == list(itertools.accumulate(facs, operator.mul, initial=F(1)))
 
 
 def test_product_rejects_degenerate_factors():
@@ -160,7 +157,7 @@ def test_generalized_product_matches_weighted_products():
             if k:
                 total *= a[k - 1]
             want.append(b[k] * total)
-        assert approximants(cf, n).values() == want
+        assert approximants(cf, n) == want
 
 
 def test_generalized_product_validation():
@@ -168,6 +165,32 @@ def test_generalized_product_validation():
         generalized_product([F(2)], [F(1)])
     with pytest.raises(DegenerateTerm):
         generalized_product([F(2)], [F(1), F(1, 2)])
+    # a zero factor is refused as product_to_cf refuses it, and before a
+    # vanishing u_n = a_n b_n - b_{n-1} at the same index
+    with pytest.raises(ZeroTerm) as exc:
+        generalized_product([F(1, 2), F(0), F(1, 3)], [F(1)] * 4)
+    assert exc.value.index == 2
+    with pytest.raises(ZeroTerm) as exc:
+        generalized_product([F(0)], [F(0), F(1)])
+    assert exc.value.index == 1
+
+
+_factor = st.builds(F, st.integers(-6, 6), st.integers(1, 6)).filter(lambda v: v != 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example(a=[F(2), F(0), F(0)])
+@example(a=[])
+@given(a=st.lists(_factor, max_size=8))
+def test_product_to_cf_is_the_unit_weight_generalized_product(a):
+    unit = [F(1)] * (len(a) + 1)
+    if F(0) in a:
+        for run in (lambda: product_to_cf(a), lambda: generalized_product(a, unit)):
+            with pytest.raises(ZeroTerm) as exc:
+                run()
+            assert exc.value.index == a.index(F(0)) + 1
+    else:
+        assert product_to_cf(a) == generalized_product(a, unit)
 
 
 def test_even_part_pairs():
@@ -180,7 +203,7 @@ def test_even_part_pairs():
 def test_odd_part_values():
     terms = convergents(E_CF, 13)
     od = odd_part(E_CF, 6)
-    vals = approximants(od, 6).values()
+    vals = approximants(od, 6)
     assert vals[0] == F(3)  # b_0 + a_1 / b_1
     for k in range(1, 7):
         assert vals[k] == terms[2 * k + 1].A / terms[2 * k + 1].B
@@ -285,24 +308,24 @@ def test_extension_interleaves_original_and_transformed():
     N = 6
     w = [F(0)] + [F(j + 1) for j in range(1, N + 2)]
     ext = extension_bmoe(E_CF, w, N)
-    vals = approximants(ext, 2 * N + 1).values()
-    orig = approximants(E_CF, N).values()
+    vals = approximants(ext, 2 * N + 1)
+    orig = approximants(E_CF, N)
     bm = approximants(bauer_muir(E_CF, ratfn_from_string("n+1"), N + 1).cf, N + 1)
     for k in range(N):
         assert vals[2 * k] == orig[k]
     for k in range(N):
-        assert vals[2 * k + 1] == bm.values()[k + 1]
+        assert vals[2 * k + 1] == bm[k + 1]
 
 
 def test_extension_even_odd_parts_recover_source_and_transform():
     N = 5
     w = [F(0)] + [F(j + 1) for j in range(1, N + 2)]
     ext = extension_bmoe(E_CF, w, N)
-    ev = approximants(even_part(ext, N), N).values()
-    assert ev == approximants(E_CF, N).values()
-    od = approximants(odd_part(ext, N), N).values()
+    ev = approximants(even_part(ext, N), N)
+    assert ev == approximants(E_CF, N)
+    od = approximants(odd_part(ext, N), N)
     bm = approximants(bauer_muir(E_CF, ratfn_from_string("n+1"), N + 1).cf, N + 1)
-    assert od == bm.values()[1 : N + 2]
+    assert od == bm[1 : N + 2]
 
 
 def _is_integer_form(cf):
@@ -322,10 +345,10 @@ def test_euler_tail_and_integer_form_match_weighted_partial_sums():
             total += h * u(n)
             want.append(total)
         cf = euler_tail(F(1, 3), u, rho)
-        assert approximants(cf, 30).values() == want
+        assert approximants(cf, 30) == want
         icf = integer_tail_form(cf)
         assert _is_integer_form(icf)
-        assert approximants(icf, 30).values() == want
+        assert approximants(icf, 30) == want
 
 
 def test_integer_tail_form_rejects_zero_numerator():
@@ -350,7 +373,7 @@ def test_integer_tail_form_fractional_prefix():
     for cf in cfs:
         icf = integer_tail_form(cf)
         assert _is_integer_form(icf)
-        assert approximants(icf, 30).values() == approximants(cf, 30).values()
+        assert approximants(icf, 30) == approximants(cf, 30)
 
 
 def test_bauer_muir_tail_matches_finite():
@@ -360,7 +383,7 @@ def test_bauer_muir_tail_matches_finite():
         for w0 in (F(0), F(1, 2)):
             res = bauer_muir_tail(cf, w, w0)
             finite = bauer_muir(cf, [w0] + [w(n) for n in range(1, 21)], 20)
-            assert approximants(res.cf, 20).values() == approximants(finite.cf, 20).values()
+            assert approximants(res.cf, 20) == approximants(finite.cf, 20)
 
 
 # Reference transforms: the Fraction formulas, term by term over term_at, with
@@ -581,6 +604,8 @@ def _ref_generalized_product(a, b):
         raise ValueError("lengths")
     u = [a[n - 1] * b[n] - b[n - 1] for n in range(1, len(a) + 1)]
     for n, v in enumerate(u, 1):
+        if a[n - 1] == 0:
+            raise ZeroTerm(n)
         if v == 0:
             raise DegenerateTerm(n)
     return _ref_euler_cf(b[0], u, [1] + a[:-1])
