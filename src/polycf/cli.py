@@ -6,22 +6,17 @@ All numeric output is either an exact rational rendered as a decimal string
 are byte-stable across runs.
 """
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import transforms
 from .cf import CFSpec, _limit, cf_from_json, cf_to_json, convergents
 from .errors import HypothesisViolation, PolycfError
 from .families import build_preset
 from .poly import json_list, json_value, ratfn_from_string
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        _fail(2, "InvalidInput", message)
 
 
 # the int <-> str digit limit, which interpreters before 3.10.7 do not have
@@ -33,9 +28,9 @@ def _error(obj):
     sys.stderr.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _fail(code, kind, detail):
-    _error({"error": kind, "detail": str(detail)})
-    raise SystemExit(code)
+def _fail(detail):
+    _error({"error": "InvalidInput", "detail": str(detail)})
+    raise SystemExit(2)
 
 
 def _emit(fmt, build, *args, **kwargs):
@@ -75,31 +70,9 @@ def _table_lines(obj, prefix):
                 yield f"{prefix}- {v}"
 
 
-def _collect_params(extras):
-    params = {}
-    i = 0
-    while i < len(extras):
-        tok = extras[i]
-        if not tok.startswith("--"):
-            _fail(2, "InvalidInput", f"unexpected argument {tok!r}")
-        name = tok[2:]
-        if "=" in name:
-            name, value = name.split("=", 1)
-        else:
-            i += 1
-            if i >= len(extras):
-                _fail(2, "InvalidInput", f"missing value for --{name}")
-            value = extras[i]
-        if name in params:
-            _fail(2, "InvalidInput", f"parameter --{name} given more than once")
-        params[name] = value
-        i += 1
-    return params
-
-
 def _load_json_arg(raw, params):
     if params:  # no preset is built to read them
-        _fail(2, "InvalidInput", f"unknown parameters for --input: {', '.join(sorted(params))}")
+        _fail(f"unknown parameters for --input: {', '.join(sorted(params))}")
     try:
         if raw == "-":
             return json.loads(sys.stdin.read())
@@ -108,7 +81,7 @@ def _load_json_arg(raw, params):
         with open(raw, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except RecursionError:
-        _fail(2, "InvalidInput", "--input is nested too deeply")
+        _fail("--input is nested too deeply")
 
 
 def _resolve_cf(args, params):
@@ -142,14 +115,9 @@ def _cmd_eval(args, params):
     tol = json_value(args.tol, "--tol", "rational")
     bits = args.precision_bits
     value, gap, terms_used, converged, _ = _limit(cf, tol, args.terms, bits, False)
-    _emit(
-        args.format,
-        dict,
-        value=to_str(round_rational(value, bits), bits),
-        error_bound=to_str(round_rational(gap and Fraction(*gap), bits), bits),
-        terms_used=terms_used,
-        converged=converged,
-    )
+    _emit(args.format, dict, value=to_str(round_rational(value, bits), bits),
+          error_bound=to_str(round_rational(gap and Fraction(*gap), bits), bits),
+          terms_used=terms_used, converged=converged)
     return 0
 
 
@@ -193,13 +161,13 @@ def _cmd_transform(args, params):
     build, reads = _TRANSFORMS[op]
     if (args.w is None) == (reads == "w"):
         verb = "requires" if args.w is None else "does not read"
-        _fail(2, "InvalidInput", f"transform {op} {verb} --w")
+        _fail(f"transform {op} {verb} --w")
     if isinstance(reads, tuple):
         if not args.input:
-            _fail(2, "InvalidInput", f"transform {op} requires --input")
+            _fail(f"transform {op} requires --input")
         data = json_value(_load_json_arg(args.input, params), "$", "object")
         if "terms" in args.given:  # the output has as many terms as the input
-            _fail(2, "InvalidInput", f"transform {op} does not read --terms")
+            _fail(f"transform {op} does not read --terms")
         out = build(*[json_list(data.get(key), f"$.{key}", "rational") for key in reads])
     else:
         cf = _resolve_cf(args, params)
@@ -225,14 +193,9 @@ def _cmd_verify(args, params):
     from . import analysis
 
     member = build_preset(args.preset, params)
-    report = analysis.verify_limit(
-        member,
-        args.terms,
-        args.precision_bits,
-        json_value(args.tol, "--tol", "rational"),
-        preset=args.preset,
-        params=params,
-    )
+    report = analysis.verify_limit(member, args.terms, args.precision_bits,
+                                   json_value(args.tol, "--tol", "rational"),
+                                   preset=args.preset, params=params)
     _emit(args.format, report.to_json)
     return 0 if report.verdict == "Pass" else 1
 
@@ -256,7 +219,7 @@ _REPRODUCE_ROWS += [("entry13", {"a": "1", "b": "1", "d": "1"}, 200, "1e-6", 128
 
 def _cmd_reproduce(args, params):
     if params:
-        _fail(2, "InvalidInput", f"unknown parameters for reproduce-paper: {', '.join(sorted(params))}")
+        _fail(f"unknown parameters for reproduce-paper: {', '.join(sorted(params))}")
     from . import analysis
 
     out_dir = args.out
@@ -274,10 +237,7 @@ def _cmd_reproduce(args, params):
     for preset, rows in grouped.items():
         path = os.path.join(out_dir, f"{preset.replace('.', '_')}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps({"example": preset, "rows": rows}, sort_keys=True, indent=2)
-                + "\n"
-            )
+            fh.write(json.dumps({"example": preset, "rows": rows}, sort_keys=True, indent=2) + "\n")
     passed = sum(1 for line in lines if line.endswith(" Pass"))
     lines.append(f"{passed}/{len(_REPRODUCE_ROWS)} rows passed")
     sys.stdout.write("\n".join(lines) + "\n")
@@ -287,58 +247,98 @@ def _cmd_reproduce(args, params):
 # 16 times the widest benchmark row; 10^10 bits would not fit in memory
 _MAX_PRECISION_BITS = 1 << 16
 
+# option -> (kind, default), where a kind is int, a tuple of the allowed values, or str
 _OPTIONS = {
-    "preset": {"required": True},
-    "op": {"required": True, "choices": list(_TRANSFORMS)},
-    "w": {},
-    "terms": {"type": int, "default": 64},
-    "tol": {"default": "1e-10"},
-    "precision-bits": {"type": int, "default": 128},
-    "format": {"choices": ["json", "table"], "default": "json"},
-    "out": {"default": "paper_reports"},
+    "preset": (str, None), "input": (str, None), "op": (tuple(_TRANSFORMS), None),
+    "w": (str, None), "terms": (int, 64), "tol": (str, "1e-10"), "precision-bits": (int, 128),
+    "format": (("json", "table"), "json"), "out": (str, "paper_reports"),
 }
 
-# command -> (handler, the options it reads), where "source" is one of --preset
-# and --input; an option it does not declare reaches it as a preset parameter
+# command -> (handler, the options it reads)
 _COMMANDS = {
-    "eval": (_cmd_eval, ("source", "terms", "tol", "precision-bits", "format")),
-    "convergents": (_cmd_convergents, ("source", "terms", "format")),
-    "transform": (_cmd_transform, ("op", "w", "source", "terms", "format")),
+    "eval": (_cmd_eval, ("preset", "input", "terms", "tol", "precision-bits", "format")),
+    "convergents": (_cmd_convergents, ("preset", "input", "terms", "format")),
+    "transform": (_cmd_transform, ("op", "w", "preset", "input", "terms", "format")),
     "family": (_cmd_family, ("preset", "format")),
-    "tietze": (_cmd_tietze, ("source", "terms", "format")),
+    "tietze": (_cmd_tietze, ("preset", "input", "terms", "format")),
     "verify": (_cmd_verify, ("preset", "terms", "tol", "precision-bits", "format")),
     "reproduce-paper": (_cmd_reproduce, ("out",)),
 }
+_RULES = """--op is required, and so is exactly one of --preset and --input where a command
+reads both, else --preset. Any other --name value is a preset parameter. A value
+follows "=" or is the next argument, which may begin with "-"."""
 
 
-def _build_parser():
-    parser = _Parser(prog="polycf", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, options) in _COMMANDS.items():
-        # abbreviation matching would swallow preset params like --f as --format
-        p = sub.add_parser(name, allow_abbrev=False)
-        for option in options:
-            if option == "source":
-                group = p.add_mutually_exclusive_group(required=True)
-                group.add_argument("--preset")
-                group.add_argument("--input")
-            else:
-                p.add_argument("--" + option, **_OPTIONS[option])
-    return parser
+def _usage(commands):
+    """Print the commands' options, each with its default, choices or name, and exit 0."""
+    lines = ["usage: polycf COMMAND [--name value | --name=value ...]", ""]
+    for command in commands:
+        shown = [f"--{name} " + ("|".join(kind) if isinstance(kind, tuple)
+                                 else str(default or name.upper()))
+                 for name in _COMMANDS[command][1] for kind, default in [_OPTIONS[name]]]
+        lines.append(f"  {command} {' '.join(shown)}")
+    sys.stdout.write("\n".join(lines + ["", _RULES]) + "\n")
+    raise SystemExit(0)
+
+
+def _choose(what, value, choices):
+    if value not in choices:
+        _fail(f"argument {what}: invalid choice: {value!r} "
+              f"(choose from {', '.join(map(repr, choices))})")
+
+
+def _parse(argv):
+    """The command's options, typed by _OPTIONS, and its preset parameters, as
+    (args, params), by _RULES. Where argparse worded an error, its words are kept."""
+    if argv and argv[0] in ("-h", "--help"):
+        _usage(_COMMANDS)
+    if not argv:
+        _fail("the following arguments are required: command")
+    _choose("command", argv[0], _COMMANDS)
+    declared = _COMMANDS[argv[0]][1]
+    args = SimpleNamespace(command=argv[0], given=[],
+                           **{name.replace("-", "_"): _OPTIONS[name][1] for name in declared})
+    params, rest = {}, iter(argv[1:])
+    for tok in rest:
+        if tok in ("-h", "--help"):
+            _usage([args.command])
+        name, eq, value = tok[2:].partition("=")
+        if not tok.startswith("--") or not name:
+            _fail(f"unexpected argument {tok!r}")
+        value = value if eq else next(rest, None)
+        if value is None:
+            _fail(f"argument --{name}: expected one argument" if name in declared
+                  else f"missing value for --{name}")
+        if name in args.given:
+            _fail(f"{'option' if name in declared else 'parameter'} --{name} given more than once")
+        args.given.append(name)
+        if name not in declared:
+            params[name] = value
+            continue
+        kind = _OPTIONS[name][0]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(f"argument --{name}: invalid int value: {value!r}")
+        elif kind is not str:
+            _choose(f"--{name}", value, kind)
+        other = {"preset": "input", "input": "preset"}.get(name)
+        if other in declared and other in args.given:
+            _fail(f"argument --{name}: not allowed with argument --{other}")
+        setattr(args, name.replace("-", "_"), value)
+    if "op" in declared and args.op is None:
+        _fail("the following arguments are required: --op")
+    if "preset" in declared and args.preset is None and getattr(args, "input", None) is None:
+        _fail("one of the arguments --preset --input is required" if "input" in declared
+              else "the following arguments are required: --preset")
+    return args, params
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    args, extras = _build_parser().parse_known_args(argv)
-    # the option names given, read from argv: argparse keeps a repeat's last value
-    args.given = [tok[2:].partition("=")[0] for tok in argv if tok.startswith("--")]
-    for option in _COMMANDS[args.command][1]:
-        for name in ("preset", "input") if option == "source" else (option,):
-            if args.given.count(name) > 1:
-                _fail(2, "InvalidInput", f"option --{name} given more than once")
+    args, params = _parse(sys.argv[1:] if argv is None else argv)
     if getattr(args, "precision_bits", 0) > _MAX_PRECISION_BITS:
-        _fail(2, "InvalidInput", f"--precision-bits must be at most {_MAX_PRECISION_BITS}")
-    params = _collect_params(extras)
+        _fail(f"--precision-bits must be at most {_MAX_PRECISION_BITS}")
     try:
         return _COMMANDS[args.command][0](args, params)
     except HypothesisViolation as e:
@@ -348,7 +348,7 @@ def main(argv=None):
         _error({"error": type(e).__name__, "detail": str(e)})
         return 1
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as e:
-        _fail(2, "InvalidInput", e)
+        _fail(e)
 
 
 if __name__ == "__main__":

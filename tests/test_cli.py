@@ -5,7 +5,6 @@ parsed, and the report files are compared byte for byte where determinism
 is claimed.
 """
 
-import argparse
 import io
 import json
 import os
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycf.cli import _build_parser, main
+from polycf.cli import _COMMANDS, _OPTIONS, main
 from polycf.poly import IntPolynomial
 
 
@@ -361,14 +360,14 @@ def test_verify_rejects_oracle_precision_before_evaluating(capsys, monkeypatch):
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # Imports polycf.cli, then runs each argv list of sys.argv[1] through main in
-# this one process; prints which of mpmath, dataclasses, inspect and
-# polycf.analysis are loaded after the import, then per command its exit code
-# and the same list.
+# this one process; prints which of mpmath, dataclasses, inspect, argparse,
+# gettext and polycf.analysis are loaded after the import, then per command its
+# exit code and the same list.
 _FRESH = """
 import contextlib, io, json, sys
 import polycf.cli
 def loaded():
-    names = ("mpmath", "dataclasses", "inspect", "polycf.analysis")
+    names = ("mpmath", "dataclasses", "inspect", "argparse", "gettext", "polycf.analysis")
     return [name for name in names if name in sys.modules]
 results = [loaded()]
 for argv in json.loads(sys.argv[1]):
@@ -430,12 +429,14 @@ def test_commands_leave_dataclasses_and_inspect_unloaded():
         ["tietze", "--preset", "e", "--terms", "50"],
         ["transform", "--op", "bauer-muir", "--preset", "e", "--terms", "4", "--w", "n+1"],
         ["transform", "--op", "gen-euler", "--input", '{"terms": ["1", "1/2"], "weights": ["1", "2"]}'],
+        ["eval", "--preset", "e", "--terms", "x"],
+        ["eval", "--help"],
     ]
     proc = _fresh_python(_FRESH, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
     after_import, *after_commands = json.loads(proc.stdout)
     assert after_import == []
-    assert [code for code, _ in after_commands] == [0] * len(commands)
+    assert [code for code, _ in after_commands] == [0] * (len(commands) - 2) + [2, 0]
     assert all(set(loaded) <= {"polycf.analysis"} for _, loaded in after_commands)
 
 
@@ -674,13 +675,12 @@ _VALUES = {"--preset": "e", "--input": "x", "--terms": "5", "--tol": "3",
 
 
 def test_each_command_declares_only_the_options_it_reads():
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    declared = {name: [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
-                for name, p in sub.choices.items()}
-    assert {name: {s for a in actions for s in a.option_strings}
-            for name, actions in declared.items()} == _DECLARED
+    declared = {name: ["--" + option for option in options]
+                for name, (_, options) in _COMMANDS.items()}
+    assert {name: set(options) for name, options in declared.items()} == _DECLARED
     assert sum(map(len, declared.values())) == 28
+    assert {option for options in declared.values() for option in options} == {
+        "--" + option for option in _OPTIONS}
     # every declared option is shown to be read below
     read = {(command, option) for command, _, option, _ in _READ} | {("reproduce-paper", "--out")}
     assert read == {(name, option) for name, options in _DECLARED.items() for option in options}
@@ -796,6 +796,81 @@ def test_ignored_or_repeated_flags_exit_two(capsys, tmp_path, monkeypatch, argv,
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": "InvalidInput", "detail": detail}
     assert list(tmp_path.iterdir()) == []
+
+
+_CHOICES = "'eval', 'convergents', 'transform', 'family', 'tietze', 'verify', 'reproduce-paper'"
+
+
+# one argv per error the reader raises, with argparse's wording where argparse
+# worded it
+@pytest.mark.parametrize("argv, detail", [
+    (["eval", "--preset", "e", "--terms", "x"], "argument --terms: invalid int value: 'x'"),
+    (["verify", "--preset", "e", "--precision-bits=1.5"],
+     "argument --precision-bits: invalid int value: '1.5'"),
+    (["eval", "--preset", "e", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'json', 'table')"),
+    (["transform", "--op", "half", "--preset", "e"],
+     "argument --op: invalid choice: 'half' (choose from 'euler', 'gen-euler', 'product', "
+     "'gen-product', 'even', 'odd', 'bauer-muir', 'extend')"),
+    (["eval", "--preset", "e", "--terms"], "argument --terms: expected one argument"),
+    (["eval", "--preset", "ex3.3", "--A"], "missing value for --A"),
+    (["transform", "--preset", "e"], "the following arguments are required: --op"),
+    (["verify", "--terms", "5"], "the following arguments are required: --preset"),
+    (["eval", "--terms", "5"], "one of the arguments --preset --input is required"),
+    (["eval", "--preset", "e", "--input", _E_JSON],
+     "argument --input: not allowed with argument --preset"),
+    (["eval", "--input", _E_JSON, "--preset", "e"],
+     "argument --preset: not allowed with argument --input"),
+    (["evaluate", "--preset", "e"],
+     f"argument command: invalid choice: 'evaluate' (choose from {_CHOICES})"),
+    (["--preset", "e"], f"argument command: invalid choice: '--preset' (choose from {_CHOICES})"),
+    ([], "the following arguments are required: command"),
+    (["eval", "stray", "--preset", "e"], "unexpected argument 'stray'"),
+    (["eval", "--preset", "e", "--", "5"], "unexpected argument '--'"),
+    (["eval", "--preset", "e", "--=5"], "unexpected argument '--=5'"),
+])
+def test_parse_errors_keep_their_wording(capsys, argv, detail):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "InvalidInput", "detail": detail}
+
+
+@pytest.mark.parametrize("argv, commands", [
+    (["-h"], list(_COMMANDS)), (["--help"], list(_COMMANDS)),
+    (["eval", "--help"], ["eval"]),
+    (["transform", "--op", "even", "-h", "--terms", "x"], ["transform"]),
+])
+def test_help_prints_the_usage_listing(capsys, argv, commands):
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("usage: polycf COMMAND")
+    listed = [line.split()[0] for line in lines if line.startswith("  ")]
+    assert listed == commands
+    for line in lines:
+        if line.startswith("  "):  # every option the command reads, with its default
+            options = [tok[2:] for tok in line.split() if tok.startswith("--")]
+            assert options == list(_COMMANDS[line.split()[0]][1])
+    if "eval" in commands:
+        assert ("  eval --preset PRESET --input INPUT --terms 64 --tol 1e-10 --precision-bits 128"
+                " --format json|table") in lines
+
+
+@pytest.mark.parametrize("spelled", [["--w", "-1,2,3"], ["--w=-1,2,3"]])
+def test_a_value_may_begin_with_a_dash(capsys, spelled):
+    argv = ["transform", "--op", "bauer-muir", "--preset", "e", "--terms", "2"] + spelled
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["w"] == ["-1", "2", "3"]
+
+
+@pytest.mark.parametrize("spelled", [["--tol", "-1e-3"], ["--tol=-1e-3"]])
+def test_a_negative_tol_is_refused_as_non_positive(capsys, spelled):
+    code, out, err = run(capsys, ["eval", "--preset", "e"] + spelled)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "InvalidInput", "detail": "tol must be positive"}
 
 
 _json = st.recursive(
