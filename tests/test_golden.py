@@ -8,12 +8,14 @@ far-exponent branch, the sine-product family ex4.2 at 4096 bits), the
 `polycf family` output of every preset at its defaults and of the members
 `ex2.2 --b 1` and `ex2.5 --c 1`, whose hypotheses fail (hypothesis names,
 details, `holds` and `verified`), `polycf transform` for each of its eight
-ops and once with `--format table`, `polycf eval --preset ex3.3` at 300 and
-301 terms (the last count on the exact kernel and the first on the budgeted
-one), `polycf convergents --preset ex3.3` with A = 1 (an integer b0) and
-A = 2 (b0 = 1/2) in both formats, and the sha256 of the `reproduce-paper`
-stdout and of each of its files.  Every printed number must stay the same
-byte for byte.
+ops and once with `--format table`, `polycf tietze --terms 100` for every
+preset at its defaults (method AsymptoticPlusScan; only e holds) and once
+with `--format table`, `polycf tietze` of a finite `--input` CF (method
+ScanOnly), `polycf eval --preset ex3.3` at 300 and 301 terms (the last count
+on the exact kernel and the first on the budgeted one), `polycf convergents
+--preset ex3.3` with A = 1 (an integer b0) and A = 2 (b0 = 1/2) in both
+formats, and the sha256 of the `reproduce-paper` stdout and of each of its
+files.  Every printed number must stay the same byte for byte.
 """
 
 import hashlib
