@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _EXPORTS = {
     "cf": "UNDEFINED CFSpec CFTail Convergent LimitEstimate approximants cf_from_json"
-          " cf_to_json convergents evaluate integer_tail_form similarity_scale tail_cf term_at"
-          " to_integer_cf",
+          " convergents evaluate integer_tail_form similarity_scale tail_cf term_at to_integer_cf",
     "errors": "DegenerateTerm EmptyRange HypothesisViolation NonIntegerTerms NonzeroW0"
               " NoSuchTerm PoleAtArgument PolycfError RepeatedValue TransformDoesNotExist"
               " UnitTerm UnsupportedConstant ZeroEvenDenominator ZeroFunction"

@@ -20,6 +20,7 @@ the fixed-point unit or the bound stated beside it:
 Values are memoised in process, keyed by the constant and the working shift.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -46,10 +47,6 @@ _MAX_CERT_INDEX = 200000
 class TietzeReport(Record):
     __slots__ = ("holds", "N0", "method", "scan_limit")
 
-    def to_json(self):
-        return {"holds": self.holds, "N0": self.N0, "method": self.method,
-                "scan_limit": self.scan_limit}
-
 
 class GrowthBound(Record):
     """A denominator growth bound; `C` and `phi` are mpmath mpf numbers."""
@@ -62,8 +59,7 @@ class VerificationReport(Record):
                  "method")
 
     def to_json(self):  # every field, with params as strings
-        out = {name: getattr(self, name) for name in self.__slots__}
-        return dict(out, params={k: str(v) for k, v in sorted(self.params.items())})
+        return dict(super().to_json(), params={k: str(v) for k, v in sorted(self.params.items())})
 
 
 def _integer_terms(steps):
@@ -216,21 +212,13 @@ def _chudnovsky(a, b):
     return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
 
 
+@functools.cache  # one pi per shift for PiOver4, BrounckerPi and SineProduct
 def _fp_pi(shift):
     # pi = 426880 sqrt(10005) Q / T; the series alternates and each term is
     # below 2^-45 times the one before (the ratio tends to 2^-47.1), so n
     # terms leave a relative error below 2^-45n
     _, q, t = _chudnovsky(0, shift // 45 + 2)
     return 426880 * math.isqrt(10005 << (2 * shift)) * q // t
-
-
-def _pi(shift):
-    # one pi per shift for PiOver4, BrounckerPi and SineProduct, under a key
-    # that no constant's describe() string equals
-    key = (_fp_pi, shift)
-    if key not in _memo:
-        _memo[key] = _fp_pi(shift)
-    return _memo[key]
 
 
 def _fp_e(shift):
@@ -244,6 +232,8 @@ def _fp_e(shift):
 
 
 def _fp_zeta(k, shift):
+    if k < 2:
+        raise UnsupportedConstant(f"Zeta({k})")
     # Borwein: zeta(k) = 1/(d_n (1 - 2^(1-k))) sum_{j<n} (-1)^j (d_n - d_j)/(j+1)^k
     # with d_j = sum_{i<=j} t_i, t_i = n (n+i-1)! 4^i / ((n-i)! (2i)!), up to an
     # error below 3 (3+sqrt 8)^-n / (1 - 2^(1-k)); n makes that <= 2^-(shift+4)
@@ -287,7 +277,7 @@ def _fp_sine_product(m, shift):
         raise UnsupportedConstant(f"SineProduct({m})")
     if m == 1:
         return 0
-    pi = _pi(shift)
+    pi = _fp_pi(shift)
     r = 3 * _floor_nth_root(shift, 3) // 2
     w = shift + 2 * r + 2 * m.bit_length() + 8
     y = (pi << (w - r - shift)) // m
@@ -326,24 +316,22 @@ def _int_param(constant, name):
     return int(value)
 
 
+# constant name -> (its integer parameter names, its mantissa at a shift)
+_ORACLES = {
+    "PiOver4": ((), lambda shift: _fp_pi(shift) // 4),
+    "E": ((), _fp_e),
+    "BrounckerPi": ((), lambda shift: (4 << (2 * shift)) // _fp_pi(shift)),
+    "Zeta": (("k",), _fp_zeta),
+    "Root": (tuple("pqrs"), _fp_root),
+    "SineProduct": (("m",), _fp_sine_product),
+}
+
+
 def _mantissa(constant, shift):
-    name = constant.name
-    if name == "PiOver4":
-        return _pi(shift) // 4
-    if name == "E":
-        return _fp_e(shift)
-    if name == "BrounckerPi":
-        return (4 << (2 * shift)) // _pi(shift)
-    if name == "Zeta":
-        k = _int_param(constant, "k")
-        if k < 2:
-            raise UnsupportedConstant(f"Zeta({k})")
-        return _fp_zeta(k, shift)
-    if name == "Root":
-        return _fp_root(*(_int_param(constant, x) for x in "pqrs"), shift)
-    if name == "SineProduct":
-        return _fp_sine_product(_int_param(constant, "m"), shift)
-    raise UnsupportedConstant(name)
+    if constant.name not in _ORACLES:
+        raise UnsupportedConstant(constant.name)
+    names, mantissa = _ORACLES[constant.name]
+    return mantissa(*(_int_param(constant, name) for name in names), shift)
 
 
 def _oracle(constant, precision_bits):

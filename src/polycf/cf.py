@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 
 from .errors import (
@@ -380,10 +381,18 @@ def _positive(v, name, precision_bits):
 
 def _limit_tol(tol, max_terms, precision_bits):
     """tol as a Fraction, after checking tol, precision_bits and max_terms as
-    the limit loop and verify_limit both need them."""
+    the limit loop and verify_limit both need them: max_terms and
+    precision_bits are integers, max_terms from 2 to sys.maxsize."""
+    for name, v in (("max_terms", max_terms), ("precision_bits", precision_bits)):
+        try:
+            operator.index(v)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {v!r}") from None
     tol = _positive(tol, "tol", precision_bits)
     if max_terms < 2:
         raise ValueError("max_terms must be at least 2")
+    if max_terms > sys.maxsize:
+        raise ValueError(f"max_terms must be at most {sys.maxsize}")
     return tol
 
 
@@ -775,6 +784,8 @@ def integer_tail_form(cf):
     terms move into the prefix until none of these holds.  Past it, a zero
     or pole of r marks a zero numerator or a pole of the input's tail.
     """
+    if cf.tail is None:
+        raise ValueError("integer_tail_form needs a CF with a tail")
     a, b = cf.tail.a, cf.tail.b
     P = RationalFunction(a.num * b.den * b.den.shift(-1), a.den)
     G = _poly_gcd(b.num, P.num)
@@ -815,19 +826,8 @@ def tail_cf(cf, k):
     return CFSpec(Fraction(0), (), tail)
 
 
-def cf_to_json(cf):
-    """CF JSON: rationals as "p/q" strings, tail functions as coeff arrays."""
-    tail = cf.tail
-    return {
-        "b0": str(cf.b0),
-        "prefix": [[str(a), str(b)] for a, b in cf.prefix],
-        "tail": None if tail is None else {
-            "a": tail.a.to_json(), "b": tail.b.to_json(), "start_index": tail.start_index},
-    }
-
-
 def cf_from_json(data):
-    """Inverse of cf_to_json; malformed input raises ValueError with its path."""
+    """Inverse of CFSpec.to_json; malformed input raises ValueError with its path."""
     data = json_value(data, "$", "object")
     prefix = []
     for i, pair in enumerate(json_list(data.get("prefix", []), "$.prefix", "list")):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import transforms
-from .cf import CFSpec, _limit, cf_from_json, cf_to_json, convergents
+from .cf import _limit, cf_from_json, convergents
 from .errors import HypothesisViolation, PolycfError
 from .families import build_preset
 from .poly import json_list, json_value, ratfn_from_string
@@ -96,18 +96,6 @@ def _parse_w(raw):
     return [json_value(part, "--w", "rational") for part in raw.split(",")]
 
 
-def _member_json(member):
-    return {
-        "cf": cf_to_json(member.cf),
-        "limit": member.limit.to_json(),
-        "hypotheses": [
-            {"name": h.name, "holds": h.holds, "detail": h.detail}
-            for h in member.hypotheses
-        ],
-        "verified": member.verified,
-    }
-
-
 def _cmd_eval(args, params):
     from .dyadic import round_rational, to_str
 
@@ -146,16 +134,6 @@ _TRANSFORMS = {
 }
 
 
-def _transform_json(out):
-    if isinstance(out, CFSpec):
-        return cf_to_json(out)
-    return {  # a BauerMuirResult
-        "cf": cf_to_json(out.cf),
-        "w": [str(x) for x in out.w],
-        "existence_margin": [str(x) for x in out.existence_margin],
-    }
-
-
 def _cmd_transform(args, params):
     op = args.op
     build, reads = _TRANSFORMS[op]
@@ -172,12 +150,13 @@ def _cmd_transform(args, params):
     else:
         cf = _resolve_cf(args, params)
         out = build(cf, args.terms) if reads is None else build(cf, _parse_w(args.w), args.terms)
-    _emit(args.format, _transform_json, out)
+    _emit(args.format, out.to_json)
     return 0
 
 
 def _cmd_family(args, params):
-    _emit(args.format, _member_json, build_preset(args.preset, params))
+    member = build_preset(args.preset, params)
+    _emit(args.format, lambda: dict(member.to_json(), verified=member.verified))
     return 0
 
 

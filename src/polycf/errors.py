@@ -15,6 +15,21 @@ class _DataclassFields:
         return fields
 
 
+def _json(value):
+    """value as JSON: its own to_json(), a list for a tuple or list, a dict of
+    written values, None, a bool, an int or a str as itself, else its str (a
+    Fraction prints as "p/q")."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, (tuple, list)):
+        return [_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json(v) for k, v in value.items()}
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    return str(value)
+
+
 class Record:
     """Base of the package's frozen records, which behave as frozen dataclasses.
 
@@ -22,7 +37,7 @@ class Record:
     _defaults; a subclass that normalises its fields defines __init__ and
     stores them with _set.  Assigning or deleting a field raises
     AttributeError; equality, hashing, repr, copying and pickling read the
-    tuple of field values.
+    tuple of field values, and to_json writes every field by name.
     """
 
     __slots__ = ()
@@ -63,6 +78,9 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+    def to_json(self):
+        return {name: _json(getattr(self, name)) for name in self.__slots__}
 
     def __reduce__(self):  # the default would restore the slots by the refused setattr
         return object.__new__, (type(self),), self._values()

@@ -7,6 +7,7 @@ import json
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -28,7 +29,6 @@ from polycf.cf import (
     _scaled_terms,
     approximants,
     cf_from_json,
-    cf_to_json,
     convergents,
     evaluate,
     extrapolate,
@@ -285,6 +285,18 @@ def test_evaluate_validation():
     for bits in (0, -3):
         with pytest.raises(ValueError):
             evaluate(E_CF, F(1, 10), 10, precision_bits=bits)
+
+
+def test_limit_counts_must_be_integers_islice_takes():
+    member = build_preset("e")
+    for limit in (lambda terms, bits=128: evaluate(E_CF, F(1, 10), terms, bits),
+                  lambda terms, bits=128: verify_limit(member, terms, bits, F(1, 10))):
+        with pytest.raises(TypeError, match=r"^max_terms must be an integer, got 2\.5$"):
+            limit(2.5)
+        with pytest.raises(TypeError, match=r"^precision_bits must be an integer, got 64\.5$"):
+            limit(10, 64.5)
+        with pytest.raises(ValueError, match=f"^max_terms must be at most {sys.maxsize}$"):
+            limit(sys.maxsize + 1)
 
 
 def test_evaluate_backends_agree():
@@ -876,16 +888,16 @@ def test_json_round_trip():
         prefix=((F(1, 2), F(5)),),
         tail=CFTail("(n+1)/(n+3)", "2n-1", 4),
     )
-    data = cf_to_json(cf)
+    data = cf.to_json()
     text = json.dumps(data, sort_keys=True)
     back = cf_from_json(json.loads(text))
     assert back == cf
-    assert cf_to_json(back) == data
+    assert back.to_json() == data
 
 
 def test_json_round_trip_no_tail():
     cf = CFSpec(b0=F(0), prefix=((F(2), F(3)),))
-    assert cf_from_json(cf_to_json(cf)) == cf
+    assert cf_from_json(cf.to_json()) == cf
 
 
 def test_least_square_root_multiple_is_least_below_the_cube_bound():

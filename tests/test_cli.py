@@ -475,7 +475,7 @@ print(json.dumps([before, len(polycf.__all__), sorted(set(polycf.__all__) - set(
     proc = _fresh_python(script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
-        ["polycf"], 72, [], [], True, "module 'polycf' has no attribute 'no_such_name'"]
+        ["polycf"], 71, [], [], True, "module 'polycf' has no attribute 'no_such_name'"]
 
 
 @pytest.mark.parametrize("command", ["eval", "verify"])
@@ -871,6 +871,15 @@ def test_a_negative_tol_is_refused_as_non_positive(capsys, spelled):
     code, out, err = run(capsys, ["eval", "--preset", "e"] + spelled)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "InvalidInput", "detail": "tol must be positive"}
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_terms_past_sys_maxsize_are_refused_by_name(capsys, command):
+    code, out, err = run(capsys, [command, "--preset", "e", "--terms", "9" * 23])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "InvalidInput",
+                               "detail": f"max_terms must be at most {sys.maxsize}"}
 
 
 _json = st.recursive(

@@ -14,7 +14,6 @@ from polycf.cf import (
     CFSpec,
     CFTail,
     approximants,
-    cf_to_json,
     evaluate,
     integer_tail_form,
     term_at,
@@ -206,13 +205,18 @@ def test_integer_tail_form_drops_shifted_denominator_pair():
     assert approximants(cf, 25) == approximants(hand, 25)
 
 
+def test_integer_tail_form_needs_a_tail():
+    with pytest.raises(ValueError, match="^integer_tail_form needs a CF with a tail$"):
+        integer_tail_form(CFSpec(1, [(1, 1)]))
+
+
 def _outcome(build):
     """build(), a CF as its JSON form, or the error it raises."""
     try:
         out = build()
     except PolycfError as e:
         return type(e).__name__, getattr(e, "index", str(e))
-    return json.dumps(cf_to_json(out), sort_keys=True) if isinstance(out, CFSpec) else out
+    return json.dumps(out.to_json(), sort_keys=True) if isinstance(out, CFSpec) else out
 
 
 def _hand_ex25(c):
@@ -240,7 +244,7 @@ def test_ex25_pincherle_construction_keeps_the_hand_form():
         # c = n-1 and n-5 vanish at a later n: both forms have a zero numerator there
         want = _outcome(lambda: approximants(hand, 200))
         assert _outcome(lambda: approximants(member.cf, 200)) == want, text
-        same = cf_to_json(member.cf) == cf_to_json(hand)
+        same = member.cf.to_json() == hand.to_json()
         assert same == (text in _EX25_SAME_FORM), text
         assert member.cf.tail.a.den == member.cf.tail.b.den == IntPolynomial((1,)), text
         if isinstance(want, list) and c.den == IntPolynomial((1,)):  # hand form integral too
@@ -618,7 +622,7 @@ _PRESET_DIGESTS = {
         "1877880309af45bba840382ab7fd710957eaf94165bc504a79d36a9db6523aad",
 }
 
-# sha256 of json.dumps(cf_to_json(cf), sort_keys=True) for the same members:
+# sha256 of json.dumps(cf.to_json(), sort_keys=True) for the same members:
 # the symbolic forms `polycf family` prints.  An equivalent form written
 # differently keeps the approximant pins but fails these.
 _PRESET_FORM_DIGESTS = {
@@ -780,7 +784,7 @@ def test_preset_forms_pinned():
     assert set(_PRESET_FORM_DIGESTS) == set(_PRESET_DIGESTS)
     for (preset, label), want in _PRESET_FORM_DIGESTS.items():
         params = dict(kv.split("=") for kv in label.split(",")) if label else {}
-        text = json.dumps(cf_to_json(build_preset(preset, params).cf), sort_keys=True)
+        text = json.dumps(build_preset(preset, params).cf.to_json(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == want, (preset, label)
 
 

@@ -3,11 +3,13 @@
 Each record must behave as the frozen dataclass it replaced: the same
 constructors and normalisations, the same repr (pinned below), equality and
 hashing by field tuple within one class, no assignment or deletion, copying
-and pickling, and the dataclasses protocol (fields, replace, asdict).
+and pickling, and the dataclasses protocol (fields, replace, asdict).  Its
+to_json writes every field by name, as plain JSON values.
 """
 
 import copy
 import dataclasses
+import json
 import pickle
 from fractions import Fraction
 
@@ -99,6 +101,32 @@ def test_equality_and_hash_read_the_field_tuple(record, names, text):
         for field, value in zip(names, changed):
             object.__setattr__(other, field, value)
         assert other != record, name
+
+
+@pytest.mark.parametrize("record, names, text", _RECORDS, ids=_IDS)
+def test_to_json_writes_every_field_by_name(record, names, text):
+    data = record.to_json()
+    assert json.loads(json.dumps(data)) == data
+    if isinstance(record, LimitClaim):  # a named claim writes its constant's fields
+        assert data == {"kind": "named", "name": "Zeta", "params": {"k": "3"}}
+    else:
+        assert tuple(data) == names
+
+
+def test_to_json_writes_each_value_by_its_kind():
+    tail = {"a": {"num": ["1", "0", "1"], "den": ["1"]}, "b": {"num": ["0", "2"], "den": ["1"]},
+            "start_index": 3}
+    assert _CF.to_json() == {"b0": "1/2", "prefix": [["1", "3"]], "tail": tail}
+    assert CFSpec(Fraction(2)).to_json() == {"b0": "2", "prefix": [], "tail": None}
+    assert BauerMuirResult(_CF, (Fraction(1),), (Fraction(-2, 3),)).to_json() == {
+        "cf": _CF.to_json(), "w": ["1"], "existence_margin": ["-2/3"]}
+    assert GrowthBound("poly", 2, Fraction(1), Fraction(1, 10), mpmath.mpf(3),
+                       mpmath.mpf(0.25)).to_json() == {
+        "kind": "poly", "k": 2, "D": "1", "epsilon": "1/10", "C": "3.0", "phi": "0.25"}
+    assert NamedConstant("Root", {"p": 2, "q": Fraction(1, 2)}).to_json() == {
+        "name": "Root", "params": {"p": 2, "q": "1/2"}}
+    assert VerificationReport("e", {"A": 1}, 60, "E", "2.718", "1e-20", "Pass",
+                              "plain").to_json()["params"] == {"A": "1"}
 
 
 def test_records_of_different_classes_never_compare_equal():
