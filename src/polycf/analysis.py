@@ -24,9 +24,20 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 
-from .cf import _first, _is_integer_tail, _limit, _limit_tol, _mpf, _positive, _recurrence, _scaled_terms
+from .cf import (
+    _first,
+    _integer,
+    _is_integer_tail,
+    _limit,
+    _limit_tol,
+    _mpf,
+    _positive,
+    _recurrence,
+    _scaled_terms,
+)
 from .dyadic import round_rational, round_to, to_str
 from .errors import (
     EmptyRange,
@@ -88,8 +99,11 @@ def tietze_check(cf, scan_limit=200):
     holds=False with method ScanOnly and the count of terms read, up to
     scan_limit; every path raises NonIntegerTerms at a fractional term.
     """
+    scan_limit = _integer(scan_limit, "scan_limit")
     if scan_limit < 1:
         raise ValueError("scan_limit must be positive")
+    if scan_limit > sys.maxsize:
+        raise ValueError(f"scan_limit must be at most {sys.maxsize}")
     tail, n_cert = cf.tail, _MAX_CERT_INDEX + 1
     if tail is not None and _is_integer_tail(tail):
         sign_pos = _poly_eventually_nonneg(tail.a)
@@ -101,16 +115,15 @@ def tietze_check(cf, scan_limit=200):
     if n_cert > _MAX_CERT_INDEX:
         limit = sum(1 for _ in _integer_terms(itertools.islice(_scaled_terms(cf), scan_limit)))
         return TietzeReport(False, None, "ScanOnly", limit)
-    cert_ok = _poly_eventually_nonneg(q) and _poly_eventually_nonneg(b_ok)
     eff = max(scan_limit, n_cert)
-    terms = list(_integer_terms(_first(_scaled_terms(cf), eff + 1)))
-    if not cert_ok:
-        return TietzeReport(False, None, "AsymptoticPlusScan", eff)
-    last_failure = 0
-    for n, ((a, b), (a_next, _)) in enumerate(zip(terms, terms[1:]), 1):
+    last_failure = 0  # every term is read and checked to be integral, whatever the certificate
+    terms = _integer_terms(_first(_scaled_terms(cf), eff + 1))
+    for n, ((a, b), (a_next, _)) in enumerate(itertools.pairwise(terms), 1):
         need = abs(a) + (1 if a_next < 0 else 0)
         if b < 1 or b < need:
             last_failure = n
+    if not (_poly_eventually_nonneg(q) and _poly_eventually_nonneg(b_ok)):
+        return TietzeReport(False, None, "AsymptoticPlusScan", eff)
     return TietzeReport(True, last_failure + 1, "AsymptoticPlusScan", eff)
 
 
@@ -364,8 +377,8 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
                  preset="", params=None):
     """Evaluate a family member and compare against its independent oracle.
 
-    The value comes from one run of cf.extrapolate's loop, which reads the
-    member's terms once: its Richardson estimate where that applies (method
+    The value comes from one run of cf._limit, which reads the member's
+    terms once: its Richardson estimate where that applies (method
     "richardson"), else its plain last approximant (method "plain"), run at
     tol / 10^6 so that early stopping never hides a max-terms-limited
     estimate.  The verdict compares d = |estimate - oracle| against tol and

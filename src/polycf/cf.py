@@ -367,10 +367,20 @@ def _recurrence(b0, steps, budget=None, gaps=False):
         yield A, B, m, D, err, x
 
 
+def _integer(v, name):
+    """v read with operator.index, as islice and shifts read counts; a
+    TypeError names v otherwise."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {v!r}") from None
+
+
 def _positive(v, name, precision_bits):
-    """v as a positive Fraction, after checking v and precision_bits >= 1.  A
-    float goes through its shortest repr, so 1e-10 becomes 1/10^10 rather
-    than the nearest double."""
+    """v as a positive Fraction, after checking that precision_bits is an
+    integer, then v, then precision_bits >= 1.  A float goes through its
+    shortest repr, so 1e-10 becomes 1/10^10 rather than the nearest double."""
+    _integer(precision_bits, "precision_bits")
     v = v if isinstance(v, Fraction) else _as_fraction(str(v), name)
     if v <= 0:
         raise ValueError(f"{name} must be positive")
@@ -383,11 +393,7 @@ def _limit_tol(tol, max_terms, precision_bits):
     """tol as a Fraction, after checking tol, precision_bits and max_terms as
     the limit loop and verify_limit both need them: max_terms and
     precision_bits are integers, max_terms from 2 to sys.maxsize."""
-    for name, v in (("max_terms", max_terms), ("precision_bits", precision_bits)):
-        try:
-            operator.index(v)
-        except TypeError:
-            raise TypeError(f"{name} must be an integer, got {v!r}") from None
+    _integer(max_terms, "max_terms")
     tol = _positive(tol, "tol", precision_bits)
     if max_terms < 2:
         raise ValueError("max_terms must be at least 2")
@@ -526,21 +532,15 @@ def extrapolate(cf, tol, max_terms, precision_bits=128):
     test.  The run stops once two successive estimates differ by at most
     tol, or at the last checkpoint.
 
-    Only the checkpoints are read in Python.  Between two of them the
-    kernel's states go straight into a window of the last 2m + 1 (a deque
-    filled in C by deque.extend over an islice of the kernel), so the run
-    does no per-term work beyond the kernel's own.  The weights, the guard
-    bits and the window's width come from the cached _richardson_weights;
-    each estimate is kept as the integer pair (sum u_i v_i, d 2^bits), with
-    v_i = floor(f_{n_i} 2^bits) in fixed point; two are compared by
-    cross-multiplying, and one Fraction is built, for the estimate returned.
-
-    The kernel runs once.  Without a class or three checkpoints the run is
-    evaluate's, exact up to 300 terms and budgeted beyond.  A failed ratio
-    test or a zero B_i in a checkpoint's window turns the method down, and
-    evaluate's stop rule reads on from that pair to max_terms, forming each
-    gap directly, so such a CF stops no earlier than the pair after that
-    checkpoint.
+    The weights, the guard bits and the window's width come from the cached
+    _richardson_weights; each estimate is kept as the integer pair
+    (sum u_i v_i, d 2^bits), with v_i = floor(f_{n_i} 2^bits) in fixed
+    point; two are compared by cross-multiplying, and one Fraction is built,
+    for the estimate returned.  The loop is _limit's: its first phase reads
+    only the checkpoints, and a failed ratio test or a zero B_i in a
+    checkpoint's window hands that pair to evaluate's stop rule, so such a
+    CF stops no earlier than the pair after that checkpoint.  Without a
+    class or three checkpoints the run is evaluate's.
 
     Precision.  An error e in the f_{n_i} moves the estimate by up to
     sum |u_i| / d times e, so the fixed-point values carry
@@ -554,58 +554,58 @@ def extrapolate(cf, tol, max_terms, precision_bits=128):
 
 
 def _limit(cf, tol, max_terms, precision_bits, extrapolating):
-    """The loop behind evaluate and extrapolate: one kernel run, read by the
-    Richardson checkpoints while that method applies, else by the plain
-    stop rule.  Returns the exact parts (value, gap, terms_used, converged,
-    method): the estimate as a Fraction, and the last gap
-    |A_N/B_N - A_l/B_l| as the integer pair (|A_N B_l - A_l B_N|, |B_N B_l|),
-    not reduced, or None where there is none yet."""
+    """The loop behind evaluate and extrapolate: one kernel run in two
+    phases.  Phase 1, Richardson (extrapolating, a tail_class and three
+    checkpoints), reads the kernel into its window from checkpoint to
+    checkpoint and returns the Richardson parts, or turns the method down
+    at a checkpoint whose window holds a zero B_i or fails the ratio test.
+    It then hands that checkpoint's pair, and the last defined pair before
+    it, to phase 2: evaluate's plain stop rule, which reads on to the end.
+    Returns the exact parts (value, gap, terms_used, converged, method):
+    the estimate as a Fraction, and the last gap |A_N/B_N - A_l/B_l| as the
+    integer pair (|A_N B_l - A_l B_N|, |B_N B_l|), not reduced, or None
+    where there is none yet."""
     tol = _limit_tol(tol, max_terms, precision_bits)
     points = _checkpoints(max_terms) if extrapolating and tail_class(cf) else []
-    pairs = budget = None  # pairs: the Richardson window while that method applies
-    if len(points) >= 3:
+    richardson, budget = len(points) >= 3, None
+    if richardson:
         last, _, guard = _richardson_weights(points[-1])
         bits = precision_bits + _FLOAT_GUARD_BITS + guard
         budget = bits + points[-1].bit_length()
-        pairs = collections.deque(maxlen=2 * len(last) - 1)
     elif max_terms > _EXACT_TERM_LIMIT:
         budget = precision_bits + _FLOAT_GUARD_BITS + max_terms.bit_length()
     steps = itertools.islice(_scaled_terms(cf), max_terms)
-    kernel = enumerate(_recurrence(cf.b0, steps, budget, gaps=pairs is None), 1)
+    kernel = enumerate(_recurrence(cf.b0, steps, budget, gaps=not richardson), 1)
     tol_num, tol_den = tol.numerator, tol.denominator
-    offset = tol_den.bit_length() - tol_num.bit_length()
     A_last, B_last = cf.b0.numerator, cf.b0.denominator
-    last_bits = B_last.bit_length()
-    A_gap, B_gap, gap = 0, 0, None  # (A_gap, B_gap): the defined pair before the last one
-    adjacent = True  # the kernel's previous pair is (A_last, B_last)
-    small_prev = converged = False
-    estimates, parity_gaps = [], []  # estimates: pairs (S, q) for the value S/q
-    n = 0
-    if pairs is not None:
-        # the kernel's states (A, B, ...) before the first checkpoint, in C
-        pairs.extend(map(_STATE, itertools.islice(kernel, points[0] - 1)))
-    for n, (A, B, _, D, err, x) in kernel:
-        if pairs is not None:  # n is a checkpoint
-            pairs.append((A, B))
+    adjacent, n = True, 0  # adjacent: the kernel's previous pair is (A_last, B_last)
+    if richardson:  # phase 1: the window of the kernel's states (A, B, ...), filled in C
+        pairs = collections.deque(maxlen=2 * len(last) - 1)
+        estimates, parity_gaps = [], []  # estimates: pairs (S, q) for the value S/q
+        for point in points:
+            pairs.extend(map(_STATE, itertools.islice(kernel, point - n)))
+            n = point
             u, d, _ = _richardson_weights(n)
             window = [pairs[-1 - 2 * i] for i in range(len(u))]
-            if all(state[1] for state in window):
-                # f_{n_i} in units of 2^-bits
-                values = [(state[0] << bits) // state[1] for state in window]
-                estimates.append((sum(map(operator.mul, u, values)), d << bits))
-                parity_gaps.append(abs(values[0] - values[1]))
-                settled = len(parity_gaps) >= 3 and _ratio_settled(*parity_gaps[-3:])
-                if settled and (n == points[-1] or _within(*estimates[-2:], tol_num, tol_den)):
+            if not all(s[1] for s in window):
+                break
+            values = [(s[0] << bits) // s[1] for s in window]  # f_{n_i} in units of 2^-bits
+            estimates.append((sum(map(operator.mul, u, values)), d << bits))
+            parity_gaps.append(abs(values[0] - values[1]))
+            if len(parity_gaps) >= 3:
+                if not _ratio_settled(*parity_gaps[-3:]):
                     break
-                if settled or len(parity_gaps) < 3:
-                    # read on to the next checkpoint, the states again in C
-                    pairs.extend(map(_STATE, itertools.islice(
-                        kernel, points[len(estimates)] - n - 1)))
-                    continue
-            # turned down: the plain rule reads on from this pair
-            A_last, B_last = next(p for p in itertools.islice(reversed(pairs), 1, None) if p[1])[:2]
-            last_bits, adjacent = B_last.bit_length(), bool(pairs[-2][1])
-            pairs = None
+                if n == points[-1] or _within(*estimates[-2:], tol_num, tol_den):
+                    return Fraction(*estimates[-1]), None, n, False, "richardson"
+        # turned down: the plain rule reads on from this checkpoint's pair
+        A_last, B_last = next(s for s in itertools.islice(reversed(pairs), 1, None) if s[1])[:2]
+        adjacent = bool(pairs[-2][1])
+        kernel = itertools.chain([(n, pairs[-1])], kernel)
+    # phase 2: the plain stop rule
+    offset, last_bits = tol_den.bit_length() - tol_num.bit_length(), B_last.bit_length()
+    A_gap, B_gap, gap = 0, 0, None  # (A_gap, B_gap): the defined pair before the last one
+    small_prev = converged = False
+    for n, (A, B, _, D, err, x) in kernel:
         if not B:  # undefined: the run of small gaps starts again after it
             adjacent = small_prev = False
             continue
@@ -639,14 +639,7 @@ def _limit(cf, tol, max_terms, precision_bits, extrapolating):
             converged, gap = True, (0, 1)
     if gap is None and B_gap:  # the last gap, formed exactly once
         gap = abs(A_last * B_gap - A_gap * B_last), abs(B_last * B_gap)
-    richardson = pairs is not None
-    return (
-        Fraction(*estimates[-1]) if richardson else Fraction(A_last, B_last),
-        gap,
-        n,
-        converged,
-        "richardson" if richardson else "plain",
-    )
+    return Fraction(A_last, B_last), gap, n, converged, "plain"
 
 
 def _estimate(parts, precision_bits):

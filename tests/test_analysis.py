@@ -5,7 +5,9 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -334,6 +336,24 @@ def test_tietze_far_certificate_still_reads_the_terms():
 def test_tietze_validation():
     with pytest.raises(ValueError):
         tietze_check(E_CF, 0)
+    with pytest.raises(TypeError, match=r"^scan_limit must be an integer, got 2\.5$"):
+        tietze_check(E_CF, 2.5)
+    with pytest.raises(ValueError, match=f"^scan_limit must be at most {sys.maxsize}$"):
+        tietze_check(E_CF, sys.maxsize + 1)
+
+
+def test_tietze_certificate_scan_streams_its_terms():
+    # the scan holds two terms at a time, not the eff + 1 it reads
+    peaks = []
+    for scan_limit in (1000, 100000):
+        tracemalloc.start()
+        try:
+            assert tietze_check(E_CF, scan_limit) == TietzeReport(
+                True, 1, "AsymptoticPlusScan", scan_limit)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
 
 
 def test_tietze_finite_cf_scan_only():
@@ -501,6 +521,8 @@ def test_growth_validation():
     for bits in (0, -5):
         with pytest.raises(ValueError):
             growth_diagnostics(CFSpec(2, tail=("n+1", "n+1")), 10, precision_bits=bits)
+    with pytest.raises(TypeError, match=r"^precision_bits must be an integer, got 100\.5$"):
+        growth_diagnostics(E_CF, 5, 1, 100.5)
     # a_1 = -1/-2 = 1/2 (a negative denominator) fails before the pole at n = 3
     with pytest.raises(HypothesisViolation, match="term 1 has a = 1/2"):
         growth_diagnostics(CFSpec(b0=F(1), tail=("n/(3-n)", "2")), 10)

@@ -1037,14 +1037,17 @@ def _algebraic_cf(draw):
                                                          draw(st.integers(1, 3))))
 
 
-def _zero_b_at_40():
-    """Brouncker's tail after 40 prefix terms with B_40 = 0: inside the
-    window of the checkpoint 50, which turns the method down."""
-    prefix = [(F(1), F(1))] * 39
-    B_38, B_39 = (c.B for c in convergents(CFSpec(F(0), tuple(prefix)), 39)[38:])
-    cf = CFSpec(F(0), tuple(prefix) + ((F(1), -B_38 / B_39),), build_preset("brouncker").cf.tail)
-    assert convergents(cf, 40)[40].B == 0
+def _zero_b_at(n):
+    """Brouncker's tail after n prefix terms with B_n = 0: inside the window
+    of the first checkpoint past n, which turns the method down there."""
+    prefix = [(F(1), F(1))] * (n - 1)
+    B_prev2, B_prev = (c.B for c in convergents(CFSpec(F(0), tuple(prefix)), n - 1)[n - 2:])
+    cf = CFSpec(F(0), tuple(prefix) + ((F(1), -B_prev2 / B_prev),), build_preset("brouncker").cf.tail)
+    assert convergents(cf, n)[n].B == 0
     return cf
+
+
+_ENTRY13 = build_preset("entry13", {"a": "1", "b": "1", "d": "1"}).cf
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -1053,7 +1056,13 @@ def _zero_b_at_40():
 @example(cf=build_preset("brouncker").cf, max_terms=800, tol=F(1, 10**40), bits=128, pick=(1, 0))
 @example(cf=build_preset("ex3.3", {"A": "2"}).cf, max_terms=800, tol=F(1, 10**40), bits=128,
          pick=(2, 0))
-@example(cf=_zero_b_at_40(), max_terms=400, tol=F(1, 10**9), bits=128, pick=None)
+@example(cf=_zero_b_at(40), max_terms=400, tol=F(1, 10**9), bits=128, pick=None)
+# turned down at 200 by B_190 = 0, after reading on at 50 and 100
+@example(cf=_zero_b_at(190), max_terms=400, tol=F(1, 10**9), bits=128, pick=None)
+# turned down at the third checkpoint, 200, by the ratio test; at 400 the
+# plain rule reads on past it
+@example(cf=_ENTRY13, max_terms=200, tol=F(1, 10**6), bits=128, pick=None)
+@example(cf=_ENTRY13, max_terms=400, tol=F(1, 10**6), bits=128, pick=None)
 @example(cf=CFSpec(F(0), (), CFTail("n^3/(n-120)", "2")), max_terms=400, tol=F(1), bits=64,
          pick=None)
 @example(cf=CFSpec(F(0), (), CFTail("(n^3-75n^2)/(n+1)", "2")), max_terms=400, tol=F(1),

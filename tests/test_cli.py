@@ -873,13 +873,15 @@ def test_a_negative_tol_is_refused_as_non_positive(capsys, spelled):
     assert json.loads(err) == {"error": "InvalidInput", "detail": "tol must be positive"}
 
 
-@pytest.mark.parametrize("command", ["eval", "verify"])
+@pytest.mark.parametrize("command", ["eval", "verify", "tietze"])
 def test_terms_past_sys_maxsize_are_refused_by_name(capsys, command):
+    # tietze refuses it before it reads any term
     code, out, err = run(capsys, [command, "--preset", "e", "--terms", "9" * 23])
+    name = "scan_limit" if command == "tietze" else "max_terms"
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "InvalidInput",
-                               "detail": f"max_terms must be at most {sys.maxsize}"}
+                               "detail": f"{name} must be at most {sys.maxsize}"}
 
 
 _json = st.recursive(
