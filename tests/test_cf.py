@@ -22,8 +22,6 @@ from polycf.cf import (
     UNDEFINED,
     CFSpec,
     CFTail,
-    _canonical_pairs,
-    _first,
     _least_square_root_multiple,
     _recurrence,
     _scaled_terms,
@@ -44,7 +42,7 @@ from polycf.errors import (
     ZeroPartialNumerator,
     ZeroScaleFactor,
 )
-from polycf.analysis import growth_diagnostics, verify_limit
+from polycf.analysis import growth_diagnostics, tietze_check, verify_limit
 from polycf.families import PRESET_PARAMS, LimitClaim, build_preset, family_binomial, ramanujan_entry13
 from polycf.poly import _MAX_DECIMAL_EXPONENT, IntPolynomial, RationalFunction, ratfn_from_string
 from polycf.transforms import (
@@ -52,6 +50,7 @@ from polycf.transforms import (
     bernoulli_from_sequence,
     euler_from_series,
     euler_tail,
+    even_part,
     generalized_euler,
 )
 
@@ -82,6 +81,9 @@ def test_term_at_out_of_range():
         term_at(cf, 0)
     with pytest.raises(NoSuchTerm):
         term_at(cf, 2)
+    with pytest.raises(NoSuchTerm) as exc:
+        convergents(cf, 3)
+    assert exc.value.args == ("no such term: past prefix and no tail (index 2)",)
 
 
 def test_term_at_zero_numerator():
@@ -179,12 +181,101 @@ def test_canonical_pairs_match_the_fraction_recurrence(b0, cf, N):
         want = _reference_pairs(cf, N)[1:]
     except PolycfError as exc:
         with pytest.raises(type(exc)) as got:
-            list(_canonical_pairs(b0, _first(_scaled_terms(cf), N)))
+            convergents(cf, N)[1:]
         assert got.value.args == exc.args
         return
-    pairs = list(_canonical_pairs(b0, _first(_scaled_terms(cf), N)))
+    pairs = [(c.A, c.B) for c in convergents(cf, N)[1:]]
     assert pairs == want
     assert all(type(v) is F for pair in pairs for v in pair)
+
+
+def _per_term_scaled_terms(cf):
+    """The reference term stream: _scaled_terms as one Python generator,
+    every term through its own check."""
+    for n, (a, b) in enumerate(cf.prefix, 1):
+        if a == 0:
+            raise ZeroPartialNumerator(n)
+        q, s = a.denominator, b.denominator
+        yield a.numerator * s, b.numerator * q, q * s
+    tail = cf.tail
+    if tail is None:
+        return
+    first = len(cf.prefix) + 1
+    x0 = tail.start_index
+    qa, qb = tail.a.den, tail.b.den
+    if qa.degree == 0 and qb.degree == 0:
+        q, s = qa.coeffs[0], qb.coeffs[0]
+        m = q * s
+        a_vals = (tail.a.num * s).values_from(x0)
+        b_vals = (tail.b.num * q).values_from(x0)
+        for n, a, b in zip(itertools.count(first), a_vals, b_vals):  # never ends
+            if a == 0:
+                raise ZeroPartialNumerator(n)
+            yield a, b, m
+    columns = (tail.a.num, qa, tail.b.num, qb)
+    for n, x, p, q, r, s in zip(
+        itertools.count(first),
+        itertools.count(x0),
+        *(poly.values_from(x0) for poly in columns),
+    ):
+        if q == 0 or s == 0:
+            raise PoleAtArgument(x)
+        if p == 0:
+            raise ZeroPartialNumerator(n)
+        yield p * s, r * q, q * s
+
+
+def _read_stream(steps, limit=24):
+    """The first `limit` steps of a term stream, then the type and args of
+    the error it raised instead, if any."""
+    out = []
+    try:
+        out.extend(itertools.islice(steps, limit))
+    except PolycfError as exc:
+        out.append((type(exc), exc.args))
+    return out
+
+
+def _root_factor(x):
+    return IntPolynomial([-x, 1])
+
+
+@st.composite
+def _planted_cf(draw):
+    """A CF with a rational prefix and a tail whose numerator may vanish at
+    its first argument, later on, or everywhere, and whose denominators are
+    constants, or polynomials that may vanish at some argument."""
+    x0 = draw(st.integers(-3, 3))
+    zero = draw(st.sampled_from(["none", "first", "mid", "poly"]))
+    a_num = draw(_poly)
+    if zero == "first":
+        a_num = a_num * _root_factor(x0)
+    elif zero == "mid":
+        a_num = a_num * _root_factor(x0 + draw(st.integers(1, 15)))
+    elif zero == "poly":
+        a_num = IntPolynomial()
+    if draw(st.booleans()):
+        dens = [draw(st.integers(-6, 6).filter(bool)) for _ in range(2)]
+    else:
+        dens = [draw(_poly) for _ in range(2)]
+        if draw(st.booleans()):
+            dens[draw(st.integers(0, 1))] *= _root_factor(x0 + draw(st.integers(0, 15)))
+    tail = CFTail(RationalFunction(a_num, dens[0]), RationalFunction(draw(_poly), dens[1]), x0)
+    prefix = draw(st.lists(st.tuples(_rational, _rational), max_size=4).map(tuple))
+    return CFSpec(draw(_rational), prefix, draw(st.just(tail) | st.none()))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@example(cf=CFSpec(F(0), (), CFTail("n-3", "1")))
+@example(cf=CFSpec(F(0), ((F(1), F(2)), (F(0), F(1))), CFTail("n", "1")))
+@example(cf=CFSpec(F(1), ((F(1, 2), F(3)),), CFTail("n-2", "n/5", 2)))
+@example(cf=CFSpec(F(1), (), CFTail("0", "n")))
+@example(cf=CFSpec(F(0), (), CFTail("1/(n-4)", "n")))
+@example(cf=_SCALED_CF)
+@given(cf=_planted_cf())
+def test_term_stream_matches_the_per_term_generator(cf):
+    # the same steps, then the same error after as many steps
+    assert _read_stream(_scaled_terms(cf)) == _read_stream(_per_term_scaled_terms(cf))
 
 
 # sha256 of "n A B" lines, A and B as hex p/q, of convergents(cf, N): ex3.3
@@ -659,16 +750,34 @@ def test_prefix_of_exactly_max_terms_is_not_finite(backend):
     assert _close(est.value, convergents(cf, 10)[10].value)
 
 
-@pytest.mark.parametrize("backend", ["exact", "float"])
-def test_term_errors_raised_when_reached(backend):
+# each reads terms 1..n of its CF (tietze_check's certificate reads more);
+# "exact" and "float" are evaluate on the two kernels
+_TERM_READERS = {
+    "exact": lambda cf, n: _evaluate(cf, F(1, 10**9), n, backend="exact"),
+    "float": lambda cf, n: _evaluate(cf, F(1, 10**9), n, backend="float"),
+    "convergents": convergents,
+    "even_part": lambda cf, n: even_part(cf, n // 2),
+    "tietze_check": tietze_check,
+    "to_integer_cf": to_integer_cf,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_TERM_READERS))
+def test_term_errors_raised_when_reached(reader):
+    read = _TERM_READERS[reader]
     zero_at_3 = CFSpec(b0=F(0), tail=("n-3", "1"))
-    assert _evaluate(zero_at_3, F(1, 10), 2, backend=backend).terms_used == 2
-    with pytest.raises(ZeroPartialNumerator):
-        _evaluate(zero_at_3, F(1, 10**9), 10, backend=backend)
-    pole_at_4 = CFSpec(b0=F(0), tail=("1/(n-4)", "n"))
-    assert _evaluate(pole_at_4, F(1, 10**9), 3, backend=backend).terms_used == 3
-    with pytest.raises(PoleAtArgument):
-        _evaluate(pole_at_4, F(1, 10**9), 10, backend=backend)
+    # integer terms -2, -3, -6 before the pole, so that tietze_check reaches it
+    pole_at_4 = CFSpec(b0=F(0), tail=("6/(n-4)", "n"))
+    if reader != "tietze_check":  # its certificate reads past term 3 at any scan_limit
+        for cf, n in ((zero_at_3, 2), (pole_at_4, 3)):
+            result = read(cf, n)
+            assert reader not in ("exact", "float") or result.terms_used == n
+    with pytest.raises(ZeroPartialNumerator) as exc:
+        read(zero_at_3, 10)
+    assert exc.value.args == ("partial numerator is zero (index 3)",)
+    with pytest.raises(PoleAtArgument) as exc:
+        read(pole_at_4, 10)
+    assert exc.value.args == ("denominator vanishes at n = 4",)
 
 
 def test_similarity_scale_sequence_preserves_values():
