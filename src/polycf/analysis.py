@@ -24,12 +24,11 @@ import functools
 import itertools
 import math
 import operator
-import sys
 from fractions import Fraction
 
 from .cf import (
+    _count,
     _first,
-    _integer,
     _is_integer_tail,
     _limit,
     _limit_tol,
@@ -99,11 +98,7 @@ def tietze_check(cf, scan_limit=200):
     holds=False with method ScanOnly and the count of terms read, up to
     scan_limit; every path raises NonIntegerTerms at a fractional term.
     """
-    scan_limit = _integer(scan_limit, "scan_limit")
-    if scan_limit < 1:
-        raise ValueError("scan_limit must be positive")
-    if scan_limit > sys.maxsize:
-        raise ValueError(f"scan_limit must be at most {sys.maxsize}")
+    scan_limit = _count(scan_limit, "scan_limit", 1)
     tail, n_cert = cf.tail, _MAX_CERT_INDEX + 1
     if tail is not None and _is_integer_tail(tail):
         sign_pos = _poly_eventually_nonneg(tail.a)
@@ -174,9 +169,11 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
     """
     import mpmath
 
-    if N < 1:
+    if N < 1:  # before _count: any N below 1, a fraction too, is an empty range
         raise EmptyRange()
-    epsilon = _positive(epsilon, "epsilon", precision_bits)
+    N = _count(N, "N")
+    precision_bits = _count(precision_bits, "precision_bits", 1)
+    epsilon = _positive(epsilon, "epsilon")
     bs, M = [], 1  # B_n = B / M, M > 0 as the steps are sign-normalised; b0 moves only A_n
     for _, B, m, *_ in _recurrence(Fraction(0), _first(_terms_at_least_one(cf), N)):
         M *= m

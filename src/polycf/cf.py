@@ -158,7 +158,10 @@ class LimitEstimate(Record):
 
 
 def term_at(cf, n):
-    """Exact (a_n, b_n) for n >= 1; term errors are raised lazily here."""
+    """Exact (a_n, b_n) for an integer n >= 1, with the term errors in the
+    order of the term stream: a pole of a or b, a zero numerator, then
+    NoSuchTerm(n).  The reader of single exact terms outside the kernel."""
+    n = _integer(n, "n")
     if n < 1:
         raise NoSuchTerm(n)
     if n <= len(cf.prefix):
@@ -182,7 +185,7 @@ def convergents(cf, N):
     scale M = m_1 ... m_n (A_n is linear in b0 and B_n free of it), so a row
     is normalised only where r != 0 or M != 1.  Past the end of a finite CF,
     NoSuchTerm(n) is raised when term n is reached."""
-    _check_count(N)
+    N = _count(N, "N")
     q = cf.b0.denominator
     c, r = divmod(cf.b0.numerator, q)
     rows, M, n = [Convergent(0, cf.b0, Fraction(1))], 1, 0
@@ -263,30 +266,15 @@ def _per_term_steps(prefix, tail, skipped=0):
         yield p * s, r * q, q * s
 
 
-def _check_count(N):
-    if N < 0:
-        raise ValueError(f"cannot read a negative number of terms ({N})")
-
-
 def _first(stream, N):
-    """Items 1..N of a stream over terms n = 1, 2, ...; past the end of a
-    finite CF, NoSuchTerm(n) is raised when term n is reached."""
-    _check_count(N)
+    """Items 1..N of a stream over terms n = 1, 2, ..., for a count N read by
+    _count; past the end of a finite CF, NoSuchTerm(n) is raised when term n
+    is reached."""
     n = 0
     for n, item in zip(range(1, N + 1), stream):
         yield item
     if n < N:
         raise NoSuchTerm(n + 1)
-
-
-def _iter_terms(cf, N=None):
-    """Exact (a_n, b_n) for n = 1..N, or n = 1, 2, ... without N: the view
-    (a/m, b/m) of _scaled_terms, normalised only where m != 1."""
-    terms = (
-        (Fraction(a), Fraction(b)) if m == 1 else (Fraction(a, m), Fraction(b, m))
-        for a, b, m in _scaled_terms(cf)
-    )
-    return terms if N is None else _first(terms, N)
 
 
 def _recurrence(b0, steps, budget=None, gaps=False):
@@ -390,30 +378,34 @@ def _integer(v, name):
         raise TypeError(f"{name} must be an integer, got {v!r}") from None
 
 
-def _positive(v, name, precision_bits):
-    """v as a positive Fraction, after checking that precision_bits is an
-    integer, then v, then precision_bits >= 1.  A float goes through its
-    shortest repr, so 1e-10 becomes 1/10^10 rather than the nearest double."""
-    _integer(precision_bits, "precision_bits")
+def _count(v, name, least=0):
+    """v as a count: an integer (read with operator.index) from least to
+    sys.maxsize, the largest stop itertools.islice takes.  Every public count
+    is read here, before any term is; an error names the argument."""
+    v = _integer(v, name)
+    if v < least:
+        raise ValueError(f"{name} must be at least {least}")
+    if v > sys.maxsize:
+        raise ValueError(f"{name} must be at most {sys.maxsize}")
+    return v
+
+
+def _positive(v, name):
+    """v as a positive Fraction.  A float goes through its shortest repr, so
+    1e-10 becomes 1/10^10 rather than the nearest double."""
     v = v if isinstance(v, Fraction) else _as_fraction(str(v), name)
     if v <= 0:
         raise ValueError(f"{name} must be positive")
-    if precision_bits < 1:
-        raise ValueError("precision_bits must be at least 1")
     return v
 
 
 def _limit_tol(tol, max_terms, precision_bits):
-    """tol as a Fraction, after checking tol, precision_bits and max_terms as
-    the limit loop and verify_limit both need them: max_terms and
-    precision_bits are integers, max_terms from 2 to sys.maxsize."""
-    _integer(max_terms, "max_terms")
-    tol = _positive(tol, "tol", precision_bits)
-    if max_terms < 2:
-        raise ValueError("max_terms must be at least 2")
-    if max_terms > sys.maxsize:
-        raise ValueError(f"max_terms must be at most {sys.maxsize}")
-    return tol
+    """tol as a Fraction, after reading max_terms (at least 2) and
+    precision_bits (at least 1) as counts, as the limit loop and
+    verify_limit both need them."""
+    _count(max_terms, "max_terms", 2)
+    _count(precision_bits, "precision_bits", 1)
+    return _positive(tol, "tol")
 
 
 def evaluate(cf, tol, max_terms, precision_bits=128):
@@ -684,7 +676,7 @@ def _similarity_sequence(cf, r):
     for i, x in enumerate(r):
         if x == 0:
             raise ZeroScaleFactor(i)
-    return CFSpec(cf.b0, _scaled(list(_iter_terms(cf, len(r) - 1)), r), None)
+    return CFSpec(cf.b0, _scaled([term_at(cf, n) for n in range(1, len(r))], r), None)
 
 
 def _similarity_symbolic(cf, r):
@@ -724,6 +716,7 @@ def to_integer_cf(cf, N):
     returned unchanged; otherwise the result is a prefix-only CF whose first
     N terms are integers and whose approximants match the input's exactly.
     """
+    N = _count(N, "N")
     steps = list(_first(_scaled_terms(cf), N))
     integral = all(a % m == 0 and b % m == 0 for a, b, m in steps)  # m | a, also for m < 0
     if integral and (cf.tail is None or _is_integer_tail(cf.tail)):
@@ -806,14 +799,13 @@ def integer_tail_form(cf):
     Q = _exact_div(P.num * _exact_div(E, F).shift(-1), G * G.shift(-1))
     kappa = _least_square_root_multiple(c // math.gcd(c, Q.content))
     scale = kappa * b.den * E
-    stream, start = _iter_terms(cf), cf.tail.start_index
-    terms = list(itertools.islice(stream, len(cf.prefix)))
+    terms, start = [term_at(cf, n) for n in range(1, len(cf.prefix) + 1)], cf.tail.start_index
     while True:
         if terms and scale(start - 1) != 0 and G(start - 1) != 0:
             prefix = _integer_prefix(terms, Fraction(scale(start - 1), G(start - 1)))
             if prefix is not None:
                 break
-        terms.append(next(stream))
+        terms.append(term_at(cf, len(terms) + 1))
         start += 1
     tail_a = IntPolynomial(q * kappa * kappa // c for q in Q.coeffs)
     tail_b = kappa * _exact_div(b.num, G) * E
@@ -822,8 +814,9 @@ def integer_tail_form(cf):
 
 def tail_cf(cf, k):
     """Drop the first k >= 0 terms and zero the leading term."""
-    for _ in _iter_terms(cf, k):
-        pass
+    k = _count(k, "k")
+    for n in range(1, k + 1):
+        term_at(cf, n)
     m = len(cf.prefix)
     if k < m:
         return CFSpec(Fraction(0), cf.prefix[k:], cf.tail)

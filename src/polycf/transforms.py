@@ -17,7 +17,7 @@ correspondences term by term.
 
 from fractions import Fraction
 
-from .cf import CFSpec, CFTail, _as_fraction, _as_ratfn, _check_count, _first, _scaled_terms
+from .cf import CFSpec, CFTail, _as_fraction, _as_ratfn, _count, _first, _scaled_terms
 from .errors import (
     DegenerateTerm,
     NonzeroW0,
@@ -202,7 +202,7 @@ def even_part(cf, N):
     denominators that get divided through.  Term k is the _contracted
     term at j = 2k - 2, each value normalised once.
     """
-    _check_count(N)
+    N = _count(N, "N")
     # step 0 = (-1, 1, 0), b_0 infinite with a_0 = -b_0, gives (a_1 b_2, a_2 + b_1 b_2)
     a, b, m = zip((-1, 1, 0), *_first(_scaled_terms(cf), 2 * N))
     rows = (_contracted(a, b, m, j, ZeroEvenDenominator) for j in range(0, 2 * N, 2))
@@ -217,7 +217,7 @@ def odd_part(cf, N):
     denominators to be nonzero.  Term k is the _contracted term at
     j = 2k - 1, with d_1 and c_2 times b_1, each value normalised once.
     """
-    _check_count(N)
+    N = _count(N, "N")
     a, b, m = zip((None, None, None), *_first(_scaled_terms(cf), 2 * N + 1))
     if b[1] == 0:
         raise ZeroOddDenominator(1)
@@ -253,8 +253,7 @@ def bauer_muir(cf, w, N):
     lambda_n = a_n - w_{n-1} (b_n + w_n) is nonzero.  Each term value and
     margin is normalised once, from the columns of _checked_steps.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    N = _count(N, "N", 1)
     wv = _w_values(w, N + 1)
     a, m, S, L, P, Q = _checked_steps(cf, wv, N)
     lam = tuple(Fraction(L[n], m[n] * Q[n - 1] * Q[n]) for n in range(1, N + 1))
@@ -299,8 +298,7 @@ def extension_bmoe(cf, w, N):
     Requires w_1..w_N nonzero and every margin lambda_1..lambda_{N+1} nonzero.
     Each value is normalised once, from the columns of _checked_steps.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    N = _count(N, "N", 1)
     wv = _w_values(w, N + 2)
     if wv[0] != 0:
         raise NonzeroW0(wv[0])

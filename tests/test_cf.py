@@ -36,6 +36,7 @@ from polycf.cf import (
     to_integer_cf,
 )
 from polycf.errors import (
+    EmptyRange,
     NoSuchTerm,
     PolycfError,
     PoleAtArgument,
@@ -51,7 +52,9 @@ from polycf.transforms import (
     euler_from_series,
     euler_tail,
     even_part,
+    extension_bmoe,
     generalized_euler,
+    odd_part,
 )
 
 F = Fraction
@@ -84,6 +87,15 @@ def test_term_at_out_of_range():
     with pytest.raises(NoSuchTerm) as exc:
         convergents(cf, 3)
     assert exc.value.args == ("no such term: past prefix and no tail (index 2)",)
+
+
+def test_term_at_reads_an_integer_index():
+    cf = build_preset("e").cf
+    with pytest.raises(TypeError, match=r"^n must be an integer, got 2\.5$"):
+        term_at(cf, 2.5)
+    with pytest.raises(NoSuchTerm) as exc:
+        term_at(cf, -1)
+    assert exc.value.index == -1
 
 
 def test_term_at_zero_numerator():
@@ -915,8 +927,59 @@ def test_tail_cf_rejects_missing_terms():
 
 
 def test_tail_cf_rejects_a_negative_count():
-    with pytest.raises(ValueError, match=r"negative number of terms \(-1\)"):
+    with pytest.raises(ValueError, match=r"^k must be at least 0$"):
         tail_cf(E_CF, -1)
+
+
+# term 1 of _POLE_FIRST is a pole, so a count read only after a term shows up
+# as PoleAtArgument(1), and none of the cases below reads without bound
+_POLE_FIRST = CFSpec(F(0), (), CFTail("1/(n-1)", "1", 1))
+
+
+def _growth_n(v):
+    return growth_diagnostics(_POLE_FIRST, v)
+
+
+# (read, name, least): read(v) passes v as the count called name, whose least
+# value is least; a w is a list, as a callable w is read before N at N + 1 values
+_COUNTS = [
+    pytest.param(lambda v: convergents(_POLE_FIRST, v), "N", 0, id="convergents"),
+    pytest.param(lambda v: approximants(_POLE_FIRST, v), "N", 0, id="approximants"),
+    pytest.param(lambda v: to_integer_cf(_POLE_FIRST, v), "N", 0, id="to_integer_cf"),
+    pytest.param(lambda v: even_part(_POLE_FIRST, v), "N", 0, id="even_part"),
+    pytest.param(lambda v: odd_part(_POLE_FIRST, v), "N", 0, id="odd_part"),
+    pytest.param(lambda v: bauer_muir(_POLE_FIRST, [1, 1, 1], v), "N", 1, id="bauer_muir"),
+    pytest.param(lambda v: extension_bmoe(_POLE_FIRST, [0, 1, 1], v), "N", 1, id="extension_bmoe"),
+    pytest.param(lambda v: tail_cf(_POLE_FIRST, v), "k", 0, id="tail_cf"),
+    pytest.param(lambda v: tietze_check(_POLE_FIRST, v), "scan_limit", 1, id="tietze_check"),
+    pytest.param(lambda v: evaluate(_POLE_FIRST, F(1, 10), v), "max_terms", 2,
+                 id="evaluate-max_terms"),
+    pytest.param(lambda v: extrapolate(_POLE_FIRST, F(1, 10), v), "max_terms", 2,
+                 id="extrapolate-max_terms"),
+    pytest.param(lambda v: evaluate(_POLE_FIRST, F(1, 10), 10, v), "precision_bits", 1,
+                 id="evaluate-precision_bits"),
+    pytest.param(lambda v: growth_diagnostics(_POLE_FIRST, 10, precision_bits=v),
+                 "precision_bits", 1, id="growth_diagnostics-precision_bits"),
+    pytest.param(_growth_n, "N", 1, id="growth_diagnostics"),
+]
+
+
+@pytest.mark.parametrize("count", ["2.5", "least-1", "maxsize+1"])
+@pytest.mark.parametrize("read, name, least", _COUNTS)
+def test_every_count_is_read_by_name_before_any_term(read, name, least, count):
+    v = {"2.5": 2.5, "least-1": least - 1, "maxsize+1": sys.maxsize + 1}[count]
+    error, message = {
+        "2.5": (TypeError, rf"{name} must be an integer, got 2\.5"),
+        "least-1": (ValueError, f"{name} must be at least {least}"),
+        "maxsize+1": (ValueError, f"{name} must be at most {sys.maxsize}"),
+    }[count]
+    if read is _growth_n and count == "least-1":
+        for v in (0, -1, 0.5):  # growth_diagnostics: any N below 1 is an empty range
+            with pytest.raises(EmptyRange):
+                read(v)
+        return
+    with pytest.raises(error, match=f"^{message}$"):
+        read(v)
 
 
 @pytest.mark.parametrize("prefix", [[["1"]], [["1", "2", "3"]], [[]]])

@@ -331,8 +331,7 @@ def test_malformed_count_exits_two(capsys, argv):
 def test_negative_count_names_the_given_count(capsys, command):
     code, out, err = run(capsys, command + ["--preset", "e", "--terms", "-3"])
     assert (code, out) == (2, "")
-    assert json.loads(err) == {"error": "InvalidInput",
-                               "detail": "cannot read a negative number of terms (-3)"}
+    assert json.loads(err) == {"error": "InvalidInput", "detail": "N must be at least 0"}
 
 
 def test_verify_rejects_oracle_precision_before_evaluating(capsys, monkeypatch):
@@ -873,11 +872,27 @@ def test_a_negative_tol_is_refused_as_non_positive(capsys, spelled):
     assert json.loads(err) == {"error": "InvalidInput", "detail": "tol must be positive"}
 
 
-@pytest.mark.parametrize("command", ["eval", "verify", "tietze"])
-def test_terms_past_sys_maxsize_are_refused_by_name(capsys, command):
-    # tietze refuses it before it reads any term
-    code, out, err = run(capsys, [command, "--preset", "e", "--terms", "9" * 23])
-    name = "scan_limit" if command == "tietze" else "max_terms"
+# a CF whose first term is a pole: a count read only after a term exits 1
+_POLE_FIRST = json.dumps({"b0": "0", "tail": {"a": {"num": ["1"], "den": ["-1", "1"]},
+                                              "b": {"num": ["1"], "den": ["1"]},
+                                              "start_index": 1}})
+
+
+@pytest.mark.parametrize("command, name", [
+    pytest.param(["eval", "--preset", "e"], "max_terms", id="eval"),
+    pytest.param(["verify", "--preset", "e"], "max_terms", id="verify"),
+    pytest.param(["tietze", "--preset", "e"], "scan_limit", id="tietze"),
+    pytest.param(["convergents", "--input", _POLE_FIRST], "N", id="convergents"),
+    pytest.param(["transform", "--op", "even", "--input", _POLE_FIRST], "N", id="even"),
+    pytest.param(["transform", "--op", "odd", "--input", _POLE_FIRST], "N", id="odd"),
+    pytest.param(["transform", "--op", "bauer-muir", "--w", "1,1,1", "--input", _POLE_FIRST], "N",
+                 id="bauer-muir"),
+    pytest.param(["transform", "--op", "extend", "--w", "0,1,1", "--input", _POLE_FIRST], "N",
+                 id="extend"),
+])
+def test_terms_past_sys_maxsize_are_refused_by_name(capsys, command, name):
+    # each command refuses it before it reads any term
+    code, out, err = run(capsys, command + ["--terms", "9" * 23])
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "InvalidInput",

@@ -2,7 +2,8 @@
 
 Every name a module of src/polycf imports is read in that module, and every
 private module-level name (one leading underscore) is read somewhere in the
-package outside its own definition.
+package outside its own definition, and only the count reader cf._count
+reads sys.maxsize, the bound of every count.
 """
 
 import ast
@@ -66,3 +67,10 @@ def test_every_private_module_level_name_is_read():
         and not any(name in read for _, other, read in statements if other is not statement)
     ]
     assert unread == []
+
+
+def test_only_the_count_reader_reads_sys_maxsize():
+    readers = [f"{module}: {', '.join(_defined(statement)) or type(statement).__name__}"
+               for module, tree in _TREES.items() for statement in tree.body
+               if "maxsize" in set(_read(statement))]
+    assert readers == ["cf.py: _count"]
