@@ -169,7 +169,11 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
     """
     import mpmath
 
-    if N < 1:  # before _count: any N below 1, a fraction too, is an empty range
+    try:  # before _count: any N below 1, a fraction too, is an empty range
+        empty = N < 1
+    except TypeError:  # not a number: _count names it
+        empty = False
+    if empty:
         raise EmptyRange()
     N = _count(N, "N")
     precision_bits = _count(precision_bits, "precision_bits", 1)
@@ -390,7 +394,7 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
     print as mpmath did: the estimate and the oracle rounded to
     precision_bits, and their distance at precision_bits + 32 bits.
     """
-    tol = _limit_tol(tol, terms, precision_bits)
+    tol, terms, precision_bits = _limit_tol(tol, terms, precision_bits)
     claim = member.limit
     if claim.kind == "named":  # first: below 64 bits the oracle refuses before the loop runs
         mant, shift = _oracle(claim.constant, precision_bits)

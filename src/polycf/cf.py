@@ -178,21 +178,45 @@ def term_at(cf, n):
     return a, b
 
 
+def _lowest(p, q):
+    """The Fraction p/q for integers p/q already in lowest terms with q > 0,
+    built without Fraction's gcd, as Python 3.12's Fraction._from_coprime_ints
+    builds it."""
+    out = object.__new__(Fraction)
+    out._numerator = p
+    out._denominator = q
+    return out
+
+
 def convergents(cf, N):
     """Exact canonical pairs (A_n, B_n) for n = 0..N, each built in this one
-    loop from one kernel run started at c, for b0 = c + r/q: A_n =
-    (q A + r B) / (q M) and B_n = B / M from the kernel's pair (A, B) and
-    scale M = m_1 ... m_n (A_n is linear in b0 and B_n free of it), so a row
-    is normalised only where r != 0 or M != 1.  Past the end of a finite CF,
-    NoSuchTerm(n) is raised when term n is reached."""
+    loop from one kernel run started at c, for b0 = c + r/q with 0 <= r < q:
+    A_n = (q A + r B) / (q M) and B_n = B / M from the kernel's pair (A, B)
+    and scale M = m_1 ... m_n (A_n is linear in b0 and B_n free of it).
+
+    Where M = 1 (every term so far integral, as for every preset) the row
+    is built by _lowest, with no gcd: B_n = B/1 is in lowest terms, and so
+    is A_n = A/1 for an integer b0 (r = 0, q = 1).  For a fractional b0,
+    A_n = (q A + r B)/q, and since r is prime to q,
+    gcd(q A + r B, q) = gcd(r B, q) = gcd(B, q) = g, so dividing both by g
+    (only where g != 1) leaves it in lowest terms.  Rows with M != 1 are
+    normalised by Fraction.  Past the end of a finite CF, NoSuchTerm(n) is
+    raised when term n is reached."""
     N = _count(N, "N")
     q = cf.b0.denominator
     c, r = divmod(cf.b0.numerator, q)
     rows, M, n = [Convergent(0, cf.b0, Fraction(1))], 1, 0
-    for n, (A, B, m, *_) in zip(range(1, N + 1), _recurrence(Fraction(c), _scaled_terms(cf))):
+    kernel = _recurrence(Fraction(c), _scaled_terms(cf))
+    for n, (A, B, m, _D, _err, _x) in zip(range(1, N + 1), kernel):
         M *= m
-        rows.append(Convergent(n, Fraction(A) if q * M == 1 else Fraction(q * A + r * B, q * M),
-                               Fraction(B) if M == 1 else Fraction(B, M)))
+        if M != 1:
+            rows.append(Convergent(n, Fraction(q * A + r * B, q * M), Fraction(B, M)))
+        elif q == 1:
+            rows.append(Convergent(n, _lowest(A, 1), _lowest(B, 1)))
+        else:
+            A, g = q * A + r * B, math.gcd(B, q)
+            rows.append(Convergent(n, _lowest(A, q) if g == 1 else _lowest(A // g, q // g),
+                                   _lowest(B, 1)))
     if n < N:
         raise NoSuchTerm(n + 1)
     return rows
@@ -400,12 +424,12 @@ def _positive(v, name):
 
 
 def _limit_tol(tol, max_terms, precision_bits):
-    """tol as a Fraction, after reading max_terms (at least 2) and
-    precision_bits (at least 1) as counts, as the limit loop and
-    verify_limit both need them."""
-    _count(max_terms, "max_terms", 2)
-    _count(precision_bits, "precision_bits", 1)
-    return _positive(tol, "tol")
+    """(tol, max_terms, precision_bits) as read for the limit loop and
+    verify_limit: max_terms (at least 2) and precision_bits (at least 1) as
+    counts, then tol as a positive Fraction."""
+    max_terms = _count(max_terms, "max_terms", 2)
+    precision_bits = _count(precision_bits, "precision_bits", 1)
+    return _positive(tol, "tol"), max_terms, precision_bits
 
 
 def evaluate(cf, tol, max_terms, precision_bits=128):
@@ -438,7 +462,7 @@ def evaluate(cf, tol, max_terms, precision_bits=128):
     converged=False, not an exception.  error_bound is the last gap, an
     estimate and not a bound (see LimitEstimate).
     """
-    return _estimate(_limit(cf, tol, max_terms, precision_bits, False), precision_bits)
+    return _estimate(cf, *_limit_tol(tol, max_terms, precision_bits), False)
 
 
 def tail_class(cf):
@@ -556,7 +580,7 @@ def extrapolate(cf, tol, max_terms, precision_bits=128):
     A Richardson estimate never counts as converged, and its error_bound is
     infinite.  terms_used is the number of terms read.
     """
-    return _estimate(_limit(cf, tol, max_terms, precision_bits, True), precision_bits)
+    return _estimate(cf, *_limit_tol(tol, max_terms, precision_bits), True)
 
 
 def _limit(cf, tol, max_terms, precision_bits, extrapolating):
@@ -571,7 +595,7 @@ def _limit(cf, tol, max_terms, precision_bits, extrapolating):
     the estimate as a Fraction, and the last gap |A_N/B_N - A_l/B_l| as the
     integer pair (|A_N B_l - A_l B_N|, |B_N B_l|), not reduced, or None
     where there is none yet."""
-    tol = _limit_tol(tol, max_terms, precision_bits)
+    tol, max_terms, precision_bits = _limit_tol(tol, max_terms, precision_bits)
     points = _checkpoints(max_terms) if extrapolating and tail_class(cf) else []
     richardson, budget = len(points) >= 3, None
     if richardson:
@@ -648,12 +672,13 @@ def _limit(cf, tol, max_terms, precision_bits, extrapolating):
     return Fraction(A_last, B_last), gap, n, converged, "plain"
 
 
-def _estimate(parts, precision_bits):
-    """The LimitEstimate of _limit's parts, value and gap rounded as
-    mpmath.mpf(num) / den at precision_bits + 32 bits, then to precision_bits."""
+def _estimate(cf, tol, max_terms, precision_bits, extrapolating):
+    """The LimitEstimate of _limit's parts for these arguments, as read by
+    _limit_tol: value and gap rounded as mpmath.mpf(num) / den at
+    precision_bits + 32 bits, then to precision_bits."""
     from .dyadic import round_rational
 
-    value, gap, *rest = parts
+    value, gap, *rest = _limit(cf, tol, max_terms, precision_bits, extrapolating)
     return LimitEstimate(*(_mpf(round_rational(q, precision_bits), precision_bits)
                            for q in (value, gap and Fraction(*gap))), *rest)
 

@@ -168,19 +168,22 @@ def euler_tail(b0, u, rho=1):
     return CFSpec(_as_fraction(b0, "b0"), prefix, tail)
 
 
-def _checked_steps(cf, wv, N):
-    """Columns a, m, S, L, P, Q over n = 1..N of the integer steps (a, b, m) of cf and
-    w_n = P[n]/Q[n]: b_n + w_n = S[n]/(m[n] Q[n]) and lambda_n = L[n]/(m[n] Q[n-1] Q[n]),
+def _checked_steps(cf, w, N):
+    """Columns a, m, S, L, P, Q, W over n = 1..N of the integer steps (a, b, m) of cf and
+    the values W[n] = w_n = P[n]/Q[n], read from the iterator w of _w_values as term n is
+    reached (w_0 first): b_n + w_n = S[n]/(m[n] Q[n]) and lambda_n = L[n]/(m[n] Q[n-1] Q[n]),
     each margin checked as its term is read, before any error from a later term."""
-    P, Q = [x.numerator for x in wv], [x.denominator for x in wv]
-    columns = [(None, None, None, None)]
-    for n, (a, b, m) in enumerate(_first(_scaled_terms(cf), N), 1):
-        S = b * Q[n] + P[n] * m
-        L = a * Q[n - 1] * Q[n] - P[n - 1] * S
+    x = next(w)
+    p, q = x.numerator, x.denominator
+    columns = [(None, None, None, None, p, q, x)]
+    for n, ((a, b, m), x) in enumerate(zip(_first(_scaled_terms(cf), N), w), 1):
+        p_prev, q_prev, p, q = p, q, x.numerator, x.denominator
+        S = b * q + p * m
+        L = a * q_prev * q - p_prev * S
         if L == 0:
             raise TransformDoesNotExist(n)
-        columns.append((a, m, S, L))
-    return (*zip(*columns), P, Q)
+        columns.append((a, m, S, L, p, q, x))
+    return tuple(zip(*columns))
 
 
 def _contracted(a, b, m, j, error):
@@ -234,15 +237,31 @@ def odd_part(cf, N):
     return CFSpec._make(b0, tuple(terms))
 
 
-def _w_values(w, count):
-    """w_0..w_{count-1}: w(n) for a callable w, else w itself, which must
-    hold exactly count values."""
+def _w_values(w, count, nonzero=0):
+    """An iterator over w_0..w_{count-1}, w(n) for a callable w, else w itself,
+    which must hold exactly count values.  With nonzero = N (extension_bmoe),
+    w_0 must be 0 and w_1..w_N nonzero.  A callable w is called at n, and
+    w_n checked, only when the iterator reaches n, that is as _checked_steps
+    reaches term n; a list w is read and checked whole, before any term."""
     if callable(w):
-        return [_as_fraction(w(n), "w", n) for n in range(count)]
-    vals = [_as_fraction(x, "w", i) for i, x in enumerate(w)]
-    if len(vals) != count:
-        raise ValueError(f"need w_0..w_{count - 1}, got {len(vals)} values")
-    return vals
+        values = (_as_fraction(w(n), "w", n) for n in range(count))
+    else:
+        values = [_as_fraction(x, "w", i) for i, x in enumerate(w)]
+        if len(values) != count:
+            raise ValueError(f"need w_0..w_{count - 1}, got {len(values)} values")
+    if nonzero:
+        values = _extension_w(values, nonzero)
+    return values if callable(w) else iter(list(values))
+
+
+def _extension_w(values, N):
+    """values, checked as they are read: w_0 = 0 and w_1..w_N nonzero."""
+    for n, x in enumerate(values):
+        if n == 0 and x != 0:
+            raise NonzeroW0(x)
+        if 0 < n <= N and x == 0:
+            raise ZeroW(n)
+        yield x
 
 
 def bauer_muir(cf, w, N):
@@ -254,8 +273,7 @@ def bauer_muir(cf, w, N):
     margin is normalised once, from the columns of _checked_steps.
     """
     N = _count(N, "N", 1)
-    wv = _w_values(w, N + 1)
-    a, m, S, L, P, Q = _checked_steps(cf, wv, N)
+    a, m, S, L, P, Q, wv = _checked_steps(cf, _w_values(w, N + 1), N)
     lam = tuple(Fraction(L[n], m[n] * Q[n - 1] * Q[n]) for n in range(1, N + 1))
     terms = [(lam[0], Fraction(S[1], m[1] * Q[1]))]
     for n in range(2, N + 1):
@@ -299,13 +317,7 @@ def extension_bmoe(cf, w, N):
     Each value is normalised once, from the columns of _checked_steps.
     """
     N = _count(N, "N", 1)
-    wv = _w_values(w, N + 2)
-    if wv[0] != 0:
-        raise NonzeroW0(wv[0])
-    for j in range(1, N + 1):
-        if wv[j] == 0:
-            raise ZeroW(j)
-    a, m, S, _, P, Q = _checked_steps(cf, wv, N + 1)
+    a, m, S, _, P, Q, wv = _checked_steps(cf, _w_values(w, N + 2, N), N + 1)
     terms = [(Fraction(a[1], m[1]), Fraction(S[1], m[1] * Q[1]))]
     for n in range(2, N + 2):
         # (-w_{n-1}, 1), then q = a_n / w_{n-1} and b_n + w_n - q over one denominator

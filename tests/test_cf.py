@@ -1,11 +1,14 @@
 """Unit tests for the continued fraction model and evaluator."""
 
 import collections
+import copy
 import hashlib
 import itertools
 import json
 import math
+import numbers
 import operator
+import pickle
 import re
 import sys
 from fractions import Fraction
@@ -23,6 +26,7 @@ from polycf.cf import (
     CFSpec,
     CFTail,
     _least_square_root_multiple,
+    _lowest,
     _recurrence,
     _scaled_terms,
     approximants,
@@ -941,7 +945,7 @@ def _growth_n(v):
 
 
 # (read, name, least): read(v) passes v as the count called name, whose least
-# value is least; a w is a list, as a callable w is read before N at N + 1 values
+# value is least; a w is a list, whose values and length are read after the count
 _COUNTS = [
     pytest.param(lambda v: convergents(_POLE_FIRST, v), "N", 0, id="convergents"),
     pytest.param(lambda v: approximants(_POLE_FIRST, v), "N", 0, id="approximants"),
@@ -964,17 +968,18 @@ _COUNTS = [
 ]
 
 
-@pytest.mark.parametrize("count", ["2.5", "least-1", "maxsize+1"])
+@pytest.mark.parametrize("count", ["2.5", "str", "least-1", "maxsize+1"])
 @pytest.mark.parametrize("read, name, least", _COUNTS)
 def test_every_count_is_read_by_name_before_any_term(read, name, least, count):
-    v = {"2.5": 2.5, "least-1": least - 1, "maxsize+1": sys.maxsize + 1}[count]
+    v = {"2.5": 2.5, "str": "5", "least-1": least - 1, "maxsize+1": sys.maxsize + 1}[count]
     error, message = {
         "2.5": (TypeError, rf"{name} must be an integer, got 2\.5"),
+        "str": (TypeError, f"{name} must be an integer, got '5'"),
         "least-1": (ValueError, f"{name} must be at least {least}"),
         "maxsize+1": (ValueError, f"{name} must be at most {sys.maxsize}"),
     }[count]
     if read is _growth_n and count == "least-1":
-        for v in (0, -1, 0.5):  # growth_diagnostics: any N below 1 is an empty range
+        for v in (0, -1, 0.5, F(1, 2)):  # growth_diagnostics: any N below 1 is an empty range
             with pytest.raises(EmptyRange):
                 read(v)
         return
@@ -1101,7 +1106,7 @@ def _per_term_limit(cf, tol, max_terms, precision_bits, extrapolating):
     at every term and builds a Fraction for each estimate: the reference
     that the checkpoint loop must match."""
     c = cf_module
-    tol = c._limit_tol(tol, max_terms, precision_bits)
+    tol, max_terms, precision_bits = c._limit_tol(tol, max_terms, precision_bits)
     points = c._checkpoints(max_terms) if extrapolating and c.tail_class(cf) else []
     pairs = budget = None  # pairs: the Richardson window while that method applies
     if len(points) >= 3:
@@ -1275,3 +1280,114 @@ def test_richardson_weights_are_the_lagrange_weights_at_zero(n):
     lagrange = [math.prod(x_j / (x_j - x_i) for x_j in nodes if x_j != x_i) for x_i in nodes]
     assert [F(u_i, d) for u_i in u] == lagrange
     assert guard == math.ceil(F(sum(map(abs, u)), d)).bit_length()
+
+
+class _Index:
+    """An integer-like count that defines only __index__."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+
+def test_limit_counts_are_used_as_read():
+    # max_terms and precision_bits go on as the integers the count reader
+    # returns, so an __index__-only count runs as its int does
+    tol = F(1, 10**9)
+    for cf in (E_CF, build_preset("ex3.4").cf):
+        for read in (evaluate, extrapolate):
+            want = read(cf, tol, 400, 96)
+            assert read(cf, tol, _Index(400), _Index(96)) == want
+            assert read(cf, tol, _Index(400)) == read(cf, tol, 400)
+    member = build_preset("e")
+    want = verify_limit(member, 400, 128, tol)
+    assert verify_limit(member, _Index(400), _Index(128), tol) == want
+
+
+# b0: integers and fractions (-7/3 among them); prefix terms integral or
+# fractional; tails polynomial (scale 1), with a constant denominator, or
+# rational; a prefix-only CF ends early when N passes it
+_row_value = st.integers(-5, 5) | _rational
+_row_tail = (st.builds(CFTail, _poly.map(RationalFunction), _poly.map(RationalFunction),
+                       st.integers(-2, 3))
+             | st.builds(CFTail, st.builds(RationalFunction, _poly, st.sampled_from([2, 3, 6])),
+                         _poly.map(RationalFunction), st.integers(-2, 3))
+             | st.builds(CFTail, _ratfn, _ratfn, st.integers(-2, 3))
+             | st.none())
+_row_cf = st.builds(
+    CFSpec,
+    st.builds(F, st.integers(-40, 40), st.integers(1, 12)),
+    st.lists(st.tuples(_row_value.filter(bool), _row_value), max_size=4).map(tuple),
+    _row_tail,
+)
+
+
+def _normalised_rows(cf, N):
+    """Rows 0..N of convergents as Fraction(num, den) of the same kernel
+    integers, or fewer where a finite CF ends."""
+    q = cf.b0.denominator
+    c, r = divmod(cf.b0.numerator, q)
+    rows, M = [(cf.b0, F(1))], 1
+    for A, B, m, *_ in itertools.islice(_recurrence(F(c), _scaled_terms(cf)), N):
+        M *= m
+        rows.append((F(q * A + r * B, q * M), F(B, M)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(cf=CFSpec(F(-7, 3), ((1, 2), (3, -1)), CFTail("n", "2n+1", 1)), N=12)
+@example(cf=CFSpec(F(5, 6), ((F(1, 2), 1),), CFTail("n+1", "3", 1)), N=8)
+@example(cf=CFSpec(F(1, 2), ((1, 1), (2, 1))), N=5)
+@given(cf=_row_cf, N=st.integers(0, 14))
+def test_convergent_rows_match_normalising_construction(cf, N):
+    try:
+        want = _normalised_rows(cf, N)
+    except PolycfError as exc:
+        with pytest.raises(type(exc)) as got:
+            convergents(cf, N)
+        assert got.value.args == exc.args
+        return
+    if len(want) <= N:  # a finite CF that ends before term N
+        with pytest.raises(NoSuchTerm) as got:
+            convergents(cf, N)
+        assert got.value.index == len(want)
+        return
+    rows = convergents(cf, N)
+    assert [row.index for row in rows] == list(range(N + 1))
+    for row, pair in zip(rows, want):
+        for x, y in zip((row.A, row.B), pair):
+            assert type(x) is F
+            assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
+            assert x.denominator > 0
+            assert x == y and hash(x) == hash(y)
+
+
+_BIG = 10**9999 + 1  # 10^4 digits, prime to 3
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 1), (-1, 1), (-7, 3), (5, 12), (_BIG, 1),
+                                  (-_BIG, 3)], ids=["0", "1", "-1", "-7/3", "5/12", "big", "-big/3"])
+def test_lowest_builds_the_fraction_that_fraction_builds(p, q):
+    # a change to the fractions module that the trusted build of convergents'
+    # rows relies on fails here
+    x, y = _lowest(p, q), F(p, q)
+    assert type(x) is F and isinstance(x, numbers.Rational)
+    assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
+    assert x == y and hash(x) == hash(y) and hash(x) == hash(F(p) / q)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_digits(0)
+    try:
+        assert (repr(x), str(x)) == (repr(y), str(y))
+    finally:
+        set_digits(digits)
+    for z in (F(1, 2), F(-3), 7):
+        assert (x + z, x - z, x * z, x / z, z - x) == (y + z, y - z, y * z, y / z, z - y)
+        assert (x < z, x <= z, x > z) == (y < z, y <= z, y > z)
+    assert (-x, abs(x), x**2, math.floor(x), round(x), int(x), bool(x)) == (
+        -y, abs(y), y**2, math.floor(y), round(y), int(y), bool(y))
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(twin) is F and twin == y and hash(twin) == hash(y)
+        assert (twin.numerator, twin.denominator) == (p, q)

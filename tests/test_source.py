@@ -3,7 +3,9 @@
 Every name a module of src/polycf imports is read in that module, and every
 private module-level name (one leading underscore) is read somewhere in the
 package outside its own definition, and only the count reader cf._count
-reads sys.maxsize, the bound of every count.
+reads sys.maxsize, the bound of every count.  Only cf._lowest, which
+convergents alone calls, builds a Fraction past its constructor: by
+object.__new__ and a write of its private slots.
 """
 
 import ast
@@ -74,3 +76,30 @@ def test_only_the_count_reader_reads_sys_maxsize():
                for module, tree in _TREES.items() for statement in tree.body
                if "maxsize" in set(_read(statement))]
     assert readers == ["cf.py: _count"]
+
+
+def _fraction_slot_writes(node):
+    """What in node builds a Fraction by hand: a __new__ call given Fraction,
+    and a store to, or a string naming, _numerator or _denominator."""
+    slots = ("_numerator", "_denominator")
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr == "__new__"
+                and any(isinstance(arg, ast.Name) and arg.id == "Fraction" for arg in sub.args)):
+            yield "__new__(Fraction)"
+        elif isinstance(sub, ast.Attribute) and sub.attr in slots and isinstance(sub.ctx, ast.Store):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value in slots:
+            yield sub.value
+
+
+def test_only_the_trusted_fraction_builder_writes_fraction_slots():
+    writes = sorted(f"{module}: {', '.join(_defined(statement)) or type(statement).__name__}: {what}"
+                    for module, tree in _TREES.items() for statement in tree.body
+                    for what in _fraction_slot_writes(statement))
+    assert writes == ["cf.py: _lowest: __new__(Fraction)", "cf.py: _lowest: _denominator",
+                      "cf.py: _lowest: _numerator"]
+    callers = [f"{module}: {', '.join(_defined(statement))}"
+               for module, tree in _TREES.items() for statement in tree.body
+               if "_lowest" in set(_read(statement))]
+    assert callers == ["cf.py: convergents"]

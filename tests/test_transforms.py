@@ -3,7 +3,11 @@
 import itertools
 import math
 import operator
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +26,7 @@ from polycf.cf import (
 from polycf.errors import (
     DegenerateTerm,
     NonzeroW0,
+    PoleAtArgument,
     PolycfError,
     RepeatedValue,
     TransformDoesNotExist,
@@ -302,6 +307,64 @@ def test_extension_requires_zero_w0():
         extension_bmoe(E_CF, [F(1), F(2), F(3)], 1)
     with pytest.raises(ZeroW):
         extension_bmoe(E_CF, [F(0), F(0), F(3)], 1)
+
+
+# term 3 is a pole: a CF that fails early, for reading a callable w lazily
+_POLE_AT_3 = CFSpec(F(1), (), CFTail("n", "1/(n-3)", 1))
+
+
+def test_a_callable_w_is_read_as_terms_are_reached():
+    for transform, w0 in ((bauer_muir, F(1)), (extension_bmoe, F(0))):
+        calls = []
+
+        def w(n):
+            calls.append(n)
+            return w0 if n == 0 else F(n, 2)
+
+        with pytest.raises(PoleAtArgument) as exc:
+            transform(_POLE_AT_3, w, 10**6)
+        assert exc.value.argument == 3 and calls == [0, 1, 2]
+    # the same w as a list or a callable gives the same result and w
+    w = [F(1), F(1, 2), F(2), F(2), F(5)]
+    assert bauer_muir(E_CF, w, 4) == bauer_muir(E_CF, lambda n: w[n], 4)
+    assert bauer_muir(E_CF, lambda n: w[n], 4).w == tuple(w)
+    # the extension's own checks on a callable w, one fault each
+    with pytest.raises(NonzeroW0):
+        extension_bmoe(E_CF, lambda n: F(1), 3)
+    with pytest.raises(ZeroW) as exc:
+        extension_bmoe(E_CF, lambda n: F(0) if n in (0, 2) else F(n), 3)
+    assert exc.value.args == ZeroW(2).args
+    # two faults, a zero w_5 after the pole at term 3: a list w is checked
+    # whole first, a callable one only as far as the terms reach
+    w = [F(0), F(1), F(2), F(3), F(4), F(0), F(1)]
+    with pytest.raises(ZeroW):
+        extension_bmoe(_POLE_AT_3, w, 5)
+    with pytest.raises(PoleAtArgument):
+        extension_bmoe(_POLE_AT_3, lambda n: w[n], 5)
+
+
+def test_a_callable_w_costs_nothing_past_a_failing_term():
+    # in a fresh process: term 1 is a pole, so the call fails at once
+    # whatever N is, rather than after w_0..w_N are read
+    script = """
+import time
+from fractions import Fraction
+from polycf.cf import CFSpec, CFTail
+from polycf.errors import PoleAtArgument
+from polycf.transforms import bauer_muir
+cf = CFSpec(Fraction(0), (), CFTail("1/(n-1)", "1", 1))
+start = time.perf_counter()
+try:
+    bauer_muir(cf, lambda n: Fraction(1, n + 1), 10**6)
+except PoleAtArgument as exc:
+    print(exc.argument, time.perf_counter() - start)
+"""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    x, seconds = proc.stdout.split()
+    assert int(x) == 1 and float(seconds) < 1
 
 
 def test_extension_interleaves_original_and_transformed():
