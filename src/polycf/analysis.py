@@ -6,16 +6,20 @@ none of them go through a continued fraction, so verifying a CF against them
 is a genuine cross-check.  Each series stops where its remainder falls below
 the fixed-point unit or the bound stated beside it:
 
-- pi: the Chudnovsky series (1988) summed by binary splitting, each term at
-  most 2^-45 times the one before, with sqrt(10005) from ``math.isqrt``,
-  once per working shift;
-- zeta(k): P. Borwein's alternating series (1991) with Chebyshev weights,
-  whose error after n terms is below 3 (3+sqrt 8)^-n / (1 - 2^(1-k));
-- e: sum 1/j! until the term is below the unit;
+- pi, e and zeta(3): one binary splitting of a hypergeometric series
+  (``_split``; Haible and Papanikolaou, 1998), exact up to one final floor
+  division: pi by the Chudnovsky series (1988), each term at most 2^-45
+  times the one before, with sqrt(10005) from ``math.isqrt``, once per
+  working shift; e by sum 1/j! up to a tail below 2/n!; zeta(3) by
+  Amdeberhan and Zeilberger's series (1997), about 10 bits a term;
+- zeta(k), k != 3: P. Borwein's alternating series (1991) with Chebyshev
+  weights, whose error after n terms is below 3 (3+sqrt 8)^-n / (1 - 2^(1-k)),
+  and exactly 1 once zeta(k) - 1 < 2^(1-k) is below the unit;
 - sin(pi/m)/(pi/m): the Taylor series of cos(pi/(m 2^r)) by rectangular
   splitting, r doublings of the angle, and one square root;
-- algebraic roots: ``math.isqrt``, or integer Newton iteration from the
-  root of the radicand's top half.
+- algebraic roots (p/q)^(r/s): Newton's iteration in fixed point, the
+  precision doubling each step up to the working shift, within 2 units;
+  the shift grows for a small root, so that every value keeps its bits.
 
 Values are memoised in process, keyed by the constant and the working shift.
 """
@@ -211,19 +215,22 @@ def growth_diagnostics(cf, N, epsilon=Fraction(1), precision_bits=128):
 _memo = {}
 
 
-def _chudnovsky(a, b):
-    # binary splitting of the Chudnovsky terms a..b-1: (P, Q, T)
+def _split(a, b, leaf):
+    """(P, Q, T) of the terms a..b-1 by binary splitting (Haible and
+    Papanikolaou, 1998): with (p_n, q_n, t_n) = leaf(n), P and Q are the
+    products of p_n and q_n, and T / Q = sum_n t_n / q_n prod_{a<=i<n} p_i / q_i,
+    exactly."""
     if b == a + 1:
-        if a == 0:
-            return 1, 1, 13591409
-        p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
-        q = a * a * a * 10939058860032000  # a^3 640320^3 / 24
-        t = p * (13591409 + 545140134 * a)
-        return p, q, -t if a % 2 else t
+        return leaf(a)
     m = (a + b) // 2
-    p1, q1, t1 = _chudnovsky(a, m)
-    p2, q2, t2 = _chudnovsky(m, b)
+    p1, q1, t1 = _split(a, m, leaf)
+    p2, q2, t2 = _split(m, b, leaf)
     return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
+
+
+def _chudnovsky_term(a):  # q = a^3 640320^3 / 24, and p < 0 makes the series alternate
+    p = -(6 * a - 5) * (2 * a - 1) * (6 * a - 1) if a else 1
+    return p, a * a * a * 10939058860032000 or 1, p * (13591409 + 545140134 * a)
 
 
 @functools.cache  # one pi per shift for PiOver4, BrounckerPi and SineProduct
@@ -231,23 +238,38 @@ def _fp_pi(shift):
     # pi = 426880 sqrt(10005) Q / T; the series alternates and each term is
     # below 2^-45 times the one before (the ratio tends to 2^-47.1), so n
     # terms leave a relative error below 2^-45n
-    _, q, t = _chudnovsky(0, shift // 45 + 2)
+    _, q, t = _split(0, shift // 45 + 2, _chudnovsky_term)
     return 426880 * math.isqrt(10005 << (2 * shift)) * q // t
 
 
 def _fp_e(shift):
-    total = term = 1 << shift
-    k = 1
-    while term:
-        term //= k
-        total += term
-        k += 1
-    return total
+    # sum_{j<n} 1/j! by splitting, within 1/2 unit of e as 2/n! < 2^-(shift+1):
+    # Stirling's n! > (n/e)^n, with n from Newton's method on n log2(n/e) =
+    # shift + 2, which stays above the root; one floor division loses 1 unit
+    n = x = shift + 2
+    for _ in range(4):
+        n -= (n * math.log2(n / math.e) - x) / math.log2(n)
+    _, q, t = _split(0, math.ceil(n), lambda j: (1, j or 1, 1))
+    return (t << shift) // q
+
+
+def _apery_term(n):
+    p = -(n**5) or 1
+    return p, 32 * (2 * n + 1) ** 5, p * (205 * n * n + 250 * n + 77)
 
 
 def _fp_zeta(k, shift):
     if k < 2:
         raise UnsupportedConstant(f"Zeta({k})")
+    if k >= shift + 5:  # zeta(k) - 1 < 2^(1-k) <= 2^-(shift+4): below 1/16 unit
+        return 1 << shift
+    if k == 3:
+        # Amdeberhan and Zeilberger (1997): zeta(3) = 1/64 sum_n (-1)^n
+        # (205n^2 + 250n + 77) (n!)^10 / ((2n+1)!)^5 = T / 2Q, term n below
+        # 532 n^2 2^-(10n+6); the n terms here leave under 1/2 unit, the
+        # floor division 1 more
+        _, q, t = _split(0, shift // 10 + shift.bit_length() // 5 + 2, _apery_term)
+        return (t << shift) // (2 * q)
     # Borwein: zeta(k) = 1/(d_n (1 - 2^(1-k))) sum_{j<n} (-1)^j (d_n - d_j)/(j+1)^k
     # with d_j = sum_{i<=j} t_i, t_i = n (n+i-1)! 4^i / ((n-i)! (2i)!), up to an
     # error below 3 (3+sqrt 8)^-n / (1 - 2^(1-k)); n makes that <= 2^-(shift+4)
@@ -266,12 +288,28 @@ def _fp_zeta(k, shift):
 
 
 def _fp_root(p, q, r, s, shift):
+    """(m, w - e) for a = (p/q)^(r/s) = a' 2^e with 1 < a' < 8, where m is
+    within 2 units of a' 2^w and w = shift + max(e, 0): Newton's iteration
+    x <- ((s-1) x + c / x^(s-1)) / s on x^s = c = a'^s in units 2^-K, from
+    the floor root at k = 2 g + 16 bits, g = bits(s) + 4, with K halving
+    down from w.  With x^(s-1) cut to K bits, a step from k to K <= 2k - g
+    lands within 3/2 units of Newton's exact step, which lies at most
+    (s-1) eps^2 / 2 (1 - |eps|)^(-s-1) relative above a' for x = a' (1 + eps):
+    under 1.01 units for x within 2, so within 2 units again."""
     if p <= 0 or q <= 0 or s < 1:
         raise UnsupportedConstant(f"Root({p},{q},{r},{s})")
-    if r < 0:
-        p, q, r = q, p, -r
-    radicand = p ** r * (1 << (s * shift)) // q ** r
-    return _floor_nth_root(radicand, s)
+    p, q = (p**r, q**r) if r >= 0 else (q**-r, p**-r)
+    g, e = s.bit_length() + 4, (p.bit_length() - q.bit_length() - 1) // s
+    p, q = (p, q << s * e) if e >= 0 else (p << -s * e, q)
+    ks, k = [shift + max(e, 0)], 2 * g + 16
+    while ks[-1] // 2 + g > k:
+        ks.append(ks[-1] // 2 + g)
+    x = _floor_nth_root((p << s * k) // q, s)
+    for K in reversed(ks):
+        y = x << (K - k)
+        v = y ** (s - 1) >> (s - 2) * K if s > 1 else 1 << K
+        x, k = ((s - 1) * y + (p << 2 * K) // (q * v)) // s, K
+    return x, k - e
 
 
 def _fp_sine_product(m, shift):
@@ -330,7 +368,8 @@ def _int_param(constant, name):
     return int(value)
 
 
-# constant name -> (its integer parameter names, its mantissa at a shift)
+# constant name -> (its integer parameter names, its mantissa at a shift, or
+# for Root, whose size varies, a mantissa and the shift it is at)
 _ORACLES = {
     "PiOver4": ((), lambda shift: _fp_pi(shift) // 4),
     "E": ((), _fp_e),
@@ -345,19 +384,20 @@ def _mantissa(constant, shift):
     if constant.name not in _ORACLES:
         raise UnsupportedConstant(constant.name)
     names, mantissa = _ORACLES[constant.name]
-    return mantissa(*(_int_param(constant, name) for name in names), shift)
+    m = mantissa(*(_int_param(constant, name) for name in names), shift)
+    return m if constant.name == "Root" else (m, shift)
 
 
 def _oracle(constant, precision_bits):
-    """(m, shift), m / 2^shift within 2^(4-bits) of the constant, relative."""
+    """(m, shift), m / 2^shift within 2^(4-bits) of the constant, relative;
+    shift is precision_bits + 32, or more for a small Root, whose m keeps
+    at least that many bits."""
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
-    shift = precision_bits + _GUARD_BITS
-    key = (constant.describe(), shift)
-    mant = _memo.get(key)
-    if mant is None:
-        mant = _memo[key] = _mantissa(constant, shift)
-    return mant, shift
+    key = (constant.describe(), precision_bits + _GUARD_BITS)
+    if key not in _memo:
+        _memo[key] = _mantissa(constant, key[1])
+    return _memo[key]
 
 
 def reference_constant(constant, precision_bits):

@@ -39,9 +39,10 @@ from polycf.cf import (
     term_at,
 )
 from polycf.cli import _REPRODUCE_ROWS
+from polycf.dyadic import round_to
 from polycf.errors import EmptyRange, HypothesisViolation, NonIntegerTerms, UnsupportedConstant
 from polycf.families import LimitClaim, NamedConstant, build_preset, family_binomial
-from polycf.poly import leading_coefficient
+from polycf.poly import _floor_nth_root, leading_coefficient
 
 F = Fraction
 
@@ -146,6 +147,7 @@ def test_reference_constant_precision_consistency():
     for constant in (
         NamedConstant("E"),
         NamedConstant("Zeta", {"k": 2}),
+        NamedConstant("Zeta", {"k": 3}),
         NamedConstant("PiOver4"),
         NamedConstant("SineProduct", {"m": 3}),
         NamedConstant("SineProduct", {"m": 40}),
@@ -251,6 +253,88 @@ def test_sine_product_oracle_extremes():
         with mpmath.workprec(bits + 40):
             want = m * mpmath.sin(mpmath.pi / m) / mpmath.pi
             assert abs(mpmath.mpf(got) - want) / want < mpmath.mpf(2) ** (4 - bits)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    bits=st.integers(64, 8192),
+    p=st.integers(1, 10**12),
+    q=st.integers(1, 10**12),
+    r=st.integers(-9, 9),
+    s=st.integers(1, 12),
+)
+@example(bits=64, p=1, q=10**12, r=9, s=1)
+@example(bits=8192, p=10**12, q=1, r=9, s=1)
+def test_split_and_newton_oracles_against_mpmath(bits, p, q, r, s):
+    # e and zeta(3) by binary splitting and (p/q)^(r/s) by Newton's iteration,
+    # within the documented relative error 2^(4 - bits), for roots far from 1
+    # too: 10^-108 keeps its bits as 1.5 does
+    root = NamedConstant("Root", {"p": p, "q": q, "r": r, "s": s})
+    for constant, target in [
+        (NamedConstant("E"), lambda: mpmath.e),
+        (NamedConstant("Zeta", {"k": 3}), lambda: mpmath.zeta(3)),
+        (root, lambda: (mpmath.mpf(p) / q) ** (mpmath.mpf(r) / s)),
+    ]:
+        got = reference_constant(constant, bits)
+        with mpmath.workprec(bits + 40):
+            want = target()
+            assert abs(mpmath.mpf(got) - want) / want < mpmath.mpf(2) ** (4 - bits), constant
+
+
+def test_zeta_of_a_huge_k_is_one_without_the_series():
+    # zeta(k) - 1 < 2^(1-k) is below the unit, so no series runs: Borwein's
+    # spends its time on (j + 1)^k, half a second for k = 10^5 at 128 bits
+    start = time.perf_counter()
+    for bits in (128, 4096):
+        assert reference_constant(NamedConstant("Zeta", {"k": 10**9}), bits) == 1
+    assert time.perf_counter() - start < 1
+
+
+# The loops the splitting and Newton oracles replaced, kept verbatim as
+# references: Borwein's series at k = 3, the floor-division sum of 1/j! and
+# the exact floor root of the (s shift)-bit radicand.
+def _borwein_zeta(k, shift):
+    n = math.ceil((shift + 4 + math.log2(3 / (1 - 2.0 ** (1 - k)))) / math.log2(3 + math.sqrt(8)))
+    d = [1]
+    t = 1
+    for i in range(1, n + 1):
+        t = t * 4 * (n + i - 1) * (n - i + 1) // ((2 * i) * (2 * i - 1))
+        d.append(d[-1] + t)
+    d_n = d[n]
+    total = 0
+    for j in range(n):
+        term = ((d_n - d[j]) << shift) // (j + 1) ** k
+        total += -term if j % 2 else term
+    return (total << (k - 1)) // (d_n * ((1 << (k - 1)) - 1))
+
+
+def _floor_division_e(shift):
+    total = term = 1 << shift
+    k = 1
+    while term:
+        term //= k
+        total += term
+        k += 1
+    return total
+
+
+def _full_width_root(p, q, r, s, shift):
+    return _floor_nth_root(p**r * (1 << (s * shift)) // q**r, s)
+
+
+def test_split_and_newton_oracles_round_as_the_loops_they_replaced():
+    # rounded to bits from bits + 32, the new oracles give the old values at
+    # every width from 64 to 1024 bits and every 17th up to 4096
+    root = NamedConstant("Root", {"p": 12, "q": 7, "r": 1, "s": 5})
+    for bits in [*range(64, 1025), *range(1025, 4097, 17)]:
+        shift = bits + 32
+        for constant, old in [
+            (NamedConstant("Zeta", {"k": 3}), _borwein_zeta(3, shift)),
+            (NamedConstant("E"), _floor_division_e(shift)),
+            (root, _full_width_root(12, 7, 1, 5, shift)),
+        ]:
+            mant, new_shift = analysis._oracle(constant, bits)
+            assert round_to(mant, -new_shift, bits) == round_to(old, -shift, bits), (constant, bits)
 
 
 def test_tietze_e_cf_certified():

@@ -5,7 +5,8 @@ private module-level name (one leading underscore) is read somewhere in the
 package outside its own definition, and only the count reader cf._count
 reads sys.maxsize, the bound of every count.  Only cf._lowest, which
 convergents alone calls, builds a Fraction past its constructor: by
-object.__new__ and a write of its private slots.
+object.__new__ and a write of its private slots.  In analysis.py, _split is
+the one function that calls itself, and every series oracle sums by it.
 """
 
 import ast
@@ -103,3 +104,17 @@ def test_only_the_trusted_fraction_builder_writes_fraction_slots():
                for module, tree in _TREES.items() for statement in tree.body
                if "_lowest" in set(_read(statement))]
     assert callers == ["cf.py: convergents"]
+
+
+def _called(node):
+    """The plain names node calls."""
+    return {sub.func.id for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)}
+
+
+def test_one_splitting_routine_sums_the_series_oracles():
+    functions = {node.name: node for node in ast.walk(_TREES["analysis.py"])
+                 if isinstance(node, ast.FunctionDef)}
+    assert [name for name, node in functions.items() if name in _called(node)] == ["_split"]
+    assert [name for name in ("_fp_pi", "_fp_e", "_fp_zeta")
+            if "_split" not in _called(functions[name])] == []
