@@ -12,12 +12,12 @@ families are built.
 All constructions here are exact: every output approximant is a prescribed
 rational function of the inputs (partial sums, partial products, or a fixed
 combination of the source approximants), and the test suite checks those
-correspondences term by term.
+correspondences term by term.  Every value is built once, by cf._fraction.
 """
 
 from fractions import Fraction
 
-from .cf import CFSpec, CFTail, _as_fraction, _as_ratfn, _count, _first, _scaled_terms
+from .cf import CFSpec, CFTail, _as_fraction, _as_ratfn, _count, _first, _fraction, _scaled_terms
 from .errors import (
     DegenerateTerm,
     NonzeroW0,
@@ -30,6 +30,8 @@ from .errors import (
     ZeroTerm,
     ZeroW,
 )
+
+_ONE = Fraction(1)
 
 
 class BauerMuirResult(Record):
@@ -64,12 +66,12 @@ def _euler_body(u, rho=None):
     formed from the numerators P and denominators Q of u (u_0 = 1) and of
     rho_n = rp/rq, each value normalised once."""
     P, Q = [1] + [x.numerator for x in u], [1] + [x.denominator for x in u]
-    terms = [(u[0], Fraction(1))] if u else []
+    terms = [(u[0], _ONE)] if u else []
     for n in range(2, len(P)):
         rp, rq = (1, 1) if rho is None else (rho[n - 1].numerator, rho[n - 1].denominator)
         terms.append((
-            Fraction(-rp * P[n - 2] * P[n], rq * Q[n - 2] * Q[n]),
-            Fraction(P[n - 1] * rq * Q[n] + rp * P[n] * Q[n - 1], Q[n - 1] * rq * Q[n]),
+            _fraction(-rp * P[n - 2] * P[n], rq * Q[n - 2] * Q[n]),
+            _fraction(P[n - 1] * rq * Q[n] + rp * P[n] * Q[n - 1], Q[n - 1] * rq * Q[n]),
         ))
     return tuple(terms)
 
@@ -133,7 +135,7 @@ def product_to_cf(a):
     _product_cf with every weight 1, so u_n = a_n - 1 and a factor 1 raises
     UnitTerm."""
     a = _as_sequence(a, "factors")
-    return _product_cf(a, [Fraction(1)] * (len(a) + 1), UnitTerm)
+    return _product_cf(a, [_ONE] * (len(a) + 1), UnitTerm)
 
 
 def generalized_product(a, b):
@@ -159,8 +161,7 @@ def euler_tail(b0, u, rho=1):
     """
     u = _as_ratfn(u)
     rho = _as_ratfn(rho)
-    one = Fraction(1)
-    prefix = ((u(1), one), _euler_term(rho(2), one, u(1), u(2)))
+    prefix = ((u(1), _ONE), _euler_term(rho(2), _ONE, u(1), u(2)))
     for n, (a, _) in enumerate(prefix, 1):
         if a == 0:
             raise DegenerateTerm(n)
@@ -209,7 +210,7 @@ def even_part(cf, N):
     # step 0 = (-1, 1, 0), b_0 infinite with a_0 = -b_0, gives (a_1 b_2, a_2 + b_1 b_2)
     a, b, m = zip((-1, 1, 0), *_first(_scaled_terms(cf), 2 * N))
     rows = (_contracted(a, b, m, j, ZeroEvenDenominator) for j in range(0, 2 * N, 2))
-    return CFSpec._make(cf.b0, tuple((Fraction(c, den), Fraction(d, den)) for c, d, den in rows))
+    return CFSpec._make(cf.b0, tuple((_fraction(c, den), _fraction(d, den)) for c, d, den in rows))
 
 
 def odd_part(cf, N):
@@ -224,7 +225,7 @@ def odd_part(cf, N):
     a, b, m = zip((None, None, None), *_first(_scaled_terms(cf), 2 * N + 1))
     if b[1] == 0:
         raise ZeroOddDenominator(1)
-    b0 = Fraction(cf.b0.numerator * b[1] + a[1] * cf.b0.denominator, cf.b0.denominator * b[1])
+    b0 = _fraction(cf.b0.numerator * b[1] + a[1] * cf.b0.denominator, cf.b0.denominator * b[1])
     terms = []
     for j in range(1, 2 * N, 2):
         c, d, den = _contracted(a, b, m, j, ZeroOddDenominator)
@@ -233,7 +234,7 @@ def odd_part(cf, N):
             d, d_den = d * b[1], den * m[1]
         elif j == 3:
             c, c_den = c * b[1], den * m[1]
-        terms.append((Fraction(c, c_den), Fraction(d, d_den)))
+        terms.append((_fraction(c, c_den), _fraction(d, d_den)))
     return CFSpec._make(b0, tuple(terms))
 
 
@@ -274,13 +275,13 @@ def bauer_muir(cf, w, N):
     """
     N = _count(N, "N", 1)
     a, m, S, L, P, Q, wv = _checked_steps(cf, _w_values(w, N + 1), N)
-    lam = tuple(Fraction(L[n], m[n] * Q[n - 1] * Q[n]) for n in range(1, N + 1))
-    terms = [(lam[0], Fraction(S[1], m[1] * Q[1]))]
+    lam = tuple(_fraction(L[n], m[n] * Q[n - 1] * Q[n]) for n in range(1, N + 1))
+    terms = [(lam[0], _fraction(S[1], m[1] * Q[1]))]
     for n in range(2, N + 1):
         # (a_{n-1} lambda_n / lambda_{n-1}, b_n + w_n - w_{n-2} lambda_n / lambda_{n-1})
         den = m[n] * Q[n] * L[n - 1]
         c, d = a[n - 1] * L[n] * Q[n - 2], S[n] * L[n - 1] - P[n - 2] * L[n] * m[n - 1]
-        terms.append((Fraction(c, den), Fraction(d, den)))
+        terms.append((_fraction(c, den), _fraction(d, den)))
     out = CFSpec._make(cf.b0 + wv[0], tuple(terms))
     return BauerMuirResult(out, tuple(wv), lam)
 
@@ -318,9 +319,10 @@ def extension_bmoe(cf, w, N):
     """
     N = _count(N, "N", 1)
     a, m, S, _, P, Q, wv = _checked_steps(cf, _w_values(w, N + 2, N), N + 1)
-    terms = [(Fraction(a[1], m[1]), Fraction(S[1], m[1] * Q[1]))]
+    terms = [(_fraction(a[1], m[1]), _fraction(S[1], m[1] * Q[1]))]
     for n in range(2, N + 2):
         # (-w_{n-1}, 1), then q = a_n / w_{n-1} and b_n + w_n - q over one denominator
         den, q = m[n] * Q[n] * P[n - 1], a[n] * Q[n - 1] * Q[n]
-        terms += [(-wv[n - 1], Fraction(1)), (Fraction(q, den), Fraction(S[n] * P[n - 1] - q, den))]
+        terms += [(_fraction(-P[n - 1], Q[n - 1]), _ONE),
+                  (_fraction(q, den), _fraction(S[n] * P[n - 1] - q, den))]
     return CFSpec._make(cf.b0, tuple(terms))

@@ -1,6 +1,7 @@
 """Unit tests for the continued fraction model and evaluator."""
 
 import collections
+import contextlib
 import copy
 import hashlib
 import itertools
@@ -1340,6 +1341,15 @@ def _normalised_rows(cf, N):
 @example(cf=CFSpec(F(-7, 3), ((1, 2), (3, -1)), CFTail("n", "2n+1", 1)), N=12)
 @example(cf=CFSpec(F(5, 6), ((F(1, 2), 1),), CFTail("n+1", "3", 1)), N=8)
 @example(cf=CFSpec(F(1, 2), ((1, 1), (2, 1))), N=5)
+# the residue branch (q > 1, M = 1) where g = gcd(B_n, q) != 1: for q = 6,
+# B_n = 2, 9, 56, 457, 4626 (g = 2, 3, 2, 1, 6); for q = 12, B_n = 2, 8, 36
+# (g = 2, 4, 12)
+@example(cf=CFSpec(F(1, 6), (), CFTail("1", "2n", 1)), N=10)
+@example(cf=CFSpec(F(5, 12), (), CFTail("2", "n + 1", 1)), N=10)
+# q > 1 with step scales m = -1, -1, 1, 5, ...: row 1 (M = -1) goes through
+# _fraction with a negative denominator, and the residues carry the negative
+# steps into the M = 1 rows 2 and 3 (g = 2 at row 3)
+@example(cf=CFSpec(F(5, 6), (), CFTail("1/(n^2 - 3n + 1)", "2n", 1)), N=10)
 @given(cf=_row_cf, N=st.integers(0, 14))
 def test_convergent_rows_match_normalising_construction(cf, N):
     try:
@@ -1367,6 +1377,18 @@ def test_convergent_rows_match_normalising_construction(cf, N):
 _BIG = 10**9999 + 1  # 10^4 digits, prime to 3
 
 
+@contextlib.contextmanager
+def _any_int_str():
+    """Lift the interpreter's limit on int-to-str digits (Python 3.11+)."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_digits(0)
+    try:
+        yield
+    finally:
+        set_digits(digits)
+
+
 @pytest.mark.parametrize("p, q", [(0, 1), (1, 1), (-1, 1), (-7, 3), (5, 12), (_BIG, 1),
                                   (-_BIG, 3)], ids=["0", "1", "-1", "-7/3", "5/12", "big", "-big/3"])
 def test_lowest_builds_the_fraction_that_fraction_builds(p, q):
@@ -1376,13 +1398,8 @@ def test_lowest_builds_the_fraction_that_fraction_builds(p, q):
     assert type(x) is F and isinstance(x, numbers.Rational)
     assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
     assert x == y and hash(x) == hash(y) and hash(x) == hash(F(p) / q)
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
-    set_digits(0)
-    try:
+    with _any_int_str():
         assert (repr(x), str(x)) == (repr(y), str(y))
-    finally:
-        set_digits(digits)
     for z in (F(1, 2), F(-3), 7):
         assert (x + z, x - z, x * z, x / z, z - x) == (y + z, y - z, y * z, y / z, z - y)
         assert (x < z, x <= z, x > z) == (y < z, y <= z, y > z)
@@ -1391,3 +1408,31 @@ def test_lowest_builds_the_fraction_that_fraction_builds(p, q):
     for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(twin) is F and twin == y and hash(twin) == hash(y)
         assert (twin.numerator, twin.denominator) == (p, q)
+
+
+# p and q of both signs, 0 among them, small, wide, and 10^4 digits with
+# common factors (2, 3 and _BIG itself)
+_fraction_int = (st.integers(-50, 50) | st.integers(-10**40, 10**40)
+                 | st.builds(operator.mul, st.integers(-12, 12),
+                             st.sampled_from([_BIG, 10**9999, 6 * _BIG])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(p=0, q=-7)
+@example(p=-_BIG, q=0)
+@example(p=6 * _BIG, q=-4 * _BIG)
+@given(p=_fraction_int, q=_fraction_int)
+def test_fraction_builds_what_fraction_builds(p, q):
+    # the one builder of the transforms' terms and of rows with M != 1
+    with _any_int_str():
+        if q == 0:
+            with pytest.raises(ZeroDivisionError) as want:
+                F(p, q)
+            with pytest.raises(ZeroDivisionError) as got:
+                cf_module._fraction(p, q)
+            assert got.value.args == want.value.args
+            return
+        x, y = cf_module._fraction(p, q), F(p, q)
+        assert type(x) is F
+        assert (x.numerator, x.denominator, hash(x)) == (y.numerator, y.denominator, hash(y))
+        assert (repr(x), str(x)) == (repr(y), str(y))

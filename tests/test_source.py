@@ -4,9 +4,11 @@ Every name a module of src/polycf imports is read in that module, and every
 private module-level name (one leading underscore) is read somewhere in the
 package outside its own definition, and only the count reader cf._count
 reads sys.maxsize, the bound of every count.  Only cf._lowest, which
-convergents alone calls, builds a Fraction past its constructor: by
-object.__new__ and a write of its private slots.  In analysis.py, _split is
-the one function that calls itself, and every series oracle sums by it.
+only cf._fraction and convergents call, builds a Fraction past its
+constructor: by object.__new__ and a write of its private slots; and
+transforms.py calls Fraction with two arguments nowhere, building every
+such value by cf._fraction.  In analysis.py, _split is the one function
+that calls itself, and every series oracle sums by it.
 """
 
 import ast
@@ -103,7 +105,11 @@ def test_only_the_trusted_fraction_builder_writes_fraction_slots():
     callers = [f"{module}: {', '.join(_defined(statement))}"
                for module, tree in _TREES.items() for statement in tree.body
                if "_lowest" in set(_read(statement))]
-    assert callers == ["cf.py: convergents"]
+    assert callers == ["cf.py: _fraction", "cf.py: convergents"]
+    two_argument_builds = [sub.lineno for sub in ast.walk(_TREES["transforms.py"])
+                           if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                           and sub.func.id == "Fraction" and len(sub.args) == 2]
+    assert two_argument_builds == []
 
 
 def _called(node):
