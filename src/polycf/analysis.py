@@ -418,10 +418,10 @@ def verify_limit(member, terms, precision_bits=128, tol=Fraction(1, 10 ** 10),
                  preset="", params=None):
     """Evaluate a family member and compare against its independent oracle.
 
-    The value comes from one run of cf._limit, which reads the member's
-    terms once: its Richardson estimate where that applies (method
-    "richardson"), else its plain last approximant (method "plain"), run at
-    tol / 10^6 so that early stopping never hides a max-terms-limited
+    The value comes from one run of cf._limit on the Richardson path, which
+    only verify_limit takes, reading the member's terms once: the estimate
+    of that path ("richardson"), else the plain last approximant ("plain"),
+    run at tol / 10^6 so that early stopping never hides a max-terms-limited
     estimate.  The verdict compares d = |estimate - oracle| against tol and
     the oracle's bound e = |m / 2^shift| 2^(4-bits) for a named constant
     m / 2^shift (e = 0 for an exact claim) exactly, cross-multiplying the

@@ -26,6 +26,7 @@ from .poly import (
     RationalFunction,
     _exact_div,
     _poly_gcd,
+    _scan_bound,
     degree,
     has_integer_root_at_or_after,
     json_list,
@@ -43,8 +44,8 @@ _SHIFT_SLACK_BITS = 256
 # past its first shift the budgeted kernel keeps its determinant as a
 # mantissa of this many bits times a power of two
 _DET_BITS = 128
-# extrapolate: the first checkpoint, the largest Richardson order m, and how
-# far (in bits) a gap-doubling ratio may sit from 2^-(c+1)
+# _limit's Richardson path: the first checkpoint, the largest Richardson order
+# m, and how far (in bits) a gap-doubling ratio may sit from 2^-(c+1)
 _FIRST_CHECKPOINT = 50
 _RICHARDSON_ORDER = 30
 _RATIO_SLACK_BITS = 0.125
@@ -74,6 +75,15 @@ def _as_ratfn(v):
     return RationalFunction(v)
 
 
+def _prefix_pair(item, i):
+    """Prefix item i as a pair of Fractions, named as cf_from_json names it."""
+    try:
+        a, b = item
+    except (TypeError, ValueError):
+        raise ValueError(f"prefix[{i}]: expected a pair [a, b]") from None
+    return _as_fraction(a, "prefix", i, 0), _as_fraction(b, "prefix", i, 1)
+
+
 class _Undefined:
     """Approximant with a zero canonical denominator."""
 
@@ -95,9 +105,7 @@ class CFTail(Record):
     __slots__ = ("a", "b", "start_index")
 
     def __init__(self, a, b, start_index=1):
-        self._set(_as_ratfn(a), _as_ratfn(b), start_index)
-        if not isinstance(start_index, int):
-            raise TypeError("start_index must be an integer")
+        self._set(_as_ratfn(a), _as_ratfn(b), _integer(start_index, "start_index"))
 
 
 class CFSpec(Record):
@@ -105,8 +113,7 @@ class CFSpec(Record):
 
     def __init__(self, b0=Fraction(0), prefix=(), tail=None):
         self._set(_as_fraction(b0, "b0"),
-                  tuple((_as_fraction(a, "prefix", i, 0), _as_fraction(b, "prefix", i, 1))
-                        for i, (a, b) in enumerate(prefix)),
+                  tuple(_prefix_pair(item, i) for i, item in enumerate(prefix)),
                   tail if tail is None or isinstance(tail, CFTail) else CFTail(*tail))
 
     @classmethod
@@ -140,18 +147,18 @@ _set_index, _set_A, _set_B = (getattr(Convergent, name).__set__ for name in Conv
 
 
 class LimitEstimate(Record):
-    """A limit estimate; `value` and `error_bound` are mpmath mpf numbers.
+    """evaluate's estimate; `value` and `error_bound` are mpmath mpf numbers.
 
-    `method` is "plain" for an approximant A_n/B_n and "richardson" for an
-    extrapolated value.  Despite its name, `error_bound` is an estimate,
-    not a bound: on the plain path it is the last gap |A_n/B_n - A_l/B_l|
-    between adjacent defined approximants (0 for a finite CF with a defined
-    final approximant, infinite before the first gap or across an undefined
-    one), and on the Richardson path it is infinite.  `converged` says only
-    that two consecutive gaps, with no undefined approximant between them,
-    fell below tol, and the true error can be far larger: evaluate(ex4.2
-    with A = 0, 1e-9, 10^4) stops converged at 9,587 terms with error_bound
-    1.0e-9, while its distance to the limit is 9.6e-6.
+    `method` is "plain", for an approximant A_n/B_n (only verify_limit takes
+    _limit's Richardson path).  Despite its name, `error_bound` is an
+    estimate, not a bound: it is the last gap |A_n/B_n - A_l/B_l| between
+    adjacent defined approximants (0 for a finite CF with a defined final
+    approximant, infinite before the first gap or across an undefined one).
+    `converged` says only that two consecutive gaps, with no undefined
+    approximant between them, fell below tol, and the true error can be far
+    larger: evaluate(ex4.2 with A = 0, 1e-9, 10^4) stops converged at 9,587
+    terms with error_bound 1.0e-9, while its distance to the limit is
+    9.6e-6.
     """
 
     __slots__ = ("value", "error_bound", "terms_used", "converged", "method")
@@ -476,11 +483,16 @@ def evaluate(cf, tol, max_terms, precision_bits=128):
     b = precision_bits + guard + bitlen(max_terms), so that its shifts add
     up to less than max_terms * 2^-b <= 2^-(precision_bits + guard)
     relative.  The value and the last gap, formed exactly once at the
-    end, become mpf once.  A failure to converge is reported through
-    converged=False, not an exception.  error_bound is the last gap, an
-    estimate and not a bound (see LimitEstimate).
+    end, become mpf once, by round_rational.  A failure to converge is
+    reported through converged=False, not an exception.  error_bound is
+    the last gap, an estimate and not a bound (see LimitEstimate).
     """
-    return _estimate(cf, *_limit_tol(tol, max_terms, precision_bits), False)
+    from .dyadic import round_rational
+
+    tol, max_terms, precision_bits = _limit_tol(tol, max_terms, precision_bits)
+    value, gap, *rest = _limit(cf, tol, max_terms, precision_bits, False)
+    return LimitEstimate(*(_mpf(round_rational(q, precision_bits), precision_bits)
+                           for q in (value, gap and Fraction(*gap))), *rest)
 
 
 def tail_class(cf):
@@ -499,8 +511,8 @@ def tail_class(cf):
       series, so the CF converges, but only like a power of 1/n (for
       p > 2q + 2 it diverges, for p < 2q + 2 it converges faster).
     Either class can converge algebraically.  It is a necessary condition
-    for extrapolate's Richardson path, which the gap-ratio test completes;
-    without a class extrapolate returns evaluate's plain estimate.
+    for verify_limit's Richardson path, which the gap-ratio test completes;
+    without a class _limit runs evaluate's plain rule.
     """
     tail = cf.tail
     if tail is None or tail.a.is_zero or tail.b.is_zero:
@@ -561,58 +573,29 @@ def _ratio_settled(g0, g1, g2):
     return c1 >= 2 and abs(e1 - c1) <= _RATIO_SLACK_BITS and abs(e2 - c1) <= _RATIO_SLACK_BITS
 
 
-def extrapolate(cf, tol, max_terms, precision_bits=128):
-    """Richardson estimate of the limit of an algebraically converging CF
-    (method "richardson"), or evaluate's plain estimate where the method
-    does not apply (method "plain").
-
-    It applies when tail_class(cf) names a class and the approximants f_n
-    behave like f + c_1/n^c + c_2/n^(c+1) + ... for an integer c >= 1 on each
-    parity of n.  At each checkpoint n of the doubling schedule 50, 100,
-    200, ... (up to max_terms) the last pairs give the estimate
-    sum u_i f_{n_i} / d of _richardson_weights, the value at x = 0 of the
-    polynomial in x = 1/n through the nodes of one parity, so alternating
-    CFs need no special case.  The gap g(n) = |f_n - f_{n-2}| behaves like
-    n^-(c+1), so the doubling ratio g(2n)/g(n) tends to 2^-(c+1).  From the
-    third checkpoint on, the last two ratios must both lie near 2^-(c+1) for
-    one integer c >= 1 (_ratio_settled): a logarithmically converging CF
-    such as entry13 (ratios 0.38, 0.39 drifting towards 1/2) fails this
-    test.  The run stops once two successive estimates differ by at most
-    tol, or at the last checkpoint.
-
-    The weights, the guard bits and the window's width come from the cached
-    _richardson_weights; each estimate is kept as the integer pair
-    (sum u_i v_i, d 2^bits), with v_i = floor(f_{n_i} 2^bits) in fixed
-    point; two are compared by cross-multiplying, and one Fraction is built,
-    for the estimate returned.  The loop is _limit's: its first phase reads
-    only the checkpoints, and a failed ratio test or a zero B_i in a
-    checkpoint's window hands that pair to evaluate's stop rule, so such a
-    CF stops no earlier than the pair after that checkpoint.  Without a
-    class or three checkpoints the run is evaluate's.
-
-    Precision.  An error e in the f_{n_i} moves the estimate by up to
-    sum |u_i| / d times e, so the fixed-point values carry
-    ceil(log2 sum |u_i| / d) guard bits more than evaluate's budget beyond
-    300 terms, computed from the last (largest) window before the run.
-
-    A Richardson estimate never counts as converged, and its error_bound is
-    infinite.  terms_used is the number of terms read.
-    """
-    return _estimate(cf, *_limit_tol(tol, max_terms, precision_bits), True)
-
-
 def _limit(cf, tol, max_terms, precision_bits, extrapolating):
-    """The loop behind evaluate and extrapolate: one kernel run in two
-    phases.  Phase 1, Richardson (extrapolating, a tail_class and three
-    checkpoints), reads the kernel into its window from checkpoint to
-    checkpoint and returns the Richardson parts, or turns the method down
-    at a checkpoint whose window holds a zero B_i or fails the ratio test.
-    It then hands that checkpoint's pair, and the last defined pair before
-    it, to phase 2: evaluate's plain stop rule, which reads on to the end.
-    Returns the exact parts (value, gap, terms_used, converged, method):
-    the estimate as a Fraction, and the last gap |A_N/B_N - A_l/B_l| as the
-    integer pair (|A_N B_l - A_l B_N|, |B_N B_l|), not reduced, or None
-    where there is none yet."""
+    """The loop behind evaluate (not extrapolating) and verify_limit
+    (extrapolating): one kernel run in two phases.
+
+    Phase 1, Richardson, runs when extrapolating, with a tail_class and
+    three checkpoints of the doubling schedule 50, 100, 200, ... up to
+    max_terms, for approximants f_n ~ f + c_1/n^c + c_2/n^(c+1) + ... on
+    each parity of n.  At checkpoint n the estimate is the value at x = 0 of
+    the polynomial in x = 1/n through the nodes of n's parity (so
+    alternating CFs need no special case), by the weights of
+    _richardson_weights, with its guard bits above the plain budget.  As
+    the parity gap |f_n - f_{n-2}| ~ n^-(c+1), from the third checkpoint on
+    the last two doubling ratios must lie near 2^-(c+1) for one integer
+    c >= 1 (_ratio_settled), which logarithmic convergence (entry13) fails.
+    The phase returns once two successive estimates differ by at most tol,
+    or at the last checkpoint: never converged, with no gap.  A window with
+    a zero B_i or a failed ratio test turns the method down, and hands that
+    checkpoint's pair, and the last defined pair before it, to phase 2:
+    evaluate's plain stop rule, which reads on to the end.  Returns the
+    exact parts (value, gap, terms_used, converged, method): the estimate
+    as a Fraction, and the last gap |A_N/B_N - A_l/B_l| as the integer pair
+    (|A_N B_l - A_l B_N|, |B_N B_l|), not reduced, or None where there is
+    none yet."""
     tol, max_terms, precision_bits = _limit_tol(tol, max_terms, precision_bits)
     points = _checkpoints(max_terms) if extrapolating and tail_class(cf) else []
     richardson, budget = len(points) >= 3, None
@@ -690,25 +673,15 @@ def _limit(cf, tol, max_terms, precision_bits, extrapolating):
     return Fraction(A_last, B_last), gap, n, converged, "plain"
 
 
-def _estimate(cf, tol, max_terms, precision_bits, extrapolating):
-    """The LimitEstimate of _limit's parts for these arguments, as read by
-    _limit_tol: value and gap rounded as mpmath.mpf(num) / den at
-    precision_bits + 32 bits, then to precision_bits."""
-    from .dyadic import round_rational
-
-    value, gap, *rest = _limit(cf, tol, max_terms, precision_bits, extrapolating)
-    return LimitEstimate(*(_mpf(round_rational(q, precision_bits), precision_bits)
-                           for q in (value, gap and Fraction(*gap))), *rest)
-
-
 def similarity_scale(cf, r):
     """Rescale terms by a_n' = r_n r_{n-1} a_n, b_n' = r_n b_n with r_0 = 1.
 
     Every approximant value is preserved exactly.  r may be a finite sequence
     of rationals (r_0..r_m, producing a prefix-only CF of m terms) or a
-    rational function of the term index (scaling prefix and tail symbolically).
+    rational function of the term index, or a string read as one (scaling
+    prefix and tail symbolically).
     """
-    if isinstance(r, (RationalFunction, IntPolynomial)):
+    if isinstance(r, (RationalFunction, IntPolynomial, str)):
         return _similarity_symbolic(cf, _as_ratfn(r))
     return _similarity_sequence(cf, [_as_fraction(x, "r", i) for i, x in enumerate(r)])
 
@@ -856,16 +829,22 @@ def integer_tail_form(cf):
 
 
 def tail_cf(cf, k):
-    """Drop the first k >= 0 terms and zero the leading term."""
+    """Drop the first k >= 0 terms and zero the leading term.  Terms 1..k
+    are read by term_at up to the last that can fail: term m + 1 of a finite
+    CF or a zero tail numerator, else the term at the tail's scan bound."""
     k = _count(k, "k")
-    for n in range(1, k + 1):
+    m, tail = len(cf.prefix), cf.tail
+    if tail is None or tail.a.is_zero:
+        last = m + 1
+    else:
+        start = tail.start_index
+        last = m + 1 + max(_scan_bound(tail.a, start), _scan_bound(tail.b, start)) - start
+    for n in range(1, min(k, last) + 1):
         term_at(cf, n)
-    m = len(cf.prefix)
     if k < m:
-        return CFSpec(Fraction(0), cf.prefix[k:], cf.tail)
-    tail = None
-    if cf.tail is not None:
-        tail = CFTail(cf.tail.a, cf.tail.b, cf.tail.start_index + (k - m))
+        return CFSpec(Fraction(0), cf.prefix[k:], tail)
+    if tail is not None:
+        tail = CFTail(tail.a, tail.b, tail.start_index + (k - m))
     return CFSpec(Fraction(0), (), tail)
 
 

@@ -29,12 +29,12 @@ from polycf.cf import (
     _RICHARDSON_ORDER,
     CFSpec,
     CFTail,
+    _limit,
     _recurrence,
     _scaled_terms,
     approximants,
     convergents,
     evaluate,
-    extrapolate,
     tail_class,
     term_at,
 )
@@ -769,7 +769,7 @@ def test_entry13_takes_the_plain_path():
     # towards 1/2 instead of settling at 2^-(c+1): logarithmic convergence
     member = build_preset("entry13")
     assert tail_class(member.cf) == "parabolic"
-    assert extrapolate(member.cf, F(1, 10**12), 200).method == "plain"
+    assert _limit(member.cf, F(1, 10**12), 200, 128, True)[4] == "plain"
     report = verify_limit(member, 200, 128, F(1, 10**6), preset="entry13",
                           params={"a": "1", "b": "1", "d": "1"})
     # the reproduce-paper row as it was before extrapolation, plus its method
@@ -790,7 +790,7 @@ def test_a_tail_with_a_zero_function_has_no_class():
     # b_n = 0: the approximants alternate between 1 and undefined
     cf = CFSpec(b0=F(1), tail=("1", "0"))
     assert tail_class(cf) is None
-    assert extrapolate(cf, F(1, 10**6), 60).method == "plain"
+    assert _limit(cf, F(1, 10**6), 60, 128, True)[4] == "plain"
 
 
 def test_vanishing_parity_gaps_turn_richardson_down():
@@ -800,8 +800,8 @@ def test_vanishing_parity_gaps_turn_richardson_down():
     tail = build_preset("brouncker").cf.tail
     cf = CFSpec(b0=F(0), prefix=((F(1, 10**80), F(1)),), tail=tail)
     assert tail_class(cf) == "positive"
-    est = extrapolate(cf, F(1, 10**100), 800, 64)
-    assert (est.method, est.terms_used, est.converged) == ("plain", 800, False)
+    _, _, n, converged, method = _limit(cf, F(1, 10**100), 800, 64, True)
+    assert (method, n, converged) == ("plain", 800, False)
 
 
 def test_settled_ratios_read_on_until_the_estimates_agree():
@@ -810,19 +810,19 @@ def test_settled_ratios_read_on_until_the_estimates_agree():
     # run goes on to the next checkpoint (400), where they do
     cf = build_preset("brouncker").cf
     for tol, terms in ((F(1, 10**3), 200), (F(1, 10**40), 400)):
-        est = extrapolate(cf, tol, 800)
-        assert (est.method, est.terms_used, est.converged) == ("richardson", terms, False)
+        _, _, n, converged, method = _limit(cf, tol, 800, 128, True)
+        assert (method, n, converged) == ("richardson", terms, False)
 
 
 def test_turned_down_entry13_reads_on_to_the_last_approximant():
     # turned down at the checkpoint 200, the plain rule reads on from there
     # on the same kernel run to the budget's last term
     member = build_preset("entry13")
-    est = extrapolate(member.cf, F(1, 10**12), 400, 128)
-    assert (est.method, est.terms_used, est.converged) == ("plain", 400, False)
+    value, _, n, converged, method = _limit(member.cf, F(1, 10**12), 400, 128, True)
+    assert (method, n, converged) == ("plain", 400, False)
     last = convergents(member.cf, 400)[-1].value
     want = mpmath.libmp.from_rational(last.numerator, last.denominator, 128, "n")
-    assert est.value._mpf_ == want
+    assert mpmath.libmp.from_rational(value.numerator, value.denominator, 128, "n") == want
 
 
 @pytest.mark.parametrize(
@@ -868,10 +868,9 @@ def test_extrapolated_paper_rows_read_at_most_1000_terms():
 )
 def test_extrapolate_agrees_with_exact_convergents(preset, params, terms, bits):
     cf = build_preset(preset, params).cf
-    est = extrapolate(cf, F(1, 10**20), terms, bits)
-    n = est.terms_used
-    assert est.method == "richardson"
-    assert not est.converged
+    value, _, n, converged, method = _limit(cf, F(1, 10**20), terms, bits, True)
+    assert method == "richardson"
+    assert not converged
     # Lagrange extrapolation to x = 0 through (1/n_i, A_n_i/B_n_i), one parity
     m = min(_RICHARDSON_ORDER, n // 4)
     nodes = [n - 2 * i for i in range(m + 1)]
@@ -883,9 +882,7 @@ def test_extrapolate_agrees_with_exact_convergents(preset, params, terms, bits):
             if y != x:
                 w *= F(1, y) / (F(1, y) - F(1, x))
         want += w * values[x]
-    with mpmath.workprec(bits + 32):
-        exact = mpmath.mpf(want.numerator) / want.denominator
-        assert abs(est.value - exact) <= abs(exact) * mpmath.mpf(2) ** -bits
+    assert abs(value - want) <= abs(want) / 2**bits
 
 
 @pytest.mark.parametrize(
@@ -897,7 +894,7 @@ def test_extrapolate_agrees_with_exact_convergents(preset, params, terms, bits):
 def test_extrapolate_rejects_what_evaluate_rejects(tol, max_terms, bits):
     # Brouncker's tail is "positive", so without the check the run goes ahead
     cf = build_preset("brouncker").cf
-    for limit in (evaluate, extrapolate):
+    for limit in (evaluate, lambda *args: _limit(*args, True)):
         with pytest.raises(ValueError):
             limit(cf, tol, max_terms, bits)
 
@@ -906,7 +903,7 @@ def test_extrapolate_rejects_what_evaluate_rejects(tol, max_terms, bits):
 def test_high_precision_presets_take_the_plain_path(preset):
     member = build_preset(preset)
     assert tail_class(member.cf) is None
-    assert extrapolate(member.cf, F(1, 10**60), 2000, 256).method == "plain"
+    assert _limit(member.cf, F(1, 10**60), 2000, 256, True)[4] == "plain"
     report = verify_limit(member, 2000, 256, F(1, 2**216), preset=preset)
     assert report.method == "plain"
     assert report.verdict == "Pass"

@@ -34,7 +34,6 @@ from polycf.cf import (
     cf_from_json,
     convergents,
     evaluate,
-    extrapolate,
     similarity_scale,
     tail_cf,
     term_at,
@@ -819,6 +818,7 @@ def test_similarity_scale_symbolic_preserves_values():
     want = approximants(cf, 8)
     got = approximants(scaled, 8)
     assert got == want
+    assert similarity_scale(cf, "n+1") == scaled  # a string is read as a rational function
 
 
 def test_similarity_scale_symbolic_requires_r0_one():
@@ -936,6 +936,59 @@ def test_tail_cf_rejects_a_negative_count():
         tail_cf(E_CF, -1)
 
 
+def _term_by_term_tail_cf(cf, k):
+    """tail_cf as it was when it read every term 1..k, verbatim but for the
+    module prefix c."""
+    c = cf_module
+    k = c._count(k, "k")
+    for n in range(1, k + 1):
+        c.term_at(cf, n)
+    m = len(cf.prefix)
+    if k < m:
+        return CFSpec(Fraction(0), cf.prefix[k:], cf.tail)
+    tail = None
+    if cf.tail is not None:
+        tail = CFTail(cf.tail.a, cf.tail.b, cf.tail.start_index + (k - m))
+    return CFSpec(Fraction(0), (), tail)
+
+
+def _tail_or_error(tail, cf, k):
+    try:
+        return tail(cf, k)
+    except PolycfError as exc:
+        return type(exc), exc.args
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@example(cf=CFSpec(F(0), ((F(1), F(2)), (F(0), F(1))), CFTail("n", "1")), k=5)
+@example(cf=CFSpec(F(0), ((F(1), F(2)),), CFTail("0", "1/(n-1)")), k=2)
+@example(cf=CFSpec(F(0), (), CFTail("1/(n-40)", "n", 2)), k=60)
+@example(cf=CFSpec(F(0), (), CFTail("n", "1/(n-40)", 2)), k=30)
+@given(cf=_planted_cf(), k=st.sampled_from([0, 1, 2, 5, 30, 60, 200]))
+def test_tail_cf_matches_the_term_by_term_reference(cf, k):
+    # the same CF, or the same error, from reading terms only up to the last
+    # one that can fail
+    assert _tail_or_error(tail_cf, cf, k) == _tail_or_error(_term_by_term_tail_cf, cf, k)
+
+
+def test_tail_cf_of_any_count_reads_a_bounded_number_of_terms(monkeypatch):
+    read = []
+    term_at = cf_module.term_at
+
+    def counted(cf, n):
+        assert n <= 1000, "a term read past the last one that can fail"
+        read.append(n)
+        return term_at(cf, n)
+
+    monkeypatch.setattr(cf_module, "term_at", counted)
+    assert tail_cf(E_CF, sys.maxsize) == CFSpec(F(0), (), CFTail("n+1", "n+1", sys.maxsize + 1))
+    assert max(read) < 10
+    with pytest.raises(PoleAtArgument, match=r"^denominator vanishes at n = 1000$"):
+        tail_cf(CFSpec(F(0), (), CFTail("1/(n-1000)", "1")), sys.maxsize)
+    with pytest.raises(NoSuchTerm, match=r"\(index 2\)$"):
+        tail_cf(CFSpec(F(0), ((F(1), F(2)),)), sys.maxsize)
+
+
 # term 1 of _POLE_FIRST is a pole, so a count read only after a term shows up
 # as PoleAtArgument(1), and none of the cases below reads without bound
 _POLE_FIRST = CFSpec(F(0), (), CFTail("1/(n-1)", "1", 1))
@@ -959,7 +1012,7 @@ _COUNTS = [
     pytest.param(lambda v: tietze_check(_POLE_FIRST, v), "scan_limit", 1, id="tietze_check"),
     pytest.param(lambda v: evaluate(_POLE_FIRST, F(1, 10), v), "max_terms", 2,
                  id="evaluate-max_terms"),
-    pytest.param(lambda v: extrapolate(_POLE_FIRST, F(1, 10), v), "max_terms", 2,
+    pytest.param(lambda v: cf_module._limit(_POLE_FIRST, F(1, 10), v, 128, True), "max_terms", 2,
                  id="extrapolate-max_terms"),
     pytest.param(lambda v: evaluate(_POLE_FIRST, F(1, 10), 10, v), "precision_bits", 1,
                  id="evaluate-precision_bits"),
@@ -992,6 +1045,10 @@ def test_every_count_is_read_by_name_before_any_term(read, name, least, count):
 def test_json_prefix_items_must_be_pairs(prefix):
     with pytest.raises(ValueError, match=r"^\$\.prefix\[0\]: expected a pair \[a, b\]$"):
         cf_from_json({"b0": "1", "prefix": prefix})
+    # the constructor names the item as cf_from_json does, without the "$."
+    for item in (prefix[0], tuple(prefix[0]), 1):
+        with pytest.raises(ValueError, match=r"^prefix\[0\]: expected a pair \[a, b\]$"):
+            CFSpec(1, [item])
 
 
 # library entry points that read a rational they are handed, each with
@@ -1031,7 +1088,7 @@ _NAMED_READERS = {
     "CFSpec-prefix-a": ("prefix[1][0]", lambda v: CFSpec(0, [(1, 1), (v, 1)])),
     "CFSpec-prefix-b": ("prefix[0][1]", lambda v: CFSpec(0, [(1, v)])),
     "evaluate": ("tol", lambda v: evaluate(E_CF, v, 10)),
-    "extrapolate": ("tol", lambda v: extrapolate(E_CF, v, 10)),
+    "extrapolate": ("tol", lambda v: cf_module._limit(E_CF, v, 10, 128, True)),
     "verify_limit": ("tol", lambda v: verify_limit(build_preset("e"), 10, 128, v)),
     "growth_diagnostics": ("epsilon", lambda v: growth_diagnostics(E_CF, 5, v)),
     "similarity_scale": ("r[1]", lambda v: similarity_scale(E_CF, [1, v])),
@@ -1298,7 +1355,8 @@ def test_limit_counts_are_used_as_read():
     # returns, so an __index__-only count runs as its int does
     tol = F(1, 10**9)
     for cf in (E_CF, build_preset("ex3.4").cf):
-        for read in (evaluate, extrapolate):
+        for read in (evaluate,
+                     lambda cf, tol, n, bits=128: cf_module._limit(cf, tol, n, bits, True)):
             want = read(cf, tol, 400, 96)
             assert read(cf, tol, _Index(400), _Index(96)) == want
             assert read(cf, tol, _Index(400)) == read(cf, tol, 400)

@@ -336,12 +336,10 @@ def test_negative_count_names_the_given_count(capsys, command):
 
 def test_verify_rejects_oracle_precision_before_evaluating(capsys, monkeypatch):
     import polycf.analysis
-    import polycf.cf
 
     def never(*args, **kwargs):
         raise AssertionError("evaluated before the precision check")
 
-    monkeypatch.setattr(polycf.cf, "extrapolate", never)
     monkeypatch.setattr(polycf.analysis, "_limit", never)  # the loop verify_limit runs
     for bits in ("10", "63"):
         code, out, err = run(capsys, ["verify", "--preset", "brouncker", "--terms", "200",

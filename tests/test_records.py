@@ -200,6 +200,16 @@ def test_defaults_and_missing_fields():
             make()
 
 
+class _Index:
+    """An integer-like value that defines only __index__."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+
 def test_constructors_normalise_their_fields():
     cf = CFSpec("1/2", [(1, "1/3"), ("2", Fraction(5))], ("n", "n+1", 2))
     assert cf.b0 == Fraction(1, 2) and type(cf.b0) is Fraction
@@ -212,6 +222,9 @@ def test_constructors_normalise_their_fields():
     assert tail == CFTail(ratfn_from_string("n^2"), ratfn_from_string("3"))
     with pytest.raises(TypeError, match="start_index must be an integer"):
         CFTail("n", "1", "2")
+    for count in (True, _Index(1)):  # read as the count reader reads an integer
+        start = CFTail("n", "1", count).start_index
+        assert start == 1 and type(start) is int
     with pytest.raises(TypeError):
         CFSpec(1.5)
 

@@ -8,7 +8,9 @@ only cf._fraction and convergents call, builds a Fraction past its
 constructor: by object.__new__ and a write of its private slots; and
 transforms.py calls Fraction with two arguments nowhere, building every
 such value by cf._fraction.  In analysis.py, _split is the one function
-that calls itself, and every series oracle sums by it.
+that calls itself, and every series oracle sums by it.  The limit loop
+cf._limit has three callers, evaluate, verify_limit and the CLI's eval
+command, and no second entry point wraps it.
 """
 
 import ast
@@ -124,3 +126,14 @@ def test_one_splitting_routine_sums_the_series_oracles():
     assert [name for name, node in functions.items() if name in _called(node)] == ["_split"]
     assert [name for name in ("_fp_pi", "_fp_e", "_fp_zeta")
             if "_split" not in _called(functions[name])] == []
+
+
+def test_the_limit_loop_has_one_caller_per_entry_point():
+    callers = sorted(f"{module}: {', '.join(_defined(statement))}"
+                     for module, tree in _TREES.items() for statement in tree.body
+                     if any(isinstance(sub, ast.Call) and "_limit" in _read(sub.func)
+                            for sub in ast.walk(statement)))
+    assert callers == ["analysis.py: verify_limit", "cf.py: evaluate", "cli.py: _cmd_eval"]
+    defined = {node.name for tree in _TREES.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & {"extrapolate", "_estimate"} == set()
