@@ -25,6 +25,7 @@ from .poly import (
     IntPolynomial,
     RationalFunction,
     _exact_div,
+    _keeps_sign,
     _poly_gcd,
     _scan_bound,
     degree,
@@ -44,6 +45,10 @@ _SHIFT_SLACK_BITS = 256
 # past its first shift the budgeted kernel keeps its determinant as a
 # mantissa of this many bits times a power of two
 _DET_BITS = 128
+# the unbudgeted kernel, with gaps or strip, divides out its state's common
+# content once B_prev passes this many bits, and again each time about this
+# many bits of content are expected back, at the rate the last strip found
+_STRIP_BITS = 1024
 # _limit's Richardson path: the first checkpoint, the largest Richardson order
 # m, and how far (in bits) a gap-doubling ratio may sit from 2^-(c+1)
 _FIRST_CHECKPOINT = 50
@@ -248,8 +253,13 @@ def convergents(cf, N):
 
 
 def approximants(cf, N):
-    """Approximant values A_n/B_n for n = 0..N; UNDEFINED where B_n = 0."""
-    return [conv.value for conv in convergents(cf, N)]
+    """Approximant values A_n/B_n for n = 0..N; UNDEFINED where B_n = 0.
+    Each value is reduced from the pair of one stripped kernel run, whose
+    ratio is A_n/B_n, not from convergents' canonical pair, whose gcd is
+    taken at full width; the errors are convergents', at the same term."""
+    N = _count(N, "N")
+    kernel = _recurrence(cf.b0, _first(_scaled_terms(cf), N), strip=True)
+    return [cf.b0] + [_fraction(A, B) if B else UNDEFINED for A, B, *_ in kernel]
 
 
 def _mpf(x, precision_bits):
@@ -326,18 +336,52 @@ def _first(stream, N):
         raise NoSuchTerm(n + 1)
 
 
-def _recurrence(b0, steps, budget=None, gaps=False):
+def _recurrence(b0, steps, budget=None, gaps=False, strip=False):
     """The recurrence kernel, in Python integers: (A, B, m, D, err, x) after
     each of the integer steps (a, b, m) of _scaled_terms, starting from b0.
 
     (A, A_prev, B, B_prev) hold A_n, A_{n-1}, B_n, B_{n-1} times one common
     scale, so A/B is the approximant whatever the scale is.  Without a
-    budget the integers are never rounded, and the scale after term n is
-    den(b0) times the step scales m of terms 1..n.  With a budget b, once
-    every nonzero one of the four has more than b + _SHIFT_SLACK_BITS bits
-    (256), all four are shifted right by the same amount, so that the
-    smallest keeps b bits.  A shift costs about as much as a step, and the
-    slack spaces the shifts by at least 256 bits of growth.
+    budget the integers are never rounded, and, unless the kernel strips
+    (below), the scale after term n is den(b0) times the step scales m of
+    terms 1..n: convergents and growth_diagnostics read these integers.
+    With a budget b, once every nonzero one of the four has more than
+    b + _SHIFT_SLACK_BITS bits (256), all four are shifted right by the same
+    amount, so that the smallest keeps b bits.  A shift costs about as much
+    as a step, and the slack spaces the shifts by at least 256 bits of
+    growth.
+
+    Stripping.  Without a budget, and with gaps or strip (callers that read
+    only ratios: _limit and approximants), the kernel divides all four by
+    their gcd g, the state's content.  For the common scale S their
+    determinant A B_prev - A_prev B is +-S^2 a_1 ... a_n (Euler-Wallis;
+    Lorentzen and Waadeland, Continued Fractions vol. 1), and every common
+    factor of the four divides it; for the paper's families the content
+    grows with n, to 6,621 of ex4.2's 8,068 bits at n = 300 (A = 1) and
+    1,489 of Brouncker's 2,346.  Dividing all four by one integer changes no
+    ratio, as a common shift changes none, and it rounds nothing: the
+    stripped state is the exact state at the scale S/g.  Gaps stay exact.
+    With A and B divided by g, the gap numerator against the pair (A_l, B_l)
+    yielded before becomes (A/g) B_l - A_l (B/g) = D/g, and the determinant
+    becomes (A/g)(B_prev/g) - (A_prev/g)(B/g) = E/g^2; both are integers, as
+    g divides each of the four.  So the kernel yields D/g, which is again
+    the exact gap numerator against the previously yielded pair, and keeps
+    E/g^2, from which the next step's D = -a E follows.
+
+    A strip costs one gcd of the four at the state's width, about ten to
+    twenty steps, and pays only where the content is a large share of the
+    growth.  That share is steady along a run (about 0.8 for ex3.3, ex3.4,
+    ex3.5 and ex4.2, 0.1-0.2 for ex2.2, ex2.4 and ex2.5, none for e and
+    ex1.1), so the cadence follows it: the first strip comes once B_prev
+    passes _STRIP_BITS (1024) bits, and each later one once about
+    _STRIP_BITS bits of content are expected back at the rate the last one
+    found.  That strip removed `removed` of the `grown` bits B_prev gained
+    since the one before, so the next comes _STRIP_BITS * grown / removed
+    bits past what it kept; one that finds no content counts one bit
+    removed, which in effect makes it the last.  Against a strip every
+    1,024 bits of growth, this kept the content-rich rows level and took
+    ex2.2, ex2.4 and ex2.5 at 300 terms from x1.13-1.16 of the unstripped
+    kernel to x1.02-1.06 (BENCH_41.json).
 
     Gaps.  With gaps, D 2^x is the gap numerator A B_l - A_l B against the
     previous pair (A_l, B_l), the one yielded before (for term 1, b0 as
@@ -386,7 +430,11 @@ def _recurrence(b0, steps, budget=None, gaps=False):
     A, B = b0.numerator, b0.denominator
     E = -B * B
     D, err, count, emax, x = None, None, 0, -math.inf, 0
-    limit = None if budget is None else budget + _SHIFT_SLACK_BITS
+    kept = 0  # the bits of B_prev after the last strip
+    if budget is not None:
+        limit = budget + _SHIFT_SLACK_BITS
+    else:
+        limit = _STRIP_BITS if strip or gaps else None
     for a, b, m in steps:
         if gaps:  # D and E both have the exponent x here
             D = -a * E
@@ -398,23 +446,37 @@ def _recurrence(b0, steps, budget=None, gaps=False):
             A, A_prev = b * A + a * A_prev, m * A
             B, B_prev = b * B + a * B_prev, m * B
         if limit is not None and (top := B_prev.bit_length()) > limit:
-            # B_prev is nonzero here: `or top` skips the zeros
-            lengths = (A.bit_length() or top, A_prev.bit_length() or top,
-                       B.bit_length() or top, top)
-            shift = min(lengths) - budget
-            if shift > _SHIFT_SLACK_BITS:
-                A >>= shift
-                A_prev >>= shift
-                B >>= shift
-                B_prev >>= shift
-                if gaps:
-                    e = shift + max(lengths) + 3 - E.bit_length() - x
-                    count, emax = count + 2, max(emax, e, 2 - _DET_BITS)
-                    err = emax + count.bit_length()
-                    cut = max(E.bit_length() - _DET_BITS, 0)
-                    E, x = E >> cut, x - 2 * shift + cut
-                    yield A, B, m, D, err, x + shift - cut  # x - shift before the cut
-                    continue
+            if budget is None:  # strip the common content
+                g = math.gcd(B_prev, B, A_prev, A)
+                if g != 1:
+                    A //= g
+                    A_prev //= g
+                    B //= g
+                    B_prev //= g
+                    if gaps:
+                        D //= g
+                        E //= g * g
+                removed = top - B_prev.bit_length()
+                grown, kept = top - kept, top - removed
+                limit = kept + _STRIP_BITS * grown // max(removed, 1)
+            else:
+                # B_prev is nonzero here: `or top` skips the zeros
+                lengths = (A.bit_length() or top, A_prev.bit_length() or top,
+                           B.bit_length() or top, top)
+                shift = min(lengths) - budget
+                if shift > _SHIFT_SLACK_BITS:
+                    A >>= shift
+                    A_prev >>= shift
+                    B >>= shift
+                    B_prev >>= shift
+                    if gaps:
+                        e = shift + max(lengths) + 3 - E.bit_length() - x
+                        count, emax = count + 2, max(emax, e, 2 - _DET_BITS)
+                        err = emax + count.bit_length()
+                        cut = max(E.bit_length() - _DET_BITS, 0)
+                        E, x = E >> cut, x - 2 * shift + cut
+                        yield A, B, m, D, err, x + shift - cut  # x - shift before the cut
+                        continue
         yield A, B, m, D, err, x
 
 
@@ -479,7 +541,8 @@ def evaluate(cf, tol, max_terms, precision_bits=128):
     most 2^-2 of it).  Other steps form D directly, as does the one after an
     undefined approximant (the kernel's previous pair is then not the last
     defined one).  For max_terms up to _EXACT_TERM_LIMIT = 300 the kernel of
-    _recurrence never rounds; beyond, it runs with the budget
+    _recurrence never rounds, and divides out its state's common content,
+    which changes no ratio; beyond, it runs with the budget
     b = precision_bits + guard + bitlen(max_terms), so that its shifts add
     up to less than max_terms * 2^-b <= 2^-(precision_bits + guard)
     relative.  The value and the last gap, formed exactly once at the
@@ -595,7 +658,11 @@ def _limit(cf, tol, max_terms, precision_bits, extrapolating):
     exact parts (value, gap, terms_used, converged, method): the estimate
     as a Fraction, and the last gap |A_N/B_N - A_l/B_l| as the integer pair
     (|A_N B_l - A_l B_N|, |B_N B_l|), not reduced, or None where there is
-    none yet."""
+    none yet.  Unbudgeted (max_terms up to _EXACT_TERM_LIMIT, no Richardson)
+    the kernel strips its common content, so that the pairs (A_N, B_N) and
+    (A_l, B_l) are the canonical ones each divided by its own integer: the
+    gap pair equals the canonical one in value, not in its integers, and
+    every decision of the stop rule, which compares values, is unchanged."""
     tol, max_terms, precision_bits = _limit_tol(tol, max_terms, precision_bits)
     points = _checkpoints(max_terms) if extrapolating and tail_class(cf) else []
     richardson, budget = len(points) >= 3, None
@@ -831,10 +898,14 @@ def integer_tail_form(cf):
 def tail_cf(cf, k):
     """Drop the first k >= 0 terms and zero the leading term.  Terms 1..k
     are read by term_at up to the last that can fail: term m + 1 of a finite
-    CF or a zero tail numerator, else the term at the tail's scan bound."""
+    CF, of a zero tail numerator, or of a tail whose a numerator and
+    denominator and b denominator each keep one nonzero sign from its start
+    (poly._keeps_sign), so that no tail term can fail; else the term at the
+    tail's scan bound."""
     k = _count(k, "k")
     m, tail = len(cf.prefix), cf.tail
-    if tail is None or tail.a.is_zero:
+    if tail is None or tail.a.is_zero or all(
+            _keeps_sign(p, tail.start_index) for p in (tail.a.num, tail.a.den, tail.b.den)):
         last = m + 1
     else:
         start = tail.start_index

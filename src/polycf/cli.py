@@ -13,7 +13,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import transforms
-from .cf import _limit, cf_from_json, convergents
+from .cf import _limit, approximants, cf_from_json, convergents
 from .errors import HypothesisViolation, PolycfError
 from .families import build_preset
 from .poly import json_list, json_value, ratfn_from_string
@@ -110,8 +110,9 @@ def _cmd_eval(args, params):
 
 
 def _convergent_rows(cf, terms):
-    rows = [{"n": c.index, "A": str(c.A), "B": str(c.B), "value": str(c.value)}
-            for c in convergents(cf, terms)]  # str(UNDEFINED) is "Undefined"
+    # each value is reduced from the stripped kernel's pair; str(UNDEFINED) is "Undefined"
+    rows = [{"n": c.index, "A": str(c.A), "B": str(c.B), "value": str(v)}
+            for c, v in zip(convergents(cf, terms), approximants(cf, terms))]
     return {"convergents": rows}
 
 

@@ -12,6 +12,7 @@ import operator
 import pickle
 import re
 import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -1494,3 +1495,114 @@ def test_fraction_builds_what_fraction_builds(p, q):
         assert type(x) is F
         assert (x.numerator, x.denominator, hash(x)) == (y.numerator, y.denominator, hash(y))
         assert (repr(x), str(x)) == (repr(y), str(y))
+
+
+# the unbudgeted limit loop's inputs: b0 and prefix terms as for convergents'
+# rows (fractional b0, M != 1), b_n = 0 among the prefix terms (B_n = 0
+# steps), and tails polynomial, with 80-bit coefficients, or rational, whose
+# denominators give step scales m != 1 and m < 0, or none (finite CFs)
+_strip_cf = st.builds(
+    CFSpec,
+    st.builds(F, st.integers(-40, 40), st.integers(1, 12)),
+    st.lists(st.tuples(_row_value.filter(bool), _row_value | _small | st.just(F(0))),
+             max_size=6).map(tuple),
+    _row_tail | st.builds(CFTail, _wide_ratfn, _wide_ratfn, st.integers(-2, 3)),
+)
+
+
+def _limit_or_error(cf, tol, max_terms, bits, strip_bits):
+    """_limit on the evaluate path with the kernel stripping its content at
+    every strip_bits of growth (None: never), or the error it raises."""
+    with mock.patch.object(cf_module, "_STRIP_BITS", 10**18 if strip_bits is None else strip_bits):
+        try:
+            return cf_module._limit(cf, tol, max_terms, bits, False)
+        except PolycfError as exc:
+            return type(exc), exc.args
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(cf=build_preset("ex4.2", {"A": "1"}).cf, tol=F(1, 10**60), max_terms=300, strip_bits=1024)
+@example(cf=build_preset("brouncker").cf, tol=F(1, 10**60), max_terms=300, strip_bits=0)
+@example(cf=build_preset("ex3.3", {"A": "2"}).cf, tol=F(1, 10**3), max_terms=299, strip_bits=64)
+@example(cf=_SCALED_CF, tol=F(1, 10**60), max_terms=200, strip_bits=0)
+@example(cf=_zero_b_at(40), tol=F(1, 10**9), max_terms=300, strip_bits=0)
+@example(cf=CFSpec(F(5, 6), (), CFTail("1/(n^2 - 3n + 1)", "2n", 1)), tol=F(1, 10**60),
+         max_terms=120, strip_bits=8)
+@example(cf=CFSpec(F(1), ((F(1), F(1)), (F(1), F(0))) * 30), tol=F(1, 10**6), max_terms=300,
+         strip_bits=0)
+@given(
+    cf=_strip_cf,
+    tol=st.sampled_from([F(1, 10**60), F(1, 10**9), F(1, 100), F(3)]),
+    max_terms=st.integers(2, 300),
+    strip_bits=st.sampled_from([0, 1, 8, 64, 1024]),
+)
+def test_stripping_changes_no_limit_result(cf, tol, max_terms, strip_bits):
+    # the same value, terms, convergence and method, or the same error, and a
+    # gap of the same value (cross-multiplied), whose integers may differ
+    want = _limit_or_error(cf, tol, max_terms, 128, None)
+    got = _limit_or_error(cf, tol, max_terms, 128, strip_bits)
+    if len(want) == 2:
+        assert got == want
+        return
+    assert (got[0], *got[2:]) == (want[0], *want[2:])
+    assert type(got[0]) is F
+    if want[1] is None:
+        assert got[1] is None
+    else:
+        (p, q), (r, s) = got[1], want[1]
+        assert p >= 0 and q > 0 and p * s == r * q
+
+
+def test_stripping_divides_out_the_common_content():
+    # ex4.2 (A = 1) at 300 terms: gcd(A, A_prev, B, B_prev) takes 6,621 of the
+    # state's 8,068 bits; the stripped pairs keep every ratio and gap numerator
+    cf = build_preset("ex4.2", {"A": "1"}).cf
+    canonical = list(itertools.islice(_recurrence(cf.b0, _scaled_terms(cf)), 300))
+    stripped = list(itertools.islice(_recurrence(cf.b0, _scaled_terms(cf), gaps=True), 300))
+    assert len(canonical) == len(stripped) == 300
+    A_l, B_l = cf.b0.numerator, cf.b0.denominator
+    for (A, B, m, *_), (A_s, B_s, m_s, D, err, x) in zip(canonical, stripped):
+        assert A * B_s == A_s * B and m == m_s and (err, x) == (None, 0)
+        assert D == A_s * B_l - A_l * B_s
+        A_l, B_l = A_s, B_s
+    assert canonical[-1][1].bit_length() > 8000 and stripped[-1][1].bit_length() < 3000
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(cf=_SCALED_CF, N=40, strip_bits=0)
+@example(cf=_zero_b_at(40), N=60, strip_bits=0)
+@example(cf=CFSpec(F(1), ((F(1), F(0)), (F(1), F(1)), (F(1), F(0)))), N=5, strip_bits=0)
+@example(cf=CFSpec(F(0), (), CFTail("1/(n-4)", "n")), N=10, strip_bits=0)
+@example(cf=build_preset("brouncker").cf, N=400, strip_bits=1024)
+@given(cf=_strip_cf, N=st.integers(0, 60), strip_bits=st.sampled_from([0, 1, 8, 1024]))
+def test_approximants_match_the_convergent_values_of_any_cf(cf, N, strip_bits):
+    # the same values, of the same types, or the same error at the same term
+    try:
+        want = [c.value for c in convergents(cf, N)]
+    except PolycfError as exc:
+        with mock.patch.object(cf_module, "_STRIP_BITS", strip_bits):
+            with pytest.raises(type(exc)) as got:
+                approximants(cf, N)
+        assert got.value.args == exc.args
+        return
+    with mock.patch.object(cf_module, "_STRIP_BITS", strip_bits):
+        got = approximants(cf, N)
+    assert len(got) == N + 1
+    for x, y in zip(got, want):
+        assert type(x) is type(y)
+        if y is not UNDEFINED:
+            assert (x.numerator, x.denominator, hash(x)) == (y.numerator, y.denominator, hash(y))
+
+
+def test_tail_cf_skips_the_scan_where_no_tail_term_can_fail():
+    # a(n) = n + 10^6 has its root bound at 10^6 + 1 but keeps its sign from
+    # n = 1, as do the denominators: no term of the tail is read
+    for a, b in (("n + 1000000", "1"), ("-n - 1000000", "n - 1000000"),
+                 ("(n + 1000000)/(n^2 + 1000000)", "n/(3n + 1000000)")):
+        cf = CFSpec(F(1, 2), ((F(1), F(2)),), CFTail(a, b, 1))
+        start = time.perf_counter()
+        got = tail_cf(cf, sys.maxsize)
+        assert time.perf_counter() - start < 0.05
+        assert got == CFSpec(F(0), (), CFTail(a, b, sys.maxsize))
+    with pytest.raises(ZeroPartialNumerator, match=r"\(index 1\)$"):
+        tail_cf(CFSpec(F(0), ((F(0), F(2)),), CFTail("n + 1000000", "1")), sys.maxsize)

@@ -10,7 +10,10 @@ transforms.py calls Fraction with two arguments nowhere, building every
 such value by cf._fraction.  In analysis.py, _split is the one function
 that calls itself, and every series oracle sums by it.  The limit loop
 cf._limit has three callers, evaluate, verify_limit and the CLI's eval
-command, and no second entry point wraps it.
+command, and no second entry point wraps it.  convergents and
+growth_diagnostics, which read the kernel's integers and not only their
+ratios, call cf._recurrence with b0 and the steps alone, so that it never
+strips their common content; only _limit and approximants ask it to.
 """
 
 import ast
@@ -137,3 +140,19 @@ def test_the_limit_loop_has_one_caller_per_entry_point():
     defined = {node.name for tree in _TREES.values() for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert defined & {"extrapolate", "_estimate"} == set()
+
+
+def test_the_canonical_readers_never_ask_the_kernel_to_strip():
+    # a budget makes the kernel shift its state, and gaps or strip divide it
+    # by its content: only the ratio readers _limit and approximants pass
+    # one, and convergents and growth_diagnostics read the integers
+    calls = sorted(f"{module}: {node.name}: {len(sub.args)} {[k.arg for k in sub.keywords]}"
+                   for module, tree in _TREES.items() for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) for sub in ast.walk(node)
+                   if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                   and sub.func.id == "_recurrence")
+    assert calls == ["analysis.py: growth_diagnostics: 2 []",
+                     "cf.py: _limit: 3 ['gaps']",
+                     "cf.py: approximants: 2 ['strip']",
+                     "cf.py: convergents: 2 []",
+                     "cf.py: convergents: 2 []"]
