@@ -45,9 +45,10 @@ _SHIFT_SLACK_BITS = 256
 # past its first shift the budgeted kernel keeps its determinant as a
 # mantissa of this many bits times a power of two
 _DET_BITS = 128
-# the unbudgeted kernel, with gaps or strip, divides out its state's common
-# content once B_prev passes this many bits, and again each time about this
-# many bits of content are expected back, at the rate the last strip found
+# the unbudgeted kernel, with gaps, divides out its state's common content
+# once B_prev passes this many bits, and again each time about this many bits
+# of content are expected back, at the rate the last strip found; a strip
+# that finds none ends stripping
 _STRIP_BITS = 1024
 # _limit's Richardson path: the first checkpoint, the largest Richardson order
 # m, and how far (in bits) a gap-doubling ratio may sit from 2^-(c+1)
@@ -254,11 +255,12 @@ def convergents(cf, N):
 
 def approximants(cf, N):
     """Approximant values A_n/B_n for n = 0..N; UNDEFINED where B_n = 0.
-    Each value is reduced from the pair of one stripped kernel run, whose
-    ratio is A_n/B_n, not from convergents' canonical pair, whose gcd is
-    taken at full width; the errors are convergents', at the same term."""
+    Each value is reduced from the pair of one kernel run with gaps, which
+    strips its content and keeps the ratio A_n/B_n (the gaps and step
+    scales are not read), not from convergents' canonical pair, whose gcd
+    is taken at full width; the errors are convergents', at the same term."""
     N = _count(N, "N")
-    kernel = _recurrence(cf.b0, _first(_scaled_terms(cf), N), strip=True)
+    kernel = _recurrence(cf.b0, _first(_scaled_terms(cf), N), gaps=True)
     return [cf.b0] + [_fraction(A, B) if B else UNDEFINED for A, B, *_ in kernel]
 
 
@@ -336,7 +338,7 @@ def _first(stream, N):
         raise NoSuchTerm(n + 1)
 
 
-def _recurrence(b0, steps, budget=None, gaps=False, strip=False):
+def _recurrence(b0, steps, budget=None, gaps=False):
     """The recurrence kernel, in Python integers: (A, B, m, D, err, x) after
     each of the integer steps (a, b, m) of _scaled_terms, starting from b0.
 
@@ -351,8 +353,8 @@ def _recurrence(b0, steps, budget=None, gaps=False, strip=False):
     as a step, and the slack spaces the shifts by at least 256 bits of
     growth.
 
-    Stripping.  Without a budget, and with gaps or strip (callers that read
-    only ratios: _limit and approximants), the kernel divides all four by
+    Stripping.  Without a budget, and with gaps (callers that read only
+    ratios: _limit and approximants), the kernel divides all four by
     their gcd g, the state's content.  For the common scale S their
     determinant A B_prev - A_prev B is +-S^2 a_1 ... a_n (Euler-Wallis;
     Lorentzen and Waadeland, Continued Fractions vol. 1), and every common
@@ -377,11 +379,10 @@ def _recurrence(b0, steps, budget=None, gaps=False, strip=False):
     _STRIP_BITS bits of content are expected back at the rate the last one
     found.  That strip removed `removed` of the `grown` bits B_prev gained
     since the one before, so the next comes _STRIP_BITS * grown / removed
-    bits past what it kept; one that finds no content counts one bit
-    removed, which in effect makes it the last.  Against a strip every
-    1,024 bits of growth, this kept the content-rich rows level and took
-    ex2.2, ex2.4 and ex2.5 at 300 terms from x1.13-1.16 of the unstripped
-    kernel to x1.02-1.06 (BENCH_41.json).
+    bits past what it kept; one that finds no content ends stripping.
+    Against a strip every 1,024 bits of growth, this kept the content-rich
+    rows level and took ex2.2, ex2.4 and ex2.5 at 300 terms from
+    x1.13-1.16 of the unstripped kernel to x1.02-1.06 (BENCH_41.json).
 
     Gaps.  With gaps, D 2^x is the gap numerator A B_l - A_l B against the
     previous pair (A_l, B_l), the one yielded before (for term 1, b0 as
@@ -434,7 +435,7 @@ def _recurrence(b0, steps, budget=None, gaps=False, strip=False):
     if budget is not None:
         limit = budget + _SHIFT_SLACK_BITS
     else:
-        limit = _STRIP_BITS if strip or gaps else None
+        limit = _STRIP_BITS if gaps else None
     for a, b, m in steps:
         if gaps:  # D and E both have the exponent x here
             D = -a * E
@@ -458,7 +459,7 @@ def _recurrence(b0, steps, budget=None, gaps=False, strip=False):
                         E //= g * g
                 removed = top - B_prev.bit_length()
                 grown, kept = top - kept, top - removed
-                limit = kept + _STRIP_BITS * grown // max(removed, 1)
+                limit = kept + _STRIP_BITS * grown // removed if removed else None
             else:
                 # B_prev is nonzero here: `or top` skips the zeros
                 lengths = (A.bit_length() or top, A_prev.bit_length() or top,

@@ -110,7 +110,7 @@ def _cmd_eval(args, params):
 
 
 def _convergent_rows(cf, terms):
-    # each value is reduced from the stripped kernel's pair; str(UNDEFINED) is "Undefined"
+    # each value is reduced from the gaps kernel's stripped pair; str(UNDEFINED) is "Undefined"
     rows = [{"n": c.index, "A": str(c.A), "B": str(c.B), "value": str(v)}
             for c, v in zip(convergents(cf, terms), approximants(cf, terms))]
     return {"convergents": rows}

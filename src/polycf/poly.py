@@ -77,6 +77,16 @@ def _as_int(c):
     raise TypeError(f"integer coefficient required, got {c!r}")
 
 
+def _coerced(op):
+    """An IntPolynomial operator: op on self and other as read by _as_polynomial."""
+
+    def method(self, other):
+        other = _as_polynomial(other)
+        return NotImplemented if other is NotImplemented else op(self, other)
+
+    return method
+
+
 class IntPolynomial:
     """Polynomial with integer coefficients, stored ascending by power."""
 
@@ -141,10 +151,8 @@ class IntPolynomial:
             values = itertools.accumulate(values, initial=head)
         return values
 
+    @_coerced
     def __add__(self, other):
-        other = _as_polynomial(other)
-        if other is NotImplemented:
-            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -160,22 +168,11 @@ class IntPolynomial:
     def __neg__(self):
         return IntPolynomial._make(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        other = _as_polynomial(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+    __sub__ = _coerced(lambda p, q: p + (-q))
+    __rsub__ = _coerced(lambda p, q: q + (-p))
 
-    def __rsub__(self, other):
-        other = _as_polynomial(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
+    @_coerced
     def __mul__(self, other):
-        other = _as_polynomial(other)
-        if other is NotImplemented:
-            return NotImplemented
         p, q = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
         if len(p.coeffs) <= 1:
             # a constant factor: 0 and 1 give an operand back, others scale
@@ -248,11 +245,7 @@ class IntPolynomial:
         """Inverse of to_json; malformed input raises ValueError with its path."""
         return cls(json_list(data, path, "int"))
 
-    def __eq__(self, other):
-        other = _as_polynomial(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+    __eq__ = _coerced(lambda p, q: p.coeffs == q.coeffs)
 
     def __hash__(self):
         return hash(self.coeffs)

@@ -1530,6 +1530,11 @@ def _limit_or_error(cf, tol, max_terms, bits, strip_bits):
          max_terms=120, strip_bits=8)
 @example(cf=CFSpec(F(1), ((F(1), F(1)), (F(1), F(0))) * 30), tol=F(1, 10**6), max_terms=300,
          strip_bits=0)
+@example(cf=build_preset("e").cf, tol=F(1, 10**400), max_terms=300, strip_bits=1024)
+@example(cf=build_preset("ex1.1", {"f": "n^2"}).cf, tol=F(1, 10**400), max_terms=300,
+         strip_bits=8)
+@example(cf=build_preset("ex1.1", {"m": "2"}).cf, tol=F(1, 10**400), max_terms=300,
+         strip_bits=64)
 @given(
     cf=_strip_cf,
     tol=st.sampled_from([F(1, 10**60), F(1, 10**9), F(1, 100), F(3)]),
@@ -1566,6 +1571,25 @@ def test_stripping_divides_out_the_common_content():
         assert D == A_s * B_l - A_l * B_s
         A_l, B_l = A_s, B_s
     assert canonical[-1][1].bit_length() > 8000 and stripped[-1][1].bit_length() < 3000
+
+
+def _strips(cf, strip_bits):
+    """The strips of _limit(cf, 10^-400, 300 terms): its calls of math.gcd
+    on the four integers of the kernel state."""
+    calls, gcd = [], math.gcd
+    with mock.patch.object(cf_module, "_STRIP_BITS", strip_bits), \
+            mock.patch.object(math, "gcd", lambda *args: calls.append(len(args)) or gcd(*args)):
+        cf_module._limit(cf, F(1, 10**400), 300, 128, False)
+    return calls.count(4)
+
+
+def test_a_strip_that_finds_no_content_ends_stripping():
+    # e and ex1.1 share no content: their first strip, at 8 bits, is their
+    # last; ex4.2 (A = 1), rich in content, strips on at the rate it finds
+    for name, params in (("e", {}), ("ex1.1", {"f": "n^2"}), ("ex1.1", {"m": "2"})):
+        assert _strips(build_preset(name, params).cf, 8) == 1
+    cf = build_preset("ex4.2", {"A": "1"}).cf
+    assert (_strips(cf, 8), _strips(cf, 1024)) == (295, 6)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -13,7 +13,8 @@ cf._limit has three callers, evaluate, verify_limit and the CLI's eval
 command, and no second entry point wraps it.  convergents and
 growth_diagnostics, which read the kernel's integers and not only their
 ratios, call cf._recurrence with b0 and the steps alone, so that it never
-strips their common content; only _limit and approximants ask it to.
+strips their common content; only _limit and approximants ask it for gaps,
+with which the unbudgeted kernel strips.
 """
 
 import ast
@@ -143,9 +144,10 @@ def test_the_limit_loop_has_one_caller_per_entry_point():
 
 
 def test_the_canonical_readers_never_ask_the_kernel_to_strip():
-    # a budget makes the kernel shift its state, and gaps or strip divide it
-    # by its content: only the ratio readers _limit and approximants pass
-    # one, and convergents and growth_diagnostics read the integers
+    # a budget makes the kernel shift its state, and gaps without a budget
+    # divide it by its content: only the ratio readers _limit and
+    # approximants pass one, and convergents and growth_diagnostics read the
+    # integers
     calls = sorted(f"{module}: {node.name}: {len(sub.args)} {[k.arg for k in sub.keywords]}"
                    for module, tree in _TREES.items() for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef) for sub in ast.walk(node)
@@ -153,6 +155,6 @@ def test_the_canonical_readers_never_ask_the_kernel_to_strip():
                    and sub.func.id == "_recurrence")
     assert calls == ["analysis.py: growth_diagnostics: 2 []",
                      "cf.py: _limit: 3 ['gaps']",
-                     "cf.py: approximants: 2 ['strip']",
+                     "cf.py: approximants: 2 ['gaps']",
                      "cf.py: convergents: 2 []",
                      "cf.py: convergents: 2 []"]
